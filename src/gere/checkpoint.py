@@ -77,7 +77,7 @@ def load_checkpoint(path, expected_vocab_checksum: Optional[int] = None
     if n_tensors != len(names):
         raise DataError(f"{path}: expected {len(names)} tensors, file has {n_tensors}")
 
-    def read_tensor(expect_name: str, expect_shape: tuple) -> np.ndarray:
+    def read_tensor(expect_shape: tuple) -> np.ndarray:
         count = int(np.prod(expect_shape)) if expect_shape else 1
         raw = r.take(4 * count)
         return np.frombuffer(raw, dtype="<f4").reshape(expect_shape).copy()
@@ -91,7 +91,7 @@ def load_checkpoint(path, expected_vocab_checksum: Optional[int] = None
         if shape != model.params[name].data.shape:
             raise DataError(f"{path}: tensor {name!r} shape {shape} does not match "
                             f"config-derived shape {model.params[name].data.shape}")
-        model.params[name].data = read_tensor(name, shape)
+        model.params[name].data = read_tensor(shape)
     opt_state = None
     if r.u8():
         t = r.u64()
@@ -99,8 +99,8 @@ def load_checkpoint(path, expected_vocab_checksum: Optional[int] = None
         v = {}
         for name in names:
             shape = model.params[name].data.shape
-            m[name] = read_tensor(name, shape)
-            v[name] = read_tensor(name, shape)
+            m[name] = read_tensor(shape)
+            v[name] = read_tensor(shape)
         opt_state = {"t": t, "m": m, "v": v}
     if not r.done():
         raise DataError(f"{path}: {len(data) - r.pos} trailing bytes")

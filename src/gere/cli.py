@@ -230,8 +230,13 @@ def cmd_train(args) -> int:
 
     log_path = out_dir / "train_log.jsonl"
     stats = None
-    # Fresh runs truncate the log so reruns are byte-identical; resumes append.
-    with open(log_path, "a" if args.resume else "w", encoding="utf-8") as log_fh:
+    # The log is rewritten so reruns are byte-identical; a resume keeps the
+    # records of the updates before its checkpoint and drops any later ones.
+    kept = []
+    if args.resume and log_path.exists():
+        kept = log_path.read_text(encoding="utf-8").splitlines(keepends=True)[:step]
+    with open(log_path, "w", encoding="utf-8") as log_fh:
+        log_fh.writelines(kept)
         epoch = 0
         consumed = 0
         while trainer.step_count < cfg.train.total_updates:

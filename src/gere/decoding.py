@@ -5,9 +5,16 @@ inside a title only the trie's continuations are legal; right after EOT only
 SEP or EOS; after SEP the trie resets to the root and any already-emitted
 title has its final EOT masked (duplicate suppression). Hypothesis scores are
 sums of full-softmax token log-probs (no renormalization over the mask and,
-by default, no length normalization), which keeps exhaustive-search oracle
-comparisons exact. Evidence decoding is greedy over the remaining candidate
-sentences plus EOE.
+by default, no length normalization). Evidence decoding is greedy over the
+remaining candidate sentences plus EOE.
+
+Both decoders run incrementally on the model's KV-cached `DecoderState`: the
+beam makes one batched step per iteration for all alive hypotheses and then
+reorders the cache rows by parent; the evidence decoder makes one one-row
+step per pick. A batched row is bit-identical to a one-row replay of its
+prefix, which is what `Seq2SeqModel.decode_step_title` and
+`decode_step_evidence` compute, so beam scores equal the exhaustive-search
+oracle's scores exactly, not just to a tolerance.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 from . import nn
 from .corpus import Claim, Corpus
 from .errors import DataError, DecodingError
-from .model import ClaimEncoding, Seq2SeqModel, SentenceEmbedding
+from .model import ClaimEncoding, DecoderState, Seq2SeqModel, SentenceEmbedding
 from .tokenizer import BOS, EOS, EOT, SEP, Vocab
 from .trie import TitleTrie
 
@@ -112,27 +119,31 @@ def beam_search_titles(
     if beam_size < 1:
         raise ValueError("beam_size must be positive")
     enc = claim if isinstance(claim, ClaimEncoding) else model.encode_claim(claim)
+    state = DecoderState(model, "title_dec", enc)
     alive = [BeamHypothesis(tokens=[BOS], log_prob=0.0, node=trie.root)]
     finished: list[BeamHypothesis] = []
     last_alive = alive
     max_len = model.config.max_positions
     while alive:
         last_alive = alive
-        pool: list[tuple[float, list[int], BeamHypothesis, int]] = []
-        for hyp in alive:
-            if len(hyp.tokens) >= max_len:
-                continue  # cannot extend further; hypothesis dies
-            log_probs = nn.log_softmax64(model.decode_step_title(enc, hyp.tokens))
+        if len(alive[0].tokens) >= max_len:
+            break  # all alive hypotheses share one length; none can extend, all die
+        logits = model.title_step(state, [hyp.tokens[-1] for hyp in alive])
+        pool: list[tuple[float, list[int], int, int]] = []
+        for row, hyp in enumerate(alive):
+            log_probs = nn.log_softmax64(logits[row])
             for token in _allowed_tokens(hyp, trie, max_titles):
                 pool.append((hyp.log_prob + float(log_probs[token]),
-                             hyp.tokens + [token], hyp, token))
+                             hyp.tokens + [token], row, token))
         pool.sort(key=lambda item: (-item[0], item[1]))
-        alive = []
-        for score, _, hyp, token in pool:
+        alive, rows = [], []
+        for score, _, row, token in pool:
             if token == EOS:
-                finished.append(_extend(hyp, token, score, trie))
+                finished.append(_extend(last_alive[row], token, score, trie))
             elif len(alive) < beam_size:
-                alive.append(_extend(hyp, token, score, trie))
+                alive.append(_extend(last_alive[row], token, score, trie))
+                rows.append(row)
+        state.reorder(rows)
     if not finished:
         raise DecodingError("no beam hypothesis could finish",
                             partial_beams=last_alive)
@@ -173,22 +184,23 @@ def greedy_evidence(
     if not candidates:
         raise DecodingError("evidence decoding requires a non-empty candidate set")
     enc = claim if isinstance(claim, ClaimEncoding) else model.encode_claim(claim)
+    state = DecoderState(model, "evid_dec", enc)
+    vector = model.params["evid_dec.start"].data
     remaining = list(candidates)
-    chosen: list[SentenceEmbedding] = []
     pairs: list[tuple[str, int]] = []
     log_probs: list[float] = []
     for _ in range(max_evidence_steps):
         if not remaining:
             break
-        if 1 + len(chosen) >= model.config.max_positions:
+        if 1 + len(pairs) >= model.config.max_positions:
             break
-        scores = model.decode_step_evidence(enc, chosen, remaining)
+        scores = model.evidence_step(state, vector, remaining)
         step_log_probs = nn.log_softmax64(scores)
         pick = int(np.argmax(scores))
         if pick == len(remaining):  # EOE
             break
         selected = remaining.pop(pick)
-        chosen.append(selected)
+        vector = selected.vector
         pairs.append(selected.source)
         log_probs.append(float(step_log_probs[pick]))
     return pairs, log_probs

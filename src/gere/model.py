@@ -6,6 +6,11 @@ vocabulary, a sentence encoder whose mean-pooled states form the dynamic
 evidence vocabulary, and an evidence decoder that scores decoder states
 against candidate sentence embeddings plus one learned end-of-evidence (EOE)
 embedding. Pre-norm residual blocks with a final layer norm per stack.
+
+Training and the full-sequence checks run the `nn` graph. Inference runs the
+decoders through `DecoderState`, a plain-numpy incremental decoder with
+per-layer key/value caches; the single-step operations replay their prefix
+through it one position at a time.
 """
 
 from __future__ import annotations
@@ -84,7 +89,6 @@ class ClaimEncoding:
     """Hidden states for one claim; `truncated` flags over-length inputs."""
 
     states: np.ndarray  # (length, d_model)
-    mask: np.ndarray  # (length,) bool, all True (claims are never padded here)
     truncated: bool = False
 
 
@@ -103,6 +107,88 @@ def _key_mask(valid: np.ndarray, dtype) -> Optional[np.ndarray]:
         return None
     add = np.where(valid, 0.0, NEG_INF).astype(dtype)
     return add[:, None, None, :]
+
+
+class DecoderState:
+    """Incremental inference for one decoder stack against one claim.
+
+    Row b is one hypothesis. `step` feeds one input vector per row (a token
+    embedding, or the evidence start vector or a chosen sentence) at the next
+    position and returns the rows' final states; `reorder` keeps, repeats or
+    drops rows. Self-attention keys and values are cached per layer; the
+    cross-attention keys and values are computed once from the claim states.
+
+    Contract: a row's result never depends on the other rows. Every row-wise
+    product is a stacked (B, 1, n) @ (n, m) matmul, which numpy evaluates
+    slice by slice with the same BLAS call as B = 1 (a flat (B, n) GEMM does
+    not give B = 1 bits), and the remaining ops are elementwise or reduce
+    within a row. A batched step is therefore bit-identical to B = 1 replays
+    of each row's prefix.
+    """
+
+    def __init__(self, model: "Seq2SeqModel", name: str, enc: ClaimEncoding):
+        cfg = model.config
+        self.heads = cfg.n_heads
+        self.scale = 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
+        self.max_positions = cfg.max_positions
+        self.length = 0
+
+        def arrays(prefix):
+            n = len(prefix) + 1
+            return {k[n:]: t.data for k, t in model.params.items()
+                    if k.startswith(prefix + ".")}
+
+        self.pos_emb = model.params[f"{name}.pos_emb"].data
+        self.final = arrays(f"{name}.ln_f")
+        memory = enc.states[None]
+        self.layers = []
+        for i in range(cfg.n_layers_dec):
+            w = arrays(f"{name}.l{i}")
+            cross_kv = (self._split(memory @ w["cross_attn.wk"] + w["cross_attn.bk"]),
+                        self._split(memory @ w["cross_attn.wv"] + w["cross_attn.bv"]))
+            self.layers.append((w, cross_kv))
+        self.cache: list[Optional[tuple[np.ndarray, np.ndarray]]] = [None] * len(self.layers)
+
+    def _split(self, x):  # (B, T, d) -> (B, heads, T, d_head)
+        n_batch, n_pos, d = x.shape
+        return x.reshape(n_batch, n_pos, self.heads, d // self.heads).transpose(0, 2, 1, 3)
+
+    def _attend(self, q, k, v, w, prefix):
+        weights = nn.softmax_forward((q @ k.swapaxes(-1, -2)) * self.scale)
+        ctx = (weights @ v).transpose(0, 2, 1, 3)
+        ctx = ctx.reshape(ctx.shape[0], 1, -1)
+        return ctx @ w[f"{prefix}.wo"] + w[f"{prefix}.bo"]
+
+    def step(self, inputs: np.ndarray) -> np.ndarray:
+        """Decode position `self.length` for inputs (B, d), cast to the model's
+        dtype; returns the final-layer states (B, d)."""
+        if self.length >= self.max_positions:
+            raise ValueError(f"sequence length {self.length + 1} exceeds max_positions "
+                             f"{self.max_positions}")
+        x = (inputs.astype(self.pos_emb.dtype, copy=False) + self.pos_emb[self.length])[:, None]
+        for i, (w, (cross_k, cross_v)) in enumerate(self.layers):
+            h = nn.layer_norm_forward(x, w["ln1.g"], w["ln1.b"])[0]
+            q = self._split(h @ w["self_attn.wq"] + w["self_attn.bq"])
+            k = self._split(h @ w["self_attn.wk"] + w["self_attn.bk"])
+            v = self._split(h @ w["self_attn.wv"] + w["self_attn.bv"])
+            if self.cache[i] is not None:
+                k = np.concatenate((self.cache[i][0], k), axis=2)
+                v = np.concatenate((self.cache[i][1], v), axis=2)
+            self.cache[i] = (k, v)
+            x = x + self._attend(q, k, v, w, "self_attn")
+            h = nn.layer_norm_forward(x, w["ln2.g"], w["ln2.b"])[0]
+            q = self._split(h @ w["cross_attn.wq"] + w["cross_attn.bq"])
+            x = x + self._attend(q, cross_k, cross_v, w, "cross_attn")
+            h = nn.layer_norm_forward(x, w["ln3.g"], w["ln3.b"])[0]
+            h = nn.gelu_forward(h @ w["ffn.w1"] + w["ffn.b1"])[0]
+            x = x + (h @ w["ffn.w2"] + w["ffn.b2"])
+        self.length += 1
+        return nn.layer_norm_forward(x, self.final["g"], self.final["b"])[0][:, 0]
+
+    def reorder(self, rows: Sequence[int]) -> None:
+        """Keep the cached rows `rows`, in that order (repeats allowed)."""
+        rows = np.asarray(rows, dtype=np.intp)
+        self.cache = [(k[rows], v[rows]) for k, v in self.cache]
 
 
 class Seq2SeqModel:
@@ -280,11 +366,13 @@ class Seq2SeqModel:
         with nn.no_grad():
             out = self.encoder_forward(
                 "claim_enc", np.array([ids]), np.ones((1, len(ids)), dtype=bool))
-        return ClaimEncoding(states=out.data[0], mask=np.ones(len(ids), dtype=bool),
-                             truncated=truncated)
+        return ClaimEncoding(states=out.data[0], truncated=truncated)
 
-    def _enc_tensor(self, enc: ClaimEncoding) -> nn.Tensor:
-        return nn.constant(enc.states[None])
+    def title_step(self, state: DecoderState, tokens: Sequence[int]) -> np.ndarray:
+        """Feed one title token per row of `state`; next-token logits (B, vocab)."""
+        h = state.step(self.params["title_dec.tok_emb"].data[list(tokens)])
+        logits = h[:, None] @ self.params["title_dec.out_w"].data
+        return logits[:, 0] + self.params["title_dec.out_b"].data
 
     def decode_step_title(self, enc: ClaimEncoding, prefix: Sequence[int]) -> np.ndarray:
         """Next-token logits over the vocabulary after `prefix` (must start with BOS)."""
@@ -293,17 +381,17 @@ class Seq2SeqModel:
             raise ValueError("title decoder prefix must not be empty")
         if prefix[0] != BOS:
             raise ValueError("title decoder prefix must begin with BOS")
-        with nn.no_grad():
-            x = self.embed_title_inputs(np.array([prefix]))
-            states = self.decoder_forward("title_dec", x, self._enc_tensor(enc), None)
-        last = states.data[0, -1]
-        return last @ self.params["title_dec.out_w"].data + self.params["title_dec.out_b"].data
+        state = DecoderState(self, "title_dec", enc)
+        tok_emb = self.params["title_dec.tok_emb"].data
+        for token in prefix[:-1]:
+            state.step(tok_emb[[token]])
+        return self.title_step(state, prefix[-1:])[0]
 
     def title_logits_all(self, enc: ClaimEncoding, ids: Sequence[int]) -> np.ndarray:
         """Logits at every position of a full decoder input (causality checks)."""
         with nn.no_grad():
             x = self.embed_title_inputs(np.array([list(ids)]))
-            states = self.decoder_forward("title_dec", x, self._enc_tensor(enc), None)
+            states = self.decoder_forward("title_dec", x, nn.constant(enc.states[None]), None)
             logits = self.title_output_logits(states)
         return logits.data[0]
 
@@ -318,15 +406,13 @@ class Seq2SeqModel:
                 "sent_enc", np.array([ids]), np.ones((1, len(ids)), dtype=bool))
         return SentenceEmbedding(vector=out.data[0].mean(axis=0), source=source)
 
-    def _evidence_states(self, enc: ClaimEncoding,
-                         previous: Sequence[SentenceEmbedding]) -> np.ndarray:
-        vectors = [self.params["evid_dec.start"].data]
-        vectors += [p.vector for p in previous]
-        x = nn.constant(np.stack(vectors)[None].astype(self.dtype))
-        with nn.no_grad():
-            x = nn.add(x, self._positions("evid_dec", x.data.shape[1]))
-            states = self.decoder_forward("evid_dec", x, self._enc_tensor(enc), None)
-        return states.data[0]
+    def evidence_step(self, state: DecoderState, vector: np.ndarray,
+                      candidates: Sequence[SentenceEmbedding]) -> np.ndarray:
+        """Feed one evidence input (the start vector or the last chosen sentence)
+        to a one-row `state`; scores over candidates plus EOE (last entry)."""
+        h = state.step(vector[None])[0]
+        table = np.stack([c.vector for c in candidates] + [self.params["evid_dec.eoe"].data])
+        return table.astype(h.dtype) @ h
 
     def decode_step_evidence(self, enc: ClaimEncoding,
                              previous: Sequence[SentenceEmbedding],
@@ -334,9 +420,11 @@ class Seq2SeqModel:
         """Dot-product scores over candidates plus the EOE embedding (last entry)."""
         if not candidates:
             raise ValueError("evidence decoder requires at least one candidate")
-        h = self._evidence_states(enc, previous)[-1]
-        table = np.stack([c.vector for c in candidates] + [self.params["evid_dec.eoe"].data])
-        return table.astype(h.dtype) @ h
+        state = DecoderState(self, "evid_dec", enc)
+        inputs = [self.params["evid_dec.start"].data] + [p.vector for p in previous]
+        for vector in inputs[:-1]:
+            state.step(vector[None])
+        return self.evidence_step(state, inputs[-1], candidates)
 
     # -- single-example losses (inference-mode floats) ------------------------
 
@@ -347,7 +435,7 @@ class Seq2SeqModel:
             raise ValueError("title target must be BOS ... EOS")
         with nn.no_grad():
             x = self.embed_title_inputs(np.array([target_ids[:-1]]))
-            states = self.decoder_forward("title_dec", x, self._enc_tensor(enc), None)
+            states = self.decoder_forward("title_dec", x, nn.constant(enc.states[None]), None)
             logits = self.title_output_logits(states)
             flat = nn.reshape(logits, (len(target_ids) - 1, self.config.vocab_size))
             loss = nn.cross_entropy(flat, np.array(target_ids[1:]),

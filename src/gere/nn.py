@@ -1,10 +1,13 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 Exactly the operations the encoder-decoder stacks need: broadcasting add and
-multiply, two matmul flavors, relu, layer norm, softmax, embedding gather,
+multiply, two matmul flavors, GELU, layer norm, softmax, embedding gather,
 row-assembly helpers for the dynamic evidence vocabulary, dropout and the
 cross-entropy heads. Gradients accumulate in graph-construction order, so a
 fixed seed and fixed data order give bit-identical results on one machine.
+The forward math of GELU, layer norm and softmax lives in plain-array
+functions (`*_forward`) that the graph ops and the model's incremental
+inference decoder share.
 """
 
 from __future__ import annotations
@@ -169,22 +172,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), back)
 
 
-def relu(x: Tensor) -> Tensor:
-    out = np.maximum(x.data, 0)
-
-    def back(g):
-        _accum(x, g * (x.data > 0), fresh=True)
-
-    return _make(out, (x,), back)
-
-
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Tanh-approximation GELU; smooth everywhere (finite-difference friendly)."""
-    xd = x.data
+def gelu_forward(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-approximation GELU of an array, plus the tanh term its slope needs."""
     inner = xd * xd
     inner *= xd
     inner *= _GELU_A
@@ -194,6 +187,13 @@ def gelu(x: Tensor) -> Tensor:
     out = 1.0 + t
     out *= xd
     out *= 0.5
+    return out, t
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Tanh-approximation GELU; smooth everywhere (finite-difference friendly)."""
+    xd = x.data
+    out, t = gelu_forward(xd)
 
     def back(g):
         # d/dx [0.5 x (1 + t)] = 0.5 (1 + t) + 0.5 x (1 - t^2) inner'
@@ -244,13 +244,19 @@ def gather(x: Tensor, idx: np.ndarray) -> Tensor:
     return _make(out, (x,), back)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
+def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                       eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm over the last axis of an array: (out, xhat, 1 / std)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    return xhat * gain + bias, xhat, inv
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    out, xhat, inv = layer_norm_forward(x.data, gain.data, bias.data, eps)
     d = x.data.shape[-1]
 
     def back(g):
@@ -267,10 +273,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(out, (x, gain, bias), back)
 
 
+def softmax_forward(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of an array."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax_last(x: Tensor) -> Tensor:
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = softmax_forward(x.data)
 
     def back(g):
         _accum(x, (g - (g * s).sum(axis=-1, keepdims=True)) * s, fresh=True)

@@ -202,15 +202,3 @@ class TitleTrie:
     @classmethod
     def load(cls, path, vocab: Vocab) -> "TitleTrie":
         return cls.from_bytes(Path(path).read_bytes(), vocab, name=str(path))
-
-
-def build(titles: Iterable[tuple[str, str]], vocab: Vocab) -> TitleTrie:
-    return TitleTrie.build(titles, vocab)
-
-
-def allowed_next(trie: TitleTrie, prefix: Sequence[int]) -> set[int]:
-    return trie.allowed_next(prefix)
-
-
-def resolve(trie: TitleTrie, tokens: Sequence[int]) -> str:
-    return trie.resolve(tokens)

@@ -136,6 +136,19 @@ def test_train_writes_artifacts_and_is_resumable(dataset, tmp_path):
     assert log_c == log_a[6:]
 
 
+def test_resume_in_same_output_dir_keeps_log_exact(dataset, tmp_path):
+    out_a, _ = run_training(dataset, tmp_path, "run_a", total_updates=12)
+    log_bytes = (out_a / "train_log.jsonl").read_bytes()
+    ckpt_bytes = (out_a / "checkpoint_final.gereckpt").read_bytes()
+    # Resuming from the step-6 checkpoint into the same output dir rewrites
+    # steps 7..12 in place instead of appending them after the full log.
+    run_training(dataset, tmp_path, "run_a", total_updates=12,
+                 resume=out_a / "checkpoint_step6.gereckpt")
+    assert [rec["step"] for rec in read_log(out_a)] == list(range(1, 13))
+    assert (out_a / "train_log.jsonl").read_bytes() == log_bytes
+    assert (out_a / "checkpoint_final.gereckpt").read_bytes() == ckpt_bytes
+
+
 def test_train_rerun_is_idempotent(dataset, tmp_path):
     out_a, cfg = run_training(dataset, tmp_path, "idem", total_updates=5)
     log_bytes = (out_a / "train_log.jsonl").read_bytes()

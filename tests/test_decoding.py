@@ -9,7 +9,7 @@ from gere.decoding import (
     read_predictions, retrieve, write_predictions, RetrievalResult,
 )
 from gere.errors import DataError, DecodingError
-from gere.model import Seq2SeqModel, SentenceEmbedding
+from gere.model import DecoderState, Seq2SeqModel, SentenceEmbedding
 from gere.tokenizer import build_vocab
 from gere.trie import TitleTrie
 
@@ -161,7 +161,7 @@ def test_greedy_empty_when_eoe_wins_immediately():
     enc = model.encode_claim(vocab.encode("alpha claim"))
     # Candidates orthogonal-ish to the decoder state, EOE strongly aligned:
     # rig the EOE embedding to dominate every dot product.
-    state = model._evidence_states(enc, [])[-1]
+    state = DecoderState(model, "evid_dec", enc).step(model.params["evid_dec.start"].data[None])[0]
     model.params["evid_dec.eoe"].data[:] = (10.0 * state / np.linalg.norm(state) ** 2 * 50)
     cands = crafted_candidates(model, [np.zeros(model.config.d_model)] * 3)
     pairs, log_probs = greedy_evidence(model, enc, cands, max_evidence_steps=5)

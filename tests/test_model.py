@@ -3,7 +3,8 @@ import pytest
 
 from gere import nn
 from gere.errors import DataError
-from gere.model import ModelConfig, Seq2SeqModel, SentenceEmbedding
+from gere.decoding import greedy_evidence
+from gere.model import DecoderState, ModelConfig, Seq2SeqModel, SentenceEmbedding
 from gere.tokenizer import BOS, EOS, EOT, SEP, UNK
 
 from conftest import small_config
@@ -117,6 +118,78 @@ def test_step_decode_matches_full_sequence_logits(tiny_vocab):
     for t in range(1, len(seq)):
         step = model.decode_step_title(enc, seq[:t])
         np.testing.assert_allclose(step, full[t - 1], rtol=1e-9, atol=1e-12)
+
+
+# -- incremental decoder --------------------------------------------------------
+#
+# Exact beam-vs-oracle agreement (acceptance A3) rests on one property: a row
+# of a batched DecoderState step is bit-identical to a one-row replay of the
+# same prefix. Agreement of the engine with the graph forward is checked above
+# and in test_training at float64 tolerances.
+
+
+def test_batched_title_rows_equal_single_row_replays(tiny_vocab):
+    model = Seq2SeqModel(small_config(len(tiny_vocab), d_model=64, n_heads=4,
+                                      n_layers_dec=2, d_ff=256))
+    assert model.dtype == np.float32
+    enc = model.encode_claim(tiny_vocab.encode("alpha hill rises early"))
+    rng = np.random.default_rng(5)
+    prefixes = [[BOS] + [int(t) for t in rng.integers(6, len(tiny_vocab), size=21)]
+                for _ in range(5)]
+    batched = DecoderState(model, "title_dec", enc)
+    singles = [DecoderState(model, "title_dec", enc) for _ in prefixes]
+    for t in range(len(prefixes[0])):
+        logits = model.title_step(batched, [p[t] for p in prefixes])
+        for row, single in enumerate(singles):
+            assert np.array_equal(logits[row], model.title_step(single, [prefixes[row][t]])[0])
+    for row, prefix in enumerate(prefixes):
+        assert np.array_equal(logits[row], model.decode_step_title(enc, prefix))
+
+    # Beam pruning: repeated and dropped parents, then rows continue apart.
+    parents = [3, 3, 0, 4, 3]
+    batched.reorder(parents)
+    prefixes = [prefixes[r] + [int(t)] for r, t in zip(parents, rng.integers(6, 20, size=5))]
+    for _ in range(3):
+        logits = model.title_step(batched, [p[-1] for p in prefixes])
+        for row, prefix in enumerate(prefixes):
+            assert np.array_equal(logits[row], model.decode_step_title(enc, prefix))
+        prefixes = [p + [int(t)] for p, t in zip(prefixes, rng.integers(6, 20, size=5))]
+
+
+def test_greedy_evidence_scores_equal_single_step_replays(tiny_vocab, monkeypatch):
+    model = Seq2SeqModel(small_config(len(tiny_vocab), d_model=64, n_heads=4,
+                                      n_layers_dec=2, d_ff=256))
+    enc = model.encode_claim(tiny_vocab.encode("alpha hill rises early"))
+    cands = embeddings(model, tiny_vocab,
+                       ["alpha hill rises early .", "key1 alpha hill holds two peaks .",
+                        "beta ridge faces north .", "key2 alpha hill was mapped late .",
+                        "key5 beta ridge connects to alpha hill ."])
+    # Pin the decoder state's first component to 1 and give EOE a large negative
+    # weight there only, so EOE scores below every candidate at every step.
+    model.params["evid_dec.ln_f.g"].data[0] = 0.0
+    model.params["evid_dec.ln_f.b"].data[0] = 1.0
+    model.params["evid_dec.eoe"].data[:] = 0.0
+    model.params["evid_dec.eoe"].data[0] = -1e3
+    for c in cands:
+        c.vector[0] = 0.0
+    steps = []
+    evidence_step = model.evidence_step
+
+    def recording(state, vector, remaining):
+        scores = evidence_step(state, vector, remaining)
+        steps.append((list(remaining), scores))
+        return scores
+
+    monkeypatch.setattr(model, "evidence_step", recording)
+    pairs, log_probs = greedy_evidence(model, enc, cands, max_evidence_steps=4)
+    monkeypatch.undo()
+    assert len(pairs) == len(steps) == 4
+    by_source = {c.source: c for c in cands}
+    chosen = [by_source[source] for source in pairs]
+    for i, (remaining, scores) in enumerate(steps):
+        assert np.array_equal(scores, model.decode_step_evidence(enc, chosen[:i], remaining))
+        pick = [c.source for c in remaining].index(pairs[i])
+        assert log_probs[i] == nn.log_softmax64(scores)[pick]
 
 
 # -- encode_sentence ------------------------------------------------------------
