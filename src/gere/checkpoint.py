@@ -70,7 +70,11 @@ def load_checkpoint(path, expected_vocab_checksum: Optional[int] = None
         raise DataError(f"{path}: vocab checksum mismatch (file {vocab_checksum:#010x}, "
                         f"vocab {expected_vocab_checksum:#010x})")
     step = r.u64()
-    config = ModelConfig.from_kv(r.str_())
+    config_text = r.str_()
+    try:
+        config = ModelConfig.from_kv(config_text)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     model = Seq2SeqModel(config, vocab_checksum=vocab_checksum)
     n_tensors = r.u32()
     names = sorted(model.params)

@@ -22,8 +22,9 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import gold_targets, load_claims, load_wiki_pages, verifiable
 from .decoding import DecodeParams, read_predictions, retrieve, write_predictions
 from .errors import DataError, GereError
+from .kvconfig import kv_lines, parse_kv
 from .model import ModelConfig, Seq2SeqModel
-from .tokenizer import EOT, build_vocab, load_vocab, save_vocab
+from .tokenizer import EOT, SPECIAL_TOKENS, build_vocab, load_vocab, save_vocab
 from .training import Trainer, encode_example, make_batches
 from .trie import TitleTrie
 
@@ -45,7 +46,6 @@ class TrainParams:
     clip_norm: float = 1.0
     checkpoint_every: int = 500
     shuffle: bool = True
-    max_vocab: int = 50000
 
 
 @dataclass
@@ -57,104 +57,60 @@ class RunConfig:
     checkpoint: str = ""
     output_dir: str = "runs/default"
     predictions: str = ""
-    seed: int = 0
-    d_model: int = 64
-    n_heads: int = 4
-    n_layers_enc: int = 2
-    n_layers_dec: int = 2
-    d_ff: int = 256
-    max_positions: int = 256
-    dropout_rate: float = 0.0
-    label_smoothing: float = 0.1
-    init_std: float = 0.02
+    seed: int = ModelConfig.seed
+    d_model: int = ModelConfig.d_model
+    n_heads: int = ModelConfig.n_heads
+    n_layers_enc: int = ModelConfig.n_layers_enc
+    n_layers_dec: int = ModelConfig.n_layers_dec
+    d_ff: int = ModelConfig.d_ff
+    max_positions: int = ModelConfig.max_positions
+    dropout_rate: float = ModelConfig.dropout_rate
+    label_smoothing: float = ModelConfig.label_smoothing
+    init_std: float = ModelConfig.init_std
     train: TrainParams = field(default_factory=TrainParams)
     decode: DecodeParams = field(default_factory=DecodeParams)
 
     def model_config(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(
-            vocab_size=vocab_size, d_model=self.d_model, n_heads=self.n_heads,
-            n_layers_enc=self.n_layers_enc, n_layers_dec=self.n_layers_dec,
-            d_ff=self.d_ff, max_positions=self.max_positions,
-            dropout_rate=self.dropout_rate, label_smoothing=self.label_smoothing,
-            seed=self.seed, init_std=self.init_std)
+        return ModelConfig(vocab_size=vocab_size, **{
+            f.name: getattr(self, f.name) for f in fields(ModelConfig) if f.name != "vocab_size"})
 
     def to_kv(self) -> str:
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in ("train", "decode"):
-                for sub in fields(value):
-                    lines.append(f"{f.name}.{sub.name}={getattr(value, sub.name)}")
-            else:
-                lines.append(f"{f.name}={value}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{key}={getattr(*_owner(self, key))}\n" for key in _RUN_KEYS)
 
 
-_BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-# dataclass field annotations are strings under `from __future__ import annotations`
-_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
-
-
-def _field_type(f) -> type:
-    return _TYPES[f.type] if isinstance(f.type, str) else f.type
+_GROUPS = {"train": TrainParams, "decode": DecodeParams}
+# Settable keys in `to_kv` order: top-level fields, then `group.field`.
+_RUN_KEYS = {f.name: f for f in fields(RunConfig) if f.name not in _GROUPS}
+_RUN_KEYS.update({f"{group}.{f.name}": f for group, cls in _GROUPS.items() for f in fields(cls)})
 
 
-def _coerce(raw: str, target_type: type, key: str):
-    if target_type is bool:
-        value = _BOOL_STRINGS.get(raw.strip().lower())
-        if value is None:
-            raise UsageError(f"config key {key!r}: expected a boolean, got {raw!r}")
-        return value
-    try:
-        return target_type(raw)
-    except ValueError:
-        raise UsageError(f"config key {key!r}: expected {target_type.__name__}, "
-                         f"got {raw!r}") from None
+def _owner(cfg: RunConfig, key: str) -> tuple[object, str]:
+    group, _, name = key.rpartition(".")
+    return (getattr(cfg, group) if group else cfg), name
 
 
 def load_run_config(path: str | None, overrides: list[str]) -> RunConfig:
-    cfg = RunConfig()
-    pairs: list[tuple[str, str]] = []
+    lines = []
     if path:
         try:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise UsageError(f"cannot read config file {path}: {exc}") from exc
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{line_no}: expected key=value, got {raw!r}")
-            key, value = line.split("=", 1)
-            pairs.append((key.strip(), value.strip()))
-    for item in overrides:
-        if "=" not in item:
-            raise UsageError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        pairs.append((key.strip(), value.strip()))
-
-    top = {f.name: f for f in fields(RunConfig)}
-    sub = {"train": {f.name: f for f in fields(TrainParams)},
-           "decode": {f.name: f for f in fields(DecodeParams)}}
-    for key, raw in pairs:
-        if "." in key:
-            group, name = key.split(".", 1)
-            if group not in sub or name not in sub[group]:
-                raise UsageError(f"unknown config key {key!r}")
-            target = getattr(cfg, group)
-            setattr(target, name, _coerce(raw, _field_type(sub[group][name]), key))
-        else:
-            if key not in top or key in ("train", "decode"):
-                raise UsageError(f"unknown config key {key!r}")
-            setattr(cfg, key, _coerce(raw, _field_type(top[key]), key))
+        lines = kv_lines(text, path)
+    lines += [("--set", item) for item in overrides]
+    cfg = RunConfig()
+    for key, value in parse_kv(lines, _RUN_KEYS, UsageError).items():
+        setattr(*_owner(cfg, key), value)
     if not 0.0 < cfg.train.warmup_frac < 1.0:
         raise UsageError(f"train.warmup_frac must be in (0, 1), got {cfg.train.warmup_frac}")
     if cfg.train.total_updates < 1:
         raise UsageError("train.total_updates must be positive")
     if cfg.decode.beam_size < 1:
         raise UsageError("decode.beam_size must be positive")
+    try:
+        cfg.model_config(vocab_size=len(SPECIAL_TOKENS))  # the model keys, checked before any work
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return cfg
 
 
@@ -302,10 +258,8 @@ def cmd_eval(args) -> int:
         log.warning("predictions for unknown claim ids (ignored): %s", extra)
     report = evalkit.evaluate(predictions, golds, max_evidence=args.max_evidence,
                               oracle_labels=args.oracle_labels)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    out = args.out or f"{args.pred}.metrics.json"
-    Path(out).write_text(text + "\n", encoding="utf-8")
+    print(json.dumps(report, indent=2, sort_keys=True))
+    evalkit.write_report(report, args.out or f"{args.pred}.metrics.json")
     return EXIT_OK
 
 

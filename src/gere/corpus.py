@@ -50,12 +50,6 @@ class Document:
     # empty text (FEVER dumps contain blank lines) and is preserved.
     sentences: tuple[tuple[int, str], ...]
 
-    def sentence(self, index: int) -> str:
-        for i, text in self.sentences:
-            if i == index:
-                return text
-        raise DataError(f"document {self.doc_id!r} has no sentence {index}")
-
     def has_sentence(self, index: int) -> bool:
         return any(i == index for i, _ in self.sentences)
 
@@ -99,11 +93,17 @@ class Corpus:
     def __eq__(self, other) -> bool:
         return isinstance(other, Corpus) and self.documents == other.documents
 
-    def resolve(self, doc_id: str, sentence_index: int) -> str:
-        doc = self.documents.get(doc_id)
-        if doc is None:
-            raise DataError(f"doc_id {doc_id!r} not in corpus")
-        return doc.sentence(sentence_index)
+    def candidates(self, doc_ids: Iterable[str]) -> list[tuple[str, int, str]]:
+        """(doc_id, index, text) of every sentence of the given documents, ordered
+        by (doc_id, index): the evidence decoder's dynamic vocabulary, built the
+        same way for training targets and for inference."""
+        out = []
+        for doc_id in sorted(set(doc_ids)):
+            doc = self.documents.get(doc_id)
+            if doc is None:
+                raise DataError(f"doc_id {doc_id!r} not in corpus")
+            out.extend((doc_id, index, text) for index, text in doc.sentences)
+        return out
 
     def titles(self) -> list[tuple[str, str]]:
         """(title, doc_id) pairs, sorted by doc_id for determinism."""

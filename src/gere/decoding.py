@@ -158,15 +158,9 @@ def beam_search_titles(
 
 def collect_candidates(model: Seq2SeqModel, vocab: Vocab, doc_ids: Sequence[str],
                        corpus: Corpus) -> list[SentenceEmbedding]:
-    """Embed every sentence of the given documents, ordered by (doc_id, index)."""
-    out = []
-    for doc_id in sorted(set(doc_ids)):
-        doc = corpus.documents.get(doc_id)
-        if doc is None:
-            raise DataError(f"doc_id {doc_id!r} not in corpus")
-        for index, text in doc.sentences:
-            out.append(model.encode_sentence(vocab.encode(text), source=(doc_id, index)))
-    return out
+    """Embed every sentence of the given documents, in `Corpus.candidates` order."""
+    return [model.encode_sentence(vocab.encode(text), source=(doc_id, index))
+            for doc_id, index, text in corpus.candidates(doc_ids)]
 
 
 def greedy_evidence(

@@ -7,22 +7,23 @@ evidence vocabulary, and an evidence decoder that scores decoder states
 against candidate sentence embeddings plus one learned end-of-evidence (EOE)
 embedding. Pre-norm residual blocks with a final layer norm per stack.
 
-Training and the full-sequence checks run the `nn` graph. Inference runs the
-decoders through `DecoderState`, a plain-numpy incremental decoder with
-per-layer key/value caches; the single-step operations replay their prefix
-through it one position at a time.
+Training runs the `nn` graph. Inference runs the decoders through
+`DecoderState`, a plain-numpy incremental decoder with per-layer key/value
+caches; the single-step operations replay their prefix through it one
+position at a time. The single-example losses and full-sequence logits that
+tests check both against live in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import nn
 from .errors import DataError
+from .kvconfig import kv_lines, parse_kv
 from .tokenizer import BOS, EOS
 
 NEG_INF = -1e9  # additive mask; exp(NEG_INF - max) underflows to exactly 0
@@ -62,26 +63,21 @@ class ModelConfig:
 
     @classmethod
     def from_kv(cls, text: str) -> "ModelConfig":
-        values: dict = {}
-        casts = {f.name: f.type for f in fields(cls)}
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataError(f"model config line {line_no}: expected key=value, got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in casts:
-                raise DataError(f"model config line {line_no}: unknown key {key!r}")
-            values[key] = float(value) if "float" in str(casts[key]) else int(value)
-        missing = [f.name for f in fields(cls) if f.name not in values and f.name == "vocab_size"]
-        if missing:
-            raise DataError(f"model config missing required keys: {missing}")
-        return cls(**values)
+        """Inverse of `to_kv`; bad text or values raise `DataError`."""
+        values = parse_kv(kv_lines(text, "model config"), {f.name: f for f in fields(cls)},
+                          DataError)
+        if "vocab_size" not in values:
+            raise DataError("model config missing required key 'vocab_size'")
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise DataError(f"model config: {exc}") from None
 
-    @classmethod
-    def from_kv_file(cls, path) -> "ModelConfig":
-        return cls.from_kv(Path(path).read_text(encoding="utf-8"))
+
+def sentence_ids(token_ids: Sequence[int], max_positions: int) -> list[int]:
+    """Sentence-encoder input: cut to max_positions; an empty sentence (FEVER
+    keeps blank lines addressable) becomes a lone EOS."""
+    return list(token_ids)[:max_positions] or [EOS]
 
 
 @dataclass
@@ -387,20 +383,10 @@ class Seq2SeqModel:
             state.step(tok_emb[[token]])
         return self.title_step(state, prefix[-1:])[0]
 
-    def title_logits_all(self, enc: ClaimEncoding, ids: Sequence[int]) -> np.ndarray:
-        """Logits at every position of a full decoder input (causality checks)."""
-        with nn.no_grad():
-            x = self.embed_title_inputs(np.array([list(ids)]))
-            states = self.decoder_forward("title_dec", x, nn.constant(enc.states[None]), None)
-            logits = self.title_output_logits(states)
-        return logits.data[0]
-
     def encode_sentence(self, token_ids: Sequence[int],
                         source: Optional[tuple[str, int]] = None) -> SentenceEmbedding:
-        """Mean-pooled sentence-encoder states; empty input falls back to EOS."""
-        ids = list(token_ids)[: self.config.max_positions]
-        if not ids:
-            ids = [EOS]
+        """Mean-pooled sentence-encoder states of `sentence_ids(token_ids)`."""
+        ids = sentence_ids(token_ids, self.config.max_positions)
         with nn.no_grad():
             out = self.encoder_forward(
                 "sent_enc", np.array([ids]), np.ones((1, len(ids)), dtype=bool))
@@ -425,37 +411,3 @@ class Seq2SeqModel:
         for vector in inputs[:-1]:
             state.step(vector[None])
         return self.evidence_step(state, inputs[-1], candidates)
-
-    # -- single-example losses (inference-mode floats) ------------------------
-
-    def loss_title(self, enc: ClaimEncoding, target_ids: Sequence[int]) -> float:
-        """Label-smoothed mean token cross-entropy of one linearized title sequence."""
-        target_ids = list(target_ids)
-        if len(target_ids) < 2 or target_ids[0] != BOS:
-            raise ValueError("title target must be BOS ... EOS")
-        with nn.no_grad():
-            x = self.embed_title_inputs(np.array([target_ids[:-1]]))
-            states = self.decoder_forward("title_dec", x, nn.constant(enc.states[None]), None)
-            logits = self.title_output_logits(states)
-            flat = nn.reshape(logits, (len(target_ids) - 1, self.config.vocab_size))
-            loss = nn.cross_entropy(flat, np.array(target_ids[1:]),
-                                    self.config.label_smoothing)
-        return float(loss.data)
-
-    def loss_evidence(self, enc: ClaimEncoding, gold_sources: Sequence[tuple[str, int]],
-                      candidates: Sequence[SentenceEmbedding]) -> float:
-        """Mean step cross-entropy of the gold identifier sequence, EOE-terminated."""
-        index = {c.source: i for i, c in enumerate(candidates)}
-        gold_slots = []
-        for source in gold_sources:
-            if source not in index:
-                raise DataError(f"gold evidence {source!r} missing from candidates")
-            gold_slots.append(index[source])
-        total = 0.0
-        n_cands = len(candidates)
-        for step in range(len(gold_slots) + 1):
-            previous = [candidates[i] for i in gold_slots[:step]]
-            scores = self.decode_step_evidence(enc, previous, candidates)
-            target = gold_slots[step] if step < len(gold_slots) else n_cands
-            total += -nn.log_softmax64(scores)[target]
-        return float(total / (len(gold_slots) + 1))

@@ -10,7 +10,7 @@ import numpy as np
 from . import nn
 from .corpus import Claim, Corpus, GoldTargets, Label
 from .errors import DataError
-from .model import NEG_INF, Seq2SeqModel
+from .model import NEG_INF, Seq2SeqModel, sentence_ids
 from .tokenizer import BOS, EOS, EOT, PAD, SEP, Vocab
 
 
@@ -74,17 +74,6 @@ class _Example:
         return len(self.claim_ids) + len(self.title_target)
 
 
-def candidate_sentences(doc_ids: Sequence[str], corpus: Corpus) -> list[tuple[str, int, str]]:
-    """All sentences of the given documents, ordered by (doc_id, sentence_index)."""
-    out = []
-    for doc_id in sorted(set(doc_ids)):
-        doc = corpus.documents.get(doc_id)
-        if doc is None:
-            raise DataError(f"doc_id {doc_id!r} not in corpus")
-        out.extend((doc_id, index, text) for index, text in doc.sentences)
-    return out
-
-
 def encode_example(claim: Claim, targets: GoldTargets, corpus: Corpus, vocab: Vocab,
                    max_positions: int) -> _Example:
     claim_ids = vocab.encode(claim.text)[:max_positions]
@@ -93,16 +82,14 @@ def encode_example(claim: Claim, targets: GoldTargets, corpus: Corpus, vocab: Vo
     title_target = linearize_titles(vocab, targets.title_sequence)
     if len(title_target) - 1 > max_positions:
         raise DataError(f"claim {claim.claim_id}: title target longer than max_positions")
-    doc_ids = [doc_id for doc_id, _ in targets.evidence_sequence]
-    cands = candidate_sentences(doc_ids, corpus)
+    cands = corpus.candidates(doc_id for doc_id, _ in targets.evidence_sequence)
     slot_of = {(doc_id, index): i for i, (doc_id, index, _) in enumerate(cands)}
     gold_slots = []
     for pair in targets.evidence_sequence:
         if pair not in slot_of:
             raise DataError(f"claim {claim.claim_id}: gold evidence {pair!r} unresolvable")
         gold_slots.append(slot_of[pair])
-    # Blank FEVER lines stay addressable: empty sentences encode as EOS.
-    cand_ids = [vocab.encode(text)[:max_positions] or [EOS] for _, _, text in cands]
+    cand_ids = [sentence_ids(vocab.encode(text), max_positions) for _, _, text in cands]
     return _Example(claim_ids, title_target, cand_ids, gold_slots)
 
 
@@ -137,8 +124,7 @@ class Trainer:
     (seed, step), so resuming from a checkpoint continues bit-identically."""
 
     def __init__(self, model: Seq2SeqModel, vocab: Vocab, total_updates: int,
-                 peak_lr: float = 3e-5, warmup_frac: float = 0.10, clip_norm: float = 1.0,
-                 beta1: float = 0.9, beta2: float = 0.999, adam_eps: float = 1e-8):
+                 peak_lr: float = 3e-5, warmup_frac: float = 0.10, clip_norm: float = 1.0):
         if total_updates < 1:
             raise ValueError("total_updates must be positive")
         self.model = model
@@ -147,7 +133,7 @@ class Trainer:
         self.peak_lr = peak_lr
         self.warmup_frac = warmup_frac
         self.clip_norm = clip_norm
-        self.optimizer = nn.Adam(model.params, beta1, beta2, adam_eps)
+        self.optimizer = nn.Adam(model.params)
         self.step_count = 0
 
     def _dropout_rng(self) -> np.random.Generator:

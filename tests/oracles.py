@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from gere import nn
+from gere.errors import DataError
 from gere.tokenizer import BOS, EOS, EOT, SEP
 
 
@@ -81,6 +84,53 @@ def exhaustive_title_search(model, enc, titles, max_titles):
             ranked.append((score_sequence(model, enc, tokens), tokens, doc_ids))
     ranked.sort(key=lambda item: (-item[0], item[1]))
     return ranked
+
+
+# -- single-example losses and full-sequence logits ------------------------------
+#
+# One claim at a time through the model's graph forward (inference mode), the
+# references for the batched training loss and the incremental decoders.
+
+
+def title_logits_all(model, enc, ids):
+    """Logits at every position of a full title-decoder input (causality checks)."""
+    with nn.no_grad():
+        x = model.embed_title_inputs(np.array([list(ids)]))
+        states = model.decoder_forward("title_dec", x, nn.constant(enc.states[None]), None)
+        logits = model.title_output_logits(states)
+    return logits.data[0]
+
+
+def loss_title(model, enc, target_ids):
+    """Label-smoothed mean token cross-entropy of one linearized title sequence."""
+    target_ids = list(target_ids)
+    if len(target_ids) < 2 or target_ids[0] != BOS:
+        raise ValueError("title target must be BOS ... EOS")
+    with nn.no_grad():
+        x = model.embed_title_inputs(np.array([target_ids[:-1]]))
+        states = model.decoder_forward("title_dec", x, nn.constant(enc.states[None]), None)
+        logits = model.title_output_logits(states)
+        flat = nn.reshape(logits, (len(target_ids) - 1, model.config.vocab_size))
+        loss = nn.cross_entropy(flat, np.array(target_ids[1:]), model.config.label_smoothing)
+    return float(loss.data)
+
+
+def loss_evidence(model, enc, gold_sources, candidates):
+    """Mean step cross-entropy of the gold identifier sequence, EOE-terminated."""
+    index = {c.source: i for i, c in enumerate(candidates)}
+    gold_slots = []
+    for source in gold_sources:
+        if source not in index:
+            raise DataError(f"gold evidence {source!r} missing from candidates")
+        gold_slots.append(index[source])
+    total = 0.0
+    n_cands = len(candidates)
+    for step in range(len(gold_slots) + 1):
+        previous = [candidates[i] for i in gold_slots[:step]]
+        scores = model.decode_step_evidence(enc, previous, candidates)
+        target = gold_slots[step] if step < len(gold_slots) else n_cands
+        total += -nn.log_softmax64(scores)[target]
+    return float(total / (len(gold_slots) + 1))
 
 
 # -- gradient oracle -----------------------------------------------------------

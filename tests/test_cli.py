@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +58,14 @@ def test_load_run_config_overrides(tmp_path):
         load_run_config(str(path), ["nonsense=1"])
     with pytest.raises(UsageError):
         load_run_config(str(path), ["train.total_updates=soon"])
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    path = tmp_path / "run.cfg"
+    path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    cfg = load_run_config(str(path), [])
+    assert cfg.train.peak_lr == 0.002 and cfg.train.max_tokens == 1024
 
 
 # -- build-trie -------------------------------------------------------------------
@@ -118,10 +127,11 @@ def read_log(out_dir):
 
 
 def test_train_writes_artifacts_and_is_resumable(dataset, tmp_path):
-    out_a, _ = run_training(dataset, tmp_path, "run_a", total_updates=12)
+    out_a, cfg_a = run_training(dataset, tmp_path, "run_a", total_updates=12)
     log_a = read_log(out_a)
     assert [rec["step"] for rec in log_a] == list(range(1, 13))
-    assert (out_a / "config_resolved.txt").exists()
+    assert load_run_config(str(out_a / "config_resolved.txt"), []) == \
+        load_run_config(str(cfg_a), [])
     assert (out_a / "checkpoint_final.gereckpt").exists()
     assert all(rec["loss_total"] == rec["loss_title"] + rec["loss_evidence"]
                for rec in log_a)
@@ -167,9 +177,19 @@ def test_train_seed_changes_losses(dataset, tmp_path):
 
 def test_train_rejects_bad_config_before_training(dataset, tmp_path, capsys):
     root, wiki, claims_path = dataset
+    vocab_path, trie_path = build_artifacts(dataset, tmp_path)
+    out_dir = tmp_path / "out"
     cfg_path = write_config(tmp_path / "bad.cfg", wiki=wiki, claims=claims_path,
-                            **{"train.warmup_frac": 2.0})
-    assert main(["train", "--config", str(cfg_path)]) == EXIT_USAGE
+                            vocab=vocab_path, trie=trie_path, output_dir=out_dir,
+                            **{"train.total_updates": 2, "d_model": 32, "d_ff": 64,
+                               "n_heads": 2, "n_layers_enc": 1, "n_layers_dec": 1})
+    # Each bad value is a usage error naming its key, raised before any output.
+    for override in ("train.warmup_frac=2.0", "n_heads=3", "dropout_rate=1.5",
+                     "train.max_vocab=7"):
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path), "--set", override]) == EXIT_USAGE
+        assert override.split("=")[0] in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 def test_train_missing_inputs_is_data_error(dataset, tmp_path):

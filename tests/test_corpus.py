@@ -199,3 +199,13 @@ def test_gold_targets_invariants_hold(groups):
 
 def test_verifiable_filters_nei(tiny_claims):
     assert [c.claim_id for c in verifiable(tiny_claims)] == [1, 2, 3]
+
+
+def test_candidates_sorted_unique_and_reject_unknown_docs(tiny_corpus):
+    got = tiny_corpus.candidates(["Beta_ridge", "Alpha_hill_-LRB-film-RRB-", "Beta_ridge"])
+    assert [(d, i) for d, i, _ in got] == [("Alpha_hill_-LRB-film-RRB-", 0),
+                                           ("Alpha_hill_-LRB-film-RRB-", 1),
+                                           ("Beta_ridge", 0), ("Beta_ridge", 1)]
+    assert got[0][2] == ""  # blank FEVER lines stay candidates
+    with pytest.raises(DataError):
+        tiny_corpus.candidates(["Alpha_hill", "Missing"])

@@ -8,6 +8,7 @@ from gere.model import DecoderState, ModelConfig, Seq2SeqModel, SentenceEmbeddin
 from gere.tokenizer import BOS, EOS, EOT, SEP, UNK
 
 from conftest import small_config
+from oracles import loss_evidence, loss_title, title_logits_all
 
 
 def test_config_validation():
@@ -26,10 +27,18 @@ def test_config_kv_round_trip():
     assert ModelConfig.from_kv(cfg.to_kv()) == cfg
 
 
+def test_config_kv_text_is_pinned():
+    # The checkpoint's config block is this text; changing it changes the file format.
+    assert ModelConfig(vocab_size=100).to_kv() == (
+        "vocab_size=100\nd_model=64\nn_heads=4\nn_layers_enc=2\nn_layers_dec=2\n"
+        "d_ff=256\nmax_positions=256\ndropout_rate=0.0\nlabel_smoothing=0.1\nseed=0\n"
+        "init_std=0.02\n")
+
+
 def test_config_kv_file(tmp_path):
     path = tmp_path / "model.cfg"
     path.write_text("# comment line\nvocab_size=64\nd_model=32\nn_heads=4\n")
-    cfg = ModelConfig.from_kv_file(path)
+    cfg = ModelConfig.from_kv(path.read_text())
     assert cfg.vocab_size == 64 and cfg.d_model == 32
 
 
@@ -38,6 +47,12 @@ def test_config_kv_rejects_garbage():
         ModelConfig.from_kv("vocab_size=10\nnot a line\n")
     with pytest.raises(DataError):
         ModelConfig.from_kv("vocab_size=10\nwidgets=4\n")
+    with pytest.raises(DataError):
+        ModelConfig.from_kv("vocab_size=10\nd_model=6.4\n")
+    with pytest.raises(DataError):
+        ModelConfig.from_kv("d_model=64\n")
+    with pytest.raises(DataError, match="n_heads 3"):
+        ModelConfig.from_kv("vocab_size=10\nn_heads=3\n")
 
 
 def test_same_seed_same_params(tiny_vocab):
@@ -102,8 +117,8 @@ def test_decoder_causality(tiny_model, tiny_vocab):
     enc = tiny_model.encode_claim(tiny_vocab.encode("alpha hill"))
     a = tiny_vocab.ids["alpha"]
     b = tiny_vocab.ids["beta"]
-    full_a = tiny_model.title_logits_all(enc, [BOS, a, a, b])
-    full_b = tiny_model.title_logits_all(enc, [BOS, a, b, a])
+    full_a = title_logits_all(tiny_model, enc, [BOS, a, a, b])
+    full_b = title_logits_all(tiny_model, enc, [BOS, a, b, a])
     # Positions 0 and 1 see identical prefixes; later tokens must not leak back.
     np.testing.assert_array_equal(full_a[0], full_b[0])
     np.testing.assert_array_equal(full_a[1], full_b[1])
@@ -114,7 +129,7 @@ def test_step_decode_matches_full_sequence_logits(tiny_vocab):
     model = Seq2SeqModel(small_config(len(tiny_vocab)), dtype=np.float64)
     enc = model.encode_claim(tiny_vocab.encode("alpha hill rises"))
     seq = [BOS, tiny_vocab.ids["alpha"], EOT, EOS]
-    full = model.title_logits_all(enc, seq)
+    full = title_logits_all(model, enc, seq)
     for t in range(1, len(seq)):
         step = model.decode_step_title(enc, seq[:t])
         np.testing.assert_allclose(step, full[t - 1], rtol=1e-9, atol=1e-12)
@@ -264,7 +279,7 @@ def test_loss_title_uniform_model_is_log_v(tiny_vocab):
     model.params["title_dec.out_b"].data[:] = 0.0
     enc = model.encode_claim(tiny_vocab.encode("anything alpha"))
     target = [BOS] + tiny_vocab.encode("alpha hill") + [EOT, EOS]
-    loss = model.loss_title(enc, target)
+    loss = loss_title(model, enc, target)
     assert abs(loss - np.log(len(tiny_vocab))) < 1e-9
 
 
@@ -283,7 +298,7 @@ def test_loss_title_matches_stepwise_cross_entropy(tiny_vocab):
         q[target[t]] += 1 - eps
         expected += -(q * logp).sum()
     expected /= len(target) - 1
-    got = model.loss_title(enc, target)
+    got = loss_title(model, enc, target)
     np.testing.assert_allclose(got, expected, rtol=1e-9)
 
 
@@ -293,7 +308,7 @@ def test_loss_evidence_uniform_when_scores_equal(tiny_vocab):
     model.params["evid_dec.eoe"].data[:] = vec
     cands = [SentenceEmbedding(vector=vec.copy(), source=("D", i)) for i in range(3)]
     enc = model.encode_claim(tiny_vocab.encode("alpha"))
-    loss = model.loss_evidence(enc, [("D", 1)], cands)
+    loss = loss_evidence(model, enc, [("D", 1)], cands)
     assert abs(loss - np.log(4)) < 1e-9  # both steps uniform over 3 + EOE
 
 
@@ -312,7 +327,7 @@ def test_loss_evidence_matches_stepwise_scores(tiny_vocab):
         target = slots[g] if g < 2 else len(cands)
         expected += -nn.log_softmax64(scores)[target]
     expected /= 3
-    got = model.loss_evidence(enc, gold, cands)
+    got = loss_evidence(model, enc, gold, cands)
     np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
@@ -320,7 +335,7 @@ def test_loss_evidence_rejects_missing_gold(tiny_model, tiny_vocab):
     enc = tiny_model.encode_claim(tiny_vocab.encode("alpha"))
     cands = embeddings(tiny_model, tiny_vocab, ["alpha hill rises early ."])
     with pytest.raises(DataError):
-        tiny_model.loss_evidence(enc, [("elsewhere", 7)], cands)
+        loss_evidence(tiny_model, enc, [("elsewhere", 7)], cands)
 
 
 def test_unk_tokens_still_encode(tiny_model, tiny_vocab):

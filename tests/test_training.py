@@ -9,6 +9,7 @@ from gere.training import (
 )
 
 from conftest import small_config
+from oracles import loss_evidence, loss_title
 
 
 # -- schedule -------------------------------------------------------------------
@@ -159,12 +160,11 @@ def test_trainer_loss_matches_public_ops(tiny_corpus, tiny_vocab, tiny_claims):
     lt, le = trainer.loss_graph([ex])
 
     enc = model.encode_claim(tiny_vocab.encode(claim.text))
-    want_title = model.loss_title(enc, linearize_titles(tiny_vocab, targets.title_sequence))
+    want_title = loss_title(model, enc, linearize_titles(tiny_vocab, targets.title_sequence))
     cands = [model.encode_sentence(ids, source=None) for ids in ex.cand_ids]
-    from gere.training import candidate_sentences
-    for emb, (doc_id, idx, _) in zip(cands, candidate_sentences(
-            [d for d, _ in targets.evidence_sequence], tiny_corpus)):
+    for emb, (doc_id, idx, _) in zip(cands, tiny_corpus.candidates(
+            [d for d, _ in targets.evidence_sequence])):
         emb.source = (doc_id, idx)
-    want_evidence = model.loss_evidence(enc, list(targets.evidence_sequence), cands)
+    want_evidence = loss_evidence(model, enc, list(targets.evidence_sequence), cands)
     np.testing.assert_allclose(float(lt.data), want_title, rtol=1e-9)
     np.testing.assert_allclose(float(le.data), want_evidence, rtol=1e-9)
