@@ -79,7 +79,10 @@ class Reader:
         return self.take(self.uvarint())
 
     def str_(self) -> str:
-        return self.bytes_().decode("utf-8")
+        try:
+            return self.bytes_().decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{self.name}: invalid UTF-8 before offset {self.pos}") from None
 
     def done(self) -> bool:
         return self.pos == len(self.data)

@@ -134,7 +134,10 @@ def _write_resolved_config(cfg: RunConfig, out_dir: Path) -> None:
 def cmd_build_trie(args) -> int:
     corpus = load_wiki_pages(_require(args.wiki, "wiki"))
     claims = load_claims(_require(args.claims, "claims")) if args.claims else []
-    vocab = build_vocab(corpus, claims, args.max_vocab)
+    try:
+        vocab = build_vocab(corpus, claims, args.max_vocab)
+    except ValueError as exc:
+        raise UsageError(f"--max-vocab: {exc}") from None
     save_vocab(vocab, args.vocab_out)
     trie = TitleTrie.build(corpus.titles(), vocab)
     trie.save(args.trie_out, vocab)

@@ -47,27 +47,29 @@ class VerificationScores:
 
 
 def _prediction_map(predictions: Union[Sequence[dict], Mapping[int, dict]]) -> dict[int, dict]:
-    if isinstance(predictions, Mapping):
-        return dict(predictions)
+    """Records by claim_id; titles and evidence of a bad shape are a DataError."""
+    items = (predictions.items() if isinstance(predictions, Mapping)
+             else [(rec["claim_id"], rec) for rec in predictions])
     out: dict[int, dict] = {}
-    for rec in predictions:
-        cid = rec["claim_id"]
+    for cid, rec in items:
         if cid in out:
             raise DataError(f"duplicate prediction for claim_id {cid}")
+        titles, pairs = rec.get("predicted_titles", []), rec.get("predicted_evidence", [])
+        if not isinstance(titles, list) or not all(isinstance(t, str) for t in titles):
+            raise DataError(f"claim_id {cid}: predicted_titles must be a list of strings")
+        if not isinstance(pairs, list) or not all(
+                isinstance(p, list) and len(p) == 2 and isinstance(p[0], str)
+                and type(p[1]) is int for p in pairs):
+            raise DataError(f"claim_id {cid}: predicted_evidence must be a list of "
+                            "[doc_id, sentence_index] pairs")
         out[cid] = rec
     return out
-
-
-def _predicted_docs(rec: Optional[dict]) -> list[str]:
-    if rec is None:
-        return []
-    return list(rec.get("predicted_titles", []))
 
 
 def _predicted_pairs(rec: Optional[dict]) -> list[Pair]:
     if rec is None:
         return []
-    return [(doc_id, int(index)) for doc_id, index in rec.get("predicted_evidence", [])]
+    return [(doc_id, index) for doc_id, index in rec.get("predicted_evidence", [])]
 
 
 def _gold_docs(claim: Claim) -> set[str]:
@@ -97,7 +99,7 @@ def doc_prf(predictions, golds: Iterable[Claim]) -> PRF:
     pred_map = _prediction_map(predictions)
     per_claim = []
     for claim in _verifiable_sorted(golds):
-        predicted = set(_predicted_docs(pred_map.get(claim.claim_id)))
+        predicted = set(pred_map.get(claim.claim_id, {}).get("predicted_titles", []))
         gold = _gold_docs(claim)
         hits = len(predicted & gold)
         precision = hits / len(predicted) if predicted else 0.0

@@ -7,10 +7,10 @@ evidence vocabulary, and an evidence decoder that scores decoder states
 against candidate sentence embeddings plus one learned end-of-evidence (EOE)
 embedding. Pre-norm residual blocks with a final layer norm per stack.
 
-Training runs the `nn` graph. Inference runs the decoders through
-`DecoderState`, a plain-numpy incremental decoder with per-layer key/value
-caches; the single-step operations replay their prefix through it one
-position at a time. The single-example losses and full-sequence logits that
+Training runs the `nn` graph. Inference runs a plain-numpy engine and builds
+no graph objects: `encode` runs an encoder over one sequence, bit-identical
+to the graph, and `DecoderState` decodes incrementally with per-layer
+key/value caches. The single-example losses and full-sequence logits that
 tests check both against live in `tests/oracles.py`.
 """
 
@@ -105,6 +105,50 @@ def _key_mask(valid: np.ndarray, dtype) -> Optional[np.ndarray]:
     return add[:, None, None, :]
 
 
+def _weights(model: "Seq2SeqModel", prefix: str) -> dict[str, np.ndarray]:
+    """The arrays of the parameters under `prefix`, keyed by the rest of the name."""
+    n = len(prefix) + 1
+    return {k[n:]: t.data for k, t in model.params.items() if k.startswith(prefix + ".")}
+
+
+def _split(x: np.ndarray, heads: int) -> np.ndarray:  # (B, T, d) -> (B, heads, T, d_head)
+    n_batch, n_pos, d = x.shape
+    return x.reshape(n_batch, n_pos, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale) -> np.ndarray:
+    """Scaled dot-product attention over split heads; the (B, Tq, d) context."""
+    weights = nn.softmax_forward((q @ k.swapaxes(-1, -2)) * scale)
+    ctx = (weights @ v).transpose(0, 2, 1, 3)
+    return ctx.reshape(ctx.shape[0], ctx.shape[1], -1)
+
+
+def _scale(cfg: ModelConfig):
+    return 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
+
+
+def encode(model: "Seq2SeqModel", name: str, ids: Sequence[int]) -> np.ndarray:
+    """Final states (T, d) of encoder `name` over at most max_positions ids; it
+    repeats `encoder_forward`'s ops, (T, d) @ (d, m) projections included, so
+    the states are bit-identical to the graph's for a batch of one."""
+    heads, scale = model.config.n_heads, _scale(model.config)
+
+    def w(key):
+        return model.params[f"{name}.{key}"].data
+
+    x = w("tok_emb")[list(ids)] + w("pos_emb")[: len(ids)]
+    for i in range(model.config.n_layers_enc):
+        p = f"l{i}."
+        h = nn.layer_norm_forward(x, w(p + "ln1.g"), w(p + "ln1.b"))[0]
+        q, k, v = (_split((h @ w(f"{p}attn.w{c}") + w(f"{p}attn.b{c}"))[None], heads)
+                   for c in "qkv")
+        x = x + (_attend(q, k, v, scale)[0] @ w(p + "attn.wo") + w(p + "attn.bo"))
+        h = nn.layer_norm_forward(x, w(p + "ln2.g"), w(p + "ln2.b"))[0]
+        h = nn.gelu_forward(h @ w(p + "ffn.w1") + w(p + "ffn.b1"))[0]
+        x = x + (h @ w(p + "ffn.w2") + w(p + "ffn.b2"))
+    return nn.layer_norm_forward(x, w("ln_f.g"), w("ln_f.b"))[0]
+
+
 class DecoderState:
     """Incremental inference for one decoder stack against one claim.
 
@@ -125,35 +169,19 @@ class DecoderState:
     def __init__(self, model: "Seq2SeqModel", name: str, enc: ClaimEncoding):
         cfg = model.config
         self.heads = cfg.n_heads
-        self.scale = 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
+        self.scale = _scale(cfg)
         self.max_positions = cfg.max_positions
         self.length = 0
-
-        def arrays(prefix):
-            n = len(prefix) + 1
-            return {k[n:]: t.data for k, t in model.params.items()
-                    if k.startswith(prefix + ".")}
-
         self.pos_emb = model.params[f"{name}.pos_emb"].data
-        self.final = arrays(f"{name}.ln_f")
+        self.final = _weights(model, f"{name}.ln_f")
         memory = enc.states[None]
         self.layers = []
         for i in range(cfg.n_layers_dec):
-            w = arrays(f"{name}.l{i}")
-            cross_kv = (self._split(memory @ w["cross_attn.wk"] + w["cross_attn.bk"]),
-                        self._split(memory @ w["cross_attn.wv"] + w["cross_attn.bv"]))
+            w = _weights(model, f"{name}.l{i}")
+            cross_kv = (_split(memory @ w["cross_attn.wk"] + w["cross_attn.bk"], self.heads),
+                        _split(memory @ w["cross_attn.wv"] + w["cross_attn.bv"], self.heads))
             self.layers.append((w, cross_kv))
         self.cache: list[Optional[tuple[np.ndarray, np.ndarray]]] = [None] * len(self.layers)
-
-    def _split(self, x):  # (B, T, d) -> (B, heads, T, d_head)
-        n_batch, n_pos, d = x.shape
-        return x.reshape(n_batch, n_pos, self.heads, d // self.heads).transpose(0, 2, 1, 3)
-
-    def _attend(self, q, k, v, w, prefix):
-        weights = nn.softmax_forward((q @ k.swapaxes(-1, -2)) * self.scale)
-        ctx = (weights @ v).transpose(0, 2, 1, 3)
-        ctx = ctx.reshape(ctx.shape[0], 1, -1)
-        return ctx @ w[f"{prefix}.wo"] + w[f"{prefix}.bo"]
 
     def step(self, inputs: np.ndarray) -> np.ndarray:
         """Decode position `self.length` for inputs (B, d), cast to the model's
@@ -164,17 +192,17 @@ class DecoderState:
         x = (inputs.astype(self.pos_emb.dtype, copy=False) + self.pos_emb[self.length])[:, None]
         for i, (w, (cross_k, cross_v)) in enumerate(self.layers):
             h = nn.layer_norm_forward(x, w["ln1.g"], w["ln1.b"])[0]
-            q = self._split(h @ w["self_attn.wq"] + w["self_attn.bq"])
-            k = self._split(h @ w["self_attn.wk"] + w["self_attn.bk"])
-            v = self._split(h @ w["self_attn.wv"] + w["self_attn.bv"])
+            q, k, v = (_split(h @ w[f"self_attn.w{c}"] + w[f"self_attn.b{c}"], self.heads)
+                       for c in "qkv")
             if self.cache[i] is not None:
                 k = np.concatenate((self.cache[i][0], k), axis=2)
                 v = np.concatenate((self.cache[i][1], v), axis=2)
             self.cache[i] = (k, v)
-            x = x + self._attend(q, k, v, w, "self_attn")
+            x = x + (_attend(q, k, v, self.scale) @ w["self_attn.wo"] + w["self_attn.bo"])
             h = nn.layer_norm_forward(x, w["ln2.g"], w["ln2.b"])[0]
-            q = self._split(h @ w["cross_attn.wq"] + w["cross_attn.bq"])
-            x = x + self._attend(q, cross_k, cross_v, w, "cross_attn")
+            q = _split(h @ w["cross_attn.wq"] + w["cross_attn.bq"], self.heads)
+            x = x + (_attend(q, cross_k, cross_v, self.scale) @ w["cross_attn.wo"]
+                     + w["cross_attn.bo"])
             h = nn.layer_norm_forward(x, w["ln3.g"], w["ln3.b"])[0]
             h = nn.gelu_forward(h @ w["ffn.w1"] + w["ffn.b1"])[0]
             x = x + (h @ w["ffn.w2"] + w["ffn.b2"])
@@ -188,7 +216,7 @@ class DecoderState:
 
 
 class Seq2SeqModel:
-    """Parameter container plus forward graphs for all four stacks."""
+    """Parameters, training graphs and engine-backed inference for all four stacks."""
 
     ENCODERS = ("claim_enc", "sent_enc")
     DECODERS = ("title_dec", "evid_dec")
@@ -264,7 +292,7 @@ class Seq2SeqModel:
     def _linear(self, x, w_name, b_name):
         return nn.add(nn.matmul(x, self.params[w_name]), self.params[b_name])
 
-    def _attention(self, prefix, x, kv, add_mask, training, rng):
+    def _attention(self, prefix, x, kv, add_mask, rng):
         cfg = self.config
         n_batch, n_q = x.data.shape[0], x.data.shape[1]
         n_k = kv.data.shape[1]
@@ -277,12 +305,10 @@ class Seq2SeqModel:
         q = split(self._linear(x, f"{prefix}.wq", f"{prefix}.bq"), n_q)
         k = split(self._linear(kv, f"{prefix}.wk", f"{prefix}.bk"), n_k)
         v = split(self._linear(kv, f"{prefix}.wv", f"{prefix}.bv"), n_k)
-        scores = nn.mul(nn.matmul(q, nn.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(d_head))
+        scores = nn.mul(nn.matmul(q, nn.transpose(k, (0, 1, 3, 2))), _scale(cfg))
         if add_mask is not None:
             scores = nn.add(scores, nn.constant(add_mask))
-        weights = nn.softmax_last(scores)
-        if training and cfg.dropout_rate > 0:
-            weights = nn.dropout(weights, cfg.dropout_rate, rng)
+        weights = self._dropout(nn.softmax_last(scores), rng)
         ctx = nn.matmul(weights, v)
         ctx = nn.reshape(nn.transpose(ctx, (0, 2, 1, 3)), (n_batch, n_q, cfg.d_model))
         return self._linear(ctx, f"{prefix}.wo", f"{prefix}.bo")
@@ -294,10 +320,8 @@ class Seq2SeqModel:
     def _ln(self, prefix, x):
         return nn.layer_norm(x, self.params[f"{prefix}.g"], self.params[f"{prefix}.b"])
 
-    def _maybe_dropout(self, x, training, rng):
-        if training and self.config.dropout_rate > 0:
-            return nn.dropout(x, self.config.dropout_rate, rng)
-        return x
+    def _dropout(self, x, rng):
+        return nn.dropout(x, self.config.dropout_rate, rng)
 
     def _positions(self, name, n_pos):
         if n_pos > self.config.max_positions:
@@ -308,38 +332,36 @@ class Seq2SeqModel:
     # -- encoder / decoder forward ------------------------------------------
 
     def encoder_forward(self, name, ids: np.ndarray, valid: np.ndarray,
-                        training=False, rng=None) -> nn.Tensor:
+                        rng=None) -> nn.Tensor:
         """Run an encoder stack over right-padded token ids (B, T)."""
         x = nn.add(nn.gather(self.params[f"{name}.tok_emb"], ids),
                    self._positions(name, ids.shape[1]))
-        x = self._maybe_dropout(x, training, rng)
+        x = self._dropout(x, rng)
         add_mask = _key_mask(valid, self.dtype)
         for i in range(self.config.n_layers_enc):
             p = f"{name}.l{i}"
             normed = self._ln(f"{p}.ln1", x)
-            attn = self._attention(f"{p}.attn", normed, normed, add_mask, training, rng)
-            x = nn.add(x, self._maybe_dropout(attn, training, rng))
-            x = nn.add(x, self._maybe_dropout(self._ffn(f"{p}.ffn", self._ln(f"{p}.ln2", x)),
-                                              training, rng))
+            attn = self._attention(f"{p}.attn", normed, normed, add_mask, rng)
+            x = nn.add(x, self._dropout(attn, rng))
+            x = nn.add(x, self._dropout(self._ffn(f"{p}.ffn", self._ln(f"{p}.ln2", x)), rng))
         return self._ln(f"{name}.ln_f", x)
 
     def decoder_forward(self, name, x: nn.Tensor, enc_out: nn.Tensor,
-                        enc_valid: Optional[np.ndarray], training=False, rng=None) -> nn.Tensor:
+                        enc_valid: Optional[np.ndarray], rng=None) -> nn.Tensor:
         """Run a decoder stack over embedded inputs (B, T, d) with causal masking."""
         n_q = x.data.shape[1]
         causal = _causal_mask(n_q, self.dtype)
         cross = None if enc_valid is None else _key_mask(enc_valid, self.dtype)
-        x = self._maybe_dropout(x, training, rng)
+        x = self._dropout(x, rng)
         for i in range(self.config.n_layers_dec):
             p = f"{name}.l{i}"
             normed = self._ln(f"{p}.ln1", x)
-            attn = self._attention(f"{p}.self_attn", normed, normed, causal, training, rng)
-            x = nn.add(x, self._maybe_dropout(attn, training, rng))
+            attn = self._attention(f"{p}.self_attn", normed, normed, causal, rng)
+            x = nn.add(x, self._dropout(attn, rng))
             attn = self._attention(f"{p}.cross_attn", self._ln(f"{p}.ln2", x),
-                                   enc_out, cross, training, rng)
-            x = nn.add(x, self._maybe_dropout(attn, training, rng))
-            x = nn.add(x, self._maybe_dropout(self._ffn(f"{p}.ffn", self._ln(f"{p}.ln3", x)),
-                                              training, rng))
+                                   enc_out, cross, rng)
+            x = nn.add(x, self._dropout(attn, rng))
+            x = nn.add(x, self._dropout(self._ffn(f"{p}.ffn", self._ln(f"{p}.ln3", x)), rng))
         return self._ln(f"{name}.ln_f", x)
 
     def embed_title_inputs(self, ids: np.ndarray) -> nn.Tensor:
@@ -350,19 +372,15 @@ class Seq2SeqModel:
         return nn.add(nn.matmul(states, self.params["title_dec.out_w"]),
                       self.params["title_dec.out_b"])
 
-    # -- public operations (inference mode) ----------------------------------
+    # -- public operations (inference, on the engine) -------------------------
 
     def encode_claim(self, token_ids: Sequence[int]) -> ClaimEncoding:
         """Deterministic claim encoding; over-length input is truncated and flagged."""
         ids = list(token_ids)
         if not ids:
             raise ValueError("cannot encode an empty claim")
-        truncated = len(ids) > self.config.max_positions
-        ids = ids[: self.config.max_positions]
-        with nn.no_grad():
-            out = self.encoder_forward(
-                "claim_enc", np.array([ids]), np.ones((1, len(ids)), dtype=bool))
-        return ClaimEncoding(states=out.data[0], truncated=truncated)
+        n = self.config.max_positions
+        return ClaimEncoding(encode(self, "claim_enc", ids[:n]), truncated=len(ids) > n)
 
     def title_step(self, state: DecoderState, tokens: Sequence[int]) -> np.ndarray:
         """Feed one title token per row of `state`; next-token logits (B, vocab)."""
@@ -386,11 +404,8 @@ class Seq2SeqModel:
     def encode_sentence(self, token_ids: Sequence[int],
                         source: Optional[tuple[str, int]] = None) -> SentenceEmbedding:
         """Mean-pooled sentence-encoder states of `sentence_ids(token_ids)`."""
-        ids = sentence_ids(token_ids, self.config.max_positions)
-        with nn.no_grad():
-            out = self.encoder_forward(
-                "sent_enc", np.array([ids]), np.ones((1, len(ids)), dtype=bool))
-        return SentenceEmbedding(vector=out.data[0].mean(axis=0), source=source)
+        states = encode(self, "sent_enc", sentence_ids(token_ids, self.config.max_positions))
+        return SentenceEmbedding(vector=states.mean(axis=0), source=source)
 
     def evidence_step(self, state: DecoderState, vector: np.ndarray,
                       candidates: Sequence[SentenceEmbedding]) -> np.ndarray:

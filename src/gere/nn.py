@@ -5,30 +5,14 @@ multiply, two matmul flavors, GELU, layer norm, softmax, embedding gather,
 row-assembly helpers for the dynamic evidence vocabulary, dropout and the
 cross-entropy heads. Gradients accumulate in graph-construction order, so a
 fixed seed and fixed data order give bit-identical results on one machine.
-The forward math of GELU, layer norm and softmax lives in plain-array
-functions (`*_forward`) that the graph ops and the model's incremental
-inference decoder share.
+The graph is for training only: inference runs the model's plain-numpy
+engine, which shares the forward math of GELU, layer norm and softmax with
+the graph ops through the plain-array functions (`*_forward`).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
-
-_GRAD_ENABLED = True
-
-
-@contextmanager
-def no_grad():
-    """Disable graph construction (inference paths)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
 
 
 class Tensor:
@@ -40,17 +24,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = parents
         self._backward = backward
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
 
 def _needs(t: Tensor) -> bool:
@@ -70,7 +43,7 @@ def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
 
 
 def _make(data, parents, backward) -> Tensor:
-    if _GRAD_ENABLED and any(_needs(p) for p in parents):
+    if any(_needs(p) for p in parents):
         return Tensor(data, parents=parents, backward=backward)
     return Tensor(data)
 

@@ -159,7 +159,7 @@ class Trainer:
         return self.train_step_encoded(examples)
 
     def loss_graph(self, examples: Sequence[_Example]) -> tuple[nn.Tensor, nn.Tensor]:
-        """Build the joint forward graph (training mode) for a prepared batch;
+        """Build the joint forward graph for a prepared batch;
         pure given parameters and step_count."""
         model = self.model
         rng = self._dropout_rng()
@@ -200,10 +200,10 @@ class Trainer:
 
         # Forward: claim encoder feeds both decoders; sentence encoder feeds
         # the dynamic candidate vocabulary and the evidence decoder inputs.
-        enc_out = model.encoder_forward("claim_enc", claim_ids, claim_valid, True, rng)
+        enc_out = model.encoder_forward("claim_enc", claim_ids, claim_valid, rng)
 
         x = model.embed_title_inputs(title_in)
-        states = model.decoder_forward("title_dec", x, enc_out, claim_valid, True, rng)
+        states = model.decoder_forward("title_dec", x, enc_out, claim_valid, rng)
         logits = model.title_output_logits(states)
         flat_logits = nn.reshape(logits, (-1, model.config.vocab_size))
         keep = np.flatnonzero(title_tgt.ravel() != PAD)
@@ -211,13 +211,13 @@ class Trainer:
                                       title_tgt.ravel()[keep],
                                       model.config.label_smoothing)
 
-        sent_out = model.encoder_forward("sent_enc", sent_ids, sent_valid, True, rng)
+        sent_out = model.encoder_forward("sent_enc", sent_ids, sent_valid, rng)
         pooled = nn.masked_mean(sent_out, sent_valid.astype(model.dtype))
         cand_table = nn.assemble_candidates(pooled, model.params["evid_dec.eoe"],
                                             batch_idx, slot_idx, n_batch, n_slots)
         ev_in = nn.assemble_inputs(pooled, model.params["evid_dec.start"], input_map)
         ev_in = nn.add(ev_in, model._positions("evid_dec", n_steps))
-        ev_states = model.decoder_forward("evid_dec", ev_in, enc_out, claim_valid, True, rng)
+        ev_states = model.decoder_forward("evid_dec", ev_in, enc_out, claim_valid, rng)
         scores = nn.add(nn.matmul(ev_states, nn.transpose(cand_table, (0, 2, 1))),
                         nn.constant(slot_mask))
         flat_scores = nn.reshape(scores, (-1, n_slots))

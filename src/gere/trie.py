@@ -165,6 +165,8 @@ class TitleTrie:
             )
         node_count = r.u32()
         title_count = r.u32()
+        if not 1 <= node_count <= (len(data) - r.pos) // 2:  # a node record takes >= 2 bytes
+            raise DataError(f"{name}: node count {node_count} does not fit the file")
         trie = cls()
         trie._children = [{} for _ in range(node_count)]
         trie._terminal = [None] * node_count

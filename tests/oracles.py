@@ -88,17 +88,15 @@ def exhaustive_title_search(model, enc, titles, max_titles):
 
 # -- single-example losses and full-sequence logits ------------------------------
 #
-# One claim at a time through the model's graph forward (inference mode), the
-# references for the batched training loss and the incremental decoders.
+# One claim at a time through the model's graph forward, the references for
+# the batched training loss and the incremental decoders.
 
 
 def title_logits_all(model, enc, ids):
     """Logits at every position of a full title-decoder input (causality checks)."""
-    with nn.no_grad():
-        x = model.embed_title_inputs(np.array([list(ids)]))
-        states = model.decoder_forward("title_dec", x, nn.constant(enc.states[None]), None)
-        logits = model.title_output_logits(states)
-    return logits.data[0]
+    x = model.embed_title_inputs(np.array([list(ids)]))
+    states = model.decoder_forward("title_dec", x, nn.constant(enc.states[None]), None)
+    return model.title_output_logits(states).data[0]
 
 
 def loss_title(model, enc, target_ids):
@@ -106,12 +104,11 @@ def loss_title(model, enc, target_ids):
     target_ids = list(target_ids)
     if len(target_ids) < 2 or target_ids[0] != BOS:
         raise ValueError("title target must be BOS ... EOS")
-    with nn.no_grad():
-        x = model.embed_title_inputs(np.array([target_ids[:-1]]))
-        states = model.decoder_forward("title_dec", x, nn.constant(enc.states[None]), None)
-        logits = model.title_output_logits(states)
-        flat = nn.reshape(logits, (len(target_ids) - 1, model.config.vocab_size))
-        loss = nn.cross_entropy(flat, np.array(target_ids[1:]), model.config.label_smoothing)
+    x = model.embed_title_inputs(np.array([target_ids[:-1]]))
+    states = model.decoder_forward("title_dec", x, nn.constant(enc.states[None]), None)
+    logits = model.title_output_logits(states)
+    flat = nn.reshape(logits, (len(target_ids) - 1, model.config.vocab_size))
+    loss = nn.cross_entropy(flat, np.array(target_ids[1:]), model.config.label_smoothing)
     return float(loss.data)
 
 

@@ -108,3 +108,12 @@ def test_bad_config_block_is_data_error(tmp_path, tiny_vocab):
         path.write_bytes(data.replace(good, bad))
         with pytest.raises(DataError, match="m.gereckpt: model config"):
             load_checkpoint(path)
+
+
+def test_invalid_utf8_name_is_data_error(tmp_path, tiny_vocab):
+    data = checkpoint_bytes(Seq2SeqModel(small_config(len(tiny_vocab))))
+    name = b"claim_enc.tok_emb"
+    path = tmp_path / "m.gereckpt"
+    path.write_bytes(data.replace(name, b"\xff" + name[1:], 1))
+    with pytest.raises(DataError, match="UTF-8"):
+        load_checkpoint(path)

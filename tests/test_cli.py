@@ -89,6 +89,14 @@ def test_build_trie_round_trip_and_determinism(dataset, tmp_path, capsys):
     assert trie_path.read_bytes() == first  # byte-identical rerun
 
 
+def test_build_trie_too_small_max_vocab_is_usage_error(dataset, tmp_path, capsys):
+    rc = main(["build-trie", "--wiki", str(dataset[1]), "--vocab-out", str(tmp_path / "v.txt"),
+               "--trie-out", str(tmp_path / "t.bin"), "--max-vocab", "3"])
+    assert rc == EXIT_USAGE
+    assert "--max-vocab" in capsys.readouterr().err
+    assert not (tmp_path / "v.txt").exists()
+
+
 def test_build_trie_corrupt_wiki_exits_with_data_error(tmp_path, capsys):
     wiki = tmp_path / "bad.jsonl"
     wiki.write_text('{"id": "A", "lines": "0\\tok"}\n{"id": "B", "lines": "x\\tbad"}\n')
@@ -275,6 +283,19 @@ def test_eval_perfect_and_empty_fixtures(dataset, tmp_path, capsys):
     assert report["la"] == 1.0  # labels all correct, evidence all missing
     nei = sum(1 for c in golds if not c.evidence_groups)
     assert report["fever"] == pytest.approx(nei / len(golds))
+
+
+@pytest.mark.parametrize("field, value", [("predicted_evidence", [["x"]]),
+                                          ("predicted_titles", "Some_doc")])
+def test_eval_rejects_malformed_prediction_fields(dataset, tmp_path, capsys, field, value):
+    from gere.corpus import load_claims
+    claim = next(c for c in load_claims(dataset[2]) if c.evidence_groups)
+    rec = {"claim_id": claim.claim_id, "predicted_titles": [], "predicted_evidence": [],
+           field: value}
+    path = tmp_path / "pred.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    assert main(["eval", "--pred", str(path), "--gold", str(dataset[2])]) == EXIT_DATA
+    assert f"claim_id {claim.claim_id}: {field}" in capsys.readouterr().err
 
 
 def test_inspect_trie(dataset, tmp_path, capsys):

@@ -129,6 +129,20 @@ def test_oracle_labels_pass_through():
     assert scores.label_accuracy == 1.0 and scores.fever == 1.0
 
 
+@pytest.mark.parametrize("field, value", [
+    ("predicted_evidence", [["A"]]),
+    ("predicted_evidence", [["A", "0"]]),
+    ("predicted_evidence", "A"),
+    ("predicted_titles", "A"),
+    ("predicted_titles", [["A"]]),
+])
+def test_malformed_prediction_fields_are_data_errors(field, value):
+    golds = [gold(7, "SUPPORTS", [[("A", 0)]])]
+    rec = dict(pred(7, titles=["A"], evidence=[("A", 0)], label="SUPPORTS"), **{field: value})
+    with pytest.raises(DataError, match=f"claim_id 7: {field}"):
+        evaluate([rec], golds)
+
+
 # -- randomized oracle cross-check ---------------------------------------------------
 
 

@@ -139,7 +139,7 @@ def test_step_decode_matches_full_sequence_logits(tiny_vocab):
 #
 # Exact beam-vs-oracle agreement (acceptance A3) rests on one property: a row
 # of a batched DecoderState step is bit-identical to a one-row replay of the
-# same prefix. Agreement of the engine with the graph forward is checked above
+# same prefix. Agreement of the decoders with the graph forward is checked above
 # and in test_training at float64 tolerances.
 
 
@@ -205,6 +205,32 @@ def test_greedy_evidence_scores_equal_single_step_replays(tiny_vocab, monkeypatc
         assert np.array_equal(scores, model.decode_step_evidence(enc, chosen[:i], remaining))
         pick = [c.source for c in remaining].index(pairs[i])
         assert log_probs[i] == nn.log_softmax64(scores)[pick]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_engine_encodings_equal_graph_forward(tiny_vocab, dtype):
+    model = Seq2SeqModel(small_config(len(tiny_vocab), d_model=64, n_heads=4,
+                                      n_layers_enc=2, d_ff=256, max_positions=24), dtype=dtype)
+    rng = np.random.default_rng(8)
+
+    def graph(name, ids):
+        ids = np.array([ids])
+        return model.encoder_forward(name, ids, np.ones(ids.shape, dtype=bool)).data[0]
+
+    for length in (1, 9, 24):
+        ids = [int(t) for t in rng.integers(6, len(tiny_vocab), size=length)]
+        enc = model.encode_claim(ids)
+        assert not enc.truncated
+        expected = graph("claim_enc", ids)
+        assert enc.states.dtype == expected.dtype and np.array_equal(enc.states, expected)
+        vector = model.encode_sentence(ids, source=("Doc", length)).vector
+        expected = graph("sent_enc", ids).mean(axis=0)
+        assert vector.dtype == expected.dtype and np.array_equal(vector, expected)
+
+    ids = [int(t) for t in rng.integers(6, len(tiny_vocab), size=30)]
+    enc = model.encode_claim(ids)
+    assert enc.truncated
+    assert np.array_equal(enc.states, graph("claim_enc", ids[:24]))
 
 
 # -- encode_sentence ------------------------------------------------------------

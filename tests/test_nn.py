@@ -152,13 +152,6 @@ def test_dropout_identity_at_zero_and_masks_otherwise(rng):
     np.testing.assert_allclose(y.data[kept], x.data[kept] * 2.0)
 
 
-def test_no_grad_builds_no_graph(rng):
-    x = param(rng, 3, 3)
-    with nn.no_grad():
-        y = nn.matmul(x, x)
-    assert y._parents == () and y._backward is None
-
-
 def test_backward_requires_scalar(rng):
     x = param(rng, 2, 2)
     with pytest.raises(ValueError):

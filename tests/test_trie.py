@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,3 +143,21 @@ def test_load_rejects_corruption(tmp_path, tiny_corpus, tiny_vocab):
     path.write_bytes(b"NOTATRIE" + data[8:])
     with pytest.raises(DataError):
         TitleTrie.load(path, tiny_vocab)
+    assert data.count(b"Beta_ridge") == 1
+    path.write_bytes(data.replace(b"Beta_ridge", b"\xffeta_ridge"))  # invalid UTF-8 doc_id
+    with pytest.raises(DataError, match="UTF-8"):
+        TitleTrie.load(path, tiny_vocab)
+
+
+def test_huge_node_count_rejected_before_allocating(tiny_corpus, tiny_vocab):
+    data = TitleTrie.build(tiny_corpus.titles(), tiny_vocab).to_bytes(tiny_vocab)
+    # Header: magic (8 bytes), version, vocab checksum, node count, title count (u32 each).
+    bad = data[:16] + struct.pack("<I", 1_000_000) + data[20:]
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="node count"):
+            TitleTrie.from_bytes(bad, tiny_vocab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
