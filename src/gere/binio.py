@@ -1,6 +1,9 @@
-"""Little-endian binary primitives for the trie and checkpoint file formats."""
+"""Little-endian binary primitives for the trie and checkpoint file formats,
+and the atomic file write behind the vocab, trie, checkpoint and predictions."""
 
+import os
 import struct
+from pathlib import Path
 
 from .errors import DataError
 
@@ -37,6 +40,22 @@ def write_bytes(buf: bytearray, data: bytes) -> None:
 
 def write_str(buf: bytearray, text: str) -> None:
     write_bytes(buf, text.encode("utf-8"))
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Replace `path` with `data` in one step: write a temp file in the same
+    directory, then `os.replace` it over `path`. A write that fails or a
+    process killed midway leaves the old file whole; a failed write removes
+    its temp file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class Reader:

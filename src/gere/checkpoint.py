@@ -51,7 +51,7 @@ def checkpoint_bytes(model: Seq2SeqModel, optimizer: Optional[nn.Adam] = None,
 
 def save_checkpoint(path, model: Seq2SeqModel, optimizer: Optional[nn.Adam] = None,
                     step: int = 0) -> None:
-    Path(path).write_bytes(checkpoint_bytes(model, optimizer, step))
+    binio.write_atomic(path, checkpoint_bytes(model, optimizer, step))
 
 
 def load_checkpoint(path, expected_vocab_checksum: Optional[int] = None

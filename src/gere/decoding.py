@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import nn
+from . import binio, nn
 from .corpus import Claim, Corpus
 from .errors import DataError, DecodingError
 from .model import ClaimEncoding, DecoderState, Seq2SeqModel, SentenceEmbedding
@@ -224,9 +224,8 @@ def retrieve(model: Seq2SeqModel, vocab: Vocab, claim: Claim, trie: TitleTrie,
 def write_predictions(results: Sequence[Union[RetrievalResult, dict]], path) -> None:
     records = [r.to_record() if isinstance(r, RetrievalResult) else r for r in results]
     records.sort(key=lambda rec: rec["claim_id"])
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    text = "".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in records)
+    binio.write_atomic(path, text.encode("utf-8"))
 
 
 def read_predictions(path) -> list[dict]:
@@ -239,7 +238,13 @@ def read_predictions(path) -> list[dict]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(rec, dict):
+                raise DataError(f"{path}:{line_no}: prediction record is not a JSON object")
             if "claim_id" not in rec:
                 raise DataError(f"{path}:{line_no}: prediction record lacks claim_id")
+            claim_id = rec["claim_id"]
+            if isinstance(claim_id, bool) or not isinstance(claim_id, int):
+                raise DataError(f"{path}:{line_no}: claim_id must be an integer, "
+                                f"got {claim_id!r}")
             records.append(rec)
     return records

@@ -123,8 +123,10 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale) -> np.ndarray:
     return ctx.reshape(ctx.shape[0], ctx.shape[1], -1)
 
 
-def _scale(cfg: ModelConfig):
-    return 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
+def _scale(cfg: ModelConfig) -> float:
+    """The attention scale 1 / sqrt(d_head) as a Python float: a weak scalar
+    under NumPy's promotion rules, so it keeps the scores' dtype."""
+    return float(1.0 / np.sqrt(cfg.d_model // cfg.n_heads))
 
 
 def encode(model: "Seq2SeqModel", name: str, ids: Sequence[int]) -> np.ndarray:

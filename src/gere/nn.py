@@ -101,7 +101,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
-    bt = b if isinstance(b, Tensor) else constant(b)
+    """Elementwise a * b; a non-Tensor b becomes a constant of a's dtype, so a
+    scalar never promotes a float32 graph to float64."""
+    bt = b if isinstance(b, Tensor) else constant(np.asarray(b, dtype=a.data.dtype))
     out = a.data * bt.data
 
     def back(g):

@@ -14,6 +14,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import binio
 from .errors import DataError
 
 # Reserved ids; EOE is not a vocabulary token (the evidence decoder scores it
@@ -93,7 +94,7 @@ def build_vocab(corpus, claims, max_size: int) -> Vocab:
 
 def save_vocab(vocab: Vocab, path) -> None:
     """One token per line; the line number is the token id."""
-    Path(path).write_text("\n".join(vocab.tokens) + "\n", encoding="utf-8")
+    binio.write_atomic(path, ("\n".join(vocab.tokens) + "\n").encode("utf-8"))
 
 
 def load_vocab(path) -> Vocab:

@@ -199,7 +199,7 @@ class TitleTrie:
         return trie
 
     def save(self, path, vocab: Vocab) -> None:
-        Path(path).write_bytes(self.to_bytes(vocab))
+        binio.write_atomic(path, self.to_bytes(vocab))
 
     @classmethod
     def load(cls, path, vocab: Vocab) -> "TitleTrie":

@@ -298,6 +298,15 @@ def test_eval_rejects_malformed_prediction_fields(dataset, tmp_path, capsys, fie
     assert f"claim_id {claim.claim_id}: {field}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ['"claim_id"', '{"claim_id": [1]}', '{"claim_id": 1.5}',
+                                  '{"claim_id": true}', '{"claim_id": "1"}'])
+def test_eval_rejects_malformed_prediction_lines(dataset, tmp_path, capsys, line):
+    path = tmp_path / "pred.jsonl"
+    path.write_text("\n" + line + "\n")
+    assert main(["eval", "--pred", str(path), "--gold", str(dataset[2])]) == EXIT_DATA
+    assert f"{path}:2:" in capsys.readouterr().err
+
+
 def test_inspect_trie(dataset, tmp_path, capsys):
     vocab_path, trie_path = build_artifacts(dataset, tmp_path)
     from gere.tokenizer import load_vocab

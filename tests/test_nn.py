@@ -48,6 +48,18 @@ def test_mul_broadcast(rng):
     fd_check(lambda: scalarize(nn.mul(a, b)), {"a": a, "b": b})
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mul_by_python_scalar_keeps_dtype(dtype):
+    """A Python scalar multiplies in the tensor's dtype, as numpy's weak
+    scalars do: float32 stays float32, float64 keeps every bit."""
+    x = nn.Tensor(np.linspace(-1.0, 1.0, 6, dtype=dtype).reshape(2, 3), requires_grad=True)
+    scale = float(1.0 / np.sqrt(3.0))
+    y = nn.mul(x, scale)
+    assert y.data.dtype == dtype and np.array_equal(y.data, x.data * scale)
+    nn.backward(nn.cross_entropy(y, np.array([0, 2])))
+    assert x.grad.dtype == dtype
+
+
 def test_matmul_projection(rng):
     a, b = param(rng, 2, 3, 4), param(rng, 4, 5)
     fd_check(lambda: scalarize(nn.matmul(a, b)), {"a": a, "b": b})

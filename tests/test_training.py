@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from gere import model as gmodel
+from gere import nn
 from gere.corpus import gold_targets
-from gere.model import Seq2SeqModel
+from gere.model import DecoderState, Seq2SeqModel
 from gere.tokenizer import BOS, EOS, EOT, SEP
 from gere.training import (
     Trainer, encode_example, learning_rate, linearize_titles, make_batches,
@@ -168,3 +170,53 @@ def test_trainer_loss_matches_public_ops(tiny_corpus, tiny_vocab, tiny_claims):
     want_evidence = loss_evidence(model, enc, list(targets.evidence_sequence), cands)
     np.testing.assert_allclose(float(lt.data), want_title, rtol=1e-9)
     np.testing.assert_allclose(float(le.data), want_evidence, rtol=1e-9)
+
+
+# -- dtypes ------------------------------------------------------------------------
+
+
+def test_float32_model_trains_and_decodes_in_float32(tiny_corpus, tiny_vocab, tiny_claims):
+    """No float64 scalar (the attention scale, a constant) promotes a float32
+    model: its loss, gradients, Adam moments and engine outputs stay float32."""
+    trainer = build_trainer(tiny_vocab)
+    model = trainer.model
+    examples = [encode_example(c, gold_targets(c, tiny_corpus), tiny_corpus, tiny_vocab, 64)
+                for c in tiny_claims[:3]]
+    assert all(t.data.dtype == np.float32 for t in trainer.loss_graph(examples))
+    trainer.train_step_encoded(examples)
+    assert {name: p.grad.dtype for name, p in model.params.items()} == \
+        {name: np.dtype(np.float32) for name in model.params}
+    for moments in (trainer.optimizer.m, trainer.optimizer.v):
+        assert {a.dtype for a in moments.values()} == {np.dtype(np.float32)}
+
+    enc = model.encode_claim(tiny_vocab.encode(tiny_claims[0].text))
+    sentence = model.encode_sentence(tiny_vocab.encode("alpha hill rises early ."))
+    logits = model.title_step(DecoderState(model, "title_dec", enc), [BOS])
+    scores = model.evidence_step(DecoderState(model, "evid_dec", enc),
+                                 model.params["evid_dec.start"].data, [sentence])
+    for array in (enc.states, sentence.vector, logits, scores):
+        assert array.dtype == np.float32
+
+
+def test_float64_model_arithmetic_is_unchanged(tiny_corpus, tiny_vocab, tiny_claims,
+                                               monkeypatch):
+    """On a float64 model the weak Python-float attention scale gives the same
+    bits as a NumPy float64 scale: losses and every gradient are identical."""
+    cfg = small_config(len(tiny_vocab))
+    model = Seq2SeqModel(cfg, dtype=np.float64)
+    trainer = Trainer(model, tiny_vocab, total_updates=10)
+    examples = [encode_example(c, gold_targets(c, tiny_corpus), tiny_corpus, tiny_vocab,
+                               cfg.max_positions) for c in tiny_claims[:3]]
+
+    def losses_and_grads():
+        lt, le = trainer.loss_graph(examples)
+        nn.zero_grads(model.params)
+        nn.backward(nn.add(lt, le))
+        return float(lt.data), float(le.data), {n: p.grad for n, p in model.params.items()}
+
+    weak = losses_and_grads()
+    monkeypatch.setattr(gmodel, "_scale",
+                        lambda c: np.float64(1.0) / np.sqrt(c.d_model // c.n_heads))
+    numpy_scalar = losses_and_grads()
+    assert weak[:2] == numpy_scalar[:2]
+    assert all(np.array_equal(weak[2][n], numpy_scalar[2][n]) for n in model.params)
