@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evalkit
+from . import binio, evalkit
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import gold_targets, load_claims, load_wiki_pages, verifiable
 from .decoding import DecodeParams, read_predictions, retrieve, write_predictions
@@ -125,7 +125,7 @@ def _require(path: str, what: str) -> Path:
 
 def _write_resolved_config(cfg: RunConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config_resolved.txt").write_text(cfg.to_kv(), encoding="utf-8")
+    binio.write_atomic(out_dir / "config_resolved.txt", cfg.to_kv().encode("utf-8"))
 
 
 # -- subcommands --------------------------------------------------------------

@@ -5,7 +5,10 @@ inside a title only the trie's continuations are legal; right after EOT only
 SEP or EOS; after SEP the trie resets to the root and any already-emitted
 title has its final EOT masked (duplicate suppression). Hypothesis scores are
 sums of full-softmax token log-probs (no renormalization over the mask and,
-by default, no length normalization). Evidence decoding is greedy over the
+by default, no length normalization). Since every token log-prob is <= 0, a
+score only falls as a hypothesis grows, so the beam stops as soon as the best
+finished hypothesis outranks every alive one (Huang et al., EMNLP 2017); the
+result is the full beam's, bit for bit. Evidence decoding is greedy over the
 remaining candidate sentences plus EOE.
 
 Both decoders run incrementally on the model's KV-cached `DecoderState`: the
@@ -20,6 +23,7 @@ oracle's scores exactly, not just to a tolerance.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -100,6 +104,27 @@ def _extend(hyp: BeamHypothesis, token: int, log_prob: float, trie: TitleTrie) -
                           doc_ids=hyp.doc_ids, node=child)
 
 
+def _rank_score(hyp: BeamHypothesis, length_normalize: bool) -> float:
+    return hyp.log_prob / len(hyp.tokens) if length_normalize else hyp.log_prob
+
+
+def _cannot_improve(top: BeamHypothesis, best_finished: float, length_normalize: bool,
+                    max_len: int) -> bool:
+    """Whether no hypothesis grown from the alive beam can outrank `best_finished`.
+
+    `top` is the highest-scoring alive hypothesis. Every token log-prob is
+    <= 0 (`nn.log_softmax64`) and float addition of a non-positive term never
+    increases a sum, so no descendant scores above `top.log_prob`. A finished
+    hypothesis has at most `max_len` tokens and a non-positive score, and
+    float division is monotone, so no descendant's normalised score exceeds
+    `top.log_prob / max_len`. The comparison is strict, so a descendant
+    cannot even tie and win on the token tie-break: the result is the one the
+    full beam would return, bit for bit.
+    """
+    bound = top.log_prob / max_len if length_normalize else top.log_prob
+    return bound < best_finished
+
+
 def beam_search_titles(
     model: Seq2SeqModel,
     claim: Union[ClaimEncoding, Sequence[int]],
@@ -112,7 +137,9 @@ def beam_search_titles(
 
     Ties in score break on the lexicographically smaller token sequence.
     Finished hypotheses do not occupy alive-beam slots, so with beam_size at
-    least the number of legal hypotheses the search is exhaustive.
+    least the number of legal hypotheses the search is exhaustive. The search
+    stops early once no alive hypothesis can beat the best finished one
+    (`_cannot_improve`); that never changes the result.
     """
     if trie.title_count == 0:
         raise DecodingError("cannot decode titles against an empty trie")
@@ -124,7 +151,10 @@ def beam_search_titles(
     finished: list[BeamHypothesis] = []
     last_alive = alive
     max_len = model.config.max_positions
+    best_finished = -math.inf
     while alive:
+        if _cannot_improve(alive[0], best_finished, length_normalize, max_len):
+            break
         last_alive = alive
         if len(alive[0].tokens) >= max_len:
             break  # all alive hypotheses share one length; none can extend, all die
@@ -140,6 +170,7 @@ def beam_search_titles(
         for score, _, row, token in pool:
             if token == EOS:
                 finished.append(_extend(last_alive[row], token, score, trie))
+                best_finished = max(best_finished, _rank_score(finished[-1], length_normalize))
             elif len(alive) < beam_size:
                 alive.append(_extend(last_alive[row], token, score, trie))
                 rows.append(row)
@@ -147,12 +178,7 @@ def beam_search_titles(
     if not finished:
         raise DecodingError("no beam hypothesis could finish",
                             partial_beams=last_alive)
-
-    def rank(h: BeamHypothesis):
-        score = h.log_prob / len(h.tokens) if length_normalize else h.log_prob
-        return (-score, h.tokens)
-
-    best = min(finished, key=rank)
+    best = min(finished, key=lambda h: (-_rank_score(h, length_normalize), h.tokens))
     return list(best.doc_ids), best.log_prob, best.tokens
 
 

@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+from . import binio
 from .corpus import Claim, Label
 from .errors import DataError
 
@@ -205,6 +206,4 @@ def evaluate(predictions, golds: Sequence[Claim], max_evidence: int = 5,
 
 
 def write_report(report: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    binio.write_atomic(path, (json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8"))

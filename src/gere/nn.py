@@ -221,10 +221,14 @@ def gather(x: Tensor, idx: np.ndarray) -> Tensor:
 
 def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
                        eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Layer norm over the last axis of an array: (out, xhat, 1 / std)."""
-    mu = x.mean(axis=-1, keepdims=True)
+    """Layer norm over the last axis of an array: (out, xhat, 1 / std).
+
+    Means are `np.add.reduce(..) / n`, the arithmetic of `.mean(-1)` without
+    its Python wrapper, which cost more than the sum on short rows."""
+    n = x.shape[-1]
+    mu = np.add.reduce(x, -1, keepdims=True) / n
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, -1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     return xhat * gain + bias, xhat, inv
@@ -238,8 +242,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         dxhat = g * gain.data
         dx = inv * (
             dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            - np.add.reduce(dxhat, -1, keepdims=True) / d
+            - xhat * (np.add.reduce(dxhat * xhat, -1, keepdims=True) / d)
         )
         _accum(x, dx, fresh=True)
         _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0), fresh=True)

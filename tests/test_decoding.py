@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gere import decoding, nn
 from gere.corpus import Corpus, Document, Claim, Label, title_from_doc_id
 from gere.decoding import (
     DecodeParams, beam_search_titles, collect_candidates, greedy_evidence,
@@ -10,7 +11,7 @@ from gere.decoding import (
 )
 from gere.errors import DataError, DecodingError
 from gere.model import DecoderState, Seq2SeqModel, SentenceEmbedding
-from gere.tokenizer import build_vocab
+from gere.tokenizer import EOS, build_vocab
 from gere.trie import TitleTrie
 
 from conftest import small_config
@@ -137,6 +138,81 @@ def test_beam_accepts_raw_token_ids():
     d2, lp2, t2 = beam_search_titles(model, model.encode_claim(ids), trie,
                                      beam_size=4, max_titles=2)
     assert (d1, lp1, t1) == (d2, lp2, t2)
+
+
+# -- early stop ------------------------------------------------------------------
+
+
+def _count_steps(monkeypatch):
+    """Count `DecoderState.step` calls (title and evidence) from here on."""
+    calls = []
+    step = DecoderState.step
+    monkeypatch.setattr(DecoderState, "step", lambda self, x: calls.append(1) or step(self, x))
+    return calls
+
+
+def _without_stop(monkeypatch):
+    monkeypatch.setattr(decoding, "_cannot_improve", lambda *args: False)
+
+
+@pytest.mark.parametrize("length_normalize", [False, True])
+def test_early_stop_leaves_records_unchanged(length_normalize, monkeypatch):
+    doc_ids = ["Alpha", "Alpha_beta", "Gamma", "Beta_gamma", "Delta_hill_north", "Beta"]
+    corpus, vocab, trie, _ = setup(doc_ids)
+    claims = [Claim(i, text, Label.NOT_ENOUGH_INFO, ()) for i, text in
+              enumerate(["alpha beta", "key3 about gamma", "north hill delta", "x"])]
+    params = DecodeParams(beam_size=2, max_titles=2, max_evidence_steps=3,
+                          length_normalize=length_normalize)
+
+    # Random checkpoints from flat to peaked; the short max_positions
+    # tightens the normalised bound enough for it to fire.
+    models = [Seq2SeqModel(small_config(len(vocab), seed=seed, init_std=init_std,
+                                        max_positions=max_len))
+              for seed, init_std in enumerate((0.02, 0.02, 0.5, 1.0, 2.0, 4.0))
+              for max_len in (12, 64)]
+
+    def run():
+        calls = _count_steps(monkeypatch)
+        records = [json.dumps(retrieve(model, vocab, claim, trie, corpus, params).to_record())
+                   for model in models for claim in claims]
+        return records, len(calls)
+
+    stopped, stopped_steps = run()
+    _without_stop(monkeypatch)
+    full, full_steps = run()
+    assert stopped == full
+    assert stopped_steps < full_steps
+
+
+def test_early_stop_fires_on_a_peaked_model(monkeypatch):
+    """EOS costs nothing and every other token costs about 50 nats: the short
+    title finishes while the long ones are still alive and already behind."""
+    corpus, vocab, trie, model = setup(["Alpha", "Gamma_delta_hill_north_river"])
+    model.params["title_dec.out_w"].data[:] = 0.0
+    model.params["title_dec.out_b"].data[:] = -50.0
+    model.params["title_dec.out_b"].data[EOS] = 0.0
+    enc = model.encode_claim(vocab.encode("a claim"))
+    calls = _count_steps(monkeypatch)
+    stopped = beam_search_titles(model, enc, trie, beam_size=4, max_titles=2)
+    stopped_steps = len(calls)
+    _without_stop(monkeypatch)
+    calls = _count_steps(monkeypatch)
+    assert beam_search_titles(model, enc, trie, beam_size=4, max_titles=2) == stopped
+    assert stopped[0] == ["Alpha"]
+    assert stopped_steps < len(calls)
+
+
+def test_log_softmax64_is_never_positive():
+    """The early stop is exact only because no token log-prob exceeds 0."""
+    rng = np.random.default_rng(5)
+    cases = [rng.standard_normal(50) * scale for scale in (1.0, 30.0, 1e3)]
+    cases += [np.array([0.0, -45.0, 45.0, 44.999]), np.array([1e30, -1e30, 1e30, 9.9e29]),
+              np.array([-1e30, -1e30 + 1e14, -1e30]), np.full(7, 3.25),
+              np.array([1e30, -1e30], dtype=np.float32), np.array([12.5])]
+    for logits in cases:
+        log_probs = nn.log_softmax64(logits)
+        assert log_probs.dtype == np.float64
+        assert np.all(log_probs <= 0.0), logits
 
 
 # -- greedy evidence ---------------------------------------------------------------

@@ -91,6 +91,32 @@ def test_layer_norm(rng):
     fd_check(lambda: scalarize(nn.layer_norm(x, g, b)), {"x": x, "g": g, "b": b})
 
 
+def _layer_norm_by_mean(x, gain, bias, g, eps=1e-5):
+    """Layer norm and its input gradient for upstream `g`, with `.mean(-1)`."""
+    xc = x - x.mean(-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(-1, keepdims=True) + eps)
+    xhat = xc * inv
+    dxhat = g * gain
+    dx = inv * (dxhat - dxhat.mean(-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(-1, keepdims=True))
+    return xhat * gain + bias, dx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(5, 1, 64), (1, 12, 64), (37, 64), (4, 20, 64), (3, 7, 256),
+                                   (9, 48)])
+def test_layer_norm_reductions_equal_mean_bit_for_bit(dtype, shape, rng):
+    x, g = (rng.standard_normal(shape).astype(dtype) * 3 + 1 for _ in range(2))
+    gain, bias = (rng.standard_normal(shape[-1:]).astype(dtype) for _ in range(2))
+    expected_out, expected_dx = _layer_norm_by_mean(x, gain, bias, g)
+    xt = nn.Tensor(x, requires_grad=True)
+    out = nn.layer_norm(xt, nn.Tensor(gain), nn.Tensor(bias))
+    out._backward(g)
+    assert out.data.dtype == xt.grad.dtype == dtype
+    assert np.array_equal(out.data, expected_out)
+    assert np.array_equal(xt.grad, expected_dx)
+
+
 def test_softmax_last(rng):
     x = param(rng, 2, 3, 5)
     fd_check(lambda: scalarize(nn.softmax_last(x)), {"x": x})
