@@ -107,6 +107,10 @@ def load_run_config(path: str | None, overrides: list[str]) -> RunConfig:
         raise UsageError("train.total_updates must be positive")
     if cfg.decode.beam_size < 1:
         raise UsageError("decode.beam_size must be positive")
+    if cfg.decode.max_titles < 1:
+        raise UsageError("decode.max_titles must be positive")
+    if cfg.decode.max_evidence_steps < 0:
+        raise UsageError("decode.max_evidence_steps must not be negative")
     try:
         cfg.model_config(vocab_size=len(SPECIAL_TOKENS))  # the model keys, checked before any work
     except ValueError as exc:

@@ -7,9 +7,13 @@ title has its final EOT masked (duplicate suppression). Hypothesis scores are
 sums of full-softmax token log-probs (no renormalization over the mask and,
 by default, no length normalization). Since every token log-prob is <= 0, a
 score only falls as a hypothesis grows, so the beam stops as soon as the best
-finished hypothesis outranks every alive one (Huang et al., EMNLP 2017); the
-result is the full beam's, bit for bit. Evidence decoding is greedy over the
-remaining candidate sentences plus EOE.
+finished hypothesis outranks every alive one (Huang et al., EMNLP 2017); under
+length normalization each alive hypothesis is bounded through the longest
+finish the trie still allows it. The result is the full beam's, bit for bit.
+Each beam step scores all legal continuations of all alive hypotheses as
+arrays and selects with one `np.lexsort`. Evidence decoding is greedy over
+the remaining candidate sentences plus EOE; the candidates are embedded with
+one stacked sentence-encoder pass per distinct length.
 
 Both decoders run incrementally on the model's KV-cached `DecoderState`: the
 beam makes one batched step per iteration for all alive hypotheses and then
@@ -75,16 +79,18 @@ class RetrievalResult:
         }
 
 
-def _allowed_tokens(hyp: BeamHypothesis, trie: TitleTrie, max_titles: int) -> list[int]:
+_SEP_EOS = np.array([SEP, EOS], dtype=np.intp)
+_EOS_ONLY = np.array([EOS], dtype=np.intp)
+
+
+def _allowed_tokens(hyp: BeamHypothesis, trie: TitleTrie, max_titles: int) -> np.ndarray:
     if hyp.node is not None:
-        children = trie.children_of(hyp.node)
-        tokens = sorted(children)
-        if EOT in children and trie.terminal_doc(children[EOT]) in hyp.doc_ids:
-            tokens.remove(EOT)  # duplicate-title suppression
+        tokens = trie.child_tokens(hyp.node)
+        end = trie.children_of(hyp.node).get(EOT)
+        if end is not None and trie.terminal_doc(end) in hyp.doc_ids:
+            tokens = tokens[tokens != EOT]  # duplicate-title suppression
         return tokens
-    if hyp.titles_emitted < max_titles:
-        return [SEP, EOS]
-    return [EOS]
+    return _SEP_EOS if hyp.titles_emitted < max_titles else _EOS_ONLY
 
 
 def _extend(hyp: BeamHypothesis, token: int, log_prob: float, trie: TitleTrie) -> BeamHypothesis:
@@ -108,21 +114,35 @@ def _rank_score(hyp: BeamHypothesis, length_normalize: bool) -> float:
     return hyp.log_prob / len(hyp.tokens) if length_normalize else hyp.log_prob
 
 
-def _cannot_improve(top: BeamHypothesis, best_finished: float, length_normalize: bool,
+def _longest_finish(hyp: BeamHypothesis, trie: TitleTrie, max_titles: int, max_len: int) -> int:
+    """The most tokens a finished descendant of `hyp` can hold: the rest of the
+    current title, then every title still allowed at the trie's greatest depth
+    (SEP, its tokens and EOT each), then EOS; never more than `max_len`."""
+    inside = hyp.node is not None
+    rest = trie.height(hyp.node) if inside else 0
+    titles_left = max_titles - hyp.titles_emitted - inside
+    longest = len(hyp.tokens) + rest + titles_left * (1 + trie.height(trie.root)) + 1
+    return min(longest, max_len)
+
+
+def _cannot_improve(alive: Sequence[BeamHypothesis], best_finished: float,
+                    length_normalize: bool, trie: TitleTrie, max_titles: int,
                     max_len: int) -> bool:
     """Whether no hypothesis grown from the alive beam can outrank `best_finished`.
 
-    `top` is the highest-scoring alive hypothesis. Every token log-prob is
+    `alive` is sorted best-first by summed score. Every token log-prob is
     <= 0 (`nn.log_softmax64`) and float addition of a non-positive term never
-    increases a sum, so no descendant scores above `top.log_prob`. A finished
-    hypothesis has at most `max_len` tokens and a non-positive score, and
-    float division is monotone, so no descendant's normalised score exceeds
-    `top.log_prob / max_len`. The comparison is strict, so a descendant
-    cannot even tie and win on the token tie-break: the result is the one the
-    full beam would return, bit for bit.
+    increases a sum, so no descendant of `h` scores above `h.log_prob`. Its
+    finished descendants have at most `_longest_finish(h)` tokens and a
+    non-positive score, and float division is monotone, so none has a
+    normalised score above `h.log_prob / _longest_finish(h)`. The comparison
+    is strict, so a descendant cannot even tie and win on the token
+    tie-break: the result is the one the full beam would return, bit for bit.
     """
-    bound = top.log_prob / max_len if length_normalize else top.log_prob
-    return bound < best_finished
+    if not length_normalize:
+        return alive[0].log_prob < best_finished
+    return max(h.log_prob / _longest_finish(h, trie, max_titles, max_len)
+               for h in alive) < best_finished
 
 
 def beam_search_titles(
@@ -140,41 +160,47 @@ def beam_search_titles(
     least the number of legal hypotheses the search is exhaustive. The search
     stops early once no alive hypothesis can beat the best finished one
     (`_cannot_improve`); that never changes the result.
+
+    Each step scores every legal continuation as arrays: `parent_rank` ranks
+    the alive token lists, which all have one length, so sorting by
+    (-score, parent_rank, token) is the (-score, token list) order.
     """
     if trie.title_count == 0:
         raise DecodingError("cannot decode titles against an empty trie")
     if beam_size < 1:
         raise ValueError("beam_size must be positive")
+    if max_titles < 1:
+        raise ValueError("max_titles must be positive")
     enc = claim if isinstance(claim, ClaimEncoding) else model.encode_claim(claim)
     state = DecoderState(model, "title_dec", enc)
     alive = [BeamHypothesis(tokens=[BOS], log_prob=0.0, node=trie.root)]
+    parent_rank = np.zeros(1, dtype=np.intp)
     finished: list[BeamHypothesis] = []
     last_alive = alive
     max_len = model.config.max_positions
     best_finished = -math.inf
     while alive:
-        if _cannot_improve(alive[0], best_finished, length_normalize, max_len):
+        if _cannot_improve(alive, best_finished, length_normalize, trie, max_titles, max_len):
             break
         last_alive = alive
         if len(alive[0].tokens) >= max_len:
             break  # all alive hypotheses share one length; none can extend, all die
-        logits = model.title_step(state, [hyp.tokens[-1] for hyp in alive])
-        pool: list[tuple[float, list[int], int, int]] = []
-        for row, hyp in enumerate(alive):
-            log_probs = nn.log_softmax64(logits[row])
-            for token in _allowed_tokens(hyp, trie, max_titles):
-                pool.append((hyp.log_prob + float(log_probs[token]),
-                             hyp.tokens + [token], row, token))
-        pool.sort(key=lambda item: (-item[0], item[1]))
-        alive, rows = [], []
-        for score, _, row, token in pool:
-            if token == EOS:
-                finished.append(_extend(last_alive[row], token, score, trie))
-                best_finished = max(best_finished, _rank_score(finished[-1], length_normalize))
-            elif len(alive) < beam_size:
-                alive.append(_extend(last_alive[row], token, score, trie))
-                rows.append(row)
-        state.reorder(rows)
+        log_probs = nn.log_softmax64(model.title_step(state, [hyp.tokens[-1] for hyp in alive]))
+        allowed = [_allowed_tokens(hyp, trie, max_titles) for hyp in alive]
+        rows = np.repeat(np.arange(len(alive)), [len(a) for a in allowed])
+        tokens = np.concatenate(allowed)
+        scores = np.array([hyp.log_prob for hyp in alive])[rows] + log_probs[rows, tokens]
+        order = np.lexsort((tokens, parent_rank[rows], -scores))
+        eos = tokens[order] == EOS
+        for i in order[eos].tolist():
+            finished.append(_extend(last_alive[rows[i]], EOS, float(scores[i]), trie))
+            best_finished = max(best_finished, _rank_score(finished[-1], length_normalize))
+        keep = order[~eos][:beam_size]
+        kept_rows, kept_tokens = rows[keep], tokens[keep]
+        alive = [_extend(last_alive[row], token, score, trie) for row, token, score in
+                 zip(kept_rows.tolist(), kept_tokens.tolist(), scores[keep].tolist())]
+        parent_rank = np.argsort(np.lexsort((kept_tokens, parent_rank[kept_rows])))
+        state.reorder(kept_rows)
     if not finished:
         raise DecodingError("no beam hypothesis could finish",
                             partial_beams=last_alive)
@@ -185,8 +211,9 @@ def beam_search_titles(
 def collect_candidates(model: Seq2SeqModel, vocab: Vocab, doc_ids: Sequence[str],
                        corpus: Corpus) -> list[SentenceEmbedding]:
     """Embed every sentence of the given documents, in `Corpus.candidates` order."""
-    return [model.encode_sentence(vocab.encode(text), source=(doc_id, index))
-            for doc_id, index, text in corpus.candidates(doc_ids)]
+    rows = corpus.candidates(doc_ids)
+    return model.encode_sentences([vocab.encode(text) for _, _, text in rows],
+                                  [(doc_id, index) for doc_id, index, _ in rows])
 
 
 def greedy_evidence(

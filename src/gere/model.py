@@ -8,10 +8,11 @@ against candidate sentence embeddings plus one learned end-of-evidence (EOE)
 embedding. Pre-norm residual blocks with a final layer norm per stack.
 
 Training runs the `nn` graph. Inference runs a plain-numpy engine and builds
-no graph objects: `encode` runs an encoder over one sequence, bit-identical
-to the graph, and `DecoderState` decodes incrementally with per-layer
-key/value caches. The single-example losses and full-sequence logits that
-tests check both against live in `tests/oracles.py`.
+no graph objects: `encode` runs an encoder over a block of equal-length
+sequences, each row bit-identical to the graph, and `DecoderState` decodes
+incrementally with per-layer key/value caches. The single-example losses
+and full-sequence logits that tests check both against live in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -106,9 +107,16 @@ def _key_mask(valid: np.ndarray, dtype) -> Optional[np.ndarray]:
 
 
 def _weights(model: "Seq2SeqModel", prefix: str) -> dict[str, np.ndarray]:
-    """The arrays of the parameters under `prefix`, keyed by the rest of the name."""
-    n = len(prefix) + 1
-    return {k[n:]: t.data for k, t in model.params.items() if k.startswith(prefix + ".")}
+    """The arrays of the parameters under `prefix`, keyed by the rest of the name.
+
+    The name scan runs once per model and prefix. Arrays are read from
+    `.data` on every call, so checkpoint loads and optimizer updates are seen."""
+    group = model._param_groups.get(prefix)
+    if group is None:
+        n = len(prefix) + 1
+        group = {k[n:]: t for k, t in model.params.items() if k.startswith(prefix + ".")}
+        model._param_groups[prefix] = group
+    return {k: t.data for k, t in group.items()}
 
 
 def _split(x: np.ndarray, heads: int) -> np.ndarray:  # (B, T, d) -> (B, heads, T, d_head)
@@ -129,26 +137,27 @@ def _scale(cfg: ModelConfig) -> float:
     return float(1.0 / np.sqrt(cfg.d_model // cfg.n_heads))
 
 
-def encode(model: "Seq2SeqModel", name: str, ids: Sequence[int]) -> np.ndarray:
-    """Final states (T, d) of encoder `name` over at most max_positions ids; it
-    repeats `encoder_forward`'s ops, (T, d) @ (d, m) projections included, so
-    the states are bit-identical to the graph's for a batch of one."""
+def encode(model: "Seq2SeqModel", name: str, ids: Sequence[Sequence[int]]) -> np.ndarray:
+    """Final states (B, T, d) of encoder `name` over a (B, T) block of token ids,
+    T <= max_positions. It repeats `encoder_forward`'s ops, and numpy evaluates
+    each (B, T, d) @ (d, m) projection slice by slice with the (T, d) @ (d, m)
+    call of B = 1, so row b is bit-identical to the graph's states for that
+    row alone. Rows are never padded: padding would change the bits."""
     heads, scale = model.config.n_heads, _scale(model.config)
-
-    def w(key):
-        return model.params[f"{name}.{key}"].data
-
-    x = w("tok_emb")[list(ids)] + w("pos_emb")[: len(ids)]
+    w = _weights(model, name)
+    ids = np.asarray(ids)
+    x = w["tok_emb"][ids] + w["pos_emb"][: ids.shape[1]]
     for i in range(model.config.n_layers_enc):
         p = f"l{i}."
-        h = nn.layer_norm_forward(x, w(p + "ln1.g"), w(p + "ln1.b"))[0]
-        q, k, v = (_split((h @ w(f"{p}attn.w{c}") + w(f"{p}attn.b{c}"))[None], heads)
-                   for c in "qkv")
-        x = x + (_attend(q, k, v, scale)[0] @ w(p + "attn.wo") + w(p + "attn.bo"))
-        h = nn.layer_norm_forward(x, w(p + "ln2.g"), w(p + "ln2.b"))[0]
-        h = nn.gelu_forward(h @ w(p + "ffn.w1") + w(p + "ffn.b1"))[0]
-        x = x + (h @ w(p + "ffn.w2") + w(p + "ffn.b2"))
-    return nn.layer_norm_forward(x, w("ln_f.g"), w("ln_f.b"))[0]
+        h = nn.layer_norm_forward(x, w[p + "ln1.g"], w[p + "ln1.b"])[0]
+        q = _split(h @ w[p + "attn.wq"] + w[p + "attn.bq"], heads)
+        k = _split(h @ w[p + "attn.wk"] + w[p + "attn.bk"], heads)
+        v = _split(h @ w[p + "attn.wv"] + w[p + "attn.bv"], heads)
+        x = x + (_attend(q, k, v, scale) @ w[p + "attn.wo"] + w[p + "attn.bo"])
+        h = nn.layer_norm_forward(x, w[p + "ln2.g"], w[p + "ln2.b"])[0]
+        h = nn.gelu_forward(h @ w[p + "ffn.w1"] + w[p + "ffn.b1"])[0]
+        x = x + (h @ w[p + "ffn.w2"] + w[p + "ffn.b2"])
+    return nn.layer_norm_forward(x, w["ln_f.g"], w["ln_f.b"])[0]
 
 
 class DecoderState:
@@ -194,8 +203,9 @@ class DecoderState:
         x = (inputs.astype(self.pos_emb.dtype, copy=False) + self.pos_emb[self.length])[:, None]
         for i, (w, (cross_k, cross_v)) in enumerate(self.layers):
             h = nn.layer_norm_forward(x, w["ln1.g"], w["ln1.b"])[0]
-            q, k, v = (_split(h @ w[f"self_attn.w{c}"] + w[f"self_attn.b{c}"], self.heads)
-                       for c in "qkv")
+            q = _split(h @ w["self_attn.wq"] + w["self_attn.bq"], self.heads)
+            k = _split(h @ w["self_attn.wk"] + w["self_attn.bk"], self.heads)
+            v = _split(h @ w["self_attn.wv"] + w["self_attn.bv"], self.heads)
             if self.cache[i] is not None:
                 k = np.concatenate((self.cache[i][0], k), axis=2)
                 v = np.concatenate((self.cache[i][1], v), axis=2)
@@ -229,6 +239,7 @@ class Seq2SeqModel:
         self.dtype = np.dtype(dtype)
         self.params: dict[str, nn.Tensor] = {}
         self._init_params()
+        self._param_groups: dict[str, dict[str, nn.Tensor]] = {}  # filled by `_weights`
 
     # -- parameters ----------------------------------------------------------
 
@@ -382,7 +393,7 @@ class Seq2SeqModel:
         if not ids:
             raise ValueError("cannot encode an empty claim")
         n = self.config.max_positions
-        return ClaimEncoding(encode(self, "claim_enc", ids[:n]), truncated=len(ids) > n)
+        return ClaimEncoding(encode(self, "claim_enc", [ids[:n]])[0], truncated=len(ids) > n)
 
     def title_step(self, state: DecoderState, tokens: Sequence[int]) -> np.ndarray:
         """Feed one title token per row of `state`; next-token logits (B, vocab)."""
@@ -406,8 +417,23 @@ class Seq2SeqModel:
     def encode_sentence(self, token_ids: Sequence[int],
                         source: Optional[tuple[str, int]] = None) -> SentenceEmbedding:
         """Mean-pooled sentence-encoder states of `sentence_ids(token_ids)`."""
-        states = encode(self, "sent_enc", sentence_ids(token_ids, self.config.max_positions))
-        return SentenceEmbedding(vector=states.mean(axis=0), source=source)
+        return self.encode_sentences([token_ids], [source])[0]
+
+    def encode_sentences(self, token_lists: Sequence[Sequence[int]],
+                         sources: Sequence[Optional[tuple[str, int]]]) -> list[SentenceEmbedding]:
+        """`encode_sentence` of each (token_ids, source) pair, in input order, with
+        one stacked encoder pass per distinct input length; bit-identical to
+        one call per sentence (see `encode`)."""
+        rows = [sentence_ids(ids, self.config.max_positions) for ids in token_lists]
+        by_length: dict[int, list[int]] = {}
+        for i, ids in enumerate(rows):
+            by_length.setdefault(len(ids), []).append(i)
+        out: list[Optional[SentenceEmbedding]] = [None] * len(rows)
+        for members in by_length.values():
+            states = encode(self, "sent_enc", [rows[i] for i in members])
+            for row, i in enumerate(members):
+                out[i] = SentenceEmbedding(vector=states[row].mean(axis=0), source=sources[i])
+        return out
 
     def evidence_step(self, state: DecoderState, vector: np.ndarray,
                       candidates: Sequence[SentenceEmbedding]) -> np.ndarray:

@@ -253,9 +253,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def softmax_forward(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of an array."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis of an array; the reductions are the ufuncs
+    behind `.max` and `.sum`, without their Python wrappers."""
+    e = np.exp(x - np.maximum.reduce(x, -1, keepdims=True))
+    return e / np.add.reduce(e, -1, keepdims=True)
 
 
 def softmax_last(x: Tensor) -> Tensor:
@@ -367,10 +368,11 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, smoothing: float = 0.0) -
 
 
 def log_softmax64(logits: np.ndarray) -> np.ndarray:
-    """Float64 log-softmax used for decode-time scoring (not a graph op)."""
+    """Float64 log-softmax over the last axis, for decode-time scoring (not a
+    graph op). Each row of a 2-d input gets the bits of that row alone."""
     x = np.asarray(logits, dtype=np.float64)
-    x = x - x.max()
-    return x - np.log(np.exp(x).sum())
+    x = x - np.maximum.reduce(x, -1, keepdims=True)
+    return x - np.log(np.add.reduce(np.exp(x), -1, keepdims=True))
 
 
 # -- optimization -----------------------------------------------------------

@@ -3,13 +3,17 @@
 Every title's token sequence is terminated by an explicit EOT edge, so titles
 that are prefixes of other titles ("a" vs "a b") stay distinguishable. The
 node reached by the EOT edge is terminal and annotated with the doc_id.
-Immutable after build; decode-time reads need no synchronization.
+Immutable after build; decode-time reads need no synchronization beyond the
+lazily filled, idempotent caches of sorted child tokens and subtree heights.
+Both construction paths give every child a larger node id than its parent.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from . import binio
 from .errors import DataError
@@ -25,6 +29,8 @@ class TitleTrie:
     def __init__(self):
         self._children: list[dict[int, int]] = [{}]
         self._terminal: list[Optional[str]] = [None]
+        self._child_tokens: dict[int, np.ndarray] = {}
+        self._heights: Optional[list[int]] = None
         self.root = 0
 
     # -- construction ------------------------------------------------------
@@ -89,6 +95,26 @@ class TitleTrie:
 
     def children_of(self, node: int) -> dict[int, int]:
         return self._children[node]
+
+    def child_tokens(self, node: int) -> np.ndarray:
+        """The tokens of `node`'s children, ascending, as an int array (cached)."""
+        tokens = self._child_tokens.get(node)
+        if tokens is None:
+            tokens = np.array(sorted(self._children[node]), dtype=np.intp)
+            tokens.flags.writeable = False  # shared by every caller
+            self._child_tokens[node] = tokens
+        return tokens
+
+    def height(self, node: int) -> int:
+        """Edges on the longest path from `node` down to a terminal node, the
+        EOT edge included; the root's height is the longest title plus one."""
+        if self._heights is None:
+            heights = [0] * len(self._children)
+            for parent in reversed(range(len(self._children))):  # children before parents
+                for child in self._children[parent].values():
+                    heights[parent] = max(heights[parent], heights[child] + 1)
+            self._heights = heights
+        return self._heights[node]
 
     def terminal_doc(self, node: int) -> Optional[str]:
         return self._terminal[node]

@@ -60,6 +60,15 @@ def test_load_run_config_overrides(tmp_path):
         load_run_config(str(path), ["train.total_updates=soon"])
 
 
+@pytest.mark.parametrize("setting", ["decode.max_titles=0", "decode.max_titles=-3",
+                                     "decode.max_evidence_steps=-1"])
+def test_out_of_range_decode_settings_are_usage_errors(setting):
+    from gere.cli import UsageError
+    with pytest.raises(UsageError):
+        load_run_config(None, [setting])
+    assert main(["retrieve", "--set", setting]) == EXIT_USAGE
+
+
 def test_readme_config_example_loads(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     path = tmp_path / "run.cfg"

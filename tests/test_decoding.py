@@ -92,11 +92,29 @@ def test_beam_respects_max_titles():
         assert 1 <= len(docs) <= max_titles
 
 
+def test_beam_ties_break_on_token_lists():
+    """Every logit equal: every token ties, so only the (-score, tokens) order
+    picks the beam's survivors and its result."""
+    corpus, vocab, trie, model = setup(["Alpha", "Alpha_beta", "Gamma", "Beta_gamma", "Beta"])
+    model.params["title_dec.out_w"].data[:] = 0.0
+    model.params["title_dec.out_b"].data[:] = 0.25
+    titles = [(vocab.encode(title), doc_id) for title, doc_id in corpus.titles()]
+    enc = model.encode_claim(vocab.encode("tied claim"))
+    ranked = exhaustive_title_search(model, enc, titles, max_titles=2)
+    best_norm = min(ranked, key=lambda item: (-(item[0] / len(item[1])), item[1]))
+    for length_normalize, (score, tokens, docs) in ((False, ranked[0]), (True, best_norm)):
+        assert beam_search_titles(model, enc, trie, beam_size=32, max_titles=2,
+                                  length_normalize=length_normalize) == (docs, score, tokens)
+
+
 def test_beam_rejects_empty_trie_and_bad_beam():
     corpus, vocab, trie, model = setup(["Alpha"])
     enc = model.encode_claim(vocab.encode("x"))
     with pytest.raises(ValueError):
         beam_search_titles(model, enc, trie, beam_size=0)
+    for max_titles in (0, -3):
+        with pytest.raises(ValueError):
+            beam_search_titles(model, enc, trie, beam_size=5, max_titles=max_titles)
     empty = TitleTrie()
     with pytest.raises(DecodingError):
         beam_search_titles(model, enc, empty, beam_size=5)
@@ -170,6 +188,32 @@ def test_early_stop_leaves_records_unchanged(length_normalize, monkeypatch):
                                         max_positions=max_len))
               for seed, init_std in enumerate((0.02, 0.02, 0.5, 1.0, 2.0, 4.0))
               for max_len in (12, 64)]
+
+    def run():
+        calls = _count_steps(monkeypatch)
+        records = [json.dumps(retrieve(model, vocab, claim, trie, corpus, params).to_record())
+                   for model in models for claim in claims]
+        return records, len(calls)
+
+    stopped, stopped_steps = run()
+    _without_stop(monkeypatch)
+    full, full_steps = run()
+    assert stopped == full
+    assert stopped_steps < full_steps
+
+
+def test_normalised_early_stop_fires_with_long_max_positions(monkeypatch):
+    """With max_positions 64, `log_prob / max_positions` never falls below a
+    finished score on this corpus; the bound from the trie depth does."""
+    doc_ids = ["Alpha", "Alpha_beta", "Gamma", "Beta_gamma", "Delta_hill_north", "Beta"]
+    corpus, vocab, trie, _ = setup(doc_ids)
+    claims = [Claim(i, text, Label.NOT_ENOUGH_INFO, ()) for i, text in
+              enumerate(["alpha beta", "key3 about gamma", "north hill delta", "x"])]
+    params = DecodeParams(beam_size=2, max_titles=2, max_evidence_steps=3,
+                          length_normalize=True)
+    models = [Seq2SeqModel(small_config(len(vocab), seed=seed, init_std=init_std,
+                                        max_positions=64))
+              for seed, init_std in enumerate((0.02, 0.5, 1.0, 2.0, 4.0))]
 
     def run():
         calls = _count_steps(monkeypatch)

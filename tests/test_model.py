@@ -233,6 +233,21 @@ def test_engine_encodings_equal_graph_forward(tiny_vocab, dtype):
     assert np.array_equal(enc.states, graph("claim_enc", ids[:24]))
 
 
+def test_engine_reads_parameters_replaced_after_first_use(tiny_vocab):
+    """The engine indexes parameter names once per model but reads `.data` on
+    every call, as a checkpoint load into a used model requires."""
+    model = Seq2SeqModel(small_config(len(tiny_vocab), seed=1))
+    other = Seq2SeqModel(small_config(len(tiny_vocab), seed=2))
+    ids = tiny_vocab.encode("alpha hill")
+    model.decode_step_title(model.encode_claim(ids), [BOS])
+    for name, tensor in model.params.items():
+        tensor.data = other.params[name].data.copy()
+    enc, expected = model.encode_claim(ids), other.encode_claim(ids)
+    assert np.array_equal(enc.states, expected.states)
+    assert np.array_equal(model.decode_step_title(enc, [BOS]),
+                          other.decode_step_title(expected, [BOS]))
+
+
 # -- encode_sentence ------------------------------------------------------------
 
 
@@ -244,6 +259,29 @@ def test_encode_sentence_contract(tiny_model, tiny_vocab):
     assert e1.vector.shape == (tiny_model.config.d_model,)
     assert np.isfinite(e1.vector).all()
     assert e1.source == ("Beta_ridge", 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [(16, 2, 32), (64, 4, 256)])
+def test_encode_sentences_equal_single_encodes(tiny_vocab, dtype, width):
+    """Stacked passes, one per length, give each sentence the bits of its own
+    one-sentence pass: lone length-1 groups, mixed lengths, an empty sentence
+    (a lone EOS), and an over-length one that joins the full-length group."""
+    d_model, n_heads, d_ff = width
+    model = Seq2SeqModel(small_config(len(tiny_vocab), d_model=d_model, n_heads=n_heads,
+                                      n_layers_enc=2, d_ff=d_ff, max_positions=24),
+                         dtype=dtype)
+    rng = np.random.default_rng(21)
+    lengths = (1, 5, 1, 24, 0, 5, 30, 1, 9, 5)
+    sentences = [[int(t) for t in rng.integers(6, len(tiny_vocab), size=n)] for n in lengths]
+    sources = [("Doc", i) for i in range(len(sentences))]
+    stacked = model.encode_sentences(sentences, sources)
+    assert [e.source for e in stacked] == sources
+    for ids, source, emb in zip(sentences, sources, stacked):
+        single = model.encode_sentence(ids, source=source)
+        assert emb.vector.dtype == single.vector.dtype == dtype
+        assert np.array_equal(emb.vector, single.vector)
+    assert model.encode_sentences([], []) == []
 
 
 def test_encode_sentence_empty_falls_back_to_eos(tiny_model):

@@ -117,6 +117,21 @@ def test_layer_norm_reductions_equal_mean_bit_for_bit(dtype, shape, rng):
     assert np.array_equal(xt.grad, expected_dx)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_log_softmax64_rows_equal_single_rows_bit_for_bit(dtype, rng):
+    """The beam scores all alive rows with one call; each row must get the
+    bits of the one-row formula it replaced."""
+    for shape in ((1, 7), (5, 1245), (3, 2)):
+        logits = (rng.standard_normal(shape) * 30.0).astype(dtype)
+        rows = nn.log_softmax64(logits)
+        assert rows.dtype == np.float64
+        for row, single in zip(rows, logits):
+            x = single.astype(np.float64)
+            x = x - x.max()
+            assert np.array_equal(row, x - np.log(np.exp(x).sum()))
+            assert np.array_equal(row, nn.log_softmax64(single))
+
+
 def test_softmax_last(rng):
     x = param(rng, 2, 3, 5)
     fd_check(lambda: scalarize(nn.softmax_last(x)), {"x": x})

@@ -124,6 +124,24 @@ def test_binary_round_trip(tmp_path, tiny_corpus, tiny_vocab):
     assert path.read_bytes()[:8] == b"GERETRIE"
 
 
+def test_cached_child_tokens_and_heights(tmp_path, tiny_corpus, tiny_vocab):
+    built = TitleTrie.build(tiny_corpus.titles(), tiny_vocab)
+    built.save(tmp_path / "trie.bin", tiny_vocab)
+    loaded = TitleTrie.load(tmp_path / "trie.bin", tiny_vocab)
+    longest = max(len(tiny_vocab.encode(t)) for t, _ in tiny_corpus.titles())
+
+    def longest_path(trie, node):
+        children = trie.children_of(node).values()
+        return max((1 + longest_path(trie, c) for c in children), default=0)
+
+    for trie in (built, loaded):
+        assert trie.height(trie.root) == longest + 1
+        for node in range(trie.node_count):
+            assert trie.child_tokens(node).tolist() == sorted(trie.children_of(node))
+            assert trie.child_tokens(node) is trie.child_tokens(node)
+            assert trie.height(node) == longest_path(trie, node)
+
+
 def test_load_rejects_wrong_vocab(tmp_path, tiny_corpus, tiny_vocab):
     trie = TitleTrie.build(tiny_corpus.titles(), tiny_vocab)
     path = tmp_path / "trie.bin"
