@@ -3,6 +3,8 @@ step counter and the vocab checksum. Round-trips are bit-identical."""
 
 from __future__ import annotations
 
+import itertools
+import math
 from pathlib import Path
 from typing import Optional
 
@@ -10,7 +12,7 @@ import numpy as np
 
 from . import binio, nn
 from .errors import DataError
-from .model import ModelConfig, Seq2SeqModel
+from .model import ModelConfig, Seq2SeqModel, param_layout
 
 _MAGIC = b"GERECKPT"
 _VERSION = 1
@@ -75,36 +77,42 @@ def load_checkpoint(path, expected_vocab_checksum: Optional[int] = None
         config = ModelConfig.from_kv(config_text)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
-    model = Seq2SeqModel(config, vocab_checksum=vocab_checksum)
     n_tensors = r.u32()
-    names = sorted(model.params)
-    if n_tensors != len(names):
-        raise DataError(f"{path}: expected {len(names)} tensors, file has {n_tensors}")
+    if n_tensors > (len(data) - r.pos) // 2:  # a record takes at least 2 bytes
+        raise DataError(f"{path}: truncated (file claims {n_tensors} tensors)")
+    # The shapes come from the config alone; nothing is allocated until a
+    # tensor's shape in the file matches them.
+    shapes = {name: shape for name, shape, _ in
+              itertools.islice(param_layout(config), n_tensors + 1)}
+    if n_tensors != len(shapes):
+        implied = "more" if len(shapes) > n_tensors else len(shapes)
+        raise DataError(f"{path}: expected {implied} tensors, file has {n_tensors}")
+    names = sorted(shapes)
 
     def read_tensor(expect_shape: tuple) -> np.ndarray:
-        count = int(np.prod(expect_shape)) if expect_shape else 1
-        raw = r.take(4 * count)
+        raw = r.take(4 * math.prod(expect_shape))
         return np.frombuffer(raw, dtype="<f4").reshape(expect_shape).copy()
 
+    arrays = {}
     for name in names:
         got = r.str_()
         if got != name:
             raise DataError(f"{path}: tensor order mismatch ({got!r} vs {name!r})")
         ndim = r.u8()
         shape = tuple(r.u32() for _ in range(ndim))
-        if shape != model.params[name].data.shape:
+        if shape != shapes[name]:
             raise DataError(f"{path}: tensor {name!r} shape {shape} does not match "
-                            f"config-derived shape {model.params[name].data.shape}")
-        model.params[name].data = read_tensor(shape)
+                            f"config-derived shape {shapes[name]}")
+        arrays[name] = read_tensor(shape)
+    model = Seq2SeqModel(config, vocab_checksum=vocab_checksum, arrays=arrays)
     opt_state = None
     if r.u8():
         t = r.u64()
         m = {}
         v = {}
         for name in names:
-            shape = model.params[name].data.shape
-            m[name] = read_tensor(shape)
-            v[name] = read_tensor(shape)
+            m[name] = read_tensor(shapes[name])
+            v[name] = read_tensor(shapes[name])
         opt_state = {"t": t, "m": m, "v": v}
     if not r.done():
         raise DataError(f"{path}: {len(data) - r.pos} trailing bytes")

@@ -224,8 +224,12 @@ def cmd_train(args) -> int:
             epoch += 1
     final_path = cfg.checkpoint or str(out_dir / "checkpoint_final.gereckpt")
     save_checkpoint(final_path, model, trainer.optimizer, trainer.step_count)
-    print(f"trained {trainer.step_count} updates; final loss_total="
-          f"{stats.loss_total:.4f} -> {final_path}")
+    if stats is None:
+        print(f"no update ran: the checkpoint is already at update {trainer.step_count} of "
+              f"{cfg.train.total_updates} -> {final_path}")
+    else:
+        print(f"trained {trainer.step_count} updates; final loss_total="
+              f"{stats.loss_total:.4f} -> {final_path}")
     return EXIT_OK
 
 

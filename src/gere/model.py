@@ -7,18 +7,22 @@ evidence vocabulary, and an evidence decoder that scores decoder states
 against candidate sentence embeddings plus one learned end-of-evidence (EOE)
 embedding. Pre-norm residual blocks with a final layer norm per stack.
 
-Training runs the `nn` graph. Inference runs a plain-numpy engine and builds
-no graph objects: `encode` runs an encoder over a block of equal-length
-sequences, each row bit-identical to the graph, and `DecoderState` decodes
-incrementally with per-layer key/value caches. The single-example losses
-and full-sequence logits that tests check both against live in
-`tests/oracles.py`.
+Training runs the `nn` graph, built from block nodes: `nn.linear` for every
+projection and `nn.attention` for every attention block. Inference runs a
+plain-numpy engine and builds no graph objects: `encode` runs an encoder over
+a block of equal-length sequences, each row bit-identical to the graph, and
+`DecoderState` decodes incrementally with per-layer key/value caches. Both
+compute attention with the one array definition, `nn.attention_forward`.
+`param_layout` is the one list of parameter names, shapes and inits, which
+both the random initialisation and checkpoint loading follow. The
+single-example losses, full-sequence logits and the per-op training graph
+that tests check against live in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -119,16 +123,9 @@ def _weights(model: "Seq2SeqModel", prefix: str) -> dict[str, np.ndarray]:
     return {k: t.data for k, t in group.items()}
 
 
-def _split(x: np.ndarray, heads: int) -> np.ndarray:  # (B, T, d) -> (B, heads, T, d_head)
-    n_batch, n_pos, d = x.shape
-    return x.reshape(n_batch, n_pos, heads, d // heads).transpose(0, 2, 1, 3)
-
-
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale) -> np.ndarray:
-    """Scaled dot-product attention over split heads; the (B, Tq, d) context."""
-    weights = nn.softmax_forward((q @ k.swapaxes(-1, -2)) * scale)
-    ctx = (weights @ v).transpose(0, 2, 1, 3)
-    return ctx.reshape(ctx.shape[0], ctx.shape[1], -1)
+    """Unmasked attention over split heads, as the graph's: the (B, Tq, d) context."""
+    return nn.attention_forward(q, k, v, scale)[0]
 
 
 def _scale(cfg: ModelConfig) -> float:
@@ -150,9 +147,9 @@ def encode(model: "Seq2SeqModel", name: str, ids: Sequence[Sequence[int]]) -> np
     for i in range(model.config.n_layers_enc):
         p = f"l{i}."
         h = nn.layer_norm_forward(x, w[p + "ln1.g"], w[p + "ln1.b"])[0]
-        q = _split(h @ w[p + "attn.wq"] + w[p + "attn.bq"], heads)
-        k = _split(h @ w[p + "attn.wk"] + w[p + "attn.bk"], heads)
-        v = _split(h @ w[p + "attn.wv"] + w[p + "attn.bv"], heads)
+        q = nn.split_heads(h @ w[p + "attn.wq"] + w[p + "attn.bq"], heads)
+        k = nn.split_heads(h @ w[p + "attn.wk"] + w[p + "attn.bk"], heads)
+        v = nn.split_heads(h @ w[p + "attn.wv"] + w[p + "attn.bv"], heads)
         x = x + (_attend(q, k, v, scale) @ w[p + "attn.wo"] + w[p + "attn.bo"])
         h = nn.layer_norm_forward(x, w[p + "ln2.g"], w[p + "ln2.b"])[0]
         h = nn.gelu_forward(h @ w[p + "ffn.w1"] + w[p + "ffn.b1"])[0]
@@ -189,8 +186,9 @@ class DecoderState:
         self.layers = []
         for i in range(cfg.n_layers_dec):
             w = _weights(model, f"{name}.l{i}")
-            cross_kv = (_split(memory @ w["cross_attn.wk"] + w["cross_attn.bk"], self.heads),
-                        _split(memory @ w["cross_attn.wv"] + w["cross_attn.bv"], self.heads))
+            cross_kv = (
+                nn.split_heads(memory @ w["cross_attn.wk"] + w["cross_attn.bk"], self.heads),
+                nn.split_heads(memory @ w["cross_attn.wv"] + w["cross_attn.bv"], self.heads))
             self.layers.append((w, cross_kv))
         self.cache: list[Optional[tuple[np.ndarray, np.ndarray]]] = [None] * len(self.layers)
 
@@ -203,16 +201,16 @@ class DecoderState:
         x = (inputs.astype(self.pos_emb.dtype, copy=False) + self.pos_emb[self.length])[:, None]
         for i, (w, (cross_k, cross_v)) in enumerate(self.layers):
             h = nn.layer_norm_forward(x, w["ln1.g"], w["ln1.b"])[0]
-            q = _split(h @ w["self_attn.wq"] + w["self_attn.bq"], self.heads)
-            k = _split(h @ w["self_attn.wk"] + w["self_attn.bk"], self.heads)
-            v = _split(h @ w["self_attn.wv"] + w["self_attn.bv"], self.heads)
+            q = nn.split_heads(h @ w["self_attn.wq"] + w["self_attn.bq"], self.heads)
+            k = nn.split_heads(h @ w["self_attn.wk"] + w["self_attn.bk"], self.heads)
+            v = nn.split_heads(h @ w["self_attn.wv"] + w["self_attn.bv"], self.heads)
             if self.cache[i] is not None:
                 k = np.concatenate((self.cache[i][0], k), axis=2)
                 v = np.concatenate((self.cache[i][1], v), axis=2)
             self.cache[i] = (k, v)
             x = x + (_attend(q, k, v, self.scale) @ w["self_attn.wo"] + w["self_attn.bo"])
             h = nn.layer_norm_forward(x, w["ln2.g"], w["ln2.b"])[0]
-            q = _split(h @ w["cross_attn.wq"] + w["cross_attn.bq"], self.heads)
+            q = nn.split_heads(h @ w["cross_attn.wq"] + w["cross_attn.bq"], self.heads)
             x = x + (_attend(q, cross_k, cross_v, self.scale) @ w["cross_attn.wo"]
                      + w["cross_attn.bo"])
             h = nn.layer_norm_forward(x, w["ln3.g"], w["ln3.b"])[0]
@@ -227,74 +225,86 @@ class DecoderState:
         self.cache = [(k[rows], v[rows]) for k, v in self.cache]
 
 
+def param_layout(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...], str]]:
+    """Every parameter of a model as (name, shape, init), in the order the
+    initialisation draws them; init is "normal" (Gaussian times init_std),
+    "zeros" or "ones". Nothing is allocated, so a config can be checked
+    against a file before any array exists."""
+    d, d_ff = cfg.d_model, cfg.d_ff
+
+    def ln(prefix):
+        yield f"{prefix}.g", (d,), "ones"
+        yield f"{prefix}.b", (d,), "zeros"
+
+    def attn(prefix):
+        for w in ("wq", "wk", "wv", "wo"):
+            yield f"{prefix}.{w}", (d, d), "normal"
+        for b in ("bq", "bk", "bv", "bo"):
+            yield f"{prefix}.{b}", (d,), "zeros"
+
+    def ffn(prefix):
+        yield f"{prefix}.w1", (d, d_ff), "normal"
+        yield f"{prefix}.b1", (d_ff,), "zeros"
+        yield f"{prefix}.w2", (d_ff, d), "normal"
+        yield f"{prefix}.b2", (d,), "zeros"
+
+    for name in ("claim_enc", "sent_enc"):
+        yield f"{name}.tok_emb", (cfg.vocab_size, d), "normal"
+        yield f"{name}.pos_emb", (cfg.max_positions, d), "normal"
+        for i in range(cfg.n_layers_enc):
+            yield from ln(f"{name}.l{i}.ln1")
+            yield from attn(f"{name}.l{i}.attn")
+            yield from ln(f"{name}.l{i}.ln2")
+            yield from ffn(f"{name}.l{i}.ffn")
+        yield from ln(f"{name}.ln_f")
+    for name in ("title_dec", "evid_dec"):
+        if name == "title_dec":
+            yield f"{name}.tok_emb", (cfg.vocab_size, d), "normal"
+        yield f"{name}.pos_emb", (cfg.max_positions, d), "normal"
+        for i in range(cfg.n_layers_dec):
+            yield from ln(f"{name}.l{i}.ln1")
+            yield from attn(f"{name}.l{i}.self_attn")
+            yield from ln(f"{name}.l{i}.ln2")
+            yield from attn(f"{name}.l{i}.cross_attn")
+            yield from ln(f"{name}.l{i}.ln3")
+            yield from ffn(f"{name}.l{i}.ffn")
+        yield from ln(f"{name}.ln_f")
+    yield "title_dec.out_w", (d, cfg.vocab_size), "normal"
+    yield "title_dec.out_b", (cfg.vocab_size,), "zeros"
+    yield "evid_dec.start", (d,), "normal"
+    yield "evid_dec.eoe", (d,), "normal"
+
+
 class Seq2SeqModel:
     """Parameters, training graphs and engine-backed inference for all four stacks."""
 
-    ENCODERS = ("claim_enc", "sent_enc")
-    DECODERS = ("title_dec", "evid_dec")
-
-    def __init__(self, config: ModelConfig, vocab_checksum: int = 0, dtype=np.float32):
+    def __init__(self, config: ModelConfig, vocab_checksum: int = 0, dtype=np.float32,
+                 arrays: Optional[dict[str, np.ndarray]] = None):
+        """A model with freshly drawn parameters, or, given `arrays` (every name
+        of `param_layout`, in its shape and of `dtype`), with those arrays as its
+        parameters and nothing drawn."""
         self.config = config
         self.vocab_checksum = vocab_checksum
         self.dtype = np.dtype(dtype)
-        self.params: dict[str, nn.Tensor] = {}
-        self._init_params()
+        if arrays is None:
+            self._init_params()
+        else:
+            self.params = {name: nn.Tensor(arrays[name], requires_grad=True)
+                           for name, _, _ in param_layout(config)}
         self._param_groups: dict[str, dict[str, nn.Tensor]] = {}  # filled by `_weights`
 
     # -- parameters ----------------------------------------------------------
 
-    def _add_param(self, name: str, array: np.ndarray) -> None:
-        self.params[name] = nn.Tensor(array.astype(self.dtype), requires_grad=True)
-
     def _init_params(self) -> None:
         cfg = self.config
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-
-        def normal(*shape):
-            return rng.standard_normal(shape) * cfg.init_std
-
-        def attn_block(prefix):
-            for w in ("wq", "wk", "wv", "wo"):
-                self._add_param(f"{prefix}.{w}", normal(cfg.d_model, cfg.d_model))
-            for b in ("bq", "bk", "bv", "bo"):
-                self._add_param(f"{prefix}.{b}", np.zeros(cfg.d_model))
-
-        def ln_block(prefix):
-            self._add_param(f"{prefix}.g", np.ones(cfg.d_model))
-            self._add_param(f"{prefix}.b", np.zeros(cfg.d_model))
-
-        def ffn_block(prefix):
-            self._add_param(f"{prefix}.w1", normal(cfg.d_model, cfg.d_ff))
-            self._add_param(f"{prefix}.b1", np.zeros(cfg.d_ff))
-            self._add_param(f"{prefix}.w2", normal(cfg.d_ff, cfg.d_model))
-            self._add_param(f"{prefix}.b2", np.zeros(cfg.d_model))
-
-        for name in self.ENCODERS:
-            self._add_param(f"{name}.tok_emb", normal(cfg.vocab_size, cfg.d_model))
-            self._add_param(f"{name}.pos_emb", normal(cfg.max_positions, cfg.d_model))
-            for i in range(cfg.n_layers_enc):
-                ln_block(f"{name}.l{i}.ln1")
-                attn_block(f"{name}.l{i}.attn")
-                ln_block(f"{name}.l{i}.ln2")
-                ffn_block(f"{name}.l{i}.ffn")
-            ln_block(f"{name}.ln_f")
-
-        for name in self.DECODERS:
-            if name == "title_dec":
-                self._add_param(f"{name}.tok_emb", normal(cfg.vocab_size, cfg.d_model))
-            self._add_param(f"{name}.pos_emb", normal(cfg.max_positions, cfg.d_model))
-            for i in range(cfg.n_layers_dec):
-                ln_block(f"{name}.l{i}.ln1")
-                attn_block(f"{name}.l{i}.self_attn")
-                ln_block(f"{name}.l{i}.ln2")
-                attn_block(f"{name}.l{i}.cross_attn")
-                ln_block(f"{name}.l{i}.ln3")
-                ffn_block(f"{name}.l{i}.ffn")
-            ln_block(f"{name}.ln_f")
-        self._add_param("title_dec.out_w", normal(cfg.d_model, cfg.vocab_size))
-        self._add_param("title_dec.out_b", np.zeros(cfg.vocab_size))
-        self._add_param("evid_dec.start", normal(cfg.d_model))
-        self._add_param("evid_dec.eoe", normal(cfg.d_model))
+        self.params: dict[str, nn.Tensor] = {}
+        for name, shape, init in param_layout(cfg):
+            if init == "normal":
+                array = rng.standard_normal(shape) * cfg.init_std
+            else:
+                array = (np.ones if init == "ones" else np.zeros)(shape)
+            self.params[name] = nn.Tensor(array.astype(self.dtype), requires_grad=True)
 
     @property
     def num_params(self) -> int:
@@ -303,27 +313,14 @@ class Seq2SeqModel:
     # -- shared blocks ---------------------------------------------------------
 
     def _linear(self, x, w_name, b_name):
-        return nn.add(nn.matmul(x, self.params[w_name]), self.params[b_name])
+        return nn.linear(x, self.params[w_name], self.params[b_name])
 
     def _attention(self, prefix, x, kv, add_mask, rng):
         cfg = self.config
-        n_batch, n_q = x.data.shape[0], x.data.shape[1]
-        n_k = kv.data.shape[1]
-        heads, d_head = cfg.n_heads, cfg.d_model // cfg.n_heads
-
-        def split(t, n_pos):
-            t = nn.reshape(t, (n_batch, n_pos, heads, d_head))
-            return nn.transpose(t, (0, 2, 1, 3))
-
-        q = split(self._linear(x, f"{prefix}.wq", f"{prefix}.bq"), n_q)
-        k = split(self._linear(kv, f"{prefix}.wk", f"{prefix}.bk"), n_k)
-        v = split(self._linear(kv, f"{prefix}.wv", f"{prefix}.bv"), n_k)
-        scores = nn.mul(nn.matmul(q, nn.transpose(k, (0, 1, 3, 2))), _scale(cfg))
-        if add_mask is not None:
-            scores = nn.add(scores, nn.constant(add_mask))
-        weights = self._dropout(nn.softmax_last(scores), rng)
-        ctx = nn.matmul(weights, v)
-        ctx = nn.reshape(nn.transpose(ctx, (0, 2, 1, 3)), (n_batch, n_q, cfg.d_model))
+        q = self._linear(x, f"{prefix}.wq", f"{prefix}.bq")
+        k = self._linear(kv, f"{prefix}.wk", f"{prefix}.bk")
+        v = self._linear(kv, f"{prefix}.wv", f"{prefix}.bv")
+        ctx = nn.attention(q, k, v, cfg.n_heads, _scale(cfg), add_mask, cfg.dropout_rate, rng)
         return self._linear(ctx, f"{prefix}.wo", f"{prefix}.bo")
 
     def _ffn(self, prefix, x):
@@ -382,8 +379,7 @@ class Seq2SeqModel:
                       self._positions("title_dec", ids.shape[1]))
 
     def title_output_logits(self, states: nn.Tensor) -> nn.Tensor:
-        return nn.add(nn.matmul(states, self.params["title_dec.out_w"]),
-                      self.params["title_dec.out_b"])
+        return self._linear(states, "title_dec.out_w", "title_dec.out_b")
 
     # -- public operations (inference, on the engine) -------------------------
 

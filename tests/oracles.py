@@ -12,6 +12,7 @@ import numpy as np
 
 from gere import nn
 from gere.errors import DataError
+from gere.model import Seq2SeqModel, _scale
 from gere.tokenizer import BOS, EOS, EOT, SEP
 
 
@@ -128,6 +129,49 @@ def loss_evidence(model, enc, gold_sources, candidates):
         target = gold_slots[step] if step < len(gold_slots) else n_cands
         total += -nn.log_softmax64(scores)[target]
     return float(total / (len(gold_slots) + 1))
+
+
+# -- per-op training graph -------------------------------------------------------
+#
+# The model's linear and attention blocks composed of fine-grained graph ops,
+# one node per array operation: the bit reference for `nn.linear`,
+# `nn.attention` and the training graph built from them.
+
+
+def linear_per_op(x, w, b):
+    return nn.add(nn.matmul(x, w), b)
+
+
+def attention_per_op(q, k, v, heads, scale, add_mask=None, dropout_rate=0.0, rng=None):
+    n_batch, n_q, d = q.data.shape
+    n_k = k.data.shape[1]
+
+    def split(t, n_pos):
+        return nn.transpose(nn.reshape(t, (n_batch, n_pos, heads, d // heads)), (0, 2, 1, 3))
+
+    q, k, v = split(q, n_q), split(k, n_k), split(v, n_k)
+    scores = nn.mul(nn.matmul(q, nn.transpose(k, (0, 1, 3, 2))), scale)
+    if add_mask is not None:
+        scores = nn.add(scores, nn.constant(add_mask))
+    weights = nn.dropout(nn.softmax_last(scores), dropout_rate, rng)
+    ctx = nn.matmul(weights, v)
+    return nn.reshape(nn.transpose(ctx, (0, 2, 1, 3)), (n_batch, n_q, d))
+
+
+class PerOpGraphModel(Seq2SeqModel):
+    """A model whose training graph builds its blocks from per-op nodes."""
+
+    def _linear(self, x, w_name, b_name):
+        return linear_per_op(x, self.params[w_name], self.params[b_name])
+
+    def _attention(self, prefix, x, kv, add_mask, rng):
+        cfg = self.config
+        q = self._linear(x, f"{prefix}.wq", f"{prefix}.bq")
+        k = self._linear(kv, f"{prefix}.wk", f"{prefix}.bk")
+        v = self._linear(kv, f"{prefix}.wv", f"{prefix}.bv")
+        ctx = attention_per_op(q, k, v, cfg.n_heads, _scale(cfg), add_mask, cfg.dropout_rate,
+                               rng)
+        return self._linear(ctx, f"{prefix}.wo", f"{prefix}.bo")
 
 
 # -- gradient oracle -----------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gere import binio
 from gere.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from gere.corpus import gold_targets
 from gere.errors import DataError
@@ -116,4 +117,48 @@ def test_invalid_utf8_name_is_data_error(tmp_path, tiny_vocab):
     path = tmp_path / "m.gereckpt"
     path.write_bytes(data.replace(name, b"\xff" + name[1:], 1))
     with pytest.raises(DataError, match="UTF-8"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["vocab_size", "max_positions"])
+def test_load_reads_params_from_the_file_without_drawing_an_init(
+        tmp_path, tiny_corpus, tiny_vocab, tiny_claims, monkeypatch, key):
+    model, trainer = trained_model(tiny_corpus, tiny_vocab, tiny_claims, steps=2)
+    path = tmp_path / "m.gereckpt"
+    save_checkpoint(path, model, trainer.optimizer, trainer.step_count)
+
+    def no_draw(self):
+        raise AssertionError("load_checkpoint drew a random initialisation")
+
+    monkeypatch.setattr(Seq2SeqModel, "_init_params", no_draw)
+    loaded, _, _ = load_checkpoint(path, tiny_vocab.checksum())
+    assert list(loaded.params) == list(model.params)
+    for name, p in model.params.items():
+        got = loaded.params[name].data
+        assert got.dtype == p.data.dtype and np.array_equal(got, p.data), name
+
+    # A config block that claims a huge table fails on the first shape check,
+    # before any array of that size could exist.
+    good = f"{key}={getattr(model.config, key)}\n"
+    path.write_bytes(_edit_config(path.read_bytes(), good, f"{key}={2**40}\n"))
+    with pytest.raises(DataError, match="does not match config-derived shape"):
+        load_checkpoint(path)
+
+
+def _edit_config(data, old, new):
+    """Checkpoint bytes with `old` replaced by `new` in the config block."""
+    r = binio.Reader(data)
+    r.take(24)  # magic, version, vocab checksum, step
+    text = r.str_()
+    assert text.count(old) == 1
+    out = bytearray(data[:24])
+    binio.write_str(out, text.replace(old, new))
+    return bytes(out) + data[r.pos:]
+
+
+def test_config_claiming_huge_layer_counts_is_data_error(tmp_path, tiny_vocab):
+    data = checkpoint_bytes(Seq2SeqModel(small_config(len(tiny_vocab))))
+    path = tmp_path / "m.gereckpt"
+    path.write_bytes(_edit_config(data, "n_layers_enc=1\n", f"n_layers_enc={10**12}\n"))
+    with pytest.raises(DataError, match="expected more tensors"):
         load_checkpoint(path)

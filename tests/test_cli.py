@@ -176,6 +176,18 @@ def test_resume_in_same_output_dir_keeps_log_exact(dataset, tmp_path):
     assert (out_a / "checkpoint_final.gereckpt").read_bytes() == ckpt_bytes
 
 
+def test_resume_from_a_finished_run_runs_no_update(dataset, tmp_path, capsys):
+    out_a, _ = run_training(dataset, tmp_path, "done", total_updates=2)
+    log_bytes = (out_a / "train_log.jsonl").read_bytes()
+    ckpt_bytes = (out_a / "checkpoint_final.gereckpt").read_bytes()
+    capsys.readouterr()
+    run_training(dataset, tmp_path, "done", total_updates=2,
+                 resume=out_a / "checkpoint_final.gereckpt")
+    assert "no update ran" in capsys.readouterr().out
+    assert (out_a / "train_log.jsonl").read_bytes() == log_bytes
+    assert (out_a / "checkpoint_final.gereckpt").read_bytes() == ckpt_bytes
+
+
 def test_train_rerun_is_idempotent(dataset, tmp_path):
     out_a, cfg = run_training(dataset, tmp_path, "idem", total_updates=5)
     log_bytes = (out_a / "train_log.jsonl").read_bytes()

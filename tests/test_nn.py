@@ -70,6 +70,24 @@ def test_matmul_batched(rng):
     fd_check(lambda: scalarize(nn.matmul(a, b)), {"a": a, "b": b})
 
 
+def test_linear(rng):
+    x, w, b = param(rng, 2, 3, 4), param(rng, 4, 5), param(rng, 5)
+    fd_check(lambda: scalarize(nn.linear(x, w, b)), {"x": x, "w": w, "b": b})
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+@pytest.mark.parametrize("masked", [False, True])
+def test_attention(rng, masked, rate):
+    q, k, v = param(rng, 2, 3, 4), param(rng, 2, 5, 4), param(rng, 2, 5, 4)
+    mask = None
+    if masked:
+        valid = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=bool)
+        mask = np.where(valid, 0.0, -1e9)[:, None, None, :]
+    fd_check(lambda: scalarize(nn.attention(q, k, v, 2, 0.7, mask, rate,
+                                            np.random.default_rng(4))),
+             {"q": q, "k": k, "v": v})
+
+
 def test_gelu(rng):
     x = param(rng, 3, 5)
     fd_check(lambda: scalarize(nn.gelu(x)), {"x": x})
