@@ -10,7 +10,7 @@ import numpy as np
 
 from gere import ModelConfig, Seq2SeqModel, Trainer, build_vocab, gold_targets, verifiable
 from gere.synthetic import make_claims, make_corpus
-from gere.training import encode_example, make_batches
+from gere.training import encode_example
 
 rng = np.random.default_rng(1)
 corpus = make_corpus(rng, n_docs=30, sentence_range=(3, 5))
@@ -29,17 +29,11 @@ examples = [encode_example(c, gold_targets(c, corpus), corpus, vocab,
                            config.max_positions) for c in claims]
 
 print(f"{'step':>5s} {'loss_title':>11s} {'loss_evid':>10s} {'grad_norm':>10s} {'lr':>9s}")
-epoch = 0
-while trainer.step_count < total_updates:
-    order = trainer.shuffle_order(len(examples), epoch)
-    for batch in make_batches([examples[i] for i in order], max_tokens=512):
-        stats = trainer.train_step_encoded(batch)
-        if stats.step % 50 == 0 or stats.step == 1:
-            print(f"{stats.step:5d} {stats.loss_title:11.4f} {stats.loss_evidence:10.4f} "
-                  f"{stats.grad_norm:10.3f} {stats.learning_rate:9.2e}")
-        if trainer.step_count >= total_updates:
-            break
-    epoch += 1
+for batch in trainer.batches(examples, max_tokens=512):
+    stats = trainer.train_step_encoded(batch)
+    if stats.step % 50 == 0 or stats.step == 1:
+        print(f"{stats.step:5d} {stats.loss_title:11.4f} {stats.loss_evidence:10.4f} "
+              f"{stats.grad_norm:10.3f} {stats.learning_rate:9.2e}")
 
 print("\nthe schedule warmed up over the first 10% of updates and decayed to zero;")
 print("losses head toward zero because the model memorizes the tiny claim set.")

@@ -13,7 +13,7 @@ from gere import (
     retrieve, verifiable,
 )
 from gere.synthetic import make_claims, make_corpus
-from gere.training import encode_example, make_batches
+from gere.training import encode_example
 from gere.trie import TitleTrie
 
 rng = np.random.default_rng(11)
@@ -29,14 +29,8 @@ model = Seq2SeqModel(config, vocab_checksum=vocab.checksum())
 trainer = Trainer(model, vocab, total_updates=400, peak_lr=2e-3)
 examples = [encode_example(c, gold_targets(c, corpus), corpus, vocab,
                            config.max_positions) for c in claims]
-epoch = 0
-while trainer.step_count < 400:
-    order = trainer.shuffle_order(len(examples), epoch)
-    for batch in make_batches([examples[i] for i in order], 512):
-        trainer.train_step_encoded(batch)
-        if trainer.step_count >= 400:
-            break
-    epoch += 1
+for batch in trainer.batches(examples, 512):
+    trainer.train_step_encoded(batch)
 print("trained 400 updates\n")
 
 params = DecodeParams(beam_size=5, max_titles=3, max_evidence_steps=5)

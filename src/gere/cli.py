@@ -15,8 +15,6 @@ import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import binio, evalkit
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import gold_targets, load_claims, load_wiki_pages, verifiable
@@ -25,7 +23,7 @@ from .errors import DataError, GereError
 from .kvconfig import kv_lines, parse_kv
 from .model import ModelConfig, Seq2SeqModel
 from .tokenizer import EOT, SPECIAL_TOKENS, build_vocab, load_vocab, save_vocab
-from .training import Trainer, encode_example, make_batches
+from .training import Trainer, encode_example
 from .trie import TitleTrie
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INTERNAL = 0, 1, 2, 3
@@ -200,28 +198,12 @@ def cmd_train(args) -> int:
         kept = log_path.read_text(encoding="utf-8").splitlines(keepends=True)[:step]
     with open(log_path, "w", encoding="utf-8") as log_fh:
         log_fh.writelines(kept)
-        epoch = 0
-        consumed = 0
-        while trainer.step_count < cfg.train.total_updates:
-            if cfg.train.shuffle:
-                order = trainer.shuffle_order(len(examples), epoch)
-            else:
-                order = np.arange(len(examples))
-            batches = make_batches([examples[i] for i in order], cfg.train.max_tokens)
-            for batch in batches:
-                if consumed < trainer.step_count:
-                    consumed += 1  # replayed batch from before a resume
-                    continue
-                stats = trainer.train_step_encoded(batch)
-                consumed += 1
-                log_fh.write(json.dumps(stats.as_dict()) + "\n")
-                if cfg.train.checkpoint_every > 0 and \
-                        stats.step % cfg.train.checkpoint_every == 0:
-                    save_checkpoint(out_dir / f"checkpoint_step{stats.step}.gereckpt",
-                                    model, trainer.optimizer, stats.step)
-                if trainer.step_count >= cfg.train.total_updates:
-                    break
-            epoch += 1
+        for batch in trainer.batches(examples, cfg.train.max_tokens, cfg.train.shuffle):
+            stats = trainer.train_step_encoded(batch)
+            log_fh.write(json.dumps(stats.as_dict()) + "\n")
+            if cfg.train.checkpoint_every > 0 and stats.step % cfg.train.checkpoint_every == 0:
+                save_checkpoint(out_dir / f"checkpoint_step{stats.step}.gereckpt",
+                                model, trainer.optimizer, stats.step)
     final_path = cfg.checkpoint or str(out_dir / "checkpoint_final.gereckpt")
     save_checkpoint(final_path, model, trainer.optimizer, trainer.step_count)
     if stats is None:
@@ -257,6 +239,8 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.max_evidence < 1:
+        raise UsageError(f"--max-evidence must be at least 1, got {args.max_evidence}")
     golds = load_claims(_require(args.gold, "gold claims"))
     predictions = read_predictions(_require(args.pred, "predictions"))
     gold_ids = {c.claim_id for c in golds}

@@ -257,7 +257,10 @@ def retrieve(model: Seq2SeqModel, vocab: Vocab, claim: Claim, trie: TitleTrie,
              corpus: Corpus, params: Optional[DecodeParams] = None) -> RetrievalResult:
     """Claim encoding -> constrained title beam -> candidates -> greedy evidence."""
     params = params or DecodeParams()
-    enc = model.encode_claim(vocab.encode(claim.text))
+    claim_ids = vocab.encode(claim.text)
+    if not claim_ids:
+        raise DataError(f"claim {claim.claim_id} has no tokens")
+    enc = model.encode_claim(claim_ids)
     doc_ids, title_lp, _ = beam_search_titles(
         model, enc, trie, beam_size=params.beam_size, max_titles=params.max_titles,
         length_normalize=params.length_normalize)

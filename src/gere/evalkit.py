@@ -67,10 +67,14 @@ def _prediction_map(predictions: Union[Sequence[dict], Mapping[int, dict]]) -> d
     return out
 
 
-def _predicted_pairs(rec: Optional[dict]) -> list[Pair]:
+def _predicted_pairs(rec: Optional[dict], max_evidence: int) -> set[Pair]:
+    """The first max_evidence predicted pairs of a record, as a set."""
+    if max_evidence < 1:
+        raise ValueError(f"max_evidence must be at least 1, got {max_evidence}")
     if rec is None:
-        return []
-    return [(doc_id, index) for doc_id, index in rec.get("predicted_evidence", [])]
+        return set()
+    pairs = rec.get("predicted_evidence", [])[:max_evidence]
+    return {(doc_id, index) for doc_id, index in pairs}
 
 
 def _gold_docs(claim: Claim) -> set[str]:
@@ -115,8 +119,7 @@ def sent_prf(predictions, golds: Iterable[Claim], max_evidence: int = 5) -> PRF:
     pred_map = _prediction_map(predictions)
     per_claim = []
     for claim in _verifiable_sorted(golds):
-        # Truncate to the first max_evidence pairs, then score set-wise.
-        predicted = set(_predicted_pairs(pred_map.get(claim.claim_id))[:max_evidence])
+        predicted = _predicted_pairs(pred_map.get(claim.claim_id), max_evidence)
         gold = _gold_pairs(claim)
         hits = len(predicted & gold)
         precision = hits / len(predicted) if predicted else 0.0
@@ -156,7 +159,7 @@ def fever_scores(predictions, golds: Iterable[Claim], max_evidence: int = 5
         if claim.label is Label.NOT_ENOUGH_INFO:
             fever_hits += 1
             continue
-        predicted_pairs = set(_predicted_pairs(rec)[:max_evidence])
+        predicted_pairs = _predicted_pairs(rec, max_evidence)
         if any(all(pair in predicted_pairs for pair in group)
                for group in claim.evidence_groups):
             fever_hits += 1

@@ -49,6 +49,10 @@ class ModelConfig:
     init_std: float = 0.02  # scale of the Gaussian weight init
 
     def __post_init__(self):
+        for name, low in (("d_model", 1), ("n_heads", 1), ("d_ff", 1), ("max_positions", 2),
+                          ("n_layers_enc", 0), ("n_layers_dec", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if self.init_std <= 0:
             raise ValueError(f"init_std must be positive, got {self.init_std}")
         if self.d_model % self.n_heads != 0:
@@ -59,8 +63,6 @@ class ModelConfig:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.vocab_size < 6:
             raise ValueError("vocab_size must cover the six special tokens")
-        if self.max_positions < 2:
-            raise ValueError("max_positions must be at least 2")
 
     def to_kv(self) -> str:
         lines = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
@@ -123,11 +125,6 @@ def _weights(model: "Seq2SeqModel", prefix: str) -> dict[str, np.ndarray]:
     return {k: t.data for k, t in group.items()}
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale) -> np.ndarray:
-    """Unmasked attention over split heads, as the graph's: the (B, Tq, d) context."""
-    return nn.attention_forward(q, k, v, scale)[0]
-
-
 def _scale(cfg: ModelConfig) -> float:
     """The attention scale 1 / sqrt(d_head) as a Python float: a weak scalar
     under NumPy's promotion rules, so it keeps the scores' dtype."""
@@ -150,7 +147,7 @@ def encode(model: "Seq2SeqModel", name: str, ids: Sequence[Sequence[int]]) -> np
         q = nn.split_heads(h @ w[p + "attn.wq"] + w[p + "attn.bq"], heads)
         k = nn.split_heads(h @ w[p + "attn.wk"] + w[p + "attn.bk"], heads)
         v = nn.split_heads(h @ w[p + "attn.wv"] + w[p + "attn.bv"], heads)
-        x = x + (_attend(q, k, v, scale) @ w[p + "attn.wo"] + w[p + "attn.bo"])
+        x = x + (nn.attention_forward(q, k, v, scale)[0] @ w[p + "attn.wo"] + w[p + "attn.bo"])
         h = nn.layer_norm_forward(x, w[p + "ln2.g"], w[p + "ln2.b"])[0]
         h = nn.gelu_forward(h @ w[p + "ffn.w1"] + w[p + "ffn.b1"])[0]
         x = x + (h @ w[p + "ffn.w2"] + w[p + "ffn.b2"])
@@ -208,11 +205,12 @@ class DecoderState:
                 k = np.concatenate((self.cache[i][0], k), axis=2)
                 v = np.concatenate((self.cache[i][1], v), axis=2)
             self.cache[i] = (k, v)
-            x = x + (_attend(q, k, v, self.scale) @ w["self_attn.wo"] + w["self_attn.bo"])
+            ctx = nn.attention_forward(q, k, v, self.scale)[0]
+            x = x + (ctx @ w["self_attn.wo"] + w["self_attn.bo"])
             h = nn.layer_norm_forward(x, w["ln2.g"], w["ln2.b"])[0]
             q = nn.split_heads(h @ w["cross_attn.wq"] + w["cross_attn.bq"], self.heads)
-            x = x + (_attend(q, cross_k, cross_v, self.scale) @ w["cross_attn.wo"]
-                     + w["cross_attn.bo"])
+            ctx = nn.attention_forward(q, cross_k, cross_v, self.scale)[0]
+            x = x + (ctx @ w["cross_attn.wo"] + w["cross_attn.bo"])
             h = nn.layer_norm_forward(x, w["ln3.g"], w["ln3.b"])[0]
             h = nn.gelu_forward(h @ w["ffn.w1"] + w["ffn.b1"])[0]
             x = x + (h @ w["ffn.w2"] + w["ffn.b2"])

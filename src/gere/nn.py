@@ -1,7 +1,7 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 Exactly the operations the encoder-decoder stacks need: broadcasting add and
-multiply, two matmul flavors, GELU, layer norm, softmax, embedding gather,
+multiply, same-rank batched matmul, GELU, layer norm, softmax, embedding gather,
 row-assembly helpers for the dynamic evidence vocabulary, dropout and the
 cross-entropy heads, plus two block nodes the model is built from: `linear`
 (`x @ w + b`) and `attention` (multi-head scaled dot-product attention over
@@ -123,41 +123,24 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Either (..., m, k) @ (k, n) projection or same-rank batched matmul.
-
-    Projections collapse the leading axes into one GEMM; numpy's stacked
-    matmul would otherwise issue one tiny BLAS call per slice, which
-    dominates runtime for short sequences.
-    """
-    if b.data.ndim != 2 and a.data.ndim != b.data.ndim:
+    """Same-rank (batched) matmul; projections onto a weight matrix are `linear`."""
+    if a.data.ndim != b.data.ndim:
         raise ValueError(f"unsupported matmul ranks {a.data.ndim} @ {b.data.ndim}")
-    if b.data.ndim == 2 and a.data.ndim > 2:
-        k, n = b.data.shape
-        out = (a.data.reshape(-1, k) @ b.data).reshape(a.data.shape[:-1] + (n,))
-    else:
-        out = a.data @ b.data
+    out = a.data @ b.data
 
     def back(g):
-        if b.data.ndim == 2:
-            k, n = b.data.shape
-            gf = g.reshape(-1, n)
-            if _needs(a):
-                _accum(a, (gf @ b.data.T).reshape(a.data.shape), fresh=True)
-            if _needs(b):
-                _accum(b, a.data.reshape(-1, k).T @ gf, fresh=True)
-        else:
-            if _needs(a):
-                _accum(a, g @ b.data.swapaxes(-1, -2), fresh=True)
-            if _needs(b):
-                _accum(b, a.data.swapaxes(-1, -2) @ g, fresh=True)
+        if _needs(a):
+            _accum(a, g @ b.data.swapaxes(-1, -2), fresh=True)
+        if _needs(b):
+            _accum(b, a.data.swapaxes(-1, -2) @ g, fresh=True)
 
     return _make(out, (a, b), back)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """`add(matmul(x, w), b)` for x (..., k) and w (k, n) as one node: the
-    leading axes collapse into one GEMM, as in `matmul`'s projection path,
-    and the bias is added in place."""
+    """`x @ w + b` for x (..., k) and w (k, n) as one node: the leading axes
+    collapse into one GEMM (numpy's stacked matmul would issue one tiny BLAS
+    call per slice), and the bias is added in place."""
     k, n = w.data.shape
     x2d = x.data.reshape(-1, k)
     out = (x2d @ w.data).reshape(x.data.shape[:-1] + (n,))
@@ -234,16 +217,21 @@ def transpose(x: Tensor, axes) -> Tensor:
     return _make(out, (x,), back)
 
 
+def _scatter_add(x: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
+    """Backward of reading `x.data[idx]`: add g into x.grad at idx, repeats summing."""
+    if not _needs(x):
+        return
+    if x.grad is None:
+        x.grad = np.zeros_like(x.data)
+    np.add.at(x.grad, idx, g)
+
+
 def gather(x: Tensor, idx: np.ndarray) -> Tensor:
     """Index the first axis; used for token and position embeddings."""
     out = x.data[idx]
 
     def back(g):
-        if not _needs(x):
-            return
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        np.add.at(x.grad, idx, g)
+        _scatter_add(x, idx, g)
 
     return _make(out, (x,), back)
 
@@ -288,11 +276,22 @@ def softmax_forward(x: np.ndarray) -> np.ndarray:
     return e / np.add.reduce(e, -1, keepdims=True)
 
 
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis of an array, in its dtype."""
+    x = x - np.maximum.reduce(x, -1, keepdims=True)
+    return x - np.log(np.add.reduce(np.exp(x), -1, keepdims=True))
+
+
+def _softmax_back(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The grad at a softmax's input, from the grad g at its output s (a new array)."""
+    return (g - (g * s).sum(axis=-1, keepdims=True)) * s
+
+
 def softmax_last(x: Tensor) -> Tensor:
     s = softmax_forward(x.data)
 
     def back(g):
-        _accum(x, (g - (g * s).sum(axis=-1, keepdims=True)) * s, fresh=True)
+        _accum(x, _softmax_back(g, s), fresh=True)
 
     return _make(s, (x,), back)
 
@@ -371,7 +370,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale,
         gv = applied.swapaxes(-1, -2) @ gctx
         if keep is not None:
             gw *= keep
-        gs = (gw - (gw * weights).sum(axis=-1, keepdims=True)) * weights
+        gs = _softmax_back(gw, weights)
         gs *= scale
         _accum(q, merge_heads(gs @ kh), fresh=True)
         _accum(k, merge_heads((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)), fresh=True)
@@ -421,15 +420,13 @@ def assemble_inputs(pooled: Tensor, start: Tensor, idx_map: np.ndarray) -> Tenso
     out = np.zeros((n_batch, n_steps, d), dtype=pooled.data.dtype)
     is_start = idx_map == -1
     is_row = idx_map >= 0
+    rows = idx_map[is_row]
     out[is_start] = start.data
-    out[is_row] = pooled.data[idx_map[is_row]]
+    out[is_row] = pooled.data[rows]
 
     def back(g):
         _accum(start, g[is_start].sum(axis=0), fresh=True)
-        if _needs(pooled):
-            if pooled.grad is None:
-                pooled.grad = np.zeros_like(pooled.data)
-            np.add.at(pooled.grad, idx_map[is_row], g[is_row])
+        _scatter_add(pooled, rows, g[is_row])
 
     return _make(out, (pooled, start), back)
 
@@ -442,9 +439,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, smoothing: float = 0.0) -
     ln K regardless of the gold labels.
     """
     n, k = logits.data.shape
-    z = logits.data - logits.data.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    logp = z - logz
+    logp = log_softmax(logits.data)
     rows = np.arange(n)
     gold = logp[rows, targets]
     if smoothing > 0.0:
@@ -468,9 +463,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, smoothing: float = 0.0) -
 def log_softmax64(logits: np.ndarray) -> np.ndarray:
     """Float64 log-softmax over the last axis, for decode-time scoring (not a
     graph op). Each row of a 2-d input gets the bits of that row alone."""
-    x = np.asarray(logits, dtype=np.float64)
-    x = x - np.maximum.reduce(x, -1, keepdims=True)
-    return x - np.log(np.add.reduce(np.exp(x), -1, keepdims=True))
+    return log_softmax(np.asarray(logits, dtype=np.float64))
 
 
 # -- optimization -----------------------------------------------------------

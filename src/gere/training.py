@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+import itertools
+from dataclasses import asdict, dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -24,14 +25,7 @@ class TrainStats:
     learning_rate: float
 
     def as_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "loss_title": self.loss_title,
-            "loss_evidence": self.loss_evidence,
-            "loss_total": self.loss_total,
-            "grad_norm": self.grad_norm,
-            "learning_rate": self.learning_rate,
-        }
+        return asdict(self)
 
 
 def learning_rate(step: int, total_updates: int, peak_lr: float, warmup_frac: float) -> float:
@@ -144,6 +138,21 @@ class Trainer:
         rng = np.random.default_rng(
             np.random.SeedSequence([self.model.config.seed, 2, epoch]))
         return rng.permutation(n_examples)
+
+    def batches(self, examples: Sequence[_Example], max_tokens: int,
+                shuffle: bool = True) -> Iterator[list[_Example]]:
+        """The batches of updates step_count + 1 .. total_updates, with
+        step_count read now: epoch e is `make_batches` over
+        `shuffle_order(n, e)` (the input order without shuffle), and the
+        batches of the updates already made are skipped, so a resumed run
+        continues exactly. The iteration ends whether or not the caller trains."""
+        if not examples:
+            raise ValueError("no examples to batch")
+        n = len(examples)
+        orders = (self.shuffle_order(n, e) if shuffle else range(n) for e in itertools.count())
+        epochs = (make_batches([examples[i] for i in order], max_tokens) for order in orders)
+        return itertools.islice(itertools.chain.from_iterable(epochs), self.step_count,
+                                self.total_updates)
 
     def train_step(self, batch: Sequence[tuple[Claim, GoldTargets]], corpus: Corpus) -> TrainStats:
         """One Adam update on the joint loss over a teacher-forced batch."""

@@ -139,7 +139,9 @@ def loss_evidence(model, enc, gold_sources, candidates):
 
 
 def linear_per_op(x, w, b):
-    return nn.add(nn.matmul(x, w), b)
+    k, n = w.data.shape
+    flat = nn.matmul(nn.reshape(x, (-1, k)), w)
+    return nn.add(nn.reshape(flat, x.data.shape[:-1] + (n,)), b)
 
 
 def attention_per_op(q, k, v, heads, scale, add_mask=None, dropout_rate=0.0, rng=None):

@@ -104,7 +104,8 @@ def test_truncated_file_rejected(tmp_path, tiny_corpus, tiny_vocab, tiny_claims)
 def test_bad_config_block_is_data_error(tmp_path, tiny_vocab):
     data = checkpoint_bytes(Seq2SeqModel(small_config(len(tiny_vocab))))
     path = tmp_path / "m.gereckpt"
-    for good, bad in ((b"n_heads=2", b"n_heads=3"), (b"seed=11", b"seed=1x")):
+    for good, bad in ((b"n_heads=2", b"n_heads=3"), (b"seed=11", b"seed=1x"),
+                      (b"n_heads=2", b"n_heads=0"), (b"seed=11", b"seed=-1")):
         assert data.count(good) == 1
         path.write_bytes(data.replace(good, bad))
         with pytest.raises(DataError, match="m.gereckpt: model config"):

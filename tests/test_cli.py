@@ -69,6 +69,25 @@ def test_out_of_range_decode_settings_are_usage_errors(setting):
     assert main(["retrieve", "--set", setting]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("setting", ["n_heads=0", "n_heads=-2", "d_model=-4", "d_ff=0",
+                                     "n_layers_enc=-1", "n_layers_dec=-1", "seed=-1"])
+def test_out_of_range_model_sizes_are_usage_errors(setting, capsys):
+    from gere.cli import UsageError
+    with pytest.raises(UsageError):
+        load_run_config(None, [setting])
+    for command in ("train", "retrieve"):
+        assert main([command, "--set", setting]) == EXIT_USAGE
+        assert setting.split("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_eval_max_evidence_below_one_is_usage_error(tmp_path, capsys, value):
+    # Raised before any file is read: the paths do not exist.
+    assert main(["eval", "--pred", str(tmp_path / "none.jsonl"),
+                 "--gold", str(tmp_path / "none.jsonl"), "--max-evidence", value]) == EXIT_USAGE
+    assert "--max-evidence" in capsys.readouterr().err
+
+
 def test_readme_config_example_loads(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     path = tmp_path / "run.cfg"
@@ -262,6 +281,20 @@ def test_retrieve_and_eval_pipeline(dataset, tmp_path, capsys):
     report = json.loads(report_path.read_text())
     assert set(report) == {"doc", "sent", "la", "fever", "n", "settings"}
     assert report["fever"] <= report["la"]
+
+
+def test_retrieve_blank_claim_is_data_error_naming_it(dataset, tmp_path, capsys):
+    out_dir, cfg_path = run_training(dataset, tmp_path, "blank", total_updates=1)
+    claims = dataset[2].read_text(encoding="utf-8").splitlines()
+    record = json.loads(claims[0])
+    record["claim"] = "   "
+    blank_path = tmp_path / "blank_claims.jsonl"
+    blank_path.write_text("\n".join([json.dumps(record)] + claims[1:]) + "\n")
+    capsys.readouterr()
+    rc = main(["retrieve", "--config", str(cfg_path), "--set", f"claims={blank_path}",
+               "--set", f"checkpoint={out_dir / 'checkpoint_final.gereckpt'}"])
+    assert rc == EXIT_DATA
+    assert f"claim {record['id']} has no tokens" in capsys.readouterr().err
 
 
 def test_retrieve_missing_checkpoint_is_data_error(dataset, tmp_path):

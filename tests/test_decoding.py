@@ -335,6 +335,13 @@ def test_retrieve_contract_and_determinism():
     assert len(r1.evidence_log_probs) == len(r1.evidence)
 
 
+def test_retrieve_blank_claim_is_a_data_error():
+    corpus, vocab, trie, model = setup(["Alpha", "Gamma"])
+    claim = Claim(7, "   ", Label.SUPPORTS, ((("Alpha", 0),),))
+    with pytest.raises(DataError, match="claim 7 has no tokens"):
+        retrieve(model, vocab, claim, trie, corpus, DecodeParams(beam_size=2))
+
+
 def test_retrieve_handles_sentence_free_documents():
     corpus = Corpus()
     corpus.add(Document("Empty_doc", "Empty doc", ()))

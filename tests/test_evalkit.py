@@ -72,6 +72,16 @@ def test_sent_prf_hand_case_with_truncation():
     assert got == PRF(pytest.approx(1 / 6), 1.0, pytest.approx(2 * (1 / 6) / (1 + 1 / 6)))
 
 
+@pytest.mark.parametrize("max_evidence", [0, -1])
+def test_max_evidence_below_one_is_rejected(max_evidence):
+    golds = [gold(1, "SUPPORTS", [[("A", 0)]])]
+    preds = [pred(1, evidence=[("A", 0), ("A", 1)], label="SUPPORTS")]
+    with pytest.raises(ValueError, match="max_evidence"):
+        sent_prf(preds, golds, max_evidence=max_evidence)
+    with pytest.raises(ValueError, match="max_evidence"):
+        fever_scores(preds, golds, max_evidence=max_evidence)
+
+
 def test_sent_recall_monotone_in_max_evidence():
     golds = [gold(1, "SUPPORTS", [[("A", 1), ("A", 3)]]),
              gold(2, "REFUTES", [[("B", 0)]])]

@@ -20,6 +20,12 @@ def test_config_validation():
         ModelConfig(vocab_size=3)
     with pytest.raises(ValueError):
         ModelConfig(vocab_size=100, dropout_rate=-0.1)
+    # Sizes below their floor; zero layers stays legal.
+    for key, value in (("n_heads", 0), ("n_heads", -2), ("d_model", 0), ("d_model", -64),
+                       ("d_ff", 0), ("n_layers_enc", -1), ("n_layers_dec", -1), ("seed", -1)):
+        with pytest.raises(ValueError, match=key):
+            ModelConfig(vocab_size=100, **{key: value})
+    ModelConfig(vocab_size=100, n_layers_enc=0, n_layers_dec=0)
 
 
 def test_config_kv_round_trip():

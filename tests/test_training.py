@@ -64,6 +64,44 @@ def test_make_batches_budget(tiny_corpus, tiny_vocab, tiny_claims):
     assert [len(b) for b in all_in_one] == [3]
 
 
+def _identities(batches):
+    return [[id(ex) for ex in batch] for batch in batches]
+
+
+@pytest.mark.parametrize("shuffle", [True, False])
+def test_trainer_batches_resume_where_a_run_left_off(tiny_corpus, tiny_vocab, tiny_claims,
+                                                     shuffle):
+    pairs = [(c, gold_targets(c, tiny_corpus)) for c in tiny_claims[:3]]
+    examples = [encode_example(c, g, tiny_corpus, tiny_vocab, 64) for c, g in pairs] * 2
+    budget = 2 * max(ex.cost for ex in examples)  # a few batches per epoch
+    model = Seq2SeqModel(small_config(len(tiny_vocab)))
+    total = 11
+    fresh = Trainer(model, tiny_vocab, total_updates=total)
+    # The rule: epoch e batches shuffle_order(n, e) (input order without shuffle).
+    expected = []
+    for epoch in range(total):
+        order = fresh.shuffle_order(len(examples), epoch) if shuffle else range(len(examples))
+        expected += make_batches([examples[i] for i in order], budget)
+    run = list(fresh.batches(examples, budget, shuffle))
+    assert _identities(run) == _identities(expected[:total])
+    assert 1 < len(make_batches(examples, budget)) < total  # resumes land mid-epoch
+
+    for k in (0, 1, 4, total - 1, total):
+        resumed = Trainer(model, tiny_vocab, total_updates=total)
+        resumed.step_count = k
+        batches = resumed.batches(examples, budget, shuffle)
+        resumed.step_count = 0  # read when batches() is called, not when iterated
+        tail = list(batches)
+        assert len(tail) == total - k
+        assert _identities(tail) == _identities(run[k:])
+
+
+def test_trainer_batches_rejects_no_examples(tiny_vocab):
+    trainer = Trainer(Seq2SeqModel(small_config(len(tiny_vocab))), tiny_vocab, total_updates=3)
+    with pytest.raises(ValueError):
+        trainer.batches([], 100)
+
+
 def test_encode_example_candidates_and_slots(tiny_corpus, tiny_vocab, tiny_claims):
     claim = tiny_claims[1]  # evidence (Alpha_hill, 1), (Beta_ridge, 0)
     ex = encode_example(claim, gold_targets(claim, tiny_corpus), tiny_corpus,
