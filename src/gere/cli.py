@@ -2,7 +2,7 @@
 
 Configuration is a plain key=value text file plus repeatable --set overrides;
 every run writes a resolved-config copy next to its outputs. Exit codes:
-0 ok, 1 usage/config, 2 data error, 3 internal.
+0 ok, 1 usage/config, 2 data error, 3 internal or a non-finite training update.
 """
 
 from __future__ import annotations

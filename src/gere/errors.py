@@ -9,6 +9,10 @@ class DataError(GereError):
     """Malformed or inconsistent input data (files, records, checksums)."""
 
 
+class TrainingError(GereError):
+    """A training update produced a non-finite loss or gradient norm."""
+
+
 class DecodingError(GereError):
     """Inference-time failure; carries partial state where useful."""
 

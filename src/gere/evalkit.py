@@ -67,10 +67,13 @@ def _prediction_map(predictions: Union[Sequence[dict], Mapping[int, dict]]) -> d
     return out
 
 
-def _predicted_pairs(rec: Optional[dict], max_evidence: int) -> set[Pair]:
-    """The first max_evidence predicted pairs of a record, as a set."""
+def _check_max_evidence(max_evidence: int) -> None:
     if max_evidence < 1:
         raise ValueError(f"max_evidence must be at least 1, got {max_evidence}")
+
+
+def _predicted_pairs(rec: Optional[dict], max_evidence: int) -> set[Pair]:
+    """The first max_evidence predicted pairs of a record, as a set."""
     if rec is None:
         return set()
     pairs = rec.get("predicted_evidence", [])[:max_evidence]
@@ -116,6 +119,7 @@ def doc_prf(predictions, golds: Iterable[Claim]) -> PRF:
 def sent_prf(predictions, golds: Iterable[Claim], max_evidence: int = 5) -> PRF:
     """As doc_prf over (doc_id, sentence_index) pairs; only the first
     max_evidence predicted pairs are scored."""
+    _check_max_evidence(max_evidence)
     pred_map = _prediction_map(predictions)
     per_claim = []
     for claim in _verifiable_sorted(golds):
@@ -136,6 +140,7 @@ def fever_scores(predictions, golds: Iterable[Claim], max_evidence: int = 5
     gold evidence group fully contained in the first max_evidence predicted
     pairs. Predictions present in the file must carry `predicted_label`.
     """
+    _check_max_evidence(max_evidence)
     pred_map = _prediction_map(predictions)
     golds = sorted(golds, key=lambda c: c.claim_id)
     if not golds:
@@ -184,6 +189,7 @@ def with_oracle_labels(predictions, golds: Iterable[Claim]) -> list[dict]:
 def evaluate(predictions, golds: Sequence[Claim], max_evidence: int = 5,
              oracle_labels: bool = False) -> dict:
     """Full metrics report; LA/FEVER are null when predictions carry no labels."""
+    _check_max_evidence(max_evidence)
     predictions = _prediction_map(predictions)
     if oracle_labels:
         predictions = _prediction_map(with_oracle_labels(predictions, golds))

@@ -188,9 +188,12 @@ def gelu(x: Tensor) -> Tensor:
         slope *= 3.0 * _GELU_A
         slope += 1.0
         slope *= _GELU_C
-        slope *= 1.0 - t * t
+        tmp = t * t
+        np.subtract(1.0, tmp, out=tmp)
+        slope *= tmp
         slope *= xd
-        slope += 1.0 + t
+        np.add(1.0, t, out=tmp)
+        slope += tmp
         slope *= 0.5
         slope *= g
         _accum(x, slope, fresh=True)
@@ -218,12 +221,19 @@ def transpose(x: Tensor, axes) -> Tensor:
 
 
 def _scatter_add(x: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
-    """Backward of reading `x.data[idx]`: add g into x.grad at idx, repeats summing."""
+    """Backward of reading `x.data[idx]`: add g into x.grad at idx, repeats summing.
+
+    Strictly increasing non-negative 1-D indices name each row once, so a
+    fancy-index add makes the same one add per element as `np.add.at`, the
+    same bits, without its per-element loop."""
     if not _needs(x):
         return
     if x.grad is None:
         x.grad = np.zeros_like(x.data)
-    np.add.at(x.grad, idx, g)
+    if idx.ndim == 1 and (idx.size < 2 or (idx[0] >= 0 and (idx[1:] > idx[:-1]).all())):
+        x.grad[idx] += g
+    else:
+        np.add.at(x.grad, idx, g)
 
 
 def gather(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -468,6 +478,11 @@ def log_softmax64(logits: np.ndarray) -> np.ndarray:
 
 # -- optimization -----------------------------------------------------------
 
+# Elements per pass of `Adam.step`. On an A2-shaped float32 model (820 K
+# parameters) 32 K and 128 K took 3.5-4.6 ms a step, and 8 K and the whole
+# buffer 4.7-6.4 ms; the smaller of the two needs the smaller scratch arrays.
+_ADAM_CHUNK = 32 * 1024
+
 
 def zero_grads(params: dict[str, Tensor]) -> None:
     for p in params.values():
@@ -496,33 +511,75 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
 
 
 class Adam:
-    """Adam with bias correction; state is checkpointable for exact resume."""
+    """Adam with bias correction; state is checkpointable for exact resume.
+
+    The optimizer owns flat storage: one contiguous buffer per role (the
+    parameters, their gradients and the moments m and v). Each parameter's
+    `.data` is rebound to its view at construction, and `m` and `v` map
+    names to views. `step` copies each `.grad` into the gradient buffer (a
+    grad of None counts as zeros) and any `.data` a caller rebound into its
+    view, then runs Adam's elementwise arithmetic over fixed chunks of the
+    buffers, so each element gets the operations of a per-tensor loop in the
+    same order and the same bits."""
 
     def __init__(self, params: dict[str, Tensor], beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
         self.names = sorted(params)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {n: np.zeros_like(params[n].data) for n in self.names}
-        self.v = {n: np.zeros_like(params[n].data) for n in self.names}
+        dtypes = {params[n].data.dtype for n in self.names}
+        if len(dtypes) != 1:
+            raise ValueError(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
+        (dtype,) = dtypes
+        ends = np.cumsum([params[n].data.size for n in self.names])
+        size = int(ends[-1])
+        self.flat_data = np.empty(size, dtype)
+        self.flat_grad = np.empty(size, dtype)
+        self.flat_m = np.zeros(size, dtype)
+        self.flat_v = np.zeros(size, dtype)
+
+        def views(buf: np.ndarray) -> dict[str, np.ndarray]:
+            return {n: buf[end - params[n].data.size:end].reshape(params[n].data.shape)
+                    for n, end in zip(self.names, ends)}
+
+        self._data, self._grad = views(self.flat_data), views(self.flat_grad)
+        self.m, self.v = views(self.flat_m), views(self.flat_v)
+        for name in self.names:
+            self._data[name][...] = params[name].data
+            params[name].data = self._data[name]
+        self._scratch = np.empty((2, min(size, _ADAM_CHUNK)), dtype)
 
     def step(self, lr: float) -> None:
+        for name in self.names:
+            p = self.params[name]
+            if p.data is not self._data[name]:
+                self._data[name][...] = p.data
+                p.data = self._data[name]
+            self._grad[name][...] = 0 if p.grad is None else p.grad
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for name in self.names:
-            p = self.params[name]
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            m = self.m[name]
-            v = self.v[name]
+        lr = np.asarray(lr, dtype=self.flat_data.dtype)
+        size = self.flat_data.size
+        for lo in range(0, size, _ADAM_CHUNK):
+            hi = min(lo + _ADAM_CHUNK, size)
+            g, m, v = self.flat_grad[lo:hi], self.flat_m[lo:hi], self.flat_v[lo:hi]
+            a, b = self._scratch[:, : hi - lo]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(1.0 - self.beta1, g, out=a)
+            m += a
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data -= np.asarray(lr, dtype=p.data.dtype) * update
+            np.multiply(g, g, out=a)
+            np.multiply(1.0 - self.beta2, a, out=a)
+            v += a
+            # update = (m / bc1) / (sqrt(v / bc2) + eps); data -= lr * update
+            np.divide(v, bc2, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            np.divide(m, bc1, out=b)
+            b /= a
+            np.multiply(lr, b, out=b)
+            self.flat_data[lo:hi] -= b
 
     def state_dict(self) -> dict:
         return {"t": self.t,
@@ -530,7 +587,12 @@ class Adam:
                 "v": {n: a.copy() for n, a in self.v.items()}}
 
     def load_state_dict(self, state: dict) -> None:
-        self.t = int(state["t"])
+        """Copy the moments into the views, keeping the flat storage."""
         for name in self.names:
-            self.m[name] = state["m"][name].copy()
-            self.v[name] = state["v"][name].copy()
+            for mine, given in ((self.m[name], state["m"][name]),
+                                (self.v[name], state["v"][name])):
+                if given.shape != mine.shape:
+                    raise ValueError(f"moment {name!r} has shape {given.shape}, "
+                                     f"the parameter {mine.shape}")
+                mine[...] = given
+        self.t = int(state["t"])

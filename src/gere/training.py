@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import asdict, dataclass
 from typing import Iterator, Sequence
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from . import nn
 from .corpus import Claim, Corpus, GoldTargets, Label
-from .errors import DataError
+from .errors import DataError, TrainingError
 from .model import NEG_INF, Seq2SeqModel, sentence_ids
 from .tokenizer import BOS, EOS, EOT, PAD, SEP, Vocab
 
@@ -236,18 +237,25 @@ class Trainer:
         return loss_title, loss_evidence
 
     def train_step_encoded(self, examples: Sequence[_Example]) -> TrainStats:
+        """One Adam update on a prepared batch. A non-finite loss or grad norm
+        raises `TrainingError` before the optimizer runs, so the parameters,
+        the moments and step_count stay as they were."""
         model = self.model
         loss_title, loss_evidence = self.loss_graph(examples)
         total = nn.add(loss_title, loss_evidence)
         nn.zero_grads(model.params)
         nn.backward(total)
         grad_norm = nn.clip_gradients(model.params, self.clip_norm)
+        lt = float(loss_title.data)
+        le = float(loss_evidence.data)
+        if not (math.isfinite(lt) and math.isfinite(le) and math.isfinite(grad_norm)):
+            raise TrainingError(
+                f"update {self.step_count + 1}: non-finite loss_title {lt}, loss_evidence {le} "
+                f"or grad_norm {grad_norm}; the parameters are left as update "
+                f"{self.step_count} made them")
         lr = learning_rate(self.step_count + 1, self.total_updates,
                            self.peak_lr, self.warmup_frac)
         self.optimizer.step(lr)
         self.step_count += 1
-
-        lt = float(loss_title.data)
-        le = float(loss_evidence.data)
         return TrainStats(step=self.step_count, loss_title=lt, loss_evidence=le,
                           loss_total=lt + le, grad_norm=grad_norm, learning_rate=lr)

@@ -176,6 +176,51 @@ class PerOpGraphModel(Seq2SeqModel):
         return self._linear(ctx, f"{prefix}.wo", f"{prefix}.bo")
 
 
+# -- optimizer oracle ----------------------------------------------------------
+
+
+class PerTensorAdam:
+    """Adam as a loop over tensors, each with its own moment arrays: the bit
+    reference for `nn.Adam`'s chunked pass over flat storage."""
+
+    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.names = sorted(params)
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = {n: np.zeros_like(params[n].data) for n in self.names}
+        self.v = {n: np.zeros_like(params[n].data) for n in self.names}
+
+    def step(self, lr):
+        self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for name in self.names:
+            p = self.params[name]
+            g = p.grad
+            if g is None:
+                g = np.zeros_like(p.data)
+            m = self.m[name]
+            v = self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data -= np.asarray(lr, dtype=p.data.dtype) * update
+
+    def state_dict(self):
+        return {"t": self.t,
+                "m": {n: a.copy() for n, a in self.m.items()},
+                "v": {n: a.copy() for n, a in self.v.items()}}
+
+    def load_state_dict(self, state):
+        self.t = int(state["t"])
+        for name in self.names:
+            self.m[name] = state["m"][name].copy()
+            self.v[name] = state["v"][name].copy()
+
+
 # -- gradient oracle -----------------------------------------------------------
 
 

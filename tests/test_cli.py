@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gere.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, RunConfig, load_run_config, main
+from gere.cli import (
+    EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, RunConfig, load_run_config, main,
+)
 from gere.synthetic import make_claims, make_corpus, write_dataset
 
 
@@ -137,7 +139,8 @@ def test_build_trie_corrupt_wiki_exits_with_data_error(tmp_path, capsys):
 # -- train / retrieve / eval ---------------------------------------------------------
 
 
-def run_training(dataset, tmp_path, out_name, total_updates=12, resume=None, seed=0):
+def run_training(dataset, tmp_path, out_name, total_updates=12, resume=None, seed=0,
+                 peak_lr=1e-3, expect=EXIT_OK):
     root, wiki, claims_path = dataset
     tmp_path.mkdir(parents=True, exist_ok=True)
     vocab_path, trie_path = build_artifacts(dataset, tmp_path)
@@ -146,15 +149,14 @@ def run_training(dataset, tmp_path, out_name, total_updates=12, resume=None, see
         tmp_path / f"{out_name}.cfg",
         wiki=wiki, claims=claims_path, vocab=vocab_path, trie=trie_path,
         output_dir=out_dir, seed=seed,
-        **{"train.total_updates": total_updates, "train.peak_lr": 1e-3,
+        **{"train.total_updates": total_updates, "train.peak_lr": peak_lr,
            "train.max_tokens": 256, "train.checkpoint_every": 6,
            "d_model": 32, "d_ff": 64, "n_heads": 2,
            "n_layers_enc": 1, "n_layers_dec": 1})
     argv = ["train", "--config", str(cfg_path)]
     if resume:
         argv += ["--resume", str(resume)]
-    rc = main(argv)
-    assert rc == EXIT_OK
+    assert main(argv) == expect
     return out_dir, cfg_path
 
 
@@ -238,6 +240,20 @@ def test_train_rejects_bad_config_before_training(dataset, tmp_path, capsys):
         assert main(["train", "--config", str(cfg_path), "--set", override]) == EXIT_USAGE
         assert override.split("=")[0] in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_stops_at_a_non_finite_update(dataset, tmp_path, capsys):
+    """A step size that blows the parameters up: `gere train` exits 3 naming the
+    update, keeps the log of the updates before it and saves no final checkpoint."""
+    out_dir, _ = run_training(dataset, tmp_path, "blowup", total_updates=12, peak_lr=1e30,
+                              expect=EXIT_INTERNAL)
+    err = capsys.readouterr().err
+    # Update 1 starts from the finite initialisation; its step leaves every
+    # parameter near +-1e30, and update 2 overflows.
+    assert [rec["step"] for rec in read_log(out_dir)] == [1]
+    assert "update 2: non-finite" in err
+    assert not (out_dir / "checkpoint_final.gereckpt").exists()
 
 
 def test_train_missing_inputs_is_data_error(dataset, tmp_path):

@@ -82,6 +82,16 @@ def test_max_evidence_below_one_is_rejected(max_evidence):
         fever_scores(preds, golds, max_evidence=max_evidence)
 
 
+@pytest.mark.parametrize("max_evidence", [0, -1])
+def test_max_evidence_below_one_is_rejected_without_verifiable_golds(max_evidence):
+    """The check runs on entry, not per verifiable claim: all-NEI golds still raise."""
+    golds = [gold(1, "NOT ENOUGH INFO", []), gold(2, "NOT ENOUGH INFO", [])]
+    preds = [pred(1, label="NOT ENOUGH INFO"), pred(2, label="NOT ENOUGH INFO")]
+    for score in (evaluate, sent_prf, fever_scores):
+        with pytest.raises(ValueError, match="max_evidence"):
+            score(preds, golds, max_evidence=max_evidence)
+
+
 def test_sent_recall_monotone_in_max_evidence():
     golds = [gold(1, "SUPPORTS", [[("A", 1), ("A", 3)]]),
              gold(2, "REFUTES", [[("B", 0)]])]

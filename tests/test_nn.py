@@ -261,3 +261,55 @@ def test_clip_gradients(rng):
     norm = nn.clip_gradients({"p": p}, 1.0)
     assert abs(norm - 0.5) < 1e-12
     np.testing.assert_allclose(p.grad, [0.3, 0.4, 0.0, 0.0])
+
+
+def _gelu_grad_by_expression(x, t, g):
+    """GELU's input gradient with fresh temporaries for `1.0 - t * t` and `1.0 + t`."""
+    slope = x * x
+    slope *= 3.0 * nn._GELU_A
+    slope += 1.0
+    slope *= nn._GELU_C
+    slope *= 1.0 - t * t
+    slope *= x
+    slope += 1.0 + t
+    slope *= 0.5
+    return slope * g
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_backward_bits(dtype, rng):
+    x = (rng.standard_normal((64, 48)) * 3).astype(dtype)
+    g = rng.standard_normal((64, 48)).astype(dtype)
+    xt = nn.Tensor(x, requires_grad=True)
+    out = nn.gelu(xt)
+    out._backward(g)
+    expected = _gelu_grad_by_expression(x, nn.gelu_forward(x)[1], g)
+    assert xt.grad.dtype == expected.dtype == dtype
+    assert xt.grad.tobytes() == expected.tobytes()
+
+
+SCATTER_CASES = {
+    "increasing": np.array([0, 2, 3, 7, 8, 11]),
+    "arange": np.arange(12),
+    "one row": np.array([5]),
+    "unsorted": np.array([4, 1, 9, 0, 6]),
+    "repeated": np.array([1, 3, 3, 3, 8, 8]),
+    "negative, aliasing": np.array([-12, 0, 5]),
+    "2-d with repeats": np.array([[0, 2, 2], [5, 0, 11]]),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", list(SCATTER_CASES))
+@pytest.mark.parametrize("start", ["none", "accumulated"])
+def test_scatter_add_equals_add_at_bits(case, start, dtype, rng):
+    idx = SCATTER_CASES[case]
+    x = nn.Tensor(rng.standard_normal((12, 5)).astype(dtype), requires_grad=True)
+    g = rng.standard_normal(idx.shape + (5,)).astype(dtype)
+    expected = np.zeros_like(x.data)
+    if start == "accumulated":
+        x.grad = rng.standard_normal((12, 5)).astype(dtype)
+        expected = x.grad.copy()
+    np.add.at(expected, idx, g)
+    nn._scatter_add(x, idx, g)
+    assert x.grad.tobytes() == expected.tobytes()

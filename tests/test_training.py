@@ -4,6 +4,7 @@ import pytest
 from gere import model as gmodel
 from gere import nn
 from gere.corpus import gold_targets
+from gere.errors import TrainingError
 from gere.model import DecoderState, Seq2SeqModel
 from gere.tokenizer import BOS, EOS, EOT, SEP
 from gere.training import (
@@ -132,6 +133,30 @@ def test_train_step_stats_identity_and_lr(tiny_corpus, tiny_vocab, tiny_claims):
         assert stats.loss_total == stats.loss_title + stats.loss_evidence
         assert stats.learning_rate == learning_rate(expected_step, 100, 3e-5, 0.10)
         assert stats.grad_norm > 0
+
+
+def _trainer_state(trainer):
+    opt = trainer.optimizer
+    return ({n: p.data.tobytes() for n, p in trainer.model.params.items()},
+            {n: a.tobytes() for n, a in opt.m.items()},
+            {n: a.tobytes() for n, a in opt.v.items()}, opt.t, trainer.step_count)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fault", ["loss", "grad_norm"])
+def test_non_finite_update_raises_and_changes_nothing(fault, tiny_corpus, tiny_vocab,
+                                                      tiny_claims, monkeypatch):
+    trainer = build_trainer(tiny_vocab)
+    batch = [(c, gold_targets(c, tiny_corpus)) for c in tiny_claims[:2]]
+    trainer.train_step(batch, tiny_corpus)
+    if fault == "loss":
+        trainer.model.params["title_dec.out_b"].data[0] = np.inf
+    else:
+        monkeypatch.setattr(nn, "clip_gradients", lambda params, max_norm: float("nan"))
+    before = _trainer_state(trainer)
+    with pytest.raises(TrainingError, match="update 2: non-finite"):
+        trainer.train_step(batch, tiny_corpus)
+    assert _trainer_state(trainer) == before
 
 
 def test_train_step_rejects_nei_and_empty(tiny_corpus, tiny_vocab, tiny_claims):
