@@ -1,11 +1,55 @@
-"""Little-endian binary primitives for the trie and checkpoint file formats,
-and the atomic file write behind the vocab, trie, checkpoint and predictions."""
+"""Every file gere reads or writes goes through here: UTF-8 text and JSON
+lines, atomic writes, and the header and little-endian fields of the trie and
+checkpoint formats. Input that cannot be read (an OS error, invalid UTF-8, a
+bad JSON line, a truncated or padded binary file) is a `DataError` naming the
+file and, for text, the line."""
 
+import io
+import json
 import os
 import struct
 from pathlib import Path
+from typing import Iterable, Iterator, Optional
 
 from .errors import DataError
+
+
+def read_bytes(path) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror})") from None
+
+
+def read_text(path) -> str:
+    data = read_bytes(path)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line}: invalid UTF-8") from None
+
+
+def read_jsonl(path) -> Iterator[tuple[str, dict]]:
+    """("path:line", record) per non-blank line. Lines end at \\n, \\r or \\r\\n as
+    in text-mode reads, not at the U+2028 that `write_jsonl` leaves raw."""
+    for line_no, line in enumerate(io.StringIO(read_text(path), newline=None), start=1):
+        if not line.strip():
+            continue
+        where = f"{path}:{line_no}"
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # also huge ints and deep nesting
+            raise DataError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
+        if not isinstance(record, dict):
+            raise DataError(f"{where}: record is not an object")
+        yield where, record
+
+
+def write_jsonl(path, records: Iterable[dict]) -> None:
+    """Replace `path` with one JSON object per line, non-ASCII text kept raw."""
+    text = "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
+    write_atomic(path, text.encode("utf-8"))
 
 
 def write_u8(buf: bytearray, value: int) -> None:
@@ -40,6 +84,13 @@ def write_bytes(buf: bytearray, data: bytes) -> None:
 
 def write_str(buf: bytearray, text: str) -> None:
     write_bytes(buf, text.encode("utf-8"))
+
+
+def write_header(buf: bytearray, magic: bytes, version: int, checksum: int) -> None:
+    """The binary formats' header: magic, format version, vocab checksum."""
+    buf += magic
+    write_u32(buf, version)
+    write_u32(buf, checksum)
 
 
 def write_atomic(path, data: bytes) -> None:
@@ -103,5 +154,21 @@ class Reader:
         except UnicodeDecodeError:
             raise DataError(f"{self.name}: invalid UTF-8 before offset {self.pos}") from None
 
-    def done(self) -> bool:
-        return self.pos == len(self.data)
+    def header(self, magic: bytes, version: int, kind: str,
+               checksum: Optional[int] = None) -> int:
+        """Check a `write_header` header (the checksum when given); returns the file's."""
+        if self.take(len(magic)) != magic:
+            raise DataError(f"{self.name}: not a {kind} file (bad magic)")
+        got = self.u32()
+        if got != version:
+            raise DataError(f"{self.name}: unsupported {kind} version {got}")
+        file_checksum = self.u32()
+        if checksum is not None and file_checksum != checksum:
+            raise DataError(f"{self.name}: vocab checksum mismatch "
+                            f"(file {file_checksum:#010x}, vocab {checksum:#010x})")
+        return file_checksum
+
+    def finish(self) -> None:
+        """Raise unless every byte has been read."""
+        if self.pos != len(self.data):
+            raise DataError(f"{self.name}: {len(self.data) - self.pos} trailing bytes")

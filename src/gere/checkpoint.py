@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -28,9 +27,8 @@ def checkpoint_bytes(model: Seq2SeqModel, optimizer: Optional[nn.Adam] = None,
     if model.dtype != np.float32:
         raise ValueError("only float32 models are checkpointable; the file format "
                          "stores 32-bit floats and round-trips must be exact")
-    buf = bytearray(_MAGIC)
-    binio.write_u32(buf, _VERSION)
-    binio.write_u32(buf, model.vocab_checksum)
+    buf = bytearray()
+    binio.write_header(buf, _MAGIC, _VERSION, model.vocab_checksum)
     binio.write_u64(buf, step)
     binio.write_str(buf, model.config.to_kv())
     names = sorted(model.params)
@@ -60,17 +58,8 @@ def load_checkpoint(path, expected_vocab_checksum: Optional[int] = None
                     ) -> tuple[Seq2SeqModel, Optional[dict], int]:
     """Returns (model, adam_state_or_None, step). Forward passes of the loaded
     model are bit-identical to the saved one."""
-    data = Path(path).read_bytes()
-    r = binio.Reader(data, str(path))
-    if r.take(len(_MAGIC)) != _MAGIC:
-        raise DataError(f"{path}: not a checkpoint file (bad magic)")
-    version = r.u32()
-    if version != _VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {version}")
-    vocab_checksum = r.u32()
-    if expected_vocab_checksum is not None and vocab_checksum != expected_vocab_checksum:
-        raise DataError(f"{path}: vocab checksum mismatch (file {vocab_checksum:#010x}, "
-                        f"vocab {expected_vocab_checksum:#010x})")
+    r = binio.Reader(binio.read_bytes(path), str(path))
+    vocab_checksum = r.header(_MAGIC, _VERSION, "checkpoint", expected_vocab_checksum)
     step = r.u64()
     config_text = r.str_()
     try:
@@ -78,7 +67,7 @@ def load_checkpoint(path, expected_vocab_checksum: Optional[int] = None
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
     n_tensors = r.u32()
-    if n_tensors > (len(data) - r.pos) // 2:  # a record takes at least 2 bytes
+    if n_tensors > (len(r.data) - r.pos) // 2:  # a record takes at least 2 bytes
         raise DataError(f"{path}: truncated (file claims {n_tensors} tensors)")
     # The shapes come from the config alone; nothing is allocated until a
     # tensor's shape in the file matches them.
@@ -114,6 +103,5 @@ def load_checkpoint(path, expected_vocab_checksum: Optional[int] = None
             m[name] = read_tensor(shapes[name])
             v[name] = read_tensor(shapes[name])
         opt_state = {"t": t, "m": m, "v": v}
-    if not r.done():
-        raise DataError(f"{path}: {len(data) - r.pos} trailing bytes")
+    r.finish()
     return model, opt_state, step

@@ -91,10 +91,9 @@ def load_run_config(path: str | None, overrides: list[str]) -> RunConfig:
     lines = []
     if path:
         try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise UsageError(f"cannot read config file {path}: {exc}") from exc
-        lines = kv_lines(text, path)
+            lines = kv_lines(binio.read_text(path), path)
+        except DataError as exc:
+            raise UsageError(f"config file {exc}") from None
     lines += [("--set", item) for item in overrides]
     cfg = RunConfig()
     for key, value in parse_kv(lines, _RUN_KEYS, UsageError).items():
@@ -116,13 +115,11 @@ def load_run_config(path: str | None, overrides: list[str]) -> RunConfig:
     return cfg
 
 
-def _require(path: str, what: str) -> Path:
+def _require(path: str, what: str) -> str:
+    """`path`, which the readers check; an empty one is a usage error."""
     if not path:
         raise UsageError(f"missing required path for {what}")
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"{what} path does not exist: {p}")
-    return p
+    return path
 
 
 def _write_resolved_config(cfg: RunConfig, out_dir: Path) -> None:
@@ -195,7 +192,7 @@ def cmd_train(args) -> int:
     # records of the updates before its checkpoint and drops any later ones.
     kept = []
     if args.resume and log_path.exists():
-        kept = log_path.read_text(encoding="utf-8").splitlines(keepends=True)[:step]
+        kept = binio.read_text(log_path).splitlines(keepends=True)[:step]
     with open(log_path, "w", encoding="utf-8") as log_fh:
         log_fh.writelines(kept)
         for batch in trainer.batches(examples, cfg.train.max_tokens, cfg.train.shuffle):

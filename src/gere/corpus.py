@@ -12,12 +12,12 @@ content is keyed by doc_id.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
+from . import binio
 from .errors import DataError
 
 # Escape sequences used by FEVER page identifiers; applied to titles only,
@@ -110,31 +110,23 @@ class Corpus:
         return [(doc.title, doc_id) for doc_id, doc in sorted(self.documents.items())]
 
 
-def _input_files(path) -> list[Path]:
+def _iter_records(path) -> Iterator[tuple[str, dict]]:
     p = Path(path)
-    if p.is_dir():
-        files = sorted(q for q in p.iterdir() if q.suffix == ".jsonl")
-        if not files:
-            raise DataError(f"{p}: directory contains no .jsonl files")
-        return files
-    if not p.exists():
-        raise DataError(f"{p}: no such file or directory")
-    return [p]
+    files = sorted(q for q in p.iterdir() if q.suffix == ".jsonl") if p.is_dir() else [p]
+    if not files:
+        raise DataError(f"{p}: directory contains no .jsonl files")
+    for file in files:
+        yield from binio.read_jsonl(file)
 
 
-def _iter_records(path) -> Iterator[tuple[Path, int, dict]]:
-    for file in _input_files(path):
-        with open(file, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{file}:{line_no}: invalid JSON ({exc.msg})") from exc
-                if not isinstance(record, dict):
-                    raise DataError(f"{file}:{line_no}: record is not an object")
-                yield file, line_no, record
+def claim_id_of(record: dict, key: str, where: str) -> int:
+    """The claim id a record holds under `key`: a JSON integer, never a bool."""
+    if key not in record:
+        raise DataError(f"{where}: record lacks {key!r}")
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"{where}: {key} must be an integer, got {value!r}")
+    return value
 
 
 def _parse_sentences(lines: str, where: str) -> tuple[tuple[int, str], ...]:
@@ -159,22 +151,17 @@ def _parse_sentences(lines: str, where: str) -> tuple[tuple[int, str], ...]:
 def load_wiki_pages(path) -> Corpus:
     """Load line-delimited wiki records from a file or directory of .jsonl files."""
     corpus = Corpus()
-    for file, line_no, record in _iter_records(path):
-        where = f"{file}:{line_no}"
+    for where, record in _iter_records(path):
         doc_id = record.get("id")
         if not isinstance(doc_id, str) or not doc_id:
             raise DataError(f"{where}: missing or empty 'id'")
         lines = record.get("lines", "")
         if not isinstance(lines, str):
             raise DataError(f"{where}: 'lines' must be a string")
+        document = Document(doc_id=doc_id, title=title_from_doc_id(doc_id),
+                            sentences=_parse_sentences(lines, where))
         try:
-            corpus.add(
-                Document(
-                    doc_id=doc_id,
-                    title=title_from_doc_id(doc_id),
-                    sentences=_parse_sentences(lines, where),
-                )
-            )
+            corpus.add(document)
         except DataError as exc:
             raise DataError(f"{where}: {exc}") from None
     return corpus
@@ -182,11 +169,11 @@ def load_wiki_pages(path) -> Corpus:
 
 def save_wiki_pages(corpus: Corpus, path) -> None:
     """Serialize back to the wiki line format (sorted by doc_id; round-trips)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc_id in sorted(corpus.documents):
-            doc = corpus.documents[doc_id]
-            lines = "\n".join(f"{i}\t{text}" for i, text in doc.sentences)
-            fh.write(json.dumps({"id": doc_id, "lines": lines}, ensure_ascii=False) + "\n")
+    records = []
+    for doc_id in sorted(corpus.documents):
+        lines = "\n".join(f"{i}\t{text}" for i, text in corpus.documents[doc_id].sentences)
+        records.append({"id": doc_id, "lines": lines})
+    binio.write_jsonl(path, records)
 
 
 def _parse_evidence(raw, where: str) -> tuple[tuple[tuple[str, int], ...], ...]:
@@ -216,17 +203,13 @@ def _parse_evidence(raw, where: str) -> tuple[tuple[tuple[str, int], ...], ...]:
 def load_claims(path, corpus: Optional[Corpus] = None) -> list[Claim]:
     """Load claim records; with a corpus, validate that gold evidence resolves."""
     claims: list[Claim] = []
-    for file, line_no, record in _iter_records(path):
-        where = f"{file}:{line_no}"
-        try:
-            claim_id = int(record["id"])
-            text = record["claim"]
-        except (KeyError, TypeError, ValueError):
-            raise DataError(f"{where}: missing or malformed 'id'/'claim'") from None
+    for where, record in _iter_records(path):
+        claim_id = claim_id_of(record, "id", where)
+        text = record.get("claim")
         if not isinstance(text, str):
             raise DataError(f"{where}: 'claim' must be a string")
         raw_label = record.get("label")
-        label = _LABELS.get(raw_label)
+        label = _LABELS.get(raw_label) if isinstance(raw_label, str) else None
         if label is None:
             raise DataError(f"{where}: unknown label {raw_label!r}")
         if label is Label.NOT_ENOUGH_INFO:

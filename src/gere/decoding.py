@@ -26,7 +26,6 @@ oracle's scores exactly, not just to a tolerance.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -34,7 +33,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import binio, nn
-from .corpus import Claim, Corpus
+from .corpus import Claim, Corpus, claim_id_of
 from .errors import DataError, DecodingError
 from .model import ClaimEncoding, DecoderState, Seq2SeqModel, SentenceEmbedding
 from .tokenizer import BOS, EOS, EOT, SEP, Vocab
@@ -147,7 +146,7 @@ def _cannot_improve(alive: Sequence[BeamHypothesis], best_finished: float,
 
 def beam_search_titles(
     model: Seq2SeqModel,
-    claim: Union[ClaimEncoding, Sequence[int]],
+    enc: ClaimEncoding,
     trie: TitleTrie,
     beam_size: int = 5,
     max_titles: int = 10,
@@ -171,7 +170,6 @@ def beam_search_titles(
         raise ValueError("beam_size must be positive")
     if max_titles < 1:
         raise ValueError("max_titles must be positive")
-    enc = claim if isinstance(claim, ClaimEncoding) else model.encode_claim(claim)
     state = DecoderState(model, "title_dec", enc)
     alive = [BeamHypothesis(tokens=[BOS], log_prob=0.0, node=trie.root)]
     parent_rank = np.zeros(1, dtype=np.intp)
@@ -218,7 +216,7 @@ def collect_candidates(model: Seq2SeqModel, vocab: Vocab, doc_ids: Sequence[str]
 
 def greedy_evidence(
     model: Seq2SeqModel,
-    claim: Union[ClaimEncoding, Sequence[int]],
+    enc: ClaimEncoding,
     candidates: Sequence[SentenceEmbedding],
     max_evidence_steps: int = 10,
 ) -> tuple[list[tuple[str, int]], list[float]]:
@@ -230,7 +228,6 @@ def greedy_evidence(
     """
     if not candidates:
         raise DecodingError("evidence decoding requires a non-empty candidate set")
-    enc = claim if isinstance(claim, ClaimEncoding) else model.encode_claim(claim)
     state = DecoderState(model, "evid_dec", enc)
     vector = model.params["evid_dec.start"].data
     remaining = list(candidates)
@@ -280,27 +277,12 @@ def retrieve(model: Seq2SeqModel, vocab: Vocab, claim: Claim, trie: TitleTrie,
 def write_predictions(results: Sequence[Union[RetrievalResult, dict]], path) -> None:
     records = [r.to_record() if isinstance(r, RetrievalResult) else r for r in results]
     records.sort(key=lambda rec: rec["claim_id"])
-    text = "".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in records)
-    binio.write_atomic(path, text.encode("utf-8"))
+    binio.write_jsonl(path, records)
 
 
 def read_predictions(path) -> list[dict]:
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(rec, dict):
-                raise DataError(f"{path}:{line_no}: prediction record is not a JSON object")
-            if "claim_id" not in rec:
-                raise DataError(f"{path}:{line_no}: prediction record lacks claim_id")
-            claim_id = rec["claim_id"]
-            if isinstance(claim_id, bool) or not isinstance(claim_id, int):
-                raise DataError(f"{path}:{line_no}: claim_id must be an integer, "
-                                f"got {claim_id!r}")
-            records.append(rec)
+    for where, rec in binio.read_jsonl(path):
+        claim_id_of(rec, "claim_id", where)
+        records.append(rec)
     return records

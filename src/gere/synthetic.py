@@ -8,11 +8,11 @@ claims determine their gold targets unambiguously.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
+from . import binio
 from .corpus import Claim, Corpus, Document, Label, save_wiki_pages, title_from_doc_id
 from .tokenizer import tokenize
 
@@ -156,7 +156,5 @@ def write_dataset(corpus: Corpus, claims: list[Claim], out_dir) -> tuple[Path, P
     wiki_path = out / "wiki.jsonl"
     claims_path = out / "claims.jsonl"
     save_wiki_pages(corpus, wiki_path)
-    with open(claims_path, "w", encoding="utf-8") as fh:
-        for record in claims_to_records(claims):
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    binio.write_jsonl(claims_path, claims_to_records(claims))
     return wiki_path, claims_path

@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 import zlib
 from collections import Counter
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import binio
@@ -98,8 +97,7 @@ def save_vocab(vocab: Vocab, path) -> None:
 
 
 def load_vocab(path) -> Vocab:
-    text = Path(path).read_text(encoding="utf-8")
-    tokens = text.splitlines()
+    tokens = binio.read_text(path).splitlines()
     if len(tokens) < len(SPECIAL_TOKENS):
         raise DataError(f"{path}: vocab file too short ({len(tokens)} lines)")
     return Vocab(tokens)

@@ -10,7 +10,6 @@ Both construction paths give every child a larger node id than its parent.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -152,9 +151,8 @@ class TitleTrie:
 
     def to_bytes(self, vocab: Vocab) -> bytes:
         """Depth-first serialization with delta-encoded child token ids."""
-        buf = bytearray(_MAGIC)
-        binio.write_u32(buf, _VERSION)
-        binio.write_u32(buf, vocab.checksum())
+        buf = bytearray()
+        binio.write_header(buf, _MAGIC, _VERSION, vocab.checksum())
         binio.write_u32(buf, self.node_count)
         binio.write_u32(buf, self.title_count)
         # Pre-order DFS; children visited in ascending token-id order so the
@@ -178,17 +176,7 @@ class TitleTrie:
     @classmethod
     def from_bytes(cls, data: bytes, vocab: Vocab, name: str = "<bytes>") -> "TitleTrie":
         r = binio.Reader(data, name)
-        if r.take(len(_MAGIC)) != _MAGIC:
-            raise DataError(f"{name}: not a trie file (bad magic)")
-        version = r.u32()
-        if version != _VERSION:
-            raise DataError(f"{name}: unsupported trie format version {version}")
-        checksum = r.u32()
-        if checksum != vocab.checksum():
-            raise DataError(
-                f"{name}: vocab checksum mismatch "
-                f"(file {checksum:#010x}, vocab {vocab.checksum():#010x})"
-            )
+        r.header(_MAGIC, _VERSION, "trie", vocab.checksum())
         node_count = r.u32()
         title_count = r.u32()
         if not 1 <= node_count <= (len(data) - r.pos) // 2:  # a node record takes >= 2 bytes
@@ -218,8 +206,7 @@ class TitleTrie:
             pending.extend(reversed(child_ids))
         if next_id != node_count:
             raise DataError(f"{name}: node count mismatch ({next_id} read, {node_count} declared)")
-        if not r.done():
-            raise DataError(f"{name}: {len(data) - r.pos} trailing bytes")
+        r.finish()
         if trie.title_count != title_count:
             raise DataError(f"{name}: title count mismatch")
         return trie
@@ -229,4 +216,4 @@ class TitleTrie:
 
     @classmethod
     def load(cls, path, vocab: Vocab) -> "TitleTrie":
-        return cls.from_bytes(Path(path).read_bytes(), vocab, name=str(path))
+        return cls.from_bytes(binio.read_bytes(path), vocab, name=str(path))

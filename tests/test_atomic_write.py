@@ -1,14 +1,18 @@
 """Every output file is replaced atomically: a write that fails midway leaves
 the previous file byte-identical and no temp file behind."""
 
+from pathlib import Path
+
 import pytest
 
 from gere import binio
 from gere.checkpoint import save_checkpoint
 from gere.cli import RunConfig, _write_resolved_config
+from gere.corpus import Claim, Corpus, Label, save_wiki_pages
 from gere.decoding import write_predictions
 from gere.evalkit import write_report
 from gere.model import Seq2SeqModel
+from gere.synthetic import write_dataset
 from gere.tokenizer import build_vocab, save_vocab
 from gere.trie import TitleTrie
 
@@ -32,8 +36,15 @@ class _FailMidway:
         raise OSError("disk full")
 
 
+def _first_docs(corpus, n):
+    out = Corpus()
+    for doc_id in sorted(corpus.documents)[:n]:
+        out.add(corpus.documents[doc_id])
+    return out
+
+
 def _writers(corpus, vocab):
-    """kind -> (file name, write(path, version))."""
+    """kind -> (names of the files written, write(path of the first, version))."""
     titles = corpus.titles()
     return {
         "checkpoint": ("checkpoint", lambda path, v: save_checkpoint(
@@ -45,26 +56,38 @@ def _writers(corpus, vocab):
         "config": ("config_resolved.txt", lambda path, v: _write_resolved_config(
             RunConfig(seed=v), path.parent)),
         "report": ("report.json", lambda path, v: write_report({"doc_f1": v / 2}, path)),
+        "wiki": ("wiki.jsonl", lambda path, v: save_wiki_pages(_first_docs(corpus, 3 - v), path)),
+        "claims": (("claims.jsonl", "wiki.jsonl"), lambda path, v: write_dataset(
+            corpus, [Claim(v, "a claim", Label.NOT_ENOUGH_INFO, ())], path.parent)),
     }
 
 
+def _failing_open(name):
+    """`open` whose writes to the temp file of `name` fail midway."""
+    def fake_open(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        return _FailMidway(fh) if Path(file).name.startswith(f".{name}.") else fh
+    return fake_open
+
+
 @pytest.mark.parametrize("kind", ["checkpoint", "trie", "vocab", "predictions", "config",
-                                  "report"])
+                                  "report", "wiki", "claims"])
 def test_failed_write_keeps_old_file(kind, tiny_corpus, tiny_vocab, tmp_path, monkeypatch):
-    name, write = _writers(tiny_corpus, tiny_vocab)[kind]
-    path = tmp_path / name
+    names, write = _writers(tiny_corpus, tiny_vocab)[kind]
+    names = (names,) if isinstance(names, str) else names
+    path = tmp_path / names[0]
+    files = sorted(tmp_path / name for name in names)
     write(path, 0)
     old = path.read_bytes()
-    assert list(tmp_path.iterdir()) == [path]
+    assert sorted(tmp_path.iterdir()) == files
 
-    monkeypatch.setattr(binio, "open", lambda *a, **k: _FailMidway(open(*a, **k)),
-                        raising=False)
+    monkeypatch.setattr(binio, "open", _failing_open(names[0]), raising=False)
     with pytest.raises(OSError, match="disk full"):
         write(path, 1)
     assert path.read_bytes() == old
-    assert list(tmp_path.iterdir()) == [path]
+    assert sorted(tmp_path.iterdir()) == files
 
     monkeypatch.undo()
     write(path, 1)
     assert path.read_bytes() != old
-    assert list(tmp_path.iterdir()) == [path]
+    assert sorted(tmp_path.iterdir()) == files

@@ -409,3 +409,78 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "build-trie" in proc.stdout
+
+
+# -- unreadable inputs -----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def trained_run(dataset, tmp_path_factory):
+    """A finished two-update run plus a predictions file: every input each
+    reading command takes, by name."""
+    root, wiki, claims_path = dataset
+    tmp = tmp_path_factory.mktemp("trained")
+    out_dir, cfg_path = run_training(dataset, tmp, "run", total_updates=2)
+    from gere.corpus import load_claims
+    from gere.decoding import write_predictions
+    write_predictions([{"claim_id": c.claim_id, "predicted_titles": [], "predicted_evidence": []}
+                       for c in load_claims(claims_path)], tmp / "pred.jsonl")
+    return {"config": cfg_path, "wiki": wiki, "claims": claims_path,
+            "vocab": tmp / "vocab.txt", "trie": tmp / "trie.bin",
+            "checkpoint": out_dir / "checkpoint_final.gereckpt",
+            "log": out_dir / "train_log.jsonl", "pred": tmp / "pred.jsonl"}
+
+
+def _argv(command, inputs, out):
+    """`command` over `inputs` (name -> path), writing under `out`."""
+    if command == "build-trie":
+        return ["build-trie", "--wiki", str(inputs["wiki"]), "--claims", str(inputs["claims"]),
+                "--vocab-out", str(out / "v.txt"), "--trie-out", str(out / "t.bin")]
+    if command == "eval":
+        return ["eval", "--pred", str(inputs["pred"]), "--gold", str(inputs["claims"]),
+                "--out", str(out / "report.json")]
+    if command == "inspect-trie":
+        return ["inspect-trie", "--trie", str(inputs["trie"]), "--vocab", str(inputs["vocab"])]
+    argv = [command, "--config", str(inputs["config"]), f"--set=output_dir={out}"]
+    argv += [f"--set={key}={inputs[key]}" for key in ("wiki", "claims", "vocab", "trie")]
+    if command == "train":
+        return argv + ["--resume", str(inputs["checkpoint"])]
+    return argv + [f"--set=checkpoint={inputs['checkpoint']}"]
+
+
+_READS = [("build-trie", "wiki"), ("build-trie", "claims"),
+          *(("train", name) for name in ("config", "wiki", "claims", "vocab", "trie",
+                                         "checkpoint", "log")),
+          *(("retrieve", name) for name in ("config", "wiki", "claims", "vocab", "trie",
+                                            "checkpoint")),
+          ("eval", "pred"), ("eval", "claims"),
+          ("inspect-trie", "vocab"), ("inspect-trie", "trie")]
+_TEXT = {"config", "wiki", "claims", "vocab", "log", "pred"}
+_BAD_READS = [(command, name, bad) for command, name in _READS
+              for bad in ("invalid_utf8", "directory") if bad == "directory" or name in _TEXT]
+
+
+@pytest.mark.parametrize("command, name, bad", _BAD_READS,
+                         ids=["-".join(case) for case in _BAD_READS])
+def test_unreadable_input_exits_cleanly_naming_it(trained_run, tmp_path, capsys, caplog,
+                                                  command, name, bad):
+    """Invalid UTF-8 names the file and line, and a directory names its path.
+    Both are data errors (exit 2), or usage errors (exit 1) in a config file.
+    The `log` input is the `train_log.jsonl` that `train --resume` keeps."""
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "train_log.jsonl" if name == "log" else tmp_path / f"bad_{name}"
+    if bad == "directory":
+        path.mkdir()
+        expect = f"{path}"
+    else:
+        lines = trained_run[name].read_bytes().split(b"\n")
+        lines[1] = b"\xff" + lines[1]
+        path.write_bytes(b"\n".join(lines))
+        expect = f"{path}:2: invalid UTF-8"
+    capsys.readouterr()
+    rc = main(_argv(command, dict(trained_run, **{name: path}), out))
+    err = capsys.readouterr().err
+    assert rc == (EXIT_USAGE if name == "config" else EXIT_DATA), err
+    assert expect in err
+    assert "internal error" not in err + caplog.text and "Traceback" not in err + caplog.text

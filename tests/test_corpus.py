@@ -61,7 +61,7 @@ def test_malformed_line_names_file_and_line(tmp_path):
     path.write_text('{"id": "A", "lines": "0\\tok"}\n{"id": "B", "lines": "x\\tbad"}\n')
     with pytest.raises(DataError) as err:
         load_wiki_pages(path)
-    assert "w.jsonl:2" in str(err.value)
+    assert str(err.value).count("w.jsonl:2") == 1
 
 
 def test_duplicate_doc_id_rejected(tmp_path):
@@ -127,6 +127,23 @@ def test_two_groups_in_file_order(tmp_path):
 def test_unknown_label_rejected(tmp_path):
     path = write_jsonl(tmp_path / "c.jsonl", [claim_record(1, "MAYBE", [])])
     with pytest.raises(DataError):
+        load_claims(path)
+
+
+@pytest.mark.parametrize("fields, error", [
+    ('"id": Infinity', "id must be an integer, got inf"),
+    ('"id": 1e400', "id must be an integer, got inf"),
+    ('"id": 1.5', "id must be an integer, got 1.5"),
+    ('"id": "7"', "id must be an integer, got '7'"),
+    ('"id": true', "id must be an integer, got True"),
+    ('"id": null', "id must be an integer, got None"),
+    ('"claim_id": 7', "record lacks 'id'"),
+    ('"id": 7, "label": ["SUPPORTS"]', "unknown label"),
+])
+def test_malformed_claim_fields_are_data_errors(tmp_path, fields, error):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"claim": "x", "label": "NOT ENOUGH INFO", ' + fields + "}\n")
+    with pytest.raises(DataError, match=f"c.jsonl:1: {error}"):
         load_claims(path)
 
 

@@ -149,15 +149,6 @@ def test_length_normalized_ranking_matches_oracle_rule():
         assert norm_lp == best_norm[0]  # reported score stays the raw sum
 
 
-def test_beam_accepts_raw_token_ids():
-    corpus, vocab, trie, model = setup(["Alpha", "Beta"])
-    ids = vocab.encode("a claim")
-    d1, lp1, t1 = beam_search_titles(model, ids, trie, beam_size=4, max_titles=2)
-    d2, lp2, t2 = beam_search_titles(model, model.encode_claim(ids), trie,
-                                     beam_size=4, max_titles=2)
-    assert (d1, lp1, t1) == (d2, lp2, t2)
-
-
 # -- early stop ------------------------------------------------------------------
 
 

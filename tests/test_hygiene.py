@@ -1,8 +1,10 @@
-"""Dead-code checks over the package source, by static reading (stdlib `ast`).
+"""Checks over the package source, by static reading (stdlib `ast`).
 
 In every `gere` module but `__init__.py` (whose imports are the public
 re-exports), each imported name and each module-level `_`-prefixed function,
-class or constant must be read somewhere in that module.
+class or constant must be read somewhere in that module. And `binio` is the
+one module that reads files: no other calls `read_text`, `read_bytes`,
+`json.load(s)` or `open` without a write mode, except as `binio.read_*`.
 """
 
 import ast
@@ -54,3 +56,42 @@ def test_every_import_and_private_definition_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     unread = (_imported(tree) | _private_definitions(tree)) - _reads(tree)
     assert not unread, f"{path.name}: never read: {sorted(unread)}"
+
+
+def _file_reads(tree: ast.Module) -> list[str]:
+    """Source of every call in `tree` that reads a file or parses JSON text,
+    other than a call of `binio.read_text` or `binio.read_bytes`."""
+    found = []
+    for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+        func = call.func
+        owner = func.value.id if isinstance(func, ast.Attribute) and isinstance(
+            func.value, ast.Name) else None
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "open":
+            # Path.open(mode) or open(file, mode): a read unless the mode writes.
+            args = call.args if isinstance(func, ast.Attribute) else call.args[1:]
+            mode = next((k.value for k in call.keywords if k.arg == "mode"),
+                        args[0] if args else None)
+            reads = not (isinstance(mode, ast.Constant) and set(mode.value) & set("wax"))
+        else:
+            reads = ((name in ("read_text", "read_bytes") and owner != "binio")
+                     or (name in ("load", "loads") and owner == "json"))
+        if reads:
+            found.append(ast.unparse(call))
+    return found
+
+
+def test_file_read_check_flags_reads_outside_binio():
+    source = ("Path(p).read_text(); p.read_bytes(); json.loads(s); json.load(fh); open(p); "
+              "open(p, 'rb'); p.open(); binio.read_text(p); binio.read_bytes(p); "
+              "open(p, 'w'); open(p, mode='wb'); p.open('a'); json.dumps(r)")
+    assert _file_reads(ast.parse(source)) == [
+        "Path(p).read_text()", "p.read_bytes()", "json.loads(s)", "json.load(fh)", "open(p)",
+        "open(p, 'rb')", "p.open()"]
+
+
+@pytest.mark.parametrize("path", [p for p in SRC.glob("*.py") if p.name != "binio.py"],
+                         ids=lambda p: p.name)
+def test_only_binio_reads_files(path):
+    reads = _file_reads(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    assert not reads, f"{path.name} reads files outside binio: {reads}"
