@@ -43,6 +43,11 @@ def read_jsonl(path) -> Iterator[tuple[str, dict]]:
             raise DataError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
         if not isinstance(record, dict):
             raise DataError(f"{where}: record is not an object")
+        if "\\u" in line:  # only an escape can make a lone surrogate
+            try:
+                json.dumps(record, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError:
+                raise DataError(f"{where}: lone surrogate escape, not valid Unicode") from None
         yield where, record
 
 

@@ -192,7 +192,8 @@ def _parse_evidence(raw, where: str) -> tuple[tuple[tuple[str, int], ...], ...]:
             page, index = element[2], element[3]
             if page is None:
                 continue
-            if not isinstance(page, str) or not isinstance(index, int) or index < 0:
+            if (not isinstance(page, str) or isinstance(index, bool)
+                    or not isinstance(index, int) or index < 0):
                 raise DataError(f"{where}: evidence element {element!r} malformed")
             pairs.append((page, index))
         if pairs:

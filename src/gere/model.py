@@ -87,6 +87,16 @@ def sentence_ids(token_ids: Sequence[int], max_positions: int) -> list[int]:
     return list(token_ids)[:max_positions] or [EOS]
 
 
+def length_groups(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The indices of `rows` grouped by row length, groups in order of first
+    appearance: the one stacking rule of the sentence encoder, whose passes
+    take equal-length rows only, so that no row is padded."""
+    by_length: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        by_length.setdefault(len(row), []).append(i)
+    return list(by_length.values())
+
+
 @dataclass
 class ClaimEncoding:
     """Hidden states for one claim; `truncated` flags over-length inputs."""
@@ -341,7 +351,10 @@ class Seq2SeqModel:
 
     def encoder_forward(self, name, ids: np.ndarray, valid: np.ndarray,
                         rng=None) -> nn.Tensor:
-        """Run an encoder stack over right-padded token ids (B, T)."""
+        """Run an encoder stack over token ids (B, T), where `valid` (B, T) marks
+        the real tokens of each row. The claim encoder's rows are right-padded
+        and their padded keys masked; the sentence encoder's rows are one
+        length (`length_groups`), so `valid` is all true and no mask is built."""
         x = nn.add(nn.gather(self.params[f"{name}.tok_emb"], ids),
                    self._positions(name, ids.shape[1]))
         x = self._dropout(x, rng)
@@ -416,14 +429,11 @@ class Seq2SeqModel:
     def encode_sentences(self, token_lists: Sequence[Sequence[int]],
                          sources: Sequence[Optional[tuple[str, int]]]) -> list[SentenceEmbedding]:
         """`encode_sentence` of each (token_ids, source) pair, in input order, with
-        one stacked encoder pass per distinct input length; bit-identical to
+        one stacked encoder pass per `length_groups` group; bit-identical to
         one call per sentence (see `encode`)."""
         rows = [sentence_ids(ids, self.config.max_positions) for ids in token_lists]
-        by_length: dict[int, list[int]] = {}
-        for i, ids in enumerate(rows):
-            by_length.setdefault(len(ids), []).append(i)
         out: list[Optional[SentenceEmbedding]] = [None] * len(rows)
-        for members in by_length.values():
+        for members in length_groups(rows):
             states = encode(self, "sent_enc", [rows[i] for i in members])
             for row, i in enumerate(members):
                 out[i] = SentenceEmbedding(vector=states[row].mean(axis=0), source=sources[i])

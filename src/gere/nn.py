@@ -2,10 +2,11 @@
 
 Exactly the operations the encoder-decoder stacks need: broadcasting add and
 multiply, same-rank batched matmul, GELU, layer norm, softmax, embedding gather,
-row-assembly helpers for the dynamic evidence vocabulary, dropout and the
-cross-entropy heads, plus two block nodes the model is built from: `linear`
-(`x @ w + b`) and `attention` (multi-head scaled dot-product attention over
-projected q, k and v, with dropout on its weights). A block node computes
+row concatenation and row-assembly helpers for the dynamic evidence
+vocabulary, dropout and the cross-entropy heads, plus two block nodes the
+model is built from: `linear` (`x @ w + b`) and `attention` (multi-head
+scaled dot-product attention over projected q, k and v, with dropout on its
+weights). A block node computes
 and differentiates exactly what its chain of per-op nodes would, op for op
 and in the same memory layouts, so its values and gradients are the same
 bits; it only saves the intermediate `Tensor`s and closures.
@@ -399,6 +400,18 @@ def masked_mean(x: Tensor, mask: np.ndarray) -> Tensor:
         _accum(x, g[:, None, :] * w[:, :, None], fresh=True)
 
     return _make(out, (x,), back)
+
+
+def concat_rows(parts: list[Tensor]) -> Tensor:
+    """The rows of `parts` (each (n_i, ...)) stacked in order along axis 0."""
+    out = np.concatenate([p.data for p in parts])
+    ends = np.cumsum([p.data.shape[0] for p in parts])
+
+    def back(g):
+        for p, end in zip(parts, ends):
+            _accum(p, g[end - p.data.shape[0]:end])
+
+    return _make(out, tuple(parts), back)
 
 
 def assemble_candidates(

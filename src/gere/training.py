@@ -12,7 +12,7 @@ import numpy as np
 from . import nn
 from .corpus import Claim, Corpus, GoldTargets, Label
 from .errors import DataError, TrainingError
-from .model import NEG_INF, Seq2SeqModel, sentence_ids
+from .model import NEG_INF, Seq2SeqModel, length_groups, sentence_ids
 from .tokenizer import BOS, EOS, EOT, PAD, SEP, Vocab
 
 
@@ -169,8 +169,10 @@ class Trainer:
         return self.train_step_encoded(examples)
 
     def loss_graph(self, examples: Sequence[_Example]) -> tuple[nn.Tensor, nn.Tensor]:
-        """Build the joint forward graph for a prepared batch;
-        pure given parameters and step_count."""
+        """Build the joint forward graph for a prepared batch and return its
+        (title, evidence) losses; pure given parameters and step_count. The
+        claim encoder and the decoders run over right-padded rows; the
+        sentence encoder runs `pooled_sentences`, with no padded row."""
         model = self.model
         rng = self._dropout_rng()
         n_batch = len(examples)
@@ -184,7 +186,6 @@ class Trainer:
         for ex in examples:
             offsets.append(len(flat_sents))
             flat_sents.extend(ex.cand_ids)
-        sent_ids, sent_valid = _pad_ids(flat_sents)
 
         n_slots = 1 + max(len(ex.cand_ids) for ex in examples)
         batch_idx = np.concatenate(
@@ -221,10 +222,14 @@ class Trainer:
                                       title_tgt.ravel()[keep],
                                       model.config.label_smoothing)
 
-        sent_out = model.encoder_forward("sent_enc", sent_ids, sent_valid, rng)
-        pooled = nn.masked_mean(sent_out, sent_valid.astype(model.dtype))
+        # Pooled row r is sentence order[r]; the index maps follow it.
+        pooled, order = self.pooled_sentences(flat_sents, rng)
+        row_of = np.empty_like(order)
+        row_of[order] = np.arange(order.size)
+        is_row = input_map >= 0
+        input_map[is_row] = row_of[input_map[is_row]]
         cand_table = nn.assemble_candidates(pooled, model.params["evid_dec.eoe"],
-                                            batch_idx, slot_idx, n_batch, n_slots)
+                                            batch_idx[order], slot_idx[order], n_batch, n_slots)
         ev_in = nn.assemble_inputs(pooled, model.params["evid_dec.start"], input_map)
         ev_in = nn.add(ev_in, model._positions("evid_dec", n_steps))
         ev_states = model.decoder_forward("evid_dec", ev_in, enc_out, claim_valid, rng)
@@ -235,6 +240,22 @@ class Trainer:
         loss_evidence = nn.cross_entropy(nn.gather(flat_scores, keep_steps),
                                          ev_targets.ravel()[keep_steps])
         return loss_title, loss_evidence
+
+    def pooled_sentences(self, sents: list[list[int]], rng) -> tuple[nn.Tensor, np.ndarray]:
+        """Mean-pooled sentence-encoder states of `sents`, one stacked pass per
+        `length_groups` group (the grouping of `encode_sentences`): every row
+        of a pass has the same length, so none is padded and no key is
+        masked. Returns the pooled rows (n, d) and, for each row, the index
+        in `sents` of its sentence."""
+        model = self.model
+        groups = length_groups(sents)
+        parts = []
+        for members in groups:
+            ids = np.array([sents[i] for i in members], dtype=np.int64)
+            valid = np.ones(ids.shape, dtype=bool)
+            states = model.encoder_forward("sent_enc", ids, valid, rng)
+            parts.append(nn.masked_mean(states, valid.astype(model.dtype)))
+        return nn.concat_rows(parts), np.concatenate(groups)
 
     def train_step_encoded(self, examples: Sequence[_Example]) -> TrainStats:
         """One Adam update on a prepared batch. A non-finite loss or grad norm

@@ -14,6 +14,7 @@ from gere import nn
 from gere.errors import DataError
 from gere.model import Seq2SeqModel, _scale
 from gere.tokenizer import BOS, EOS, EOT, SEP
+from gere.training import Trainer, _pad_ids
 
 
 # -- trie oracle ---------------------------------------------------------------
@@ -174,6 +175,23 @@ class PerOpGraphModel(Seq2SeqModel):
         ctx = attention_per_op(q, k, v, cfg.n_heads, _scale(cfg), add_mask, cfg.dropout_rate,
                                rng)
         return self._linear(ctx, f"{prefix}.wo", f"{prefix}.bo")
+
+
+# -- padded sentence pass ------------------------------------------------------
+#
+# The sentence encoder as one pass over every candidate sentence of a batch,
+# right-padded to the longest, with the padded keys masked and the pooling
+# restricted to real tokens: the reference for the grouped pass.
+
+
+class PaddedSentenceTrainer(Trainer):
+    """A trainer whose sentence encoder makes one padded pass per batch."""
+
+    def pooled_sentences(self, sents, rng):
+        ids, valid = _pad_ids(sents)
+        states = self.model.encoder_forward("sent_enc", ids, valid, rng)
+        return (nn.masked_mean(states, valid.astype(self.model.dtype)),
+                np.arange(len(sents), dtype=np.int64))
 
 
 # -- optimizer oracle ----------------------------------------------------------

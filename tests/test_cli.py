@@ -136,6 +136,27 @@ def test_build_trie_corrupt_wiki_exits_with_data_error(tmp_path, capsys):
     assert "bad.jsonl:2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["wiki", "claims"])
+def test_build_trie_lone_surrogate_exits_with_data_error(dataset, tmp_path, capsys, kind):
+    """`\\ud800` alone is valid JSON but no UTF-8 text: the read names its line
+    instead of the vocab write failing as an internal error."""
+    _, wiki, _ = dataset
+    bad = tmp_path / "bad.jsonl"
+    if kind == "wiki":
+        bad.write_text('{"id": "A", "lines": "0\\tok"}\n'
+                       '{"id": "B", "lines": "0\\tbad \\ud800 word"}\n')
+        inputs = ["--wiki", str(bad)]
+    else:
+        bad.write_text('{"id": 1, "claim": "ok", "label": "NOT ENOUGH INFO"}\n'
+                       '{"id": 2, "claim": "bad \\ud800", "label": "NOT ENOUGH INFO"}\n')
+        inputs = ["--wiki", str(wiki), "--claims", str(bad)]
+    rc = main(["build-trie", *inputs, "--vocab-out", str(tmp_path / "v.txt"),
+               "--trie-out", str(tmp_path / "t.bin")])
+    assert rc == EXIT_DATA
+    assert "bad.jsonl:2: lone surrogate" in capsys.readouterr().err
+    assert not (tmp_path / "v.txt").exists()
+
+
 # -- train / retrieve / eval ---------------------------------------------------------
 
 

@@ -147,6 +147,15 @@ def test_malformed_claim_fields_are_data_errors(tmp_path, fields, error):
         load_claims(path)
 
 
+@pytest.mark.parametrize("index", [True, False, 1.0, -1, "1"])
+def test_evidence_sentence_index_must_be_an_integer(tmp_path, index):
+    # A bool is an int in Python; JSON's true must not load as sentence 1.
+    path = write_jsonl(tmp_path / "c.jsonl",
+                       [claim_record(1, "SUPPORTS", [[[1, 2, "A", index]]])])
+    with pytest.raises(DataError, match="c.jsonl:1: evidence element .* malformed"):
+        load_claims(path)
+
+
 def test_unparsable_line_reports_line_number(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(claim_record(1, "SUPPORTS", [])) + "\n{oops\n")

@@ -167,6 +167,13 @@ def test_masked_mean(rng):
     fd_check(lambda: scalarize(nn.masked_mean(x, mask)), {"x": x})
 
 
+def test_concat_rows(rng):
+    a, b, c = param(rng, 2, 3), param(rng, 1, 3), param(rng, 4, 3)
+    out = nn.concat_rows([a, b, c])
+    assert np.array_equal(out.data, np.concatenate([a.data, b.data, c.data]))
+    fd_check(lambda: scalarize(nn.concat_rows([a, b, c])), {"a": a, "b": b, "c": c})
+
+
 def test_assemble_candidates(rng):
     pooled, eoe = param(rng, 5, 4), param(rng, 4)
     batch_idx = np.array([0, 0, 0, 1, 1])

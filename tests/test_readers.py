@@ -119,6 +119,16 @@ def test_json_the_decoder_cannot_hold_is_data_error(tmp_path, line):
         list(binio.read_jsonl(path))
 
 
+def test_lone_surrogate_escape_is_data_error_and_a_pair_loads(tmp_path):
+    # Both are valid JSON; only the pair is a character UTF-8 can write.
+    path = tmp_path / "r.jsonl"
+    path.write_text('{"a": "\\ud83d\\ude00"}\n{"b": ["x", {"\\ud800": 1}]}\n')
+    records = binio.read_jsonl(path)
+    assert next(records) == (f"{path}:1", {"a": "\U0001F600"})
+    with pytest.raises(DataError, match="r.jsonl:2: lone surrogate"):
+        next(records)
+
+
 def test_jsonl_lines_split_as_text_mode_and_keep_u2028(tmp_path):
     # U+2028 is a line break to str.splitlines() but not to a text-mode read.
     path = tmp_path / "r.jsonl"

@@ -3,16 +3,16 @@ import pytest
 
 from gere import model as gmodel
 from gere import nn
-from gere.corpus import gold_targets
+from gere.corpus import gold_targets, verifiable
 from gere.errors import TrainingError
-from gere.model import DecoderState, Seq2SeqModel
+from gere.model import DecoderState, Seq2SeqModel, length_groups
 from gere.tokenizer import BOS, EOS, EOT, SEP
 from gere.training import (
     Trainer, encode_example, learning_rate, linearize_titles, make_batches,
 )
 
 from conftest import small_config
-from oracles import loss_evidence, loss_title
+from oracles import PaddedSentenceTrainer, loss_evidence, loss_title
 
 
 # -- schedule -------------------------------------------------------------------
@@ -233,6 +233,66 @@ def test_trainer_loss_matches_public_ops(tiny_corpus, tiny_vocab, tiny_claims):
     want_evidence = loss_evidence(model, enc, list(targets.evidence_sequence), cands)
     np.testing.assert_allclose(float(lt.data), want_title, rtol=1e-9)
     np.testing.assert_allclose(float(le.data), want_evidence, rtol=1e-9)
+
+
+# -- the sentence encoder's length groups ------------------------------------------
+
+
+def mixed_length_batch(tiny_corpus, tiny_vocab, tiny_claims):
+    """The verifiable tiny claims at max_positions 8, with 2 encoder layers:
+    candidate sentences of several lengths, among them one cut from 9 tokens
+    to 8 and a blank one (a lone EOS), the only sentence of its length."""
+    cfg = small_config(len(tiny_vocab), max_positions=8, n_layers_enc=2)
+    examples = [encode_example(c, gold_targets(c, tiny_corpus), tiny_corpus, tiny_vocab, 8)
+                for c in verifiable(tiny_claims)]
+    sents = [ids for ex in examples for ids in ex.cand_ids]
+    assert [EOS] in sents
+    assert max(len(tiny_vocab.encode(text)) for _, _, text in tiny_corpus.candidates(
+        ["Alpha_hill_-LRB-film-RRB-"])) > 8 == max(map(len, sents))
+    assert min(map(len, length_groups(sents))) == 1 < max(map(len, length_groups(sents)))
+    return cfg, examples
+
+
+def test_grouped_sentence_pass_matches_padded_oracle(tiny_corpus, tiny_vocab, tiny_claims):
+    """In float64 the length-grouped graph gives the padded pass's losses and
+    gradients up to rounding: only GEMM shapes and reduction lengths differ."""
+    cfg, examples = mixed_length_batch(tiny_corpus, tiny_vocab, tiny_claims)
+    runs = []
+    for cls in (Trainer, PaddedSentenceTrainer):
+        model = Seq2SeqModel(cfg, dtype=np.float64)
+        lt, le = cls(model, tiny_vocab, total_updates=10).loss_graph(examples)
+        nn.backward(nn.add(lt, le))
+        runs.append((float(lt.data), float(le.data), {n: p.grad for n, p in model.params.items()}))
+    (lt, le, grads), (want_lt, want_le, want_grads) = runs
+    assert lt == want_lt  # the title loss does not read the sentence encoder
+    np.testing.assert_allclose(le, want_le, rtol=1e-10)
+    assert grads.keys() == want_grads.keys()
+    # An attention key bias gets a zero gradient up to rounding, so entries
+    # are also compared against the largest gradient of all.
+    scale = max(np.abs(want).max() for want in want_grads.values())
+    for name, want in want_grads.items():
+        assert want is not None and grads[name] is not None, name
+        np.testing.assert_allclose(grads[name], want, rtol=1e-10, atol=1e-14 * scale,
+                                   err_msg=name)
+
+
+def test_sentence_encoder_computes_no_padded_row(tiny_corpus, tiny_vocab, tiny_claims,
+                                                 monkeypatch):
+    cfg, examples = mixed_length_batch(tiny_corpus, tiny_vocab, tiny_claims)
+    passes = []
+    forward = Seq2SeqModel.encoder_forward
+
+    def spy(self, name, ids, valid, rng=None):
+        if name == "sent_enc":
+            passes.append((ids.shape, valid.all()))
+        return forward(self, name, ids, valid, rng)
+
+    monkeypatch.setattr(Seq2SeqModel, "encoder_forward", spy)
+    Trainer(Seq2SeqModel(cfg), tiny_vocab, total_updates=10).loss_graph(examples)
+    sents = [ids for ex in examples for ids in ex.cand_ids]
+    assert sum(rows * width for (rows, width), _ in passes) == sum(map(len, sents))
+    assert len(passes) == len({len(ids) for ids in sents})
+    assert all(all_valid for _, all_valid in passes)
 
 
 # -- dtypes ------------------------------------------------------------------------
