@@ -147,11 +147,11 @@ def cmd_build_trie(args) -> int:
     return EXIT_OK
 
 
-def _load_pipeline_inputs(cfg: RunConfig, need_claims: bool = True):
+def _load_pipeline_inputs(cfg: RunConfig):
     corpus = load_wiki_pages(_require(cfg.wiki, "wiki"))
     vocab = load_vocab(_require(cfg.vocab, "vocab"))
     trie = TitleTrie.load(_require(cfg.trie, "trie"), vocab)
-    claims = load_claims(_require(cfg.claims, "claims"), corpus) if need_claims else []
+    claims = load_claims(_require(cfg.claims, "claims"), corpus)
     return corpus, vocab, trie, claims
 
 

@@ -53,7 +53,6 @@ class BeamHypothesis:
     tokens: list[int]
     log_prob: float
     finished: bool = False
-    titles_emitted: int = 0
     doc_ids: tuple[str, ...] = ()
     node: Optional[int] = None  # trie node while inside a title, else None
 
@@ -89,24 +88,19 @@ def _allowed_tokens(hyp: BeamHypothesis, trie: TitleTrie, max_titles: int) -> np
         if end is not None and trie.terminal_doc(end) in hyp.doc_ids:
             tokens = tokens[tokens != EOT]  # duplicate-title suppression
         return tokens
-    return _SEP_EOS if hyp.titles_emitted < max_titles else _EOS_ONLY
+    return _SEP_EOS if len(hyp.doc_ids) < max_titles else _EOS_ONLY
 
 
 def _extend(hyp: BeamHypothesis, token: int, log_prob: float, trie: TitleTrie) -> BeamHypothesis:
     tokens = hyp.tokens + [token]
     if token == EOS:
-        return BeamHypothesis(tokens, log_prob, finished=True,
-                              titles_emitted=hyp.titles_emitted, doc_ids=hyp.doc_ids)
+        return BeamHypothesis(tokens, log_prob, finished=True, doc_ids=hyp.doc_ids)
     if token == SEP:
-        return BeamHypothesis(tokens, log_prob, titles_emitted=hyp.titles_emitted,
-                              doc_ids=hyp.doc_ids, node=trie.root)
+        return BeamHypothesis(tokens, log_prob, doc_ids=hyp.doc_ids, node=trie.root)
     child = trie.children_of(hyp.node)[token]
     if token == EOT:
-        doc_id = trie.terminal_doc(child)
-        return BeamHypothesis(tokens, log_prob, titles_emitted=hyp.titles_emitted + 1,
-                              doc_ids=hyp.doc_ids + (doc_id,), node=None)
-    return BeamHypothesis(tokens, log_prob, titles_emitted=hyp.titles_emitted,
-                          doc_ids=hyp.doc_ids, node=child)
+        return BeamHypothesis(tokens, log_prob, doc_ids=hyp.doc_ids + (trie.terminal_doc(child),))
+    return BeamHypothesis(tokens, log_prob, doc_ids=hyp.doc_ids, node=child)
 
 
 def _rank_score(hyp: BeamHypothesis, length_normalize: bool) -> float:
@@ -119,7 +113,7 @@ def _longest_finish(hyp: BeamHypothesis, trie: TitleTrie, max_titles: int, max_l
     (SEP, its tokens and EOT each), then EOS; never more than `max_len`."""
     inside = hyp.node is not None
     rest = trie.height(hyp.node) if inside else 0
-    titles_left = max_titles - hyp.titles_emitted - inside
+    titles_left = max_titles - len(hyp.doc_ids) - inside
     longest = len(hyp.tokens) + rest + titles_left * (1 + trie.height(trie.root)) + 1
     return min(longest, max_len)
 

@@ -8,14 +8,16 @@ max_evidence predicted sentence pairs. Label accuracy ignores evidence.
 
 Everything here is a pure function over loaded records; claims are scored
 independently and reduced in claim_id order, so results never depend on
-input ordering.
+input ordering. Records for claim ids outside the gold claims are validated
+but never scored. `evaluate` reports label accuracy and FEVER only when some
+gold claim has a record and every gold claim's record carries a label.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Sequence
 
 from . import binio
 from .corpus import Claim, Label
@@ -47,12 +49,11 @@ class VerificationScores:
     n_claims: int
 
 
-def _prediction_map(predictions: Union[Sequence[dict], Mapping[int, dict]]) -> dict[int, dict]:
+def _prediction_map(predictions: Sequence[dict]) -> dict[int, dict]:
     """Records by claim_id; titles and evidence of a bad shape are a DataError."""
-    items = (predictions.items() if isinstance(predictions, Mapping)
-             else [(rec["claim_id"], rec) for rec in predictions])
     out: dict[int, dict] = {}
-    for cid, rec in items:
+    for rec in predictions:
+        cid = rec["claim_id"]
         if cid in out:
             raise DataError(f"duplicate prediction for claim_id {cid}")
         titles, pairs = rec.get("predicted_titles", []), rec.get("predicted_evidence", [])
@@ -72,28 +73,25 @@ def _check_max_evidence(max_evidence: int) -> None:
         raise ValueError(f"max_evidence must be at least 1, got {max_evidence}")
 
 
-def _predicted_pairs(rec: Optional[dict], max_evidence: int) -> set[Pair]:
+def _predicted_pairs(rec: dict, max_evidence: int) -> set[Pair]:
     """The first max_evidence predicted pairs of a record, as a set."""
-    if rec is None:
-        return set()
-    pairs = rec.get("predicted_evidence", [])[:max_evidence]
-    return {(doc_id, index) for doc_id, index in pairs}
+    return {(doc_id, index) for doc_id, index in rec.get("predicted_evidence", [])[:max_evidence]}
 
 
-def _gold_docs(claim: Claim) -> set[str]:
-    return {doc_id for group in claim.evidence_groups for doc_id, _ in group}
-
-
-def _gold_pairs(claim: Claim) -> set[Pair]:
-    return {pair for group in claim.evidence_groups for pair in group}
-
-
-def _verifiable_sorted(golds: Iterable[Claim]) -> list[Claim]:
-    return sorted((c for c in golds if c.label is not Label.NOT_ENOUGH_INFO),
-                  key=lambda c: c.claim_id)
-
-
-def _macro_prf(per_claim: list[tuple[float, float]]) -> PRF:
+def _macro_prf(pred_map: dict[int, dict], golds: Iterable[Claim],
+               predicted_of: Callable[[dict], set], gold_of: Callable[[Claim], set]) -> PRF:
+    """Macro P/R of `predicted_of(record)` against `gold_of(claim)` over the
+    verifiable claims in claim_id order; a claim missing from `pred_map`
+    counts as an empty prediction."""
+    per_claim = []
+    for claim in sorted(golds, key=lambda c: c.claim_id):
+        if claim.label is Label.NOT_ENOUGH_INFO:
+            continue
+        predicted = predicted_of(pred_map.get(claim.claim_id, {}))
+        gold = gold_of(claim)
+        hits = len(predicted & gold)
+        per_claim.append((hits / len(predicted) if predicted else 0.0,
+                          hits / len(gold) if gold else 0.0))
     if not per_claim:
         return PRF(0.0, 0.0, 0.0)
     precision = sum(p for p, _ in per_claim) / len(per_claim)
@@ -101,47 +99,33 @@ def _macro_prf(per_claim: list[tuple[float, float]]) -> PRF:
     return PRF.from_pr(precision, recall)
 
 
+def _doc_prf(pred_map: dict[int, dict], golds: Iterable[Claim]) -> PRF:
+    return _macro_prf(
+        pred_map, golds, lambda rec: set(rec.get("predicted_titles", [])),
+        lambda claim: {doc_id for group in claim.evidence_groups for doc_id, _ in group})
+
+
+def _sent_prf(pred_map: dict[int, dict], golds: Iterable[Claim], max_evidence: int) -> PRF:
+    return _macro_prf(
+        pred_map, golds, lambda rec: _predicted_pairs(rec, max_evidence),
+        lambda claim: {pair for group in claim.evidence_groups for pair in group})
+
+
 def doc_prf(predictions, golds: Iterable[Claim]) -> PRF:
     """Macro P/R over verifiable claims against the union of gold doc_ids;
     a claim missing from predictions counts as an empty prediction."""
-    pred_map = _prediction_map(predictions)
-    per_claim = []
-    for claim in _verifiable_sorted(golds):
-        predicted = set(pred_map.get(claim.claim_id, {}).get("predicted_titles", []))
-        gold = _gold_docs(claim)
-        hits = len(predicted & gold)
-        precision = hits / len(predicted) if predicted else 0.0
-        recall = hits / len(gold) if gold else 0.0
-        per_claim.append((precision, recall))
-    return _macro_prf(per_claim)
+    return _doc_prf(_prediction_map(predictions), golds)
 
 
 def sent_prf(predictions, golds: Iterable[Claim], max_evidence: int = 5) -> PRF:
     """As doc_prf over (doc_id, sentence_index) pairs; only the first
     max_evidence predicted pairs are scored."""
     _check_max_evidence(max_evidence)
-    pred_map = _prediction_map(predictions)
-    per_claim = []
-    for claim in _verifiable_sorted(golds):
-        predicted = _predicted_pairs(pred_map.get(claim.claim_id), max_evidence)
-        gold = _gold_pairs(claim)
-        hits = len(predicted & gold)
-        precision = hits / len(predicted) if predicted else 0.0
-        recall = hits / len(gold) if gold else 0.0
-        per_claim.append((precision, recall))
-    return _macro_prf(per_claim)
+    return _sent_prf(_prediction_map(predictions), golds, max_evidence)
 
 
-def fever_scores(predictions, golds: Iterable[Claim], max_evidence: int = 5
-                 ) -> VerificationScores:
-    """Label accuracy and FEVER score over all claims.
-
-    FEVER credit needs a correct label and either a gold NEI label or some
-    gold evidence group fully contained in the first max_evidence predicted
-    pairs. Predictions present in the file must carry `predicted_label`.
-    """
-    _check_max_evidence(max_evidence)
-    pred_map = _prediction_map(predictions)
+def _fever_scores(pred_map: dict[int, dict], golds: Iterable[Claim],
+                  max_evidence: int) -> VerificationScores:
     golds = sorted(golds, key=lambda c: c.claim_id)
     if not golds:
         raise DataError("fever_scores needs at least one gold claim")
@@ -172,43 +156,52 @@ def fever_scores(predictions, golds: Iterable[Claim], max_evidence: int = 5
     return VerificationScores(label_accuracy=la_hits / n, fever=fever_hits / n, n_claims=n)
 
 
+def fever_scores(predictions, golds: Iterable[Claim], max_evidence: int = 5
+                 ) -> VerificationScores:
+    """Label accuracy and FEVER score over all claims.
+
+    FEVER credit needs a correct label and either a gold NEI label or some
+    gold evidence group fully contained in the first max_evidence predicted
+    pairs. Predictions present in the file must carry `predicted_label`.
+    """
+    _check_max_evidence(max_evidence)
+    return _fever_scores(_prediction_map(predictions), golds, max_evidence)
+
+
+def _with_oracle_labels(pred_map: dict[int, dict], golds: Iterable[Claim]) -> dict[int, dict]:
+    """A copy of each record, with its gold claim's label if it has one."""
+    labels = {c.claim_id: {"predicted_label": c.label.value} for c in golds}
+    return {cid: dict(rec, **labels.get(cid, {})) for cid, rec in pred_map.items()}
+
+
 def with_oracle_labels(predictions, golds: Iterable[Claim]) -> list[dict]:
     """Copy gold labels onto prediction records (pipeline testing only; this
     package retrieves evidence, it does not verify claims)."""
-    by_id = {c.claim_id: c for c in golds}
-    out = []
-    for rec in _prediction_map(predictions).values():
-        rec = dict(rec)
-        claim = by_id.get(rec["claim_id"])
-        if claim is not None:
-            rec["predicted_label"] = claim.label.value
-        out.append(rec)
-    return out
+    return list(_with_oracle_labels(_prediction_map(predictions), golds).values())
 
 
 def evaluate(predictions, golds: Sequence[Claim], max_evidence: int = 5,
              oracle_labels: bool = False) -> dict:
-    """Full metrics report; LA/FEVER are null when predictions carry no labels."""
+    """Full metrics report. LA/FEVER are null unless some gold claim has a
+    record and every gold claim's record carries a label; records for other
+    claim ids are counted in `n.predicted` but not scored."""
     _check_max_evidence(max_evidence)
-    predictions = _prediction_map(predictions)
+    pred_map = _prediction_map(predictions)
     if oracle_labels:
-        predictions = _prediction_map(with_oracle_labels(predictions, golds))
-    doc = doc_prf(predictions, golds)
-    sent = sent_prf(predictions, golds, max_evidence)
-    has_labels = predictions and all(
-        "predicted_label" in rec for rec in predictions.values())
+        pred_map = _with_oracle_labels(pred_map, golds)
+    scored = [pred_map[c.claim_id] for c in golds if c.claim_id in pred_map]
     la = fever = None
-    if has_labels and golds:
-        scores = fever_scores(predictions, golds, max_evidence)
+    if scored and all("predicted_label" in rec for rec in scored):
+        scores = _fever_scores(pred_map, golds, max_evidence)
         la, fever = scores.label_accuracy, scores.fever
     n_verifiable = sum(1 for c in golds if c.label is not Label.NOT_ENOUGH_INFO)
     return {
-        "doc": doc.as_dict(),
-        "sent": sent.as_dict(),
+        "doc": _doc_prf(pred_map, golds).as_dict(),
+        "sent": _sent_prf(pred_map, golds, max_evidence).as_dict(),
         "la": la,
         "fever": fever,
         "n": {"claims": len(golds), "verifiable": n_verifiable,
-              "predicted": len(predictions)},
+              "predicted": len(pred_map)},
         "settings": {"max_evidence": max_evidence, "averaging": "macro",
                      "oracle_labels": oracle_labels},
     }

@@ -181,33 +181,25 @@ class Trainer:
         title_in, _ = _pad_ids([ex.title_target[:-1] for ex in examples])
         title_tgt, _ = _pad_ids([ex.title_target[1:] for ex in examples])
 
-        flat_sents: list[list[int]] = []
-        offsets = []
-        for ex in examples:
-            offsets.append(len(flat_sents))
-            flat_sents.extend(ex.cand_ids)
+        # Example b's candidates are rows offsets[b] .. of the flat sentence
+        # list and slots 1 .. n_cands[b] of its candidate table (0 is EOE).
+        flat_sents = [ids for ex in examples for ids in ex.cand_ids]
+        n_cands = np.array([len(ex.cand_ids) for ex in examples], dtype=np.int64)
+        offsets = np.cumsum(n_cands) - n_cands
+        n_slots = 1 + int(n_cands.max())
+        batch_idx = np.repeat(np.arange(n_batch, dtype=np.int64), n_cands)
+        slot_idx = 1 + np.arange(len(flat_sents), dtype=np.int64) - np.repeat(offsets, n_cands)
+        slot_mask = np.where(np.arange(n_slots) <= n_cands[:, None], 0.0, NEG_INF
+                             ).astype(model.dtype)[:, None, :]
 
-        n_slots = 1 + max(len(ex.cand_ids) for ex in examples)
-        batch_idx = np.concatenate(
-            [np.full(len(ex.cand_ids), b, dtype=np.int64) for b, ex in enumerate(examples)])
-        slot_idx = np.concatenate(
-            [1 + np.arange(len(ex.cand_ids), dtype=np.int64) for ex in examples])
-        slot_mask = np.full((n_batch, 1, n_slots), NEG_INF, dtype=model.dtype)
-        slot_mask[:, 0, 0] = 0.0
-        for b, ex in enumerate(examples):
-            slot_mask[b, 0, 1 : 1 + len(ex.cand_ids)] = 0.0
-
-        n_steps = 1 + max(len(ex.gold_slots) for ex in examples)
-        input_map = np.full((n_batch, n_steps), -2, dtype=np.int64)
-        ev_targets = np.zeros((n_batch, n_steps), dtype=np.int64)
-        step_valid = np.zeros((n_batch, n_steps), dtype=bool)
-        for b, ex in enumerate(examples):
-            input_map[b, 0] = -1
-            for s, slot in enumerate(ex.gold_slots):
-                input_map[b, s + 1] = offsets[b] + slot
-                ev_targets[b, s] = 1 + slot
-            ev_targets[b, len(ex.gold_slots)] = 0  # EOE closes the sequence
-            step_valid[b, : len(ex.gold_slots) + 1] = True
+        # Evidence step s targets slot 1 + gold_slots[s], and EOE (0) closes
+        # the sequence; step s > 0 reads the sentence step s - 1 chose, and
+        # step 0 the start vector (-1); -2 marks a padded step.
+        ev_targets, step_valid = _pad_ids([[1 + s for s in ex.gold_slots] + [0]
+                                           for ex in examples])
+        n_steps = ev_targets.shape[1]
+        reads = np.pad(ev_targets[:, :-1] + offsets[:, None], ((0, 0), (1, 0)))
+        input_map = np.where(step_valid, reads - 1, -2)
 
         # Forward: claim encoder feeds both decoders; sentence encoder feeds
         # the dynamic candidate vocabulary and the evidence decoder inputs.

@@ -83,9 +83,9 @@ class TitleTrie:
     def title_count(self) -> int:
         return sum(1 for t in self._terminal if t is not None)
 
-    def walk(self, prefix: Sequence[int], start: Optional[int] = None) -> Optional[int]:
-        """Node reached from `start` (default root) by `prefix`, or None if off-trie."""
-        node = self.root if start is None else start
+    def walk(self, prefix: Sequence[int]) -> Optional[int]:
+        """Node reached from the root by `prefix`, or None if off-trie."""
+        node = self.root
         for tok in prefix:
             node = self._children[node].get(tok)
             if node is None:

@@ -505,3 +505,22 @@ def test_unreadable_input_exits_cleanly_naming_it(trained_run, tmp_path, capsys,
     assert rc == (EXIT_USAGE if name == "config" else EXIT_DATA), err
     assert expect in err
     assert "internal error" not in err + caplog.text and "Traceback" not in err + caplog.text
+
+
+def test_eval_oracle_labels_ignores_unknown_claim_records(dataset, tmp_path, capsys, caplog):
+    from gere.corpus import load_claims
+    golds = load_claims(dataset[2])
+    records = [{"claim_id": c.claim_id, "predicted_titles": [], "predicted_evidence": []}
+               for c in golds]
+    extra_id = max(c.claim_id for c in golds) + 1
+    records.append({"claim_id": extra_id, "predicted_titles": [], "predicted_evidence": []})
+    path = tmp_path / "pred.jsonl"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    assert main(["eval", "--pred", str(path), "--gold", str(dataset[2]),
+                 "--oracle-labels"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert f"predictions for unknown claim ids (ignored): [{extra_id}]" in caplog.text
+    assert report["la"] == 1.0
+    nei = sum(1 for c in golds if not c.evidence_groups)
+    assert report["fever"] == pytest.approx(nei / len(golds))
+    assert report["n"]["predicted"] == len(golds) + 1

@@ -210,3 +210,39 @@ def test_evaluate_without_labels_nulls_verification():
     golds = [gold(1, "SUPPORTS", [[("A", 0)]])]
     report = evaluate([pred(1, titles=["A"])], golds)
     assert report["la"] is None and report["fever"] is None
+
+
+def test_unknown_claim_record_does_not_null_oracle_verification():
+    golds = [gold(1, "SUPPORTS", [[("A", 0)]])]
+    preds = [pred(1, titles=["A"], evidence=[("A", 0)]), pred(99, titles=["Z"])]
+    report = evaluate(preds, golds, oracle_labels=True)
+    assert report["la"] == 1.0 and report["fever"] == 1.0
+    assert report["n"]["predicted"] == 2
+
+
+def test_unlabelled_unknown_claim_record_does_not_null_verification():
+    golds = [gold(1, "SUPPORTS", [[("A", 0)]])]
+    preds = [pred(1, titles=["A"], evidence=[("A", 0)], label="SUPPORTS"), pred(99)]
+    report = evaluate(preds, golds)
+    assert report["la"] == 1.0 and report["fever"] == 1.0
+    assert report["n"]["predicted"] == 2
+
+
+def test_verification_is_null_without_a_gold_claim_record():
+    golds = [gold(1, "SUPPORTS", [[("A", 0)]])]
+    report = evaluate([pred(99, label="SUPPORTS")], golds, oracle_labels=True)
+    assert report["la"] is None and report["fever"] is None
+
+
+@pytest.mark.parametrize("oracle_labels", [False, True])
+@pytest.mark.parametrize("label", [None, "SUPPORTS"])
+def test_evaluate_validates_predictions_once(monkeypatch, oracle_labels, label):
+    from gere import evalkit
+    calls = []
+    validate = evalkit._prediction_map
+    monkeypatch.setattr(evalkit, "_prediction_map",
+                        lambda predictions: calls.append(1) or validate(predictions))
+    golds = [gold(1, "SUPPORTS", [[("A", 0)]]), gold(2, "NOT ENOUGH INFO", [])]
+    preds = [pred(1, titles=["A"], evidence=[("A", 0)], label=label), pred(2, label=label)]
+    evaluate(preds, golds, oracle_labels=oracle_labels)
+    assert len(calls) == 1

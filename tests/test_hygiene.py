@@ -2,7 +2,8 @@
 
 In every `gere` module but `__init__.py` (whose imports are the public
 re-exports), each imported name and each module-level `_`-prefixed function,
-class or constant must be read somewhere in that module. And `binio` is the
+class or constant must be read somewhere in that module. Every parameter of
+every function and lambda must be read in its body. And `binio` is the
 one module that reads files: no other calls `read_text`, `read_bytes`,
 `json.load(s)` or `open` without a write mode, except as `binio.read_*`.
 """
@@ -56,6 +57,42 @@ def test_every_import_and_private_definition_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     unread = (_imported(tree) | _private_definitions(tree)) - _reads(tree)
     assert not unread, f"{path.name}: never read: {sorted(unread)}"
+
+
+def _unread_parameters(tree: ast.Module) -> list[str]:
+    """`name(parameter)` for each parameter of a function or lambda in `tree`
+    that its body never reads; `x += ...` reads x."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = fn.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                  + [args.vararg, args.kwarg] if a is not None]
+        body = [node for stmt in (fn.body if isinstance(fn.body, list) else [fn.body])
+                for node in ast.walk(stmt)]
+        reads = {node.id for node in body
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        reads |= {node.target.id for node in body
+                  if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name)}
+        name = getattr(fn, "name", "<lambda>")
+        found.extend(f"{name}({p})" for p in params if p not in reads)
+    return found
+
+
+def test_unread_parameter_check_flags_unread_parameters():
+    source = ("def f(a, b, *c, d, **e):\n    return a + d\n"
+              "def g(buf, x=1):\n    buf += x\n"
+              "def h(self, y):\n    def inner():\n        return y\n    return inner\n"
+              "k = lambda z, w: z\n")
+    assert _unread_parameters(ast.parse(source)) == [
+        "f(b)", "f(c)", "f(e)", "h(self)", "<lambda>(w)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    unread = _unread_parameters(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    assert not unread, f"{path.name}: parameters never read: {unread}"
 
 
 def _file_reads(tree: ast.Module) -> list[str]:

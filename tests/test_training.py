@@ -235,6 +235,38 @@ def test_trainer_loss_matches_public_ops(tiny_corpus, tiny_vocab, tiny_claims):
     np.testing.assert_allclose(float(le.data), want_evidence, rtol=1e-9)
 
 
+def test_batch_losses_are_weighted_means_of_example_losses(tiny_corpus, tiny_vocab,
+                                                           tiny_claims):
+    """A batch's title (evidence) loss is its examples' single-example losses
+    averaged with weights of their target tokens (evidence steps): the batch's
+    candidate offsets, slots and step maps put each example's rows in place."""
+    cfg = small_config(len(tiny_vocab))
+    model = Seq2SeqModel(cfg, dtype=np.float64)
+    trainer = Trainer(model, tiny_vocab, total_updates=10)
+    examples, title_terms, evidence_terms = [], [], []
+    for claim in verifiable(tiny_claims):
+        targets = gold_targets(claim, tiny_corpus)
+        ex = encode_example(claim, targets, tiny_corpus, tiny_vocab, cfg.max_positions)
+        enc = model.encode_claim(tiny_vocab.encode(claim.text))
+        cands = [model.encode_sentence(ids, source=None) for ids in ex.cand_ids]
+        for emb, (doc_id, idx, _) in zip(cands, tiny_corpus.candidates(
+                [d for d, _ in targets.evidence_sequence])):
+            emb.source = (doc_id, idx)
+        examples.append(ex)
+        title_terms.append((len(ex.title_target) - 1, loss_title(model, enc, ex.title_target)))
+        evidence_terms.append((len(ex.gold_slots) + 1, loss_evidence(
+            model, enc, list(targets.evidence_sequence), cands)))
+    assert len({len(ex.cand_ids) for ex in examples}) > 1
+    assert len({len(ex.gold_slots) for ex in examples}) > 1
+
+    def weighted(terms):
+        return sum(n * loss for n, loss in terms) / sum(n for n, _ in terms)
+
+    lt, le = trainer.loss_graph(examples)
+    np.testing.assert_allclose(float(lt.data), weighted(title_terms), rtol=1e-9)
+    np.testing.assert_allclose(float(le.data), weighted(evidence_terms), rtol=1e-9)
+
+
 # -- the sentence encoder's length groups ------------------------------------------
 
 
