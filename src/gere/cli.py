@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -102,6 +103,10 @@ def load_run_config(path: str | None, overrides: list[str]) -> RunConfig:
         raise UsageError(f"train.warmup_frac must be in (0, 1), got {cfg.train.warmup_frac}")
     if cfg.train.total_updates < 1:
         raise UsageError("train.total_updates must be positive")
+    if not (math.isfinite(cfg.train.peak_lr) and cfg.train.peak_lr > 0):
+        raise UsageError(f"train.peak_lr must be finite and positive, got {cfg.train.peak_lr}")
+    if not math.isfinite(cfg.train.clip_norm):
+        raise UsageError(f"train.clip_norm must be finite, got {cfg.train.clip_norm}")
     if cfg.decode.beam_size < 1:
         raise UsageError("decode.beam_size must be positive")
     if cfg.decode.max_titles < 1:

@@ -90,9 +90,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.documents)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Corpus) and self.documents == other.documents
-
     def candidates(self, doc_ids: Iterable[str]) -> list[tuple[str, int, str]]:
         """(doc_id, index, text) of every sentence of the given documents, ordered
         by (doc_id, index): the evidence decoder's dynamic vocabulary, built the

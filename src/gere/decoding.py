@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -169,7 +169,9 @@ def beam_search_titles(
     parent_rank = np.zeros(1, dtype=np.intp)
     finished: list[BeamHypothesis] = []
     last_alive = alive
-    max_len = model.config.max_positions
+    # Inputs fill positions 0 .. max_positions - 1 and the last one predicts EOS, so
+    # a finished sequence has up to max_positions + 1 tokens, as `encode_example` allows.
+    max_len = model.config.max_positions + 1
     best_finished = -math.inf
     while alive:
         if _cannot_improve(alive, best_finished, length_normalize, trie, max_titles, max_len):
@@ -268,9 +270,8 @@ def retrieve(model: Seq2SeqModel, vocab: Vocab, claim: Claim, trie: TitleTrie,
 # -- prediction file io -------------------------------------------------------
 
 
-def write_predictions(results: Sequence[Union[RetrievalResult, dict]], path) -> None:
-    records = [r.to_record() if isinstance(r, RetrievalResult) else r for r in results]
-    records.sort(key=lambda rec: rec["claim_id"])
+def write_predictions(results: Sequence[RetrievalResult], path) -> None:
+    records = sorted((r.to_record() for r in results), key=lambda rec: rec["claim_id"])
     binio.write_jsonl(path, records)
 
 

@@ -168,27 +168,18 @@ def fever_scores(predictions, golds: Iterable[Claim], max_evidence: int = 5
     return _fever_scores(_prediction_map(predictions), golds, max_evidence)
 
 
-def _with_oracle_labels(pred_map: dict[int, dict], golds: Iterable[Claim]) -> dict[int, dict]:
-    """A copy of each record, with its gold claim's label if it has one."""
-    labels = {c.claim_id: {"predicted_label": c.label.value} for c in golds}
-    return {cid: dict(rec, **labels.get(cid, {})) for cid, rec in pred_map.items()}
-
-
-def with_oracle_labels(predictions, golds: Iterable[Claim]) -> list[dict]:
-    """Copy gold labels onto prediction records (pipeline testing only; this
-    package retrieves evidence, it does not verify claims)."""
-    return list(_with_oracle_labels(_prediction_map(predictions), golds).values())
-
-
 def evaluate(predictions, golds: Sequence[Claim], max_evidence: int = 5,
              oracle_labels: bool = False) -> dict:
     """Full metrics report. LA/FEVER are null unless some gold claim has a
     record and every gold claim's record carries a label; records for other
-    claim ids are counted in `n.predicted` but not scored."""
+    claim ids are counted in `n.predicted` but not scored. `oracle_labels`
+    copies each gold claim's label onto its record first (pipeline testing
+    only; this package retrieves evidence, it does not verify claims)."""
     _check_max_evidence(max_evidence)
     pred_map = _prediction_map(predictions)
     if oracle_labels:
-        pred_map = _with_oracle_labels(pred_map, golds)
+        labels = {c.claim_id: {"predicted_label": c.label.value} for c in golds}
+        pred_map = {cid: dict(rec, **labels.get(cid, {})) for cid, rec in pred_map.items()}
     scored = [pred_map[c.claim_id] for c in golds if c.claim_id in pred_map]
     la = fever = None
     if scored and all("predicted_label" in rec for rec in scored):

@@ -53,8 +53,8 @@ class ModelConfig:
                           ("n_layers_enc", 0), ("n_layers_dec", 0), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
-        if self.init_std <= 0:
-            raise ValueError(f"init_std must be positive, got {self.init_std}")
+        if not (np.isfinite(self.init_std) and self.init_std > 0):
+            raise ValueError(f"init_std must be finite and positive, got {self.init_std}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if not 0.0 <= self.label_smoothing < 1.0:
@@ -368,11 +368,12 @@ class Seq2SeqModel:
         return self._ln(f"{name}.ln_f", x)
 
     def decoder_forward(self, name, x: nn.Tensor, enc_out: nn.Tensor,
-                        enc_valid: Optional[np.ndarray], rng=None) -> nn.Tensor:
-        """Run a decoder stack over embedded inputs (B, T, d) with causal masking."""
+                        enc_valid: np.ndarray, rng=None) -> nn.Tensor:
+        """Run a decoder stack over embedded inputs (B, T, d) with causal masking;
+        `enc_valid` (B, T_enc) marks the real positions of `enc_out`."""
         n_q = x.data.shape[1]
         causal = _causal_mask(n_q, self.dtype)
-        cross = None if enc_valid is None else _key_mask(enc_valid, self.dtype)
+        cross = _key_mask(enc_valid, self.dtype)
         x = self._dropout(x, rng)
         for i in range(self.config.n_layers_dec):
             p = f"{name}.l{i}"

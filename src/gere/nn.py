@@ -247,8 +247,8 @@ def gather(x: Tensor, idx: np.ndarray) -> Tensor:
     return _make(out, (x,), back)
 
 
-def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                       eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Layer norm over the last axis of an array: (out, xhat, 1 / std).
 
     Means are `np.add.reduce(..) / n`, the arithmetic of `.mean(-1)` without
@@ -257,13 +257,13 @@ def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     mu = np.add.reduce(x, -1, keepdims=True) / n
     xc = x - mu
     var = np.add.reduce(xc * xc, -1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     return xhat * gain + bias, xhat, inv
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    out, xhat, inv = layer_norm_forward(x.data, gain.data, bias.data, eps)
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    out, xhat, inv = layer_norm_forward(x.data, gain.data, bias.data)
     d = x.data.shape[-1]
 
     def back(g):
@@ -402,14 +402,16 @@ def masked_mean(x: Tensor, mask: np.ndarray) -> Tensor:
     return _make(out, (x,), back)
 
 
-def concat_rows(parts: list[Tensor]) -> Tensor:
-    """The rows of `parts` (each (n_i, ...)) stacked in order along axis 0."""
-    out = np.concatenate([p.data for p in parts])
-    ends = np.cumsum([p.data.shape[0] for p in parts])
+def concat_rows(parts: list[Tensor], rows: list[list[int]]) -> Tensor:
+    """One (n, ...) tensor whose rows `rows[i]` are the rows of `parts[i]`;
+    the index lists together name each of the n rows once."""
+    out = np.empty((sum(map(len, rows)),) + parts[0].data.shape[1:], parts[0].data.dtype)
+    for p, r in zip(parts, rows):
+        out[r] = p.data
 
     def back(g):
-        for p, end in zip(parts, ends):
-            _accum(p, g[end - p.data.shape[0]:end])
+        for p, r in zip(parts, rows):
+            _accum(p, g[r], fresh=True)
 
     return _make(out, tuple(parts), back)
 
@@ -495,6 +497,7 @@ def log_softmax64(logits: np.ndarray) -> np.ndarray:
 # parameters) 32 K and 128 K took 3.5-4.6 ms a step, and 8 K and the whole
 # buffer 4.7-6.4 ms; the smaller of the two needs the smaller scratch arrays.
 _ADAM_CHUNK = 32 * 1024
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def zero_grads(params: dict[str, Tensor]) -> None:
@@ -535,10 +538,9 @@ class Adam:
     buffers, so each element gets the operations of a per-tensor loop in the
     same order and the same bits."""
 
-    def __init__(self, params: dict[str, Tensor], beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
         self.names = sorted(params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         dtypes = {params[n].data.dtype for n in self.names}
         if len(dtypes) != 1:
@@ -570,25 +572,25 @@ class Adam:
                 p.data = self._data[name]
             self._grad[name][...] = 0 if p.grad is None else p.grad
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - _BETA1**self.t
+        bc2 = 1.0 - _BETA2**self.t
         lr = np.asarray(lr, dtype=self.flat_data.dtype)
         size = self.flat_data.size
         for lo in range(0, size, _ADAM_CHUNK):
             hi = min(lo + _ADAM_CHUNK, size)
             g, m, v = self.flat_grad[lo:hi], self.flat_m[lo:hi], self.flat_v[lo:hi]
             a, b = self._scratch[:, : hi - lo]
-            m *= self.beta1
-            np.multiply(1.0 - self.beta1, g, out=a)
+            m *= _BETA1
+            np.multiply(1.0 - _BETA1, g, out=a)
             m += a
-            v *= self.beta2
+            v *= _BETA2
             np.multiply(g, g, out=a)
-            np.multiply(1.0 - self.beta2, a, out=a)
+            np.multiply(1.0 - _BETA2, a, out=a)
             v += a
             # update = (m / bc1) / (sqrt(v / bc2) + eps); data -= lr * update
             np.divide(v, bc2, out=a)
             np.sqrt(a, out=a)
-            a += self.eps
+            a += _ADAM_EPS
             np.divide(m, bc1, out=b)
             b /= a
             np.multiply(lr, b, out=b)

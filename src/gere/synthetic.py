@@ -18,6 +18,8 @@ from .tokenizer import tokenize
 
 _SYLLABLES = ("ba", "do", "ka", "lu", "mi", "no", "pe", "ra", "su", "ti",
               "vo", "ze", "fa", "gi", "hu", "qa")
+_PAREN_FRACTION = 0.1  # titles given a parenthesised FEVER-style identifier
+_BLANK_FIRST_FRACTION = 0.1  # documents whose sentence 0 is blank
 
 
 def _word_pool(rng: np.random.Generator, size: int) -> list[str]:
@@ -34,7 +36,7 @@ def _word_pool(rng: np.random.Generator, size: int) -> list[str]:
 
 
 def make_doc_ids(rng: np.random.Generator, n: int, pool_size: int = 80,
-                 max_words: int = 4, paren_fraction: float = 0.1) -> list[str]:
+                 max_words: int = 4) -> list[str]:
     """Unique FEVER-style page identifiers whose decoded titles have unique
     token sequences (a requirement of the title trie)."""
     pool = _word_pool(rng, pool_size)
@@ -49,7 +51,7 @@ def make_doc_ids(rng: np.random.Generator, n: int, pool_size: int = 80,
             n_words = int(rng.integers(1, max_words + 1))
             words = [pool[int(i)] for i in rng.integers(0, len(pool), n_words)]
             title = " ".join(words)
-        if rng.random() < paren_fraction:
+        if rng.random() < _PAREN_FRACTION:
             title = f"{title} ({pool[int(rng.integers(0, len(pool)))]})"
         key = tuple(tokenize(title))
         if key in seen_tokens:
@@ -64,8 +66,7 @@ def sentence_keyword(doc_index: int, sentence_index: int) -> str:
 
 
 def make_corpus(rng: np.random.Generator, n_docs: int,
-                sentence_range: tuple[int, int] = (3, 8),
-                blank_first_fraction: float = 0.1, **doc_id_kwargs) -> Corpus:
+                sentence_range: tuple[int, int] = (3, 8), **doc_id_kwargs) -> Corpus:
     """Corpus of n_docs documents with sentence_range sentences each; some
     documents begin with a blank sentence 0, as real FEVER dumps do."""
     corpus = Corpus()
@@ -74,7 +75,7 @@ def make_corpus(rng: np.random.Generator, n_docs: int,
         n_sentences = int(rng.integers(sentence_range[0], sentence_range[1] + 1))
         sentences = []
         for j in range(n_sentences):
-            if j == 0 and rng.random() < blank_first_fraction:
+            if j == 0 and rng.random() < _BLANK_FIRST_FRACTION:
                 sentences.append((0, ""))
                 continue
             sentences.append(
@@ -86,7 +87,7 @@ def make_corpus(rng: np.random.Generator, n_docs: int,
 def make_claims(rng: np.random.Generator, corpus: Corpus, n_claims: int,
                 docs_range: tuple[int, int] = (1, 2),
                 sents_range: tuple[int, int] = (1, 3),
-                nei_fraction: float = 0.0, first_claim_id: int = 1) -> list[Claim]:
+                nei_fraction: float = 0.0) -> list[Claim]:
     """Templated claims naming their gold sentences' keywords and gold titles.
 
     Each claim cites docs_range gold documents and sents_range gold sentences
@@ -97,7 +98,7 @@ def make_claims(rng: np.random.Generator, corpus: Corpus, n_claims: int,
     doc_index = {doc_id: d for d, (doc_id, _) in enumerate(doc_items)}
     claims: list[Claim] = []
     for i in range(n_claims):
-        claim_id = first_claim_id + i
+        claim_id = 1 + i
         if rng.random() < nei_fraction:
             pool = _word_pool(rng, 6)
             claims.append(Claim(claim_id=claim_id,

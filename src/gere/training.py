@@ -77,6 +77,8 @@ def encode_example(claim: Claim, targets: GoldTargets, corpus: Corpus, vocab: Vo
     title_target = linearize_titles(vocab, targets.title_sequence)
     if len(title_target) - 1 > max_positions:
         raise DataError(f"claim {claim.claim_id}: title target longer than max_positions")
+    if len(targets.evidence_sequence) + 1 > max_positions:  # the start vector, then each pick
+        raise DataError(f"claim {claim.claim_id}: gold evidence longer than max_positions - 1")
     cands = corpus.candidates(doc_id for doc_id, _ in targets.evidence_sequence)
     slot_of = {(doc_id, index): i for i, (doc_id, index, _) in enumerate(cands)}
     gold_slots = []
@@ -214,14 +216,9 @@ class Trainer:
                                       title_tgt.ravel()[keep],
                                       model.config.label_smoothing)
 
-        # Pooled row r is sentence order[r]; the index maps follow it.
-        pooled, order = self.pooled_sentences(flat_sents, rng)
-        row_of = np.empty_like(order)
-        row_of[order] = np.arange(order.size)
-        is_row = input_map >= 0
-        input_map[is_row] = row_of[input_map[is_row]]
+        pooled = self.pooled_sentences(flat_sents, rng)
         cand_table = nn.assemble_candidates(pooled, model.params["evid_dec.eoe"],
-                                            batch_idx[order], slot_idx[order], n_batch, n_slots)
+                                            batch_idx, slot_idx, n_batch, n_slots)
         ev_in = nn.assemble_inputs(pooled, model.params["evid_dec.start"], input_map)
         ev_in = nn.add(ev_in, model._positions("evid_dec", n_steps))
         ev_states = model.decoder_forward("evid_dec", ev_in, enc_out, claim_valid, rng)
@@ -233,12 +230,11 @@ class Trainer:
                                          ev_targets.ravel()[keep_steps])
         return loss_title, loss_evidence
 
-    def pooled_sentences(self, sents: list[list[int]], rng) -> tuple[nn.Tensor, np.ndarray]:
-        """Mean-pooled sentence-encoder states of `sents`, one stacked pass per
-        `length_groups` group (the grouping of `encode_sentences`): every row
-        of a pass has the same length, so none is padded and no key is
-        masked. Returns the pooled rows (n, d) and, for each row, the index
-        in `sents` of its sentence."""
+    def pooled_sentences(self, sents: list[list[int]], rng) -> nn.Tensor:
+        """Mean-pooled sentence-encoder states (n, d) of `sents`, row i for
+        `sents[i]`, from one stacked pass per `length_groups` group (the
+        grouping of `encode_sentences`): every row of a pass has the same
+        length, so none is padded and no key is masked."""
         model = self.model
         groups = length_groups(sents)
         parts = []
@@ -247,7 +243,7 @@ class Trainer:
             valid = np.ones(ids.shape, dtype=bool)
             states = model.encoder_forward("sent_enc", ids, valid, rng)
             parts.append(nn.masked_mean(states, valid.astype(model.dtype)))
-        return nn.concat_rows(parts), np.concatenate(groups)
+        return nn.concat_rows(parts, groups)
 
     def train_step_encoded(self, examples: Sequence[_Example]) -> TrainStats:
         """One Adam update on a prepared batch. A non-finite loss or grad norm

@@ -94,10 +94,16 @@ def exhaustive_title_search(model, enc, titles, max_titles):
 # the batched training loss and the incremental decoders.
 
 
+def _all_valid(enc):
+    """The key mask of one unpadded claim: every position is real."""
+    return np.ones((1, len(enc.states)), dtype=bool)
+
+
 def title_logits_all(model, enc, ids):
     """Logits at every position of a full title-decoder input (causality checks)."""
     x = model.embed_title_inputs(np.array([list(ids)]))
-    states = model.decoder_forward("title_dec", x, nn.constant(enc.states[None]), None)
+    states = model.decoder_forward("title_dec", x, nn.constant(enc.states[None]),
+                                   _all_valid(enc))
     return model.title_output_logits(states).data[0]
 
 
@@ -107,7 +113,8 @@ def loss_title(model, enc, target_ids):
     if len(target_ids) < 2 or target_ids[0] != BOS:
         raise ValueError("title target must be BOS ... EOS")
     x = model.embed_title_inputs(np.array([target_ids[:-1]]))
-    states = model.decoder_forward("title_dec", x, nn.constant(enc.states[None]), None)
+    states = model.decoder_forward("title_dec", x, nn.constant(enc.states[None]),
+                                   _all_valid(enc))
     logits = model.title_output_logits(states)
     flat = nn.reshape(logits, (len(target_ids) - 1, model.config.vocab_size))
     loss = nn.cross_entropy(flat, np.array(target_ids[1:]), model.config.label_smoothing)
@@ -190,8 +197,7 @@ class PaddedSentenceTrainer(Trainer):
     def pooled_sentences(self, sents, rng):
         ids, valid = _pad_ids(sents)
         states = self.model.encoder_forward("sent_enc", ids, valid, rng)
-        return (nn.masked_mean(states, valid.astype(self.model.dtype)),
-                np.arange(len(sents), dtype=np.int64))
+        return nn.masked_mean(states, valid.astype(self.model.dtype))
 
 
 # -- optimizer oracle ----------------------------------------------------------

@@ -9,7 +9,7 @@ from gere import binio
 from gere.checkpoint import save_checkpoint
 from gere.cli import RunConfig, _write_resolved_config
 from gere.corpus import Claim, Corpus, Label, save_wiki_pages
-from gere.decoding import write_predictions
+from gere.decoding import RetrievalResult, write_predictions
 from gere.evalkit import write_report
 from gere.model import Seq2SeqModel
 from gere.synthetic import write_dataset
@@ -52,7 +52,7 @@ def _writers(corpus, vocab):
         "trie": ("trie", lambda path, v: TitleTrie.build(titles[v:], vocab).save(path, vocab)),
         "vocab": ("vocab", lambda path, v: save_vocab(build_vocab(corpus, [], 30 + v), path)),
         "predictions": ("predictions", lambda path, v: write_predictions(
-            [{"claim_id": v, "predicted_titles": [], "predicted_evidence": []}], path)),
+            [RetrievalResult(claim_id=v, titles=[], evidence=[], title_log_prob=0.0)], path)),
         "config": ("config_resolved.txt", lambda path, v: _write_resolved_config(
             RunConfig(seed=v), path.parent)),
         "report": ("report.json", lambda path, v: write_report({"doc_f1": v / 2}, path)),

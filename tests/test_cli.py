@@ -72,7 +72,8 @@ def test_out_of_range_decode_settings_are_usage_errors(setting):
 
 
 @pytest.mark.parametrize("setting", ["n_heads=0", "n_heads=-2", "d_model=-4", "d_ff=0",
-                                     "n_layers_enc=-1", "n_layers_dec=-1", "seed=-1"])
+                                     "n_layers_enc=-1", "n_layers_dec=-1", "seed=-1",
+                                     "init_std=nan", "init_std=inf", "init_std=-1"])
 def test_out_of_range_model_sizes_are_usage_errors(setting, capsys):
     from gere.cli import UsageError
     with pytest.raises(UsageError):
@@ -80,6 +81,20 @@ def test_out_of_range_model_sizes_are_usage_errors(setting, capsys):
     for command in ("train", "retrieve"):
         assert main([command, "--set", setting]) == EXIT_USAGE
         assert setting.split("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", ["train.peak_lr=nan", "train.peak_lr=inf", "train.peak_lr=-1",
+                                     "train.peak_lr=0", "train.clip_norm=nan",
+                                     "train.clip_norm=inf"])
+def test_non_finite_or_negative_train_settings_are_usage_errors(setting, capsys):
+    """Rejected before any input is read: a NaN step size would take a NaN
+    step, a negative one would ascend the loss and a NaN clip norm would
+    turn clipping off."""
+    from gere.cli import UsageError
+    with pytest.raises(UsageError, match=setting.split("=")[0]):
+        load_run_config(None, [setting])
+    assert main(["train", "--set", setting]) == EXIT_USAGE
+    assert setting.split("=")[0] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
@@ -277,6 +292,31 @@ def test_train_stops_at_a_non_finite_update(dataset, tmp_path, capsys):
     assert not (out_dir / "checkpoint_final.gereckpt").exists()
 
 
+def test_train_rejects_gold_evidence_longer_than_the_decoder(tmp_path, capsys, caplog):
+    """A claim citing 6 sentences needs 7 evidence decoder positions: at
+    max_positions 5 `gere train` exits 2 naming it, before any update."""
+    from gere.corpus import Claim, Corpus, Label
+    from conftest import make_doc
+    corpus = Corpus()
+    corpus.add(make_doc("Gamma", [f"key{i} gamma holds ." for i in range(7)]))
+    corpus.add(make_doc("Delta", ["key7 delta holds ."]))
+    claims = [Claim(1, "key7 delta", Label.SUPPORTS, ((("Delta", 0),),)),
+              Claim(2, "key0 gamma", Label.SUPPORTS, (tuple(("Gamma", i) for i in range(6)),))]
+    wiki, claims_path = write_dataset(corpus, claims, tmp_path)
+    vocab_path, trie_path = build_artifacts((tmp_path, wiki, claims_path), tmp_path)
+    out_dir = tmp_path / "out"
+    cfg_path = write_config(tmp_path / "run.cfg", wiki=wiki, claims=claims_path,
+                            vocab=vocab_path, trie=trie_path, output_dir=out_dir,
+                            max_positions=5, d_model=16, d_ff=32, n_heads=2,
+                            **{"train.total_updates": 2})
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "claim 2: gold evidence longer than max_positions" in err
+    assert "Traceback" not in err + caplog.text
+    assert not (out_dir / "train_log.jsonl").exists()
+
+
 def test_train_missing_inputs_is_data_error(dataset, tmp_path):
     cfg_path = write_config(tmp_path / "missing.cfg", wiki="/nope/wiki.jsonl",
                             claims="x", vocab="y", trie="z")
@@ -442,10 +482,11 @@ def trained_run(dataset, tmp_path_factory):
     root, wiki, claims_path = dataset
     tmp = tmp_path_factory.mktemp("trained")
     out_dir, cfg_path = run_training(dataset, tmp, "run", total_updates=2)
+    from gere import binio
     from gere.corpus import load_claims
-    from gere.decoding import write_predictions
-    write_predictions([{"claim_id": c.claim_id, "predicted_titles": [], "predicted_evidence": []}
-                       for c in load_claims(claims_path)], tmp / "pred.jsonl")
+    binio.write_jsonl(tmp / "pred.jsonl", [
+        {"claim_id": c.claim_id, "predicted_titles": [], "predicted_evidence": []}
+        for c in load_claims(claims_path)])
     return {"config": cfg_path, "wiki": wiki, "claims": claims_path,
             "vocab": tmp / "vocab.txt", "trie": tmp / "trie.bin",
             "checkpoint": out_dir / "checkpoint_final.gereckpt",

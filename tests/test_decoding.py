@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gere import decoding, nn
-from gere.corpus import Corpus, Document, Claim, Label, title_from_doc_id
+from gere.corpus import Corpus, Document, Claim, Label, gold_targets, title_from_doc_id
 from gere.decoding import (
     DecodeParams, beam_search_titles, collect_candidates, greedy_evidence,
     read_predictions, retrieve, write_predictions, RetrievalResult,
@@ -12,6 +12,7 @@ from gere.decoding import (
 from gere.errors import DataError, DecodingError
 from gere.model import DecoderState, Seq2SeqModel, SentenceEmbedding
 from gere.tokenizer import EOS, build_vocab
+from gere.training import encode_example
 from gere.trie import TitleTrie
 
 from conftest import small_config
@@ -130,6 +131,29 @@ def test_beam_error_carries_partial_beams():
         beam_search_titles(model, enc, trie, beam_size=4, max_titles=2)
     assert err.value.partial_beams
     assert all(not h.finished for h in err.value.partial_beams)
+
+
+@pytest.mark.parametrize("length_normalize", [False, True])
+def test_beam_decodes_the_longest_title_target_training_accepts(length_normalize):
+    """`BOS aa bb cc EOT EOS` has 6 tokens; its 5 decoder inputs fill positions
+    0-4, so at max_positions 5 training accepts it and the beam finishes it.
+    At max_positions 4 both refuse it."""
+    for max_positions, fits in ((5, True), (4, False)):
+        corpus, vocab, trie, model = setup(["Aa_bb_cc"], max_positions=max_positions)
+        claim = Claim(1, "aa", Label.SUPPORTS, ((("Aa_bb_cc", 0),),))
+        enc = model.encode_claim(vocab.encode(claim.text))
+        targets = gold_targets(claim, corpus)
+        if fits:
+            encode_example(claim, targets, corpus, vocab, max_positions)
+            docs, _, tokens = beam_search_titles(model, enc, trie, beam_size=2, max_titles=1,
+                                                 length_normalize=length_normalize)
+            assert docs == ["Aa_bb_cc"] and len(tokens) == 6
+        else:
+            with pytest.raises(DataError, match="title target"):
+                encode_example(claim, targets, corpus, vocab, max_positions)
+            with pytest.raises(DecodingError):
+                beam_search_titles(model, enc, trie, beam_size=2, max_titles=1,
+                                   length_normalize=length_normalize)
 
 
 def test_length_normalized_ranking_matches_oracle_rule():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from gere.corpus import Claim, Label
 from gere.errors import DataError
 from gere.evalkit import (
-    PRF, doc_prf, evaluate, fever_scores, sent_prf, with_oracle_labels, write_report,
+    PRF, doc_prf, evaluate, fever_scores, sent_prf, write_report,
 )
 
 from oracles import random_eval_dataset, score_dataset_bruteforce
@@ -144,9 +144,8 @@ def test_fever_missing_label_errors_but_missing_claim_is_zero():
 def test_oracle_labels_pass_through():
     golds = [gold(1, "REFUTES", [[("A", 0)]]), gold(2, "NOT ENOUGH INFO", [])]
     preds = [pred(1, evidence=[("A", 0)]), pred(2)]
-    labeled = with_oracle_labels(preds, golds)
-    scores = fever_scores(labeled, golds)
-    assert scores.label_accuracy == 1.0 and scores.fever == 1.0
+    report = evaluate(preds, golds, oracle_labels=True)
+    assert report["la"] == 1.0 and report["fever"] == 1.0
 
 
 @pytest.mark.parametrize("field, value", [

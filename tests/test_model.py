@@ -22,7 +22,9 @@ def test_config_validation():
         ModelConfig(vocab_size=100, dropout_rate=-0.1)
     # Sizes below their floor; zero layers stays legal.
     for key, value in (("n_heads", 0), ("n_heads", -2), ("d_model", 0), ("d_model", -64),
-                       ("d_ff", 0), ("n_layers_enc", -1), ("n_layers_dec", -1), ("seed", -1)):
+                       ("d_ff", 0), ("n_layers_enc", -1), ("n_layers_dec", -1), ("seed", -1),
+                       ("init_std", 0.0), ("init_std", -0.5), ("init_std", float("nan")),
+                       ("init_std", float("inf"))):
         with pytest.raises(ValueError, match=key):
             ModelConfig(vocab_size=100, **{key: value})
     ModelConfig(vocab_size=100, n_layers_enc=0, n_layers_dec=0)
@@ -59,6 +61,8 @@ def test_config_kv_rejects_garbage():
         ModelConfig.from_kv("d_model=64\n")
     with pytest.raises(DataError, match="n_heads 3"):
         ModelConfig.from_kv("vocab_size=10\nn_heads=3\n")
+    with pytest.raises(DataError, match="init_std"):
+        ModelConfig.from_kv("vocab_size=10\ninit_std=nan\n")
 
 
 def test_same_seed_same_params(tiny_vocab):

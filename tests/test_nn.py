@@ -169,9 +169,13 @@ def test_masked_mean(rng):
 
 def test_concat_rows(rng):
     a, b, c = param(rng, 2, 3), param(rng, 1, 3), param(rng, 4, 3)
-    out = nn.concat_rows([a, b, c])
-    assert np.array_equal(out.data, np.concatenate([a.data, b.data, c.data]))
-    fd_check(lambda: scalarize(nn.concat_rows([a, b, c])), {"a": a, "b": b, "c": c})
+    rows = [[4, 0], [2], [1, 6, 3, 5]]  # an interleaved partition of 0..6
+    out = nn.concat_rows([a, b, c], rows)
+    expected = np.empty((7, 3))
+    for part, r in zip((a, b, c), rows):
+        expected[r] = part.data
+    assert np.array_equal(out.data, expected)
+    fd_check(lambda: scalarize(nn.concat_rows([a, b, c], rows)), {"a": a, "b": b, "c": c})
 
 
 def test_assemble_candidates(rng):

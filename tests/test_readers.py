@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from gere import binio
 from gere.checkpoint import load_checkpoint, save_checkpoint
 from gere.corpus import Document, load_claims, load_wiki_pages, save_wiki_pages
-from gere.decoding import read_predictions, write_predictions
+from gere.decoding import read_predictions
 from gere.errors import DataError
 from gere.model import Seq2SeqModel
 from gere.synthetic import claims_to_records
@@ -53,10 +53,10 @@ def valid_files(tmp_path, tiny_corpus, tiny_claims, tiny_vocab):
     save_vocab(tiny_vocab, paths["vocab"])
     save_wiki_pages(tiny_corpus, paths["wiki"])
     binio.write_jsonl(paths["claims"], claims_to_records(tiny_claims))
-    write_predictions([{"claim_id": c.claim_id, "predicted_titles": ["Alpha_hill"],
-                        "predicted_evidence": [["Alpha_hill", 0]],
-                        "predicted_label": c.label.value} for c in tiny_claims],
-                      paths["predictions"])
+    binio.write_jsonl(paths["predictions"], [
+        {"claim_id": c.claim_id, "predicted_titles": ["Alpha_hill"],
+         "predicted_evidence": [["Alpha_hill", 0]], "predicted_label": c.label.value}
+        for c in tiny_claims])
     TitleTrie.build(tiny_corpus.titles(), tiny_vocab).save(paths["trie"], tiny_vocab)
     save_checkpoint(paths["checkpoint"], Seq2SeqModel(
         small_config(len(tiny_vocab), max_positions=16), vocab_checksum=tiny_vocab.checksum()))

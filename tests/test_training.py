@@ -3,15 +3,15 @@ import pytest
 
 from gere import model as gmodel
 from gere import nn
-from gere.corpus import gold_targets, verifiable
-from gere.errors import TrainingError
+from gere.corpus import Claim, Corpus, Label, gold_targets, verifiable
+from gere.errors import DataError, TrainingError
 from gere.model import DecoderState, Seq2SeqModel, length_groups
-from gere.tokenizer import BOS, EOS, EOT, SEP
+from gere.tokenizer import BOS, EOS, EOT, SEP, build_vocab
 from gere.training import (
     Trainer, encode_example, learning_rate, linearize_titles, make_batches,
 )
 
-from conftest import small_config
+from conftest import make_doc, small_config
 from oracles import PaddedSentenceTrainer, loss_evidence, loss_title
 
 
@@ -111,6 +111,22 @@ def test_encode_example_candidates_and_slots(tiny_corpus, tiny_vocab, tiny_claim
     assert len(ex.cand_ids) == 5
     assert ex.gold_slots == [1, 3]  # Alpha_hill idx1 -> slot 1; Beta_ridge idx0 -> slot 3
     assert ex.title_target[0] == BOS and ex.title_target[-1] == EOS
+
+
+def test_encode_example_rejects_more_gold_evidence_than_the_decoder_holds():
+    """The evidence decoder reads the start vector, then each gold pick: 4 gold
+    sentences need 5 positions. The one-token title fits at every setting."""
+    corpus = Corpus()
+    corpus.add(make_doc("Gamma", [f"key{i} gamma holds ." for i in range(4)]))
+    vocab = build_vocab(corpus, [], 100)
+    claim = Claim(9, "gamma holds", Label.SUPPORTS, (tuple(("Gamma", i) for i in range(4)),))
+    targets = gold_targets(claim, corpus)
+    with pytest.raises(DataError, match="claim 9: gold evidence longer"):
+        encode_example(claim, targets, corpus, vocab, 4)
+    ex = encode_example(claim, targets, corpus, vocab, 5)
+    trainer = Trainer(Seq2SeqModel(small_config(len(vocab), max_positions=5)), vocab,
+                      total_updates=1)
+    trainer.train_step_encoded([ex])  # the longest evidence target fits the decoder
 
 
 # -- train_step --------------------------------------------------------------------
@@ -325,6 +341,20 @@ def test_sentence_encoder_computes_no_padded_row(tiny_corpus, tiny_vocab, tiny_c
     assert sum(rows * width for (rows, width), _ in passes) == sum(map(len, sents))
     assert len(passes) == len({len(ids) for ids in sents})
     assert all(all_valid for _, all_valid in passes)
+
+
+def test_pooled_rows_come_back_in_input_order(tiny_vocab):
+    """Row i of the grouped pass is sentence i, whatever the group order: it
+    equals the engine's embedding of that sentence alone."""
+    cfg = small_config(len(tiny_vocab), max_positions=8)
+    model = Seq2SeqModel(cfg, dtype=np.float64)
+    rng = np.random.default_rng(3)
+    sents = [rng.integers(6, len(tiny_vocab), n).tolist() for n in (7, 3, 7, 1, 3)]
+    assert length_groups(sents) == [[0, 2], [1, 4], [3]]
+    pooled = Trainer(model, tiny_vocab, total_updates=1).pooled_sentences(sents, None)
+    assert pooled.data.shape == (5, cfg.d_model)
+    for row, ids in zip(pooled.data, sents):
+        np.testing.assert_allclose(row, model.encode_sentence(ids).vector, rtol=0, atol=1e-12)
 
 
 # -- dtypes ------------------------------------------------------------------------
