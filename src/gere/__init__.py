@@ -22,7 +22,6 @@ from .corpus import (
     verifiable,
 )
 from .decoding import (
-    BeamHypothesis,
     DecodeParams,
     RetrievalResult,
     beam_search_titles,
@@ -56,7 +55,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BOS", "EOS", "EOT", "PAD", "SEP", "UNK",
-    "BeamHypothesis", "Claim", "ClaimEncoding", "Corpus", "DataError",
+    "Claim", "ClaimEncoding", "Corpus", "DataError",
     "DecodeParams", "DecodingError", "Document", "GereError", "GoldTargets",
     "Label", "ModelConfig", "PRF", "RetrievalResult", "Seq2SeqModel",
     "SentenceEmbedding", "TitleTrie", "TrainStats", "Trainer",

@@ -58,7 +58,7 @@ def write_jsonl(path, records: Iterable[dict]) -> None:
 
 
 def write_u8(buf: bytearray, value: int) -> None:
-    buf += struct.pack("<B", value)
+    buf.append(value)
 
 
 def write_u32(buf: bytearray, value: int) -> None:
@@ -130,7 +130,11 @@ class Reader:
         return out
 
     def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
+        pos = self.pos  # read in place: this is the per-byte call of `uvarint`
+        if pos >= len(self.data):
+            raise DataError(f"{self.name}: truncated (needed 1 bytes at offset {pos})")
+        self.pos = pos + 1
+        return self.data[pos]
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]

@@ -105,8 +105,8 @@ def load_run_config(path: str | None, overrides: list[str]) -> RunConfig:
         raise UsageError("train.total_updates must be positive")
     if not (math.isfinite(cfg.train.peak_lr) and cfg.train.peak_lr > 0):
         raise UsageError(f"train.peak_lr must be finite and positive, got {cfg.train.peak_lr}")
-    if not math.isfinite(cfg.train.clip_norm):
-        raise UsageError(f"train.clip_norm must be finite, got {cfg.train.clip_norm}")
+    if not (math.isfinite(cfg.train.clip_norm) and cfg.train.clip_norm > 0):
+        raise UsageError(f"train.clip_norm must be finite and positive, got {cfg.train.clip_norm}")
     if cfg.decode.beam_size < 1:
         raise UsageError("decode.beam_size must be positive")
     if cfg.decode.max_titles < 1:

@@ -53,7 +53,7 @@ class BeamHypothesis:
     tokens: list[int]
     log_prob: float
     finished: bool = False
-    doc_ids: tuple[str, ...] = ()
+    ends: tuple[int, ...] = ()  # the terminal trie node of each emitted title
     node: Optional[int] = None  # trie node while inside a title, else None
 
 
@@ -83,24 +83,26 @@ _EOS_ONLY = np.array([EOS], dtype=np.intp)
 
 def _allowed_tokens(hyp: BeamHypothesis, trie: TitleTrie, max_titles: int) -> np.ndarray:
     if hyp.node is not None:
-        tokens = trie.child_tokens(hyp.node)
-        end = trie.children_of(hyp.node).get(EOT)
-        if end is not None and trie.terminal_doc(end) in hyp.doc_ids:
-            tokens = tokens[tokens != EOT]  # duplicate-title suppression
+        first, count = trie.first_child.item(hyp.node), trie.child_count.item(hyp.node)
+        tokens = trie.token[first:first + count]
+        for end in hyp.ends:
+            if first <= end < first + count:  # an emitted title ends at this node
+                return tokens[tokens != EOT]  # duplicate-title suppression
         return tokens
-    return _SEP_EOS if len(hyp.doc_ids) < max_titles else _EOS_ONLY
+    return _SEP_EOS if len(hyp.ends) < max_titles else _EOS_ONLY
 
 
 def _extend(hyp: BeamHypothesis, token: int, log_prob: float, trie: TitleTrie) -> BeamHypothesis:
     tokens = hyp.tokens + [token]
     if token == EOS:
-        return BeamHypothesis(tokens, log_prob, finished=True, doc_ids=hyp.doc_ids)
+        return BeamHypothesis(tokens, log_prob, finished=True, ends=hyp.ends)
     if token == SEP:
-        return BeamHypothesis(tokens, log_prob, doc_ids=hyp.doc_ids, node=trie.root)
-    child = trie.children_of(hyp.node)[token]
+        return BeamHypothesis(tokens, log_prob, ends=hyp.ends, node=trie.root)
+    first, count = trie.first_child.item(hyp.node), trie.child_count.item(hyp.node)
+    child = first + trie.token[first:first + count].tolist().index(token)
     if token == EOT:
-        return BeamHypothesis(tokens, log_prob, doc_ids=hyp.doc_ids + (trie.terminal_doc(child),))
-    return BeamHypothesis(tokens, log_prob, doc_ids=hyp.doc_ids, node=child)
+        return BeamHypothesis(tokens, log_prob, ends=hyp.ends + (child,))
+    return BeamHypothesis(tokens, log_prob, ends=hyp.ends, node=child)
 
 
 def _rank_score(hyp: BeamHypothesis, length_normalize: bool) -> float:
@@ -112,9 +114,9 @@ def _longest_finish(hyp: BeamHypothesis, trie: TitleTrie, max_titles: int, max_l
     current title, then every title still allowed at the trie's greatest depth
     (SEP, its tokens and EOT each), then EOS; never more than `max_len`."""
     inside = hyp.node is not None
-    rest = trie.height(hyp.node) if inside else 0
-    titles_left = max_titles - len(hyp.doc_ids) - inside
-    longest = len(hyp.tokens) + rest + titles_left * (1 + trie.height(trie.root)) + 1
+    rest = trie.height.item(hyp.node) if inside else 0
+    titles_left = max_titles - len(hyp.ends) - inside
+    longest = len(hyp.tokens) + rest + titles_left * (1 + trie.height.item(trie.root)) + 1
     return min(longest, max_len)
 
 
@@ -168,7 +170,6 @@ def beam_search_titles(
     alive = [BeamHypothesis(tokens=[BOS], log_prob=0.0, node=trie.root)]
     parent_rank = np.zeros(1, dtype=np.intp)
     finished: list[BeamHypothesis] = []
-    last_alive = alive
     # Inputs fill positions 0 .. max_positions - 1 and the last one predicts EOS, so
     # a finished sequence has up to max_positions + 1 tokens, as `encode_example` allows.
     max_len = model.config.max_positions + 1
@@ -176,7 +177,6 @@ def beam_search_titles(
     while alive:
         if _cannot_improve(alive, best_finished, length_normalize, trie, max_titles, max_len):
             break
-        last_alive = alive
         if len(alive[0].tokens) >= max_len:
             break  # all alive hypotheses share one length; none can extend, all die
         log_probs = nn.log_softmax64(model.title_step(state, [hyp.tokens[-1] for hyp in alive]))
@@ -187,19 +187,18 @@ def beam_search_titles(
         order = np.lexsort((tokens, parent_rank[rows], -scores))
         eos = tokens[order] == EOS
         for i in order[eos].tolist():
-            finished.append(_extend(last_alive[rows[i]], EOS, float(scores[i]), trie))
+            finished.append(_extend(alive[rows[i]], EOS, float(scores[i]), trie))
             best_finished = max(best_finished, _rank_score(finished[-1], length_normalize))
         keep = order[~eos][:beam_size]
         kept_rows, kept_tokens = rows[keep], tokens[keep]
-        alive = [_extend(last_alive[row], token, score, trie) for row, token, score in
+        alive = [_extend(alive[row], token, score, trie) for row, token, score in
                  zip(kept_rows.tolist(), kept_tokens.tolist(), scores[keep].tolist())]
         parent_rank = np.argsort(np.lexsort((kept_tokens, parent_rank[kept_rows])))
         state.reorder(kept_rows)
     if not finished:
-        raise DecodingError("no beam hypothesis could finish",
-                            partial_beams=last_alive)
+        raise DecodingError("no beam hypothesis could finish")
     best = min(finished, key=lambda h: (-_rank_score(h, length_normalize), h.tokens))
-    return list(best.doc_ids), best.log_prob, best.tokens
+    return [trie.doc_ids[end] for end in best.ends], best.log_prob, best.tokens
 
 
 def collect_candidates(model: Seq2SeqModel, vocab: Vocab, doc_ids: Sequence[str],

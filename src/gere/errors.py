@@ -14,8 +14,5 @@ class TrainingError(GereError):
 
 
 class DecodingError(GereError):
-    """Inference-time failure; carries partial state where useful."""
-
-    def __init__(self, message, partial_beams=None):
-        super().__init__(message)
-        self.partial_beams = partial_beams
+    """Inference-time failure: an empty trie, an empty candidate set, or a
+    beam in which no hypothesis could finish."""

@@ -596,11 +596,6 @@ class Adam:
             np.multiply(lr, b, out=b)
             self.flat_data[lo:hi] -= b
 
-    def state_dict(self) -> dict:
-        return {"t": self.t,
-                "m": {n: a.copy() for n, a in self.m.items()},
-                "v": {n: a.copy() for n, a in self.v.items()}}
-
     def load_state_dict(self, state: dict) -> None:
         """Copy the moments into the views, keeping the flat storage."""
         for name in self.names:

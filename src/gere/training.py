@@ -10,7 +10,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import nn
-from .corpus import Claim, Corpus, GoldTargets, Label
+from .corpus import Claim, Corpus, GoldTargets
 from .errors import DataError, TrainingError
 from .model import NEG_INF, Seq2SeqModel, length_groups, sentence_ids
 from .tokenizer import BOS, EOS, EOT, PAD, SEP, Vocab
@@ -124,6 +124,8 @@ class Trainer:
                  peak_lr: float = 3e-5, warmup_frac: float = 0.10, clip_norm: float = 1.0):
         if total_updates < 1:
             raise ValueError("total_updates must be positive")
+        if not (math.isfinite(clip_norm) and clip_norm > 0):
+            raise ValueError(f"clip_norm must be finite and positive, got {clip_norm}")
         self.model = model
         self.vocab = vocab
         self.total_updates = total_updates
@@ -156,19 +158,6 @@ class Trainer:
         epochs = (make_batches([examples[i] for i in order], max_tokens) for order in orders)
         return itertools.islice(itertools.chain.from_iterable(epochs), self.step_count,
                                 self.total_updates)
-
-    def train_step(self, batch: Sequence[tuple[Claim, GoldTargets]], corpus: Corpus) -> TrainStats:
-        """One Adam update on the joint loss over a teacher-forced batch."""
-        if not batch:
-            raise ValueError("empty training batch")
-        for claim, _ in batch:
-            if claim.label is Label.NOT_ENOUGH_INFO:
-                raise ValueError(f"claim {claim.claim_id} is NOT ENOUGH INFO; "
-                                 "it cannot appear in a retrieval training batch")
-        max_pos = self.model.config.max_positions
-        examples = [encode_example(claim, targets, corpus, self.vocab, max_pos)
-                    for claim, targets in batch]
-        return self.train_step_encoded(examples)
 
     def loss_graph(self, examples: Sequence[_Example]) -> tuple[nn.Tensor, nn.Tensor]:
         """Build the joint forward graph for a prepared batch and return its

@@ -3,13 +3,17 @@
 Every title's token sequence is terminated by an explicit EOT edge, so titles
 that are prefixes of other titles ("a" vs "a b") stay distinguishable. The
 node reached by the EOT edge is terminal and annotated with the doc_id.
-Immutable after build; decode-time reads need no synchronization beyond the
-lazily filled, idempotent caches of sorted child tokens and subtree heights.
-Both construction paths give every child a larger node id than its parent.
+
+The trie is flat arrays with one entry per node. Node ids follow the file's
+depth-first order: a node's children are consecutive, in ascending token
+order, and get their ids when the node is visited, so every child id is
+larger than its parent's. A built and a loaded trie hold the same arrays.
+The arrays are read-only, so decode-time reads need no synchronization.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -23,25 +27,62 @@ _VERSION = 1
 
 
 class TitleTrie:
-    """Arena-backed trie: parallel lists of child maps and terminal doc_ids."""
+    """Node i's children are ids `first_child[i]` .. `first_child[i] +
+    child_count[i] - 1`; `token[i]` labels the edge into node i (-1 at the
+    root), `height[i]` counts the edges on the longest path from node i down
+    to a terminal node, and `doc_ids[i]` is a terminal node's doc_id, else
+    None."""
 
-    def __init__(self):
-        self._children: list[dict[int, int]] = [{}]
-        self._terminal: list[Optional[str]] = [None]
-        self._child_tokens: dict[int, np.ndarray] = {}
-        self._heights: Optional[list[int]] = None
-        self.root = 0
+    root = 0
+
+    def __init__(self, records: Iterable[tuple[Optional[str], Sequence[int]]] = ((None, ()),)):
+        """Consume the pre-order records (doc_id or None, ascending child
+        tokens) of every node, the root's first; the default is a root-only
+        trie."""
+        records = iter(records)
+        token, visited, counts, terminals = [-1], [], [], []
+        pending = [self.root]
+        while pending:
+            node = pending.pop()
+            doc_id, tokens = next(records)
+            if doc_id is not None:
+                terminals.append((node, doc_id))
+            visited.append(node)
+            counts.append(len(tokens))
+            first = len(token)
+            token.extend(tokens)
+            pending.extend(range(len(token) - 1, first - 1, -1))
+        n = len(token)
+        visited, counts = np.array(visited, dtype=np.intp), np.array(counts, dtype=np.intp)
+        self.first_child = np.empty(n, dtype=np.intp)
+        self.first_child[visited] = 1 + np.cumsum(counts) - counts
+        self.child_count = np.empty(n, dtype=np.intp)
+        self.child_count[visited] = counts
+        self.token = np.array(token, dtype=np.intp)
+        parents = np.repeat(visited, counts).tolist()  # of nodes 1 .. n - 1
+        height = [0] * n
+        for child in range(n - 1, 0, -1):  # children before parents
+            parent, h = parents[child - 1], height[child] + 1
+            if h > height[parent]:
+                height[parent] = h
+        self.height = np.array(height, dtype=np.intp)
+        for array in (self.first_child, self.child_count, self.token, self.height):
+            array.flags.writeable = False  # shared by every decoder
+        self.doc_ids = [None] * n
+        for node, doc_id in terminals:
+            self.doc_ids[node] = doc_id
+        self.title_count = len(terminals)
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def build(cls, titles: Iterable[tuple[str, str]], vocab: Vocab) -> "TitleTrie":
         """Insert every (title, doc_id); insertion order is irrelevant."""
-        trie = cls()
         titles = list(titles)
         if not titles:
             raise DataError("cannot build a title trie from zero titles")
         seen_docs: set[str] = set()
+        root: dict = {}  # token -> child; an EOT edge leads to the doc_id
         for title, doc_id in titles:
             if doc_id in seen_docs:
                 raise DataError(f"duplicate doc_id {doc_id!r} in trie build")
@@ -49,103 +90,56 @@ class TitleTrie:
             tokens = vocab.encode(title)
             if not tokens:
                 raise DataError(f"title {title!r} (doc_id {doc_id!r}) tokenizes to nothing")
-            trie._insert(tokens, title, doc_id)
-        return trie
-
-    def _insert(self, tokens: Sequence[int], title: str, doc_id: str) -> None:
-        node = self.root
-        for tok in tokens:
-            child = self._children[node].get(tok)
-            node = child if child is not None else self._new_child(node, tok)
-        end = self._children[node].get(EOT)
-        if end is not None:
-            other = self._terminal[end]
-            raise DataError(
-                f"titles {title!r} ({doc_id!r}) and ({other!r}) share one token sequence"
-            )
-        end = self._new_child(node, EOT)
-        self._terminal[end] = doc_id
-
-    def _new_child(self, parent: int, token: int) -> int:
-        self._children.append({})
-        self._terminal.append(None)
-        idx = len(self._children) - 1
-        self._children[parent][token] = idx
-        return idx
+            node = root
+            for tok in tokens:
+                node = node.setdefault(tok, {})
+            if EOT in node:
+                raise DataError(
+                    f"titles {title!r} ({doc_id!r}) and ({node[EOT]!r}) share one token sequence"
+                )
+            node[EOT] = doc_id
+        return cls(_dict_records(root))
 
     # -- queries -----------------------------------------------------------
 
     @property
     def node_count(self) -> int:
-        return len(self._children)
-
-    @property
-    def title_count(self) -> int:
-        return sum(1 for t in self._terminal if t is not None)
+        return len(self.doc_ids)
 
     def walk(self, prefix: Sequence[int]) -> Optional[int]:
         """Node reached from the root by `prefix`, or None if off-trie."""
         node = self.root
         for tok in prefix:
-            node = self._children[node].get(tok)
+            node = self.children_of(node).get(tok)
             if node is None:
                 return None
         return node
 
     def children_of(self, node: int) -> dict[int, int]:
-        return self._children[node]
-
-    def child_tokens(self, node: int) -> np.ndarray:
-        """The tokens of `node`'s children, ascending, as an int array (cached)."""
-        tokens = self._child_tokens.get(node)
-        if tokens is None:
-            tokens = np.array(sorted(self._children[node]), dtype=np.intp)
-            tokens.flags.writeable = False  # shared by every caller
-            self._child_tokens[node] = tokens
-        return tokens
-
-    def height(self, node: int) -> int:
-        """Edges on the longest path from `node` down to a terminal node, the
-        EOT edge included; the root's height is the longest title plus one."""
-        if self._heights is None:
-            heights = [0] * len(self._children)
-            for parent in reversed(range(len(self._children))):  # children before parents
-                for child in self._children[parent].values():
-                    heights[parent] = max(heights[parent], heights[child] + 1)
-            self._heights = heights
-        return self._heights[node]
-
-    def terminal_doc(self, node: int) -> Optional[str]:
-        return self._terminal[node]
+        first, count = self.first_child[node], self.child_count[node]
+        return dict(zip(self.token[first:first + count].tolist(), range(first, first + count)))
 
     def allowed_next(self, prefix: Sequence[int]) -> set[int]:
         """Exact set of tokens continuing `prefix`; empty if prefix is off-trie."""
         node = self.walk(prefix)
         if node is None:
             return set()
-        return set(self._children[node])
+        return set(self.children_of(node))
 
     def resolve(self, tokens: Sequence[int]) -> str:
         """doc_id for a complete token path ending in EOT."""
         node = self.walk(tokens)
-        if node is None or self._terminal[node] is None:
+        if node is None or self.doc_ids[node] is None:
             raise DataError(f"token path {list(tokens)} is not a complete title")
-        return self._terminal[node]
+        return self.doc_ids[node]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TitleTrie):
             return NotImplemented
-        # Structural equality independent of arena layout.
-        stack = [(self.root, other.root)]
-        while stack:
-            a, b = stack.pop()
-            if self._terminal[a] != other._terminal[b]:
-                return False
-            ca, cb = self._children[a], other._children[b]
-            if ca.keys() != cb.keys():
-                return False
-            stack.extend((ca[t], cb[t]) for t in ca)
-        return True
+        return self.doc_ids == other.doc_ids and all(
+            np.array_equal(mine, theirs) for mine, theirs in
+            zip((self.first_child, self.child_count, self.token, self.height),
+                (other.first_child, other.child_count, other.token, other.height)))
 
     # -- persistence -------------------------------------------------------
 
@@ -155,22 +149,24 @@ class TitleTrie:
         binio.write_header(buf, _MAGIC, _VERSION, vocab.checksum())
         binio.write_u32(buf, self.node_count)
         binio.write_u32(buf, self.title_count)
-        # Pre-order DFS; children visited in ascending token-id order so the
-        # byte stream is identical however the trie was built.
+        # Pre-order DFS; children visited in ascending token-id order, which
+        # is the order that assigns the node ids.
+        first_child, child_count = self.first_child.tolist(), self.child_count.tolist()
+        token = self.token.tolist()
         stack = [self.root]
         while stack:
             node = stack.pop()
-            doc_id = self._terminal[node]
+            doc_id = self.doc_ids[node]
             binio.write_u8(buf, 1 if doc_id is not None else 0)
             if doc_id is not None:
                 binio.write_str(buf, doc_id)
-            items = sorted(self._children[node].items())
-            binio.write_uvarint(buf, len(items))
+            first, count = first_child[node], child_count[node]
+            binio.write_uvarint(buf, count)
             prev = -1
-            for tok, _ in items:
+            for tok in token[first:first + count]:
                 binio.write_uvarint(buf, tok - prev)
                 prev = tok
-            stack.extend(child for _, child in reversed(items))
+            stack.extend(range(first + count - 1, first - 1, -1))
         return bytes(buf)
 
     @classmethod
@@ -181,31 +177,25 @@ class TitleTrie:
         title_count = r.u32()
         if not 1 <= node_count <= (len(data) - r.pos) // 2:  # a node record takes >= 2 bytes
             raise DataError(f"{name}: node count {node_count} does not fit the file")
-        trie = cls()
-        trie._children = [{} for _ in range(node_count)]
-        trie._terminal = [None] * node_count
-        next_id = 1
-        # Mirror of the writer's traversal: pop a node, read its record,
-        # push its children reversed so the leftmost subtree comes next.
-        pending = [trie.root]
-        while pending:
-            node = pending.pop()
-            if r.u8():
-                trie._terminal[node] = r.str_()
-            n_children = r.uvarint()
-            prev = -1
-            children = trie._children[node]
-            child_ids = []
-            for _ in range(n_children):
-                prev += r.uvarint()
-                if next_id >= node_count:
+
+        def records():
+            declared = 1  # the root, then every child read so far
+            while True:
+                doc_id = r.str_() if r.u8() else None
+                n_children = r.uvarint()
+                declared += n_children
+                if declared > node_count:
                     raise DataError(f"{name}: more nodes than declared ({node_count})")
-                children[prev] = next_id
-                child_ids.append(next_id)
-                next_id += 1
-            pending.extend(reversed(child_ids))
-        if next_id != node_count:
-            raise DataError(f"{name}: node count mismatch ({next_id} read, {node_count} declared)")
+                steps = [r.uvarint() for _ in range(n_children)]
+                tokens = [total - 1 for total in accumulate(steps)]
+                if 0 in steps or (tokens and tokens[-1] >= len(vocab)):
+                    raise DataError(f"{name}: child tokens out of order or out of the vocabulary")
+                yield doc_id, tokens
+
+        trie = cls(records())
+        if trie.node_count != node_count:
+            raise DataError(
+                f"{name}: node count mismatch ({trie.node_count} read, {node_count} declared)")
         r.finish()
         if trie.title_count != title_count:
             raise DataError(f"{name}: title count mismatch")
@@ -217,3 +207,17 @@ class TitleTrie:
     @classmethod
     def load(cls, path, vocab: Vocab) -> "TitleTrie":
         return cls.from_bytes(binio.read_bytes(path), vocab, name=str(path))
+
+
+def _dict_records(root: dict):
+    """The pre-order records of `build`'s dict trie, children in ascending
+    token order."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):  # a terminal node, reached by EOT
+            yield node, ()
+        else:
+            tokens = sorted(node)
+            yield None, tokens
+            stack.extend([node[tok] for tok in reversed(tokens)])

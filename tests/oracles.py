@@ -11,10 +11,11 @@ import itertools
 import numpy as np
 
 from gere import nn
+from gere.corpus import Label
 from gere.errors import DataError
 from gere.model import Seq2SeqModel, _scale
 from gere.tokenizer import BOS, EOS, EOT, SEP
-from gere.training import Trainer, _pad_ids
+from gere.training import Trainer, _pad_ids, encode_example
 
 
 # -- trie oracle ---------------------------------------------------------------
@@ -233,16 +234,38 @@ class PerTensorAdam:
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
             p.data -= np.asarray(lr, dtype=p.data.dtype) * update
 
-    def state_dict(self):
-        return {"t": self.t,
-                "m": {n: a.copy() for n, a in self.m.items()},
-                "v": {n: a.copy() for n, a in self.v.items()}}
-
     def load_state_dict(self, state):
         self.t = int(state["t"])
         for name in self.names:
             self.m[name] = state["m"][name].copy()
             self.v[name] = state["v"][name].copy()
+
+
+def adam_state(opt):
+    """A copy of an optimizer's step count and moments, in the form
+    `load_state_dict` takes (and `load_checkpoint` returns)."""
+    return {"t": opt.t,
+            "m": {n: a.copy() for n, a in opt.m.items()},
+            "v": {n: a.copy() for n, a in opt.v.items()}}
+
+
+# -- one update from raw claims ------------------------------------------------
+
+
+def train_step(trainer: Trainer, batch, corpus):
+    """One `Trainer.train_step_encoded` update on a batch of (claim, gold
+    targets) pairs; an empty batch or a NOT ENOUGH INFO claim is a
+    ValueError, since such a claim has no retrieval target."""
+    if not batch:
+        raise ValueError("empty training batch")
+    for claim, _ in batch:
+        if claim.label is Label.NOT_ENOUGH_INFO:
+            raise ValueError(f"claim {claim.claim_id} is NOT ENOUGH INFO; "
+                             "it cannot appear in a retrieval training batch")
+    max_pos = trainer.model.config.max_positions
+    examples = [encode_example(claim, targets, corpus, trainer.vocab, max_pos)
+                for claim, targets in batch]
+    return trainer.train_step_encoded(examples)
 
 
 # -- gradient oracle -----------------------------------------------------------

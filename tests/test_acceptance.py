@@ -26,7 +26,7 @@ from gere.trie import TitleTrie
 
 from oracles import (
     BruteForcePrefixScanner, exhaustive_title_search, finite_difference_check,
-    random_eval_dataset, score_dataset_bruteforce,
+    random_eval_dataset, score_dataset_bruteforce, train_step,
 )
 
 
@@ -362,7 +362,7 @@ def test_a8_persistence(tmp_path, capsys):
     trainer = Trainer(model, vocab, total_updates=20, peak_lr=1e-3)
     batch = [(c, gold_targets(c, corpus)) for c in claims[:4]]
     for _ in range(5):
-        trainer.train_step(batch, corpus)
+        train_step(trainer, batch, corpus)
     ckpt_path = tmp_path / "model.gereckpt"
     save_checkpoint(ckpt_path, model, trainer.optimizer, trainer.step_count)
     loaded, opt_state, step = load_checkpoint(ckpt_path, vocab.checksum())

@@ -11,7 +11,7 @@ from gere.model import Seq2SeqModel, _causal_mask, _key_mask
 from gere.training import Trainer
 
 from conftest import small_config
-from oracles import PerOpGraphModel, attention_per_op, linear_per_op
+from oracles import PerOpGraphModel, attention_per_op, linear_per_op, train_step
 
 
 def _loss(out):
@@ -88,7 +88,7 @@ def test_trainer_on_block_graph_equals_per_op_graph(tiny_corpus, tiny_vocab, tin
     runs = []
     for cls in (Seq2SeqModel, PerOpGraphModel):
         trainer = Trainer(cls(cfg, dtype=dtype), tiny_vocab, total_updates=20, peak_lr=1e-2)
-        runs.append(([trainer.train_step(batch, tiny_corpus) for _ in range(5)], trainer))
+        runs.append(([train_step(trainer, batch, tiny_corpus) for _ in range(5)], trainer))
     (stats, block), (want_stats, per_op) = runs
     assert stats == want_stats
     assert block.optimizer.t == per_op.optimizer.t == 5

@@ -9,6 +9,7 @@ from gere.model import Seq2SeqModel
 from gere.training import Trainer
 
 from conftest import small_config
+from oracles import train_step
 
 
 def trained_model(tiny_corpus, tiny_vocab, tiny_claims, steps=5):
@@ -17,7 +18,7 @@ def trained_model(tiny_corpus, tiny_vocab, tiny_claims, steps=5):
     trainer = Trainer(model, tiny_vocab, total_updates=50, peak_lr=1e-3)
     batch = [(c, gold_targets(c, tiny_corpus)) for c in tiny_claims[:2]]
     for _ in range(steps):
-        trainer.train_step(batch, tiny_corpus)
+        train_step(trainer, batch, tiny_corpus)
     return model, trainer
 
 
@@ -62,11 +63,11 @@ def test_resume_continues_bit_identically(tiny_corpus, tiny_vocab, tiny_claims, 
 
     model_a, trainer_a = fresh_trainer()
     batch = [(c, gold_targets(c, tiny_corpus)) for c in batch_claims]
-    stats_a = [trainer_a.train_step(batch, tiny_corpus) for _ in range(10)]
+    stats_a = [train_step(trainer_a, batch, tiny_corpus) for _ in range(10)]
 
     model_b, trainer_b = fresh_trainer()
     for _ in range(6):
-        trainer_b.train_step(batch, tiny_corpus)
+        train_step(trainer_b, batch, tiny_corpus)
     path = tmp_path / "mid.gereckpt"
     save_checkpoint(path, model_b, trainer_b.optimizer, trainer_b.step_count)
 
@@ -74,7 +75,7 @@ def test_resume_continues_bit_identically(tiny_corpus, tiny_vocab, tiny_claims, 
     trainer_c = Trainer(resumed, tiny_vocab, total_updates=40, peak_lr=1e-3)
     trainer_c.optimizer.load_state_dict(opt_state)
     trainer_c.step_count = step
-    stats_c = [trainer_c.train_step(batch, tiny_corpus) for _ in range(4)]
+    stats_c = [train_step(trainer_c, batch, tiny_corpus) for _ in range(4)]
     assert stats_c == stats_a[6:10]
 
 

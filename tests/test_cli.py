@@ -85,11 +85,12 @@ def test_out_of_range_model_sizes_are_usage_errors(setting, capsys):
 
 @pytest.mark.parametrize("setting", ["train.peak_lr=nan", "train.peak_lr=inf", "train.peak_lr=-1",
                                      "train.peak_lr=0", "train.clip_norm=nan",
-                                     "train.clip_norm=inf"])
+                                     "train.clip_norm=inf", "train.clip_norm=0",
+                                     "train.clip_norm=-1"])
 def test_non_finite_or_negative_train_settings_are_usage_errors(setting, capsys):
     """Rejected before any input is read: a NaN step size would take a NaN
-    step, a negative one would ascend the loss and a NaN clip norm would
-    turn clipping off."""
+    step, a negative one would ascend the loss and a NaN, zero or negative
+    clip norm would turn clipping off."""
     from gere.cli import UsageError
     with pytest.raises(UsageError, match=setting.split("=")[0]):
         load_run_config(None, [setting])

@@ -6,26 +6,37 @@ class or constant must be read somewhere in that module. Every parameter of
 every function and lambda must be read in its body. And `binio` is the
 one module that reads files: no other calls `read_text`, `read_bytes`,
 `json.load(s)` or `open` without a write mode, except as `binio.read_*`.
+Every module-level function and class and every method but the dunders is
+referenced by name somewhere else in the package, the benchmark scripts or
+the demos (the tracer's wrapped names count), or is exported in
+`gere.__all__`.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "gere"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "gere"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
-def _reads(tree: ast.Module) -> set[str]:
-    """Names loaded anywhere in the module, plus the names listed in `__all__`."""
-    names = {node.id for node in ast.walk(tree)
-             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+def _exported(tree: ast.Module) -> set[str]:
+    """The names listed in the module's `__all__`."""
+    names = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             names.update(ast.literal_eval(node.value))
     return names
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Names loaded anywhere in the module, plus the names listed in `__all__`."""
+    return _exported(tree) | {node.id for node in ast.walk(tree)
+                              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
 def _imported(tree: ast.Module) -> set[str]:
@@ -132,3 +143,69 @@ def test_file_read_check_flags_reads_outside_binio():
 def test_only_binio_reads_files(path):
     reads = _file_reads(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     assert not reads, f"{path.name} reads files outside binio: {reads}"
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of each module-level function and class and each
+    non-dunder method in `tree`."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _references(tree: ast.AST, strings: bool = False) -> Counter:
+    """Uses of each name in `tree`: names, attributes and, with `strings`,
+    string constants (the tracer wraps package names given as strings)."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found[node.value] += 1
+    return found
+
+
+def _unreferenced(defining: dict[str, ast.Module], referencing: Counter,
+                  exported: set[str]) -> list[str]:
+    """`module:name` of each definition in `defining` that is not exported and
+    that `referencing` counts no more often than its own definition uses it."""
+    return [f"{module}:{qualname}" for module, tree in defining.items()
+            for qualname, node in _definitions(tree)
+            if node.name not in exported
+            and referencing[node.name] <= _references(node)[node.name]]
+
+
+def test_unreferenced_definition_check_flags_unused_definitions():
+    package = ast.parse("def used():\n    pass\n"
+                        "def recursive(n):\n    return recursive(n - 1)\n"
+                        "def exported():\n    pass\n"
+                        "def wrapped():\n    pass\n"
+                        "class C:\n"
+                        "    def __repr__(self):\n        return self.helper()\n"
+                        "    def helper(self):\n        pass\n"
+                        "    def orphan(self):\n        pass\n")
+    caller = ast.parse("used()\nC()\nlabel = 'wrapped'\n")
+    assert _unreferenced({"m": package}, _references(package) + _references(caller),
+                         {"exported"}) == ["m:recursive", "m:wrapped", "m:C.orphan"]
+    assert _unreferenced({"m": package}, _references(package) + _references(caller, True),
+                         {"exported"}) == ["m:recursive", "m:C.orphan"]
+
+
+def test_every_definition_is_referenced_or_exported():
+    def parse(path):
+        return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+    package = {p.name: parse(p) for p in sorted(SRC.glob("*.py"))}
+    scripts = sorted((ROOT / "benchmarks").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    referencing = sum((_references(tree) for tree in package.values()), Counter())
+    for path in scripts:
+        referencing += _references(parse(path), strings=path.name == "tracing.py")
+    unreferenced = _unreferenced(package, referencing, _exported(package["__init__.py"]))
+    assert not unreferenced, f"referenced nowhere and not exported: {unreferenced}"

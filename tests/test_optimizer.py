@@ -11,7 +11,7 @@ from gere.model import Seq2SeqModel
 from gere.training import Trainer
 
 from conftest import small_config
-from oracles import PerTensorAdam
+from oracles import PerTensorAdam, adam_state, train_step
 
 # "big" spans more than one of Adam's chunks; "unused" never gets a grad.
 SHAPES = {"emb": (40, 8), "w": (8, 6), "b": (6,), "big": (6000, 6), "unused": (3, 4)}
@@ -57,7 +57,7 @@ def test_flat_adam_equals_per_tensor_adam(dtype):
             norms.append(nn.clip_gradients(params, 1.0))
             opt.step(1e-2 * (update + 1))
             if update == 4:  # resume from a state dict mid-run
-                state = opt.state_dict()
+                state = adam_state(opt)
                 opt = make(params)
                 opt.load_state_dict(state)
             snapshots.append(_snapshot(params, opt))
@@ -73,7 +73,7 @@ def test_flat_adam_equals_per_tensor_adam(dtype):
 def test_flat_adam_storage_is_shared():
     params = _params(np.float64)
     opt = nn.Adam(params)
-    opt.load_state_dict(PerTensorAdam(params).state_dict())
+    opt.load_state_dict(adam_state(PerTensorAdam(params)))
     for name, p in params.items():
         assert np.shares_memory(p.data, opt.flat_data)
         assert np.shares_memory(opt.m[name], opt.flat_m)
@@ -84,7 +84,7 @@ def test_flat_adam_storage_is_shared():
 def test_load_state_dict_rejects_a_moment_of_another_shape():
     params = _params(np.float64)
     opt = nn.Adam(params)
-    state = opt.state_dict()
+    state = adam_state(opt)
     state["v"]["b"] = np.ones(1)  # would broadcast into the (6,) view
     with pytest.raises(ValueError, match="'b'"):
         opt.load_state_dict(state)
@@ -109,6 +109,6 @@ def test_trainer_flat_adam_equals_per_tensor_adam(tiny_corpus, tiny_vocab, tiny_
         trainer = Trainer(Seq2SeqModel(cfg, dtype=dtype), tiny_vocab, total_updates=20,
                           peak_lr=1e-2)
         trainer.optimizer = make(trainer.model.params)
-        stats = [trainer.train_step(batch, tiny_corpus) for _ in range(5)]
+        stats = [train_step(trainer, batch, tiny_corpus) for _ in range(5)]
         runs.append((stats, _snapshot(trainer.model.params, trainer.optimizer)))
     assert runs[0] == runs[1]

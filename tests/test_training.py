@@ -12,7 +12,7 @@ from gere.training import (
 )
 
 from conftest import make_doc, small_config
-from oracles import PaddedSentenceTrainer, loss_evidence, loss_title
+from oracles import PaddedSentenceTrainer, loss_evidence, loss_title, train_step
 
 
 # -- schedule -------------------------------------------------------------------
@@ -103,6 +103,13 @@ def test_trainer_batches_rejects_no_examples(tiny_vocab):
         trainer.batches([], 100)
 
 
+@pytest.mark.parametrize("clip_norm", [0.0, -1.0, float("nan"), float("inf")])
+def test_trainer_rejects_a_clip_norm_that_would_not_clip(tiny_vocab, clip_norm):
+    model = Seq2SeqModel(small_config(len(tiny_vocab)))
+    with pytest.raises(ValueError, match="clip_norm"):
+        Trainer(model, tiny_vocab, total_updates=3, clip_norm=clip_norm)
+
+
 def test_encode_example_candidates_and_slots(tiny_corpus, tiny_vocab, tiny_claims):
     claim = tiny_claims[1]  # evidence (Alpha_hill, 1), (Beta_ridge, 0)
     ex = encode_example(claim, gold_targets(claim, tiny_corpus), tiny_corpus,
@@ -144,7 +151,7 @@ def test_train_step_stats_identity_and_lr(tiny_corpus, tiny_vocab, tiny_claims):
     trainer = build_trainer(tiny_vocab, total_updates=100, peak_lr=3e-5)
     batch = [(c, gold_targets(c, tiny_corpus)) for c in tiny_claims[:2]]
     for expected_step in range(1, 4):
-        stats = trainer.train_step(batch, tiny_corpus)
+        stats = train_step(trainer, batch, tiny_corpus)
         assert stats.step == expected_step
         assert stats.loss_total == stats.loss_title + stats.loss_evidence
         assert stats.learning_rate == learning_rate(expected_step, 100, 3e-5, 0.10)
@@ -164,14 +171,14 @@ def test_non_finite_update_raises_and_changes_nothing(fault, tiny_corpus, tiny_v
                                                       tiny_claims, monkeypatch):
     trainer = build_trainer(tiny_vocab)
     batch = [(c, gold_targets(c, tiny_corpus)) for c in tiny_claims[:2]]
-    trainer.train_step(batch, tiny_corpus)
+    train_step(trainer, batch, tiny_corpus)
     if fault == "loss":
         trainer.model.params["title_dec.out_b"].data[0] = np.inf
     else:
         monkeypatch.setattr(nn, "clip_gradients", lambda params, max_norm: float("nan"))
     before = _trainer_state(trainer)
     with pytest.raises(TrainingError, match="update 2: non-finite"):
-        trainer.train_step(batch, tiny_corpus)
+        train_step(trainer, batch, tiny_corpus)
     assert _trainer_state(trainer) == before
 
 
@@ -179,9 +186,9 @@ def test_train_step_rejects_nei_and_empty(tiny_corpus, tiny_vocab, tiny_claims):
     trainer = build_trainer(tiny_vocab)
     nei = tiny_claims[3]
     with pytest.raises(ValueError):
-        trainer.train_step([(nei, None)], tiny_corpus)
+        train_step(trainer, [(nei, None)], tiny_corpus)
     with pytest.raises(ValueError):
-        trainer.train_step([], tiny_corpus)
+        train_step(trainer, [], tiny_corpus)
 
 
 def test_single_claim_overfit_smoke(tiny_corpus, tiny_vocab, tiny_claims):
@@ -189,7 +196,7 @@ def test_single_claim_overfit_smoke(tiny_corpus, tiny_vocab, tiny_claims):
     trainer = build_trainer(tiny_vocab, total_updates=200, peak_lr=1e-3)
     claim = tiny_claims[0]
     batch = [(claim, gold_targets(claim, tiny_corpus))]
-    losses = [trainer.train_step(batch, tiny_corpus).loss_total for _ in range(200)]
+    losses = [train_step(trainer, batch, tiny_corpus).loss_total for _ in range(200)]
     for t in range(len(losses) - 50):
         assert losses[t + 50] < losses[t], f"no decrease in window starting at {t}"
     assert losses[-1] < losses[0] / 5
@@ -201,7 +208,7 @@ def test_training_deterministic(tiny_corpus, tiny_vocab, tiny_claims):
     def run():
         trainer = build_trainer(tiny_vocab, total_updates=30)
         batch = [(c, gold_targets(c, tiny_corpus)) for c in batch_claims]
-        return [trainer.train_step(batch, tiny_corpus) for _ in range(10)]
+        return [train_step(trainer, batch, tiny_corpus) for _ in range(10)]
 
     first, second = run(), run()
     for a, b in zip(first, second):
@@ -214,7 +221,7 @@ def test_seed_changes_losses(tiny_corpus, tiny_vocab, tiny_claims):
         model = Seq2SeqModel(cfg)
         trainer = Trainer(model, tiny_vocab, total_updates=20, peak_lr=1e-3)
         batch = [(c, gold_targets(c, tiny_corpus)) for c in tiny_claims[:2]]
-        return [trainer.train_step(batch, tiny_corpus).loss_total for _ in range(5)]
+        return [train_step(trainer, batch, tiny_corpus).loss_total for _ in range(5)]
 
     assert run(1) != run(2)
 
@@ -225,7 +232,7 @@ def test_dropout_training_still_deterministic(tiny_corpus, tiny_vocab, tiny_clai
         model = Seq2SeqModel(cfg)
         trainer = Trainer(model, tiny_vocab, total_updates=10, peak_lr=1e-3)
         batch = [(c, gold_targets(c, tiny_corpus)) for c in tiny_claims[:2]]
-        return [trainer.train_step(batch, tiny_corpus).loss_total for _ in range(4)]
+        return [train_step(trainer, batch, tiny_corpus).loss_total for _ in range(4)]
 
     assert run() == run()
 

@@ -1,12 +1,15 @@
 import struct
 import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gere.corpus import title_from_doc_id
 from gere.errors import DataError
-from gere.tokenizer import EOT, SPECIAL_TOKENS, Vocab
+from gere.synthetic import make_doc_ids
+from gere.tokenizer import EOT, SPECIAL_TOKENS, Vocab, tokenize
 from gere.trie import TitleTrie
 
 from oracles import allowed_next_bruteforce
@@ -124,7 +127,7 @@ def test_binary_round_trip(tmp_path, tiny_corpus, tiny_vocab):
     assert path.read_bytes()[:8] == b"GERETRIE"
 
 
-def test_cached_child_tokens_and_heights(tmp_path, tiny_corpus, tiny_vocab):
+def test_child_token_slices_and_heights(tmp_path, tiny_corpus, tiny_vocab):
     built = TitleTrie.build(tiny_corpus.titles(), tiny_vocab)
     built.save(tmp_path / "trie.bin", tiny_vocab)
     loaded = TitleTrie.load(tmp_path / "trie.bin", tiny_vocab)
@@ -135,11 +138,61 @@ def test_cached_child_tokens_and_heights(tmp_path, tiny_corpus, tiny_vocab):
         return max((1 + longest_path(trie, c) for c in children), default=0)
 
     for trie in (built, loaded):
-        assert trie.height(trie.root) == longest + 1
+        assert trie.height[trie.root] == longest + 1
         for node in range(trie.node_count):
-            assert trie.child_tokens(node).tolist() == sorted(trie.children_of(node))
-            assert trie.child_tokens(node) is trie.child_tokens(node)
-            assert trie.height(node) == longest_path(trie, node)
+            first, count = trie.first_child[node], trie.child_count[node]
+            assert trie.token[first:first + count].tolist() == sorted(trie.children_of(node))
+            assert trie.height[node] == longest_path(trie, node)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "unseen"]), min_size=1, max_size=4),
+                min_size=1, max_size=12, unique_by=tuple),
+       st.randoms(use_true_random=False))
+def test_built_and_loaded_tries_hold_the_same_arrays(word_lists, random):
+    """Prefix titles ("a" and "a b") and UNK tokens ("unseen") included, in
+    any insertion order."""
+    vocab = Vocab(SPECIAL_TOKENS + ("a", "b", "c"))
+    titles = [(" ".join(words), f"doc{i}") for i, words in enumerate(word_lists)]
+    assume(len({tuple(vocab.encode(t)) for t, _ in titles}) == len(titles))  # else rejected
+    random.shuffle(titles)
+    built = TitleTrie.build(titles, vocab)
+    loaded = TitleTrie.from_bytes(built.to_bytes(vocab), vocab)
+    for name in ("first_child", "child_count", "token", "height"):
+        assert getattr(built, name).tolist() == getattr(loaded, name).tolist(), name
+    assert built.doc_ids == loaded.doc_ids
+    assert built == loaded
+    assert all(built.first_child[n] > n for n in range(built.node_count)
+               if built.child_count[n])
+
+
+def test_loaded_trie_heap_per_node(tmp_path):
+    rng = np.random.default_rng(101)
+    doc_ids = make_doc_ids(rng, 10_000, pool_size=300, max_words=5)
+    titles = [(title_from_doc_id(d), d) for d in doc_ids]
+    vocab = Vocab(SPECIAL_TOKENS + tuple(sorted({tok for t, _ in titles for tok in tokenize(t)})))
+    path = tmp_path / "trie.bin"
+    TitleTrie.build(titles, vocab).save(path, vocab)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trie = TitleTrie.load(path, vocab)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert trie.title_count == len(titles)
+    assert held / trie.node_count < 128, f"{held / trie.node_count:.0f} B per node"
+
+
+def test_load_rejects_child_tokens_out_of_order_or_vocabulary(vocab):
+    trie = TitleTrie.build([("a", "doc-a"), ("b", "doc-b")], vocab)
+    data = trie.to_bytes(vocab)
+    a, b = vocab.ids["a"], vocab.ids["b"]
+    root = bytes([0, 2, a + 1, b - a])  # not terminal, two children, token deltas
+    assert data.count(root) == 1
+    for bad in (bytes([0, 2, a + 1, 0]), bytes([0, 2, a + 1, len(vocab)])):
+        with pytest.raises(DataError, match="child tokens"):
+            TitleTrie.from_bytes(data.replace(root, bad), vocab)
 
 
 def test_load_rejects_wrong_vocab(tmp_path, tiny_corpus, tiny_vocab):
