@@ -17,12 +17,12 @@ rng = np.random.default_rng(7)
 corpus = make_corpus(rng, n_docs=8, sentence_range=(2, 4))
 claims = make_claims(rng, corpus, n_claims=5, nei_fraction=0.2)
 
-workdir = Path(tempfile.mkdtemp(prefix="gere_demo_"))
-wiki_path, claims_path = write_dataset(corpus, claims, workdir)
-print(f"wrote {wiki_path} and {claims_path}\n")
+with tempfile.TemporaryDirectory(prefix="gere_demo_") as workdir:
+    wiki_path, claims_path = write_dataset(corpus, claims, Path(workdir))
+    print(f"wrote {wiki_path} and {claims_path}\n")
 
-corpus = load_wiki_pages(wiki_path)
-claims = load_claims(claims_path, corpus)
+    corpus = load_wiki_pages(wiki_path)
+    claims = load_claims(claims_path, corpus)
 
 print(f"{len(corpus)} documents; first three titles:")
 for title, doc_id in corpus.titles()[:3]:

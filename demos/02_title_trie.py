@@ -36,8 +36,9 @@ print(f"  resolve(full path + EOT) -> {trie.resolve(tokens + [EOT])!r}")
 
 print(f"\noff-trie prefix -> {trie.allowed_next([vocab.ids.get('zzz', 4)])!r}")
 
-path = Path(tempfile.mkdtemp(prefix="gere_demo_")) / "titles.trie"
-trie.save(path, vocab)
-loaded = TitleTrie.load(path, vocab)
-print(f"\npersisted {path.stat().st_size} bytes, reloaded equal: {loaded == trie}")
+with tempfile.TemporaryDirectory(prefix="gere_demo_") as workdir:
+    path = Path(workdir) / "titles.trie"
+    trie.save(path, vocab)
+    loaded = TitleTrie.load(path, vocab)
+    print(f"\npersisted {path.stat().st_size} bytes, reloaded equal: {loaded == trie}")
 print(f"byte-stable rebuild: {trie.to_bytes(vocab) == loaded.to_bytes(vocab)}")

@@ -33,7 +33,7 @@ from .decoding import (
 )
 from .errors import DataError, DecodingError, GereError
 from .evalkit import PRF, VerificationScores, doc_prf, evaluate, fever_scores, sent_prf
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from .model import ClaimEncoding, ModelConfig, SentenceEmbedding, Seq2SeqModel
 from .tokenizer import (
     BOS,
@@ -59,7 +59,7 @@ __all__ = [
     "DecodeParams", "DecodingError", "Document", "GereError", "GoldTargets",
     "Label", "ModelConfig", "PRF", "RetrievalResult", "Seq2SeqModel",
     "SentenceEmbedding", "TitleTrie", "TrainStats", "Trainer",
-    "VerificationScores", "beam_search_titles", "build_vocab",
+    "VerificationScores", "beam_search_titles", "build_vocab", "checkpoint_bytes",
     "collect_candidates", "doc_prf", "evaluate", "fever_scores",
     "gold_targets", "greedy_evidence", "learning_rate", "linearize_titles",
     "load_checkpoint", "load_claims", "load_vocab", "load_wiki_pages",

@@ -53,8 +53,8 @@ def read_jsonl(path) -> Iterator[tuple[str, dict]]:
 
 def write_jsonl(path, records: Iterable[dict]) -> None:
     """Replace `path` with one JSON object per line, non-ASCII text kept raw."""
-    text = "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
-    write_atomic(path, text.encode("utf-8"))
+    write_atomic(path, ((json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
+                        for record in records))
 
 
 def write_u8(buf: bytearray, value: int) -> None:
@@ -98,16 +98,17 @@ def write_header(buf: bytearray, magic: bytes, version: int, checksum: int) -> N
     write_u32(buf, checksum)
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Replace `path` with `data` in one step: write a temp file in the same
-    directory, then `os.replace` it over `path`. A write that fails or a
-    process killed midway leaves the old file whole; a failed write removes
-    its temp file."""
+def write_atomic(path, chunks: Iterable) -> None:
+    """Replace `path` with the bytes-like `chunks`, written in order, in one
+    step: write a temp file in the same directory, then `os.replace` it over
+    `path`. A write (or a chunk) that fails or a process killed midway leaves
+    the old file whole; a failure removes the temp file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -122,12 +123,17 @@ class Reader:
         self.pos = 0
         self.name = name
 
+    def skip(self, n: int) -> int:
+        """Step over n bytes; returns the offset they start at."""
+        pos = self.pos
+        if pos + n > len(self.data):
+            raise DataError(f"{self.name}: truncated (needed {n} bytes at offset {pos})")
+        self.pos = pos + n
+        return pos
+
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise DataError(f"{self.name}: truncated (needed {n} bytes at offset {self.pos})")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+        pos = self.skip(n)
+        return self.data[pos : pos + n]
 
     def u8(self) -> int:
         pos = self.pos  # read in place: this is the per-byte call of `uvarint`

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -17,13 +17,17 @@ _MAGIC = b"GERECKPT"
 _VERSION = 1
 
 
-def _write_tensor_data(buf: bytearray, array: np.ndarray) -> None:
-    data = np.ascontiguousarray(array, dtype="<f4")
-    buf += data.tobytes()
+def _f4(array: np.ndarray) -> memoryview:
+    """The bytes of `array` as little-endian float32, without a copy when it
+    already is a contiguous one."""
+    return memoryview(np.ascontiguousarray(array, dtype="<f4")).cast("B")
 
 
-def checkpoint_bytes(model: Seq2SeqModel, optimizer: Optional[nn.Adam] = None,
-                     step: int = 0) -> bytes:
+def _chunks(model: Seq2SeqModel, optimizer: Optional[nn.Adam], step: int
+            ) -> Iterator[bytes | memoryview]:
+    """The checkpoint file, in order: each run of small fields as one bytes
+    object and each tensor as a view of its data, so writing the stream
+    copies no tensor."""
     if model.dtype != np.float32:
         raise ValueError("only float32 models are checkpointable; the file format "
                          "stores 32-bit floats and round-trips must be exact")
@@ -34,24 +38,35 @@ def checkpoint_bytes(model: Seq2SeqModel, optimizer: Optional[nn.Adam] = None,
     names = sorted(model.params)
     binio.write_u32(buf, len(names))
     for name in names:
-        tensor = model.params[name]
+        data = model.params[name].data
         binio.write_str(buf, name)
-        binio.write_u8(buf, tensor.data.ndim)
-        for dim in tensor.data.shape:
+        binio.write_u8(buf, data.ndim)
+        for dim in data.shape:
             binio.write_u32(buf, dim)
-        _write_tensor_data(buf, tensor.data)
+        yield bytes(buf)
+        buf.clear()
+        yield _f4(data)
     binio.write_u8(buf, 1 if optimizer is not None else 0)
     if optimizer is not None:
         binio.write_u64(buf, optimizer.t)
+    yield bytes(buf)
+    if optimizer is not None:
         for name in names:
-            _write_tensor_data(buf, optimizer.m[name])
-            _write_tensor_data(buf, optimizer.v[name])
-    return bytes(buf)
+            yield _f4(optimizer.m[name])
+            yield _f4(optimizer.v[name])
+
+
+def checkpoint_bytes(model: Seq2SeqModel, optimizer: Optional[nn.Adam] = None,
+                     step: int = 0) -> bytes:
+    """The bytes `save_checkpoint` writes."""
+    return b"".join(_chunks(model, optimizer, step))
 
 
 def save_checkpoint(path, model: Seq2SeqModel, optimizer: Optional[nn.Adam] = None,
                     step: int = 0) -> None:
-    binio.write_atomic(path, checkpoint_bytes(model, optimizer, step))
+    """Stream the checkpoint to `path`, replacing it atomically; no copy of
+    the whole file is built in memory."""
+    binio.write_atomic(path, _chunks(model, optimizer, step))
 
 
 def load_checkpoint(path, expected_vocab_checksum: Optional[int] = None
@@ -79,8 +94,9 @@ def load_checkpoint(path, expected_vocab_checksum: Optional[int] = None
     names = sorted(shapes)
 
     def read_tensor(expect_shape: tuple) -> np.ndarray:
-        raw = r.take(4 * math.prod(expect_shape))
-        return np.frombuffer(raw, dtype="<f4").reshape(expect_shape).copy()
+        count = math.prod(expect_shape)
+        offset = r.skip(4 * count)  # raises DataError on truncation
+        return np.frombuffer(r.data, "<f4", count, offset).reshape(expect_shape).copy()
 
     arrays = {}
     for name in names:

@@ -129,7 +129,7 @@ def _require(path: str, what: str) -> str:
 
 def _write_resolved_config(cfg: RunConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    binio.write_atomic(out_dir / "config_resolved.txt", cfg.to_kv().encode("utf-8"))
+    binio.write_atomic(out_dir / "config_resolved.txt", (cfg.to_kv().encode("utf-8"),))
 
 
 # -- subcommands --------------------------------------------------------------

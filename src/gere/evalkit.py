@@ -199,4 +199,5 @@ def evaluate(predictions, golds: Sequence[Claim], max_evidence: int = 5,
 
 
 def write_report(report: dict, path) -> None:
-    binio.write_atomic(path, (json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    binio.write_atomic(path, (text.encode("utf-8"),))

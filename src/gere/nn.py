@@ -12,10 +12,14 @@ and in the same memory layouts, so its values and gradients are the same
 bits; it only saves the intermediate `Tensor`s and closures.
 
 Gradients accumulate in graph-construction order, so a fixed seed and fixed
-data order give bit-identical results on one machine. The graph is for
-training only: inference runs the model's plain-numpy engine, which shares
-the forward math of GELU, layer norm, softmax and attention with the graph
-ops through the plain-array functions (`*_forward`).
+data order give bit-identical results on one machine. A graph is single-use:
+`backward` releases each interior node (its grad, closure and parents) once
+that node's backward has run, so saved forward arrays are freed as the sweep
+goes, and a second `backward` through a spent graph raises `ValueError`.
+Leaves keep their grads. The graph is for training only: inference runs the
+model's plain-numpy engine, which shares the forward math of GELU, layer
+norm, softmax and attention with the graph ops through the plain-array
+functions (`*_forward`).
 """
 
 from __future__ import annotations
@@ -57,7 +61,10 @@ def _make(data, parents, backward) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Backpropagate from a scalar loss; grads accumulate into .grad."""
+    """Backpropagate from a scalar loss; grads accumulate into the leaves'
+    .grad. The graph is spent as it goes: each interior node drops its grad,
+    its closure and its parents once its backward has run, and a second
+    backward through any of it raises ValueError."""
     if loss.data.ndim != 0:
         raise ValueError("backward() expects a scalar loss")
     topo: list[Tensor] = []
@@ -70,15 +77,22 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
+        if node._parents is None:
+            raise ValueError("backward() through a graph that a backward has already spent")
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
             if id(parent) not in visited:
                 stack.append((parent, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        if node._parents:
+            # Spent: only a child could still send it a grad, and every child
+            # has run. Dropping the closure frees the arrays it saved.
+            node.grad = node._backward = node._parents = None
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:

@@ -93,7 +93,7 @@ def build_vocab(corpus, claims, max_size: int) -> Vocab:
 
 def save_vocab(vocab: Vocab, path) -> None:
     """One token per line; the line number is the token id."""
-    binio.write_atomic(path, ("\n".join(vocab.tokens) + "\n").encode("utf-8"))
+    binio.write_atomic(path, (("\n".join(vocab.tokens) + "\n").encode("utf-8"),))
 
 
 def load_vocab(path) -> Vocab:

@@ -78,11 +78,8 @@ class TitleTrie:
     @classmethod
     def build(cls, titles: Iterable[tuple[str, str]], vocab: Vocab) -> "TitleTrie":
         """Insert every (title, doc_id); insertion order is irrelevant."""
-        titles = list(titles)
-        if not titles:
-            raise DataError("cannot build a title trie from zero titles")
         seen_docs: set[str] = set()
-        root: dict = {}  # token -> child; an EOT edge leads to the doc_id
+        paths: dict[tuple[int, ...], str] = {}  # title tokens and EOT -> doc_id
         for title, doc_id in titles:
             if doc_id in seen_docs:
                 raise DataError(f"duplicate doc_id {doc_id!r} in trie build")
@@ -90,15 +87,14 @@ class TitleTrie:
             tokens = vocab.encode(title)
             if not tokens:
                 raise DataError(f"title {title!r} (doc_id {doc_id!r}) tokenizes to nothing")
-            node = root
-            for tok in tokens:
-                node = node.setdefault(tok, {})
-            if EOT in node:
+            tokens.append(EOT)
+            first = paths.setdefault(tuple(tokens), doc_id)
+            if first != doc_id:
                 raise DataError(
-                    f"titles {title!r} ({doc_id!r}) and ({node[EOT]!r}) share one token sequence"
-                )
-            node[EOT] = doc_id
-        return cls(_dict_records(root))
+                    f"titles {title!r} ({doc_id!r}) and ({first!r}) share one token sequence")
+        if not paths:
+            raise DataError("cannot build a title trie from zero titles")
+        return cls(_sorted_records(sorted(paths.items())))
 
     # -- queries -----------------------------------------------------------
 
@@ -202,22 +198,34 @@ class TitleTrie:
         return trie
 
     def save(self, path, vocab: Vocab) -> None:
-        binio.write_atomic(path, self.to_bytes(vocab))
+        binio.write_atomic(path, (self.to_bytes(vocab),))
 
     @classmethod
     def load(cls, path, vocab: Vocab) -> "TitleTrie":
         return cls.from_bytes(binio.read_bytes(path), vocab, name=str(path))
 
 
-def _dict_records(root: dict):
-    """The pre-order records of `build`'s dict trie, children in ascending
-    token order."""
-    stack = [root]
+def _sorted_records(paths: list[tuple[tuple[int, ...], str]]):
+    """The pre-order records of the trie over `paths`, (tokens ending in EOT,
+    doc_id) pairs sorted by tokens. The paths through a node at depth d are a
+    run of the list that shares its first d tokens, and the node's children
+    are the distinct tokens at position d of that run, ascending."""
+    stack = [(0, len(paths), 0)]  # (run start, run end, depth)
     while stack:
-        node = stack.pop()
-        if isinstance(node, str):  # a terminal node, reached by EOT
-            yield node, ()
-        else:
-            tokens = sorted(node)
-            yield None, tokens
-            stack.extend([node[tok] for tok in reversed(tokens)])
+        lo, hi, depth = stack.pop()
+        if hi - lo == 1:  # one title below: a chain down to its terminal node
+            tokens, doc_id = paths[lo]
+            for tok in tokens[depth:]:
+                yield None, (tok,)
+            yield doc_id, ()
+            continue
+        children, starts = [], []
+        for i in range(lo, hi):
+            tok = paths[i][0][depth]
+            if not children or tok != children[-1]:
+                children.append(tok)
+                starts.append(i)
+        starts.append(hi)
+        yield None, children
+        stack.extend((start, end, depth + 1)
+                     for start, end in reversed(list(zip(starts, starts[1:]))))

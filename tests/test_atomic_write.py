@@ -3,6 +3,7 @@ the previous file byte-identical and no temp file behind."""
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gere import binio
@@ -91,3 +92,31 @@ def test_failed_write_keeps_old_file(kind, tiny_corpus, tiny_vocab, tmp_path, mo
     write(path, 1)
     assert path.read_bytes() != old
     assert sorted(tmp_path.iterdir()) == files
+
+
+def test_chunk_stream_failing_midway_keeps_old_file(tmp_path):
+    path = tmp_path / "out.bin"
+    binio.write_atomic(path, (b"old",))
+
+    def chunks():
+        yield b"new bytes "
+        yield memoryview(b"then a failure")
+        raise RuntimeError("the stream broke")
+
+    with pytest.raises(RuntimeError, match="the stream broke"):
+        binio.write_atomic(path, chunks())
+    assert path.read_bytes() == b"old"
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+def test_checkpoint_of_a_float64_model_keeps_old_file(tiny_vocab, tmp_path):
+    """The float32 check runs inside the chunk stream, after the temp file
+    is open: the failed save still leaves the old checkpoint and no temp."""
+    path = tmp_path / "model.gereckpt"
+    save_checkpoint(path, Seq2SeqModel(small_config(len(tiny_vocab))))
+    old = path.read_bytes()
+    with pytest.raises(ValueError, match="float32"):
+        save_checkpoint(path, Seq2SeqModel(small_config(len(tiny_vocab), seed=5),
+                                           dtype=np.float64))
+    assert path.read_bytes() == old
+    assert sorted(tmp_path.iterdir()) == [path]

@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from gere import binio
+from gere import binio, nn
 from gere.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from gere.corpus import gold_targets
 from gere.errors import DataError
-from gere.model import Seq2SeqModel
+from gere.model import ModelConfig, Seq2SeqModel
 from gere.training import Trainer
 
 from conftest import small_config
@@ -164,3 +166,46 @@ def test_config_claiming_huge_layer_counts_is_data_error(tmp_path, tiny_vocab):
     path.write_bytes(_edit_config(data, "n_layers_enc=1\n", f"n_layers_enc={10**12}\n"))
     with pytest.raises(DataError, match="expected more tensors"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("with_optimizer", [False, True])
+def test_streamed_save_writes_checkpoint_bytes(tmp_path, tiny_corpus, tiny_vocab, tiny_claims,
+                                               with_optimizer):
+    model, trainer = trained_model(tiny_corpus, tiny_vocab, tiny_claims, steps=2)
+    optimizer = trainer.optimizer if with_optimizer else None
+    path = tmp_path / "m.gereckpt"
+    save_checkpoint(path, model, optimizer, trainer.step_count)
+    assert path.read_bytes() == checkpoint_bytes(model, optimizer, trainer.step_count)
+
+
+def test_save_holds_no_copy_of_the_file(tmp_path):
+    """An A2-shaped model with its Adam moments: writing it allocates under a
+    quarter of the file's size, because no tensor and no whole file is
+    copied on the way to disk."""
+    cfg = ModelConfig(vocab_size=1200, d_model=64, n_heads=4, n_layers_enc=2, n_layers_dec=2,
+                      d_ff=256, max_positions=128, seed=3)
+    model = Seq2SeqModel(cfg)
+    optimizer = nn.Adam(model.params)
+    path = tmp_path / "a2.gereckpt"
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        save_checkpoint(path, model, optimizer, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 9_000_000
+    assert peak - before < size / 4, f"save peaked at {peak - before} bytes for a {size}-byte file"
+
+
+def test_truncation_anywhere_is_a_data_error_naming_the_file(tmp_path, tiny_vocab):
+    model = Seq2SeqModel(small_config(len(tiny_vocab)))
+    data = checkpoint_bytes(model, nn.Adam(model.params), 3)
+    path = tmp_path / "m.gereckpt"
+    # In the header, in the config block, in the tensor table and in the last moment.
+    for cut in (10, 30, len(data) // 3, len(data) - 1):
+        path.write_bytes(data[:cut])
+        with pytest.raises(DataError, match=f"{path.name}: truncated"):
+            load_checkpoint(path)

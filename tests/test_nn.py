@@ -1,10 +1,16 @@
 """Unit-level finite-difference checks for each autodiff op."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from gere import nn
+from gere.corpus import gold_targets, verifiable
+from gere.model import Seq2SeqModel
+from gere.training import Trainer, encode_example
 
+from conftest import small_config
 from oracles import adam_state
 
 
@@ -246,6 +252,73 @@ def test_backward_requires_scalar(rng):
     x = param(rng, 2, 2)
     with pytest.raises(ValueError):
         nn.backward(nn.mul(x, 2.0))
+
+
+def _backward_keeping_graph(loss):
+    """The sweep `nn.backward` makes, node for node in the same order, but
+    keeping every interior grad and closure: what releasing the graph must
+    not change."""
+    topo, seen = [], set()
+
+    def visit(node):
+        seen.add(id(node))
+        for parent in reversed(node._parents):
+            if id(parent) not in seen:
+                visit(parent)
+        topo.append(node)
+
+    visit(loss)
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def test_backward_frees_each_interior_node_as_it_runs(rng):
+    x, w, b = param(rng, 4, 8), param(rng, 8, 8), param(rng, 8)
+    hidden = nn.gelu(nn.linear(x, w, b))
+    # gelu's closure holds the linear node's output and its own tanh term.
+    saved = [weakref.ref(cell.cell_contents) for cell in hidden._backward.__closure__
+             if isinstance(cell.cell_contents, np.ndarray)]
+    assert len(saved) == 2 and all(ref() is not None for ref in saved)
+    nn.backward(nn.cross_entropy(hidden, np.arange(4)))
+    assert [ref() for ref in saved] == [None, None]
+    assert hidden.grad is None and hidden.data.shape == (4, 8)
+    assert all(leaf.grad is not None for leaf in (x, w, b))
+
+
+def test_backward_leaf_grads_equal_a_sweep_that_keeps_the_graph(tiny_corpus, tiny_vocab,
+                                                               tiny_claims):
+    """The whole training graph in float32 with dropout: every parameter's
+    grad has the bits of the sweep that frees nothing."""
+    cfg = small_config(len(tiny_vocab), n_layers_enc=2, dropout_rate=0.1)
+    examples = [encode_example(c, gold_targets(c, tiny_corpus), tiny_corpus, tiny_vocab,
+                               cfg.max_positions) for c in verifiable(tiny_claims)]
+    grads = []
+    for sweep in (nn.backward, _backward_keeping_graph):
+        model = Seq2SeqModel(cfg)
+        lt, le = Trainer(model, tiny_vocab, total_updates=10).loss_graph(examples)
+        sweep(nn.add(lt, le))
+        grads.append({name: p.grad for name, p in model.params.items()})
+    freed, kept = grads
+    assert freed.keys() == kept.keys()
+    for name, want in kept.items():
+        assert want is not None and freed[name].dtype == want.dtype == np.float32, name
+        assert np.array_equal(freed[name], want), name
+
+
+def test_second_backward_over_a_spent_graph_raises(rng):
+    x = param(rng, 2, 3)
+    scaled = nn.mul(x, 2.0)
+    loss = nn.cross_entropy(scaled, np.array([0, 2]))
+    nn.backward(loss)
+    grad = x.grad.copy()
+    with pytest.raises(ValueError, match="already spent"):
+        nn.backward(loss)
+    # A new graph that reaches back into the spent one is refused too.
+    with pytest.raises(ValueError, match="already spent"):
+        nn.backward(nn.cross_entropy(nn.add(scaled, x), np.array([1, 0])))
+    assert np.array_equal(x.grad, grad)
 
 
 def test_adam_state_round_trip(rng):
