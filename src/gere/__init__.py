@@ -34,7 +34,7 @@ from .decoding import (
 from .errors import DataError, DecodingError, GereError
 from .evalkit import PRF, VerificationScores, doc_prf, evaluate, fever_scores, sent_prf
 from .checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
-from .model import ClaimEncoding, ModelConfig, SentenceEmbedding, Seq2SeqModel
+from .model import ModelConfig, SentenceEmbedding, Seq2SeqModel
 from .tokenizer import (
     BOS,
     EOS,
@@ -55,7 +55,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BOS", "EOS", "EOT", "PAD", "SEP", "UNK",
-    "Claim", "ClaimEncoding", "Corpus", "DataError",
+    "Claim", "Corpus", "DataError",
     "DecodeParams", "DecodingError", "Document", "GereError", "GoldTargets",
     "Label", "ModelConfig", "PRF", "RetrievalResult", "Seq2SeqModel",
     "SentenceEmbedding", "TitleTrie", "TrainStats", "Trainer",

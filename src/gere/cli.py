@@ -11,7 +11,6 @@ import argparse
 import json
 import logging
 import math
-import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -224,8 +223,7 @@ def cmd_retrieve(args) -> int:
                                   expected_vocab_checksum=vocab.checksum())
     out_dir = Path(cfg.output_dir)
     _write_resolved_config(cfg, out_dir)
-    results = [retrieve(model, vocab, claim, trie, corpus, cfg.decode)
-               for claim in sorted(claims, key=lambda c: c.claim_id)]
+    results = [retrieve(model, vocab, claim, trie, corpus, cfg.decode) for claim in claims]
     pred_path = cfg.predictions or str(out_dir / "predictions.jsonl")
     write_predictions(results, pred_path)
 
@@ -293,8 +291,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gere", description=__doc__)
-    parser.add_argument("--log-level", default=os.environ.get("GERE_LOG_LEVEL", "WARNING"),
-                        help="logging level (also via GERE_LOG_LEVEL)")
+    parser.add_argument("--log-level", default="WARNING", help="logging level")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-trie", help="build vocab and title trie from wiki pages")

@@ -201,8 +201,12 @@ def _parse_evidence(raw, where: str) -> tuple[tuple[tuple[str, int], ...], ...]:
 def load_claims(path, corpus: Optional[Corpus] = None) -> list[Claim]:
     """Load claim records; with a corpus, validate that gold evidence resolves."""
     claims: list[Claim] = []
+    first_at: dict[int, str] = {}  # claim_id -> where it was first read
     for where, record in _iter_records(path):
         claim_id = claim_id_of(record, "id", where)
+        first = first_at.setdefault(claim_id, where)
+        if first != where:
+            raise DataError(f"{where}: duplicate claim id {claim_id} (first at {first})")
         text = record.get("claim")
         if not isinstance(text, str):
             raise DataError(f"{where}: 'claim' must be a string")

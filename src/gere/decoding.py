@@ -15,8 +15,9 @@ arrays and selects with one `np.lexsort`. Evidence decoding is greedy over
 the remaining candidate sentences plus EOE; the candidates are embedded with
 one stacked sentence-encoder pass per distinct length.
 
-Both decoders run incrementally on the model's KV-cached `DecoderState`: the
-beam makes one batched step per iteration for all alive hypotheses and then
+Both decoders cross-attend to the claim states that `encode_claim` returns
+and run incrementally on the model's KV-cached `DecoderState`: the beam
+makes one batched step per iteration for all alive hypotheses and then
 reorders the cache rows by parent; the evidence decoder makes one one-row
 step per pick. A batched row is bit-identical to a one-row replay of its
 prefix, which is what `Seq2SeqModel.decode_step_title` and
@@ -35,7 +36,7 @@ import numpy as np
 from . import binio, nn
 from .corpus import Claim, Corpus, claim_id_of
 from .errors import DataError, DecodingError
-from .model import ClaimEncoding, DecoderState, Seq2SeqModel, SentenceEmbedding
+from .model import DecoderState, Seq2SeqModel, SentenceEmbedding
 from .tokenizer import BOS, EOS, EOT, SEP, Vocab
 from .trie import TitleTrie
 
@@ -52,7 +53,6 @@ class DecodeParams:
 class BeamHypothesis:
     tokens: list[int]
     log_prob: float
-    finished: bool = False
     ends: tuple[int, ...] = ()  # the terminal trie node of each emitted title
     node: Optional[int] = None  # trie node while inside a title, else None
 
@@ -95,7 +95,7 @@ def _allowed_tokens(hyp: BeamHypothesis, trie: TitleTrie, max_titles: int) -> np
 def _extend(hyp: BeamHypothesis, token: int, log_prob: float, trie: TitleTrie) -> BeamHypothesis:
     tokens = hyp.tokens + [token]
     if token == EOS:
-        return BeamHypothesis(tokens, log_prob, finished=True, ends=hyp.ends)
+        return BeamHypothesis(tokens, log_prob, ends=hyp.ends)
     if token == SEP:
         return BeamHypothesis(tokens, log_prob, ends=hyp.ends, node=trie.root)
     first, count = trie.first_child.item(hyp.node), trie.child_count.item(hyp.node)
@@ -142,7 +142,7 @@ def _cannot_improve(alive: Sequence[BeamHypothesis], best_finished: float,
 
 def beam_search_titles(
     model: Seq2SeqModel,
-    enc: ClaimEncoding,
+    claim_states: np.ndarray,
     trie: TitleTrie,
     beam_size: int = 5,
     max_titles: int = 10,
@@ -166,7 +166,7 @@ def beam_search_titles(
         raise ValueError("beam_size must be positive")
     if max_titles < 1:
         raise ValueError("max_titles must be positive")
-    state = DecoderState(model, "title_dec", enc)
+    state = DecoderState(model, "title_dec", claim_states)
     alive = [BeamHypothesis(tokens=[BOS], log_prob=0.0, node=trie.root)]
     parent_rank = np.zeros(1, dtype=np.intp)
     finished: list[BeamHypothesis] = []
@@ -211,19 +211,18 @@ def collect_candidates(model: Seq2SeqModel, vocab: Vocab, doc_ids: Sequence[str]
 
 def greedy_evidence(
     model: Seq2SeqModel,
-    enc: ClaimEncoding,
+    claim_states: np.ndarray,
     candidates: Sequence[SentenceEmbedding],
     max_evidence_steps: int = 10,
 ) -> tuple[list[tuple[str, int]], list[float]]:
     """Greedy argmax decoding over the dynamic candidate vocabulary.
 
     A chosen candidate is removed from later steps; decoding stops at EOE, at
-    max_evidence_steps, or when candidates run out. Score ties prefer the
-    earliest candidate in (doc_id, sentence_index) order, then EOE last.
+    max_evidence_steps, or when candidates run out (at once if there are
+    none). Score ties prefer the earliest candidate in (doc_id,
+    sentence_index) order, then EOE last.
     """
-    if not candidates:
-        raise DecodingError("evidence decoding requires a non-empty candidate set")
-    state = DecoderState(model, "evid_dec", enc)
+    state = DecoderState(model, "evid_dec", claim_states)
     vector = model.params["evid_dec.start"].data
     remaining = list(candidates)
     pairs: list[tuple[str, int]] = []
@@ -252,16 +251,13 @@ def retrieve(model: Seq2SeqModel, vocab: Vocab, claim: Claim, trie: TitleTrie,
     claim_ids = vocab.encode(claim.text)
     if not claim_ids:
         raise DataError(f"claim {claim.claim_id} has no tokens")
-    enc = model.encode_claim(claim_ids)
+    claim_states = model.encode_claim(claim_ids)
     doc_ids, title_lp, _ = beam_search_titles(
-        model, enc, trie, beam_size=params.beam_size, max_titles=params.max_titles,
+        model, claim_states, trie, beam_size=params.beam_size, max_titles=params.max_titles,
         length_normalize=params.length_normalize)
     candidates = collect_candidates(model, vocab, doc_ids, corpus)
-    if candidates:
-        evidence, ev_lps = greedy_evidence(model, enc, candidates,
-                                           max_evidence_steps=params.max_evidence_steps)
-    else:
-        evidence, ev_lps = [], []  # retrieved documents may all be sentence-free
+    evidence, ev_lps = greedy_evidence(model, claim_states, candidates,
+                                       max_evidence_steps=params.max_evidence_steps)
     return RetrievalResult(claim_id=claim.claim_id, titles=doc_ids, evidence=evidence,
                            title_log_prob=title_lp, evidence_log_probs=ev_lps)
 

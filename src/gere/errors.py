@@ -14,5 +14,5 @@ class TrainingError(GereError):
 
 
 class DecodingError(GereError):
-    """Inference-time failure: an empty trie, an empty candidate set, or a
-    beam in which no hypothesis could finish."""
+    """Inference-time failure: an empty trie, or a beam in which no
+    hypothesis could finish."""

@@ -46,7 +46,6 @@ class PRF:
 class VerificationScores:
     label_accuracy: float
     fever: float
-    n_claims: int
 
 
 def _prediction_map(predictions: Sequence[dict]) -> dict[int, dict]:
@@ -153,7 +152,7 @@ def _fever_scores(pred_map: dict[int, dict], golds: Iterable[Claim],
                for group in claim.evidence_groups):
             fever_hits += 1
     n = len(golds)
-    return VerificationScores(label_accuracy=la_hits / n, fever=fever_hits / n, n_claims=n)
+    return VerificationScores(label_accuracy=la_hits / n, fever=fever_hits / n)
 
 
 def fever_scores(predictions, golds: Iterable[Claim], max_evidence: int = 5

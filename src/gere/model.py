@@ -10,9 +10,10 @@ embedding. Pre-norm residual blocks with a final layer norm per stack.
 Training runs the `nn` graph, built from block nodes: `nn.linear` for every
 projection and `nn.attention` for every attention block. Inference runs a
 plain-numpy engine and builds no graph objects: `encode` runs an encoder over
-a block of equal-length sequences, each row bit-identical to the graph, and
-`DecoderState` decodes incrementally with per-layer key/value caches. Both
-compute attention with the one array definition, `nn.attention_forward`.
+a block of equal-length sequences, each row bit-identical to the graph;
+`encode_claim` returns a claim's (length, d_model) states array, against
+which `DecoderState` decodes incrementally with per-layer key/value caches.
+Both compute attention with the one array definition, `nn.attention_forward`.
 `param_layout` is the one list of parameter names, shapes and inits, which
 both the random initialisation and checkpoint loading follow. The
 single-example losses, full-sequence logits and the per-op training graph
@@ -98,14 +99,6 @@ def length_groups(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 @dataclass
-class ClaimEncoding:
-    """Hidden states for one claim; `truncated` flags over-length inputs."""
-
-    states: np.ndarray  # (length, d_model)
-    truncated: bool = False
-
-
-@dataclass
 class SentenceEmbedding:
     vector: np.ndarray  # (d_model,)
     source: Optional[tuple[str, int]] = None
@@ -181,7 +174,7 @@ class DecoderState:
     of each row's prefix.
     """
 
-    def __init__(self, model: "Seq2SeqModel", name: str, enc: ClaimEncoding):
+    def __init__(self, model: "Seq2SeqModel", name: str, claim_states: np.ndarray):
         cfg = model.config
         self.heads = cfg.n_heads
         self.scale = _scale(cfg)
@@ -189,7 +182,7 @@ class DecoderState:
         self.length = 0
         self.pos_emb = model.params[f"{name}.pos_emb"].data
         self.final = _weights(model, f"{name}.ln_f")
-        memory = enc.states[None]
+        memory = claim_states[None]
         self.layers = []
         for i in range(cfg.n_layers_dec):
             w = _weights(model, f"{name}.l{i}")
@@ -395,13 +388,12 @@ class Seq2SeqModel:
 
     # -- public operations (inference, on the engine) -------------------------
 
-    def encode_claim(self, token_ids: Sequence[int]) -> ClaimEncoding:
-        """Deterministic claim encoding; over-length input is truncated and flagged."""
+    def encode_claim(self, token_ids: Sequence[int]) -> np.ndarray:
+        """Claim-encoder states (length, d_model) of the first max_positions tokens."""
         ids = list(token_ids)
         if not ids:
             raise ValueError("cannot encode an empty claim")
-        n = self.config.max_positions
-        return ClaimEncoding(encode(self, "claim_enc", [ids[:n]])[0], truncated=len(ids) > n)
+        return encode(self, "claim_enc", [ids[:self.config.max_positions]])[0]
 
     def title_step(self, state: DecoderState, tokens: Sequence[int]) -> np.ndarray:
         """Feed one title token per row of `state`; next-token logits (B, vocab)."""
@@ -409,14 +401,14 @@ class Seq2SeqModel:
         logits = h[:, None] @ self.params["title_dec.out_w"].data
         return logits[:, 0] + self.params["title_dec.out_b"].data
 
-    def decode_step_title(self, enc: ClaimEncoding, prefix: Sequence[int]) -> np.ndarray:
+    def decode_step_title(self, claim_states: np.ndarray, prefix: Sequence[int]) -> np.ndarray:
         """Next-token logits over the vocabulary after `prefix` (must start with BOS)."""
         prefix = list(prefix)
         if not prefix:
             raise ValueError("title decoder prefix must not be empty")
         if prefix[0] != BOS:
             raise ValueError("title decoder prefix must begin with BOS")
-        state = DecoderState(self, "title_dec", enc)
+        state = DecoderState(self, "title_dec", claim_states)
         tok_emb = self.params["title_dec.tok_emb"].data
         for token in prefix[:-1]:
             state.step(tok_emb[[token]])
@@ -448,13 +440,13 @@ class Seq2SeqModel:
         table = np.stack([c.vector for c in candidates] + [self.params["evid_dec.eoe"].data])
         return table.astype(h.dtype) @ h
 
-    def decode_step_evidence(self, enc: ClaimEncoding,
+    def decode_step_evidence(self, claim_states: np.ndarray,
                              previous: Sequence[SentenceEmbedding],
                              candidates: Sequence[SentenceEmbedding]) -> np.ndarray:
         """Dot-product scores over candidates plus the EOE embedding (last entry)."""
         if not candidates:
             raise ValueError("evidence decoder requires at least one candidate")
-        state = DecoderState(self, "evid_dec", enc)
+        state = DecoderState(self, "evid_dec", claim_states)
         inputs = [self.params["evid_dec.start"].data] + [p.vector for p in previous]
         for vector in inputs[:-1]:
             state.step(vector[None])

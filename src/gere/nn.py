@@ -545,12 +545,12 @@ class Adam:
 
     The optimizer owns flat storage: one contiguous buffer per role (the
     parameters, their gradients and the moments m and v). Each parameter's
-    `.data` is rebound to its view at construction, and `m` and `v` map
-    names to views. `step` copies each `.grad` into the gradient buffer (a
-    grad of None counts as zeros) and any `.data` a caller rebound into its
-    view, then runs Adam's elementwise arithmetic over fixed chunks of the
-    buffers, so each element gets the operations of a per-tensor loop in the
-    same order and the same bits."""
+    `.data` is rebound to its view at construction, and from then on Adam
+    owns `.data`: it updates the views in place. `m` and `v` map names to
+    views. `step` copies each `.grad` into the gradient buffer (a grad of
+    None counts as zeros), then runs Adam's elementwise arithmetic over
+    fixed chunks of the buffers, so each element gets the operations of a
+    per-tensor loop in the same order and the same bits."""
 
     def __init__(self, params: dict[str, Tensor]):
         self.params = params
@@ -571,20 +571,17 @@ class Adam:
             return {n: buf[end - params[n].data.size:end].reshape(params[n].data.shape)
                     for n, end in zip(self.names, ends)}
 
-        self._data, self._grad = views(self.flat_data), views(self.flat_grad)
+        data, self._grad = views(self.flat_data), views(self.flat_grad)
         self.m, self.v = views(self.flat_m), views(self.flat_v)
         for name in self.names:
-            self._data[name][...] = params[name].data
-            params[name].data = self._data[name]
+            data[name][...] = params[name].data
+            params[name].data = data[name]
         self._scratch = np.empty((2, min(size, _ADAM_CHUNK)), dtype)
 
     def step(self, lr: float) -> None:
         for name in self.names:
-            p = self.params[name]
-            if p.data is not self._data[name]:
-                self._data[name][...] = p.data
-                p.data = self._data[name]
-            self._grad[name][...] = 0 if p.grad is None else p.grad
+            grad = self.params[name].grad
+            self._grad[name][...] = 0 if grad is None else grad
         self.t += 1
         bc1 = 1.0 - _BETA1**self.t
         bc2 = 1.0 - _BETA2**self.t

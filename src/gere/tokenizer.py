@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 import zlib
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import binio
 from .errors import DataError
@@ -55,17 +55,6 @@ class Vocab:
         """Token ids for text; unknown words map to UNK. No BOS/EOS added."""
         ids = self.ids
         return [ids.get(tok, UNK) for tok in tokenize(text)]
-
-    def decode(self, token_ids: Iterable[int]) -> str:
-        """Inverse of encode on UNK-free text: drop specials, join with spaces."""
-        words = []
-        n = len(self.tokens)
-        for i in token_ids:
-            if not 0 <= i < n:
-                raise ValueError(f"token id {i} out of range for vocab of size {n}")
-            if i >= len(SPECIAL_TOKENS):
-                words.append(self.tokens[i])
-        return " ".join(words)
 
     def checksum(self) -> int:
         """CRC-32 of the token table; persisted files validate against it."""

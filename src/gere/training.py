@@ -124,6 +124,8 @@ class Trainer:
                  peak_lr: float = 3e-5, warmup_frac: float = 0.10, clip_norm: float = 1.0):
         if total_updates < 1:
             raise ValueError("total_updates must be positive")
+        if not (math.isfinite(peak_lr) and peak_lr > 0):
+            raise ValueError(f"peak_lr must be finite and positive, got {peak_lr}")
         if not (math.isfinite(clip_norm) and clip_norm > 0):
             raise ValueError(f"clip_norm must be finite and positive, got {clip_norm}")
         self.model = model

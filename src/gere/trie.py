@@ -35,10 +35,9 @@ class TitleTrie:
 
     root = 0
 
-    def __init__(self, records: Iterable[tuple[Optional[str], Sequence[int]]] = ((None, ()),)):
+    def __init__(self, records: Iterable[tuple[Optional[str], Sequence[int]]]):
         """Consume the pre-order records (doc_id or None, ascending child
-        tokens) of every node, the root's first; the default is a root-only
-        trie."""
+        tokens) of every node, the root's first."""
         records = iter(records)
         token, visited, counts, terminals = [-1], [], [], []
         pending = [self.root]

@@ -97,13 +97,13 @@ def exhaustive_title_search(model, enc, titles, max_titles):
 
 def _all_valid(enc):
     """The key mask of one unpadded claim: every position is real."""
-    return np.ones((1, len(enc.states)), dtype=bool)
+    return np.ones((1, len(enc)), dtype=bool)
 
 
 def title_logits_all(model, enc, ids):
     """Logits at every position of a full title-decoder input (causality checks)."""
     x = model.embed_title_inputs(np.array([list(ids)]))
-    states = model.decoder_forward("title_dec", x, nn.constant(enc.states[None]),
+    states = model.decoder_forward("title_dec", x, nn.constant(enc[None]),
                                    _all_valid(enc))
     return model.title_output_logits(states).data[0]
 
@@ -114,7 +114,7 @@ def loss_title(model, enc, target_ids):
     if len(target_ids) < 2 or target_ids[0] != BOS:
         raise ValueError("title target must be BOS ... EOS")
     x = model.embed_title_inputs(np.array([target_ids[:-1]]))
-    states = model.decoder_forward("title_dec", x, nn.constant(enc.states[None]),
+    states = model.decoder_forward("title_dec", x, nn.constant(enc[None]),
                                    _all_valid(enc))
     logits = model.title_output_logits(states)
     flat = nn.reshape(logits, (len(target_ids) - 1, model.config.vocab_size))

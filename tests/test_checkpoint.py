@@ -37,8 +37,8 @@ def test_round_trip_bit_identical_forward(tmp_path, tiny_corpus, tiny_vocab, tin
         np.testing.assert_array_equal(loaded.params[name].data, model.params[name].data)
 
     ids = tiny_vocab.encode("alpha hill rises early")
-    np.testing.assert_array_equal(model.encode_claim(ids).states,
-                                  loaded.encode_claim(ids).states)
+    np.testing.assert_array_equal(model.encode_claim(ids),
+                                  loaded.encode_claim(ids))
     from gere.tokenizer import BOS
     np.testing.assert_array_equal(model.decode_step_title(model.encode_claim(ids), [BOS]),
                                   loaded.decode_step_title(loaded.encode_claim(ids), [BOS]))

@@ -124,6 +124,25 @@ def test_two_groups_in_file_order(tmp_path):
     assert claim.evidence_groups == ((("A", 0),), (("B", 2),))
 
 
+def test_duplicate_claim_id_names_both_lines(tmp_path):
+    path = write_jsonl(tmp_path / "c.jsonl", [claim_record(1, "NOT ENOUGH INFO", []),
+                                              claim_record(2, "NOT ENOUGH INFO", []),
+                                              claim_record(1, "SUPPORTS", [[[1, 2, "A", 0]]])])
+    with pytest.raises(DataError) as err:
+        load_claims(path)
+    assert str(err.value) == f"{path}:3: duplicate claim id 1 (first at {path}:1)"
+
+
+def test_duplicate_claim_id_across_files_of_a_directory(tmp_path):
+    write_jsonl(tmp_path / "a.jsonl", [claim_record(5, "NOT ENOUGH INFO", [])])
+    write_jsonl(tmp_path / "b.jsonl", [claim_record(6, "NOT ENOUGH INFO", []),
+                                       claim_record(5, "NOT ENOUGH INFO", [])])
+    with pytest.raises(DataError) as err:
+        load_claims(tmp_path)
+    assert str(err.value) == (f"{tmp_path / 'b.jsonl'}:2: duplicate claim id 5 "
+                              f"(first at {tmp_path / 'a.jsonl'}:1)")
+
+
 def test_unknown_label_rejected(tmp_path):
     path = write_jsonl(tmp_path / "c.jsonl", [claim_record(1, "MAYBE", [])])
     with pytest.raises(DataError):

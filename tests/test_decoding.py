@@ -116,7 +116,7 @@ def test_beam_rejects_empty_trie_and_bad_beam():
     for max_titles in (0, -3):
         with pytest.raises(ValueError):
             beam_search_titles(model, enc, trie, beam_size=5, max_titles=max_titles)
-    empty = TitleTrie()
+    empty = TitleTrie([(None, ())])
     with pytest.raises(DecodingError):
         beam_search_titles(model, enc, empty, beam_size=5)
 
@@ -313,11 +313,10 @@ def test_greedy_no_repeats_and_step_cap():
     assert len(pairs1) == 1
 
 
-def test_greedy_requires_candidates():
+def test_greedy_over_no_candidates_returns_no_evidence():
     corpus, vocab, trie, model = setup(["Alpha"])
     enc = model.encode_claim(vocab.encode("claim"))
-    with pytest.raises(DecodingError):
-        greedy_evidence(model, enc, [], max_evidence_steps=3)
+    assert greedy_evidence(model, enc, [], max_evidence_steps=3) == ([], [])
 
 
 def test_greedy_tie_breaks_by_source_order():

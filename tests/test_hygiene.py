@@ -9,7 +9,9 @@ one module that reads files: no other calls `read_text`, `read_bytes`,
 Every module-level function and class and every method but the dunders is
 referenced by name somewhere else in the package, the benchmark scripts or
 the demos (the tracer's wrapped names count), or is exported in
-`gere.__all__`.
+`gere.__all__`. Every annotated class field is read as an attribute
+somewhere in the package, the benchmark scripts or the demos. No module
+reads the environment.
 """
 
 import ast
@@ -209,3 +211,61 @@ def test_every_definition_is_referenced_or_exported():
         referencing += _references(parse(path), strings=path.name == "tracing.py")
     unreferenced = _unreferenced(package, referencing, _exported(package["__init__.py"]))
     assert not unreferenced, f"referenced nowhere and not exported: {unreferenced}"
+
+
+def _fields(tree: ast.Module):
+    """(class name, field name) of each annotated field in a class body."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield cls.name, item.target.id
+
+
+def _attribute_loads(tree: ast.AST) -> set[str]:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_field_check_flags_written_only_fields():
+    tree = ast.parse("class P:\n    read: int\n    written: int = 0\n    plain = 1\n"
+                     "p = P(1)\np.written = p.read\n")
+    loads = _attribute_loads(tree)
+    assert [f"{c}.{f}" for c, f in _fields(tree) if f not in loads] == ["P.written"]
+
+
+def test_every_field_is_read():
+    """A field that is only ever written, or read only by tests, is dead state."""
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in sorted(SRC.glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py"))
+             + sorted((ROOT / "demos").glob("*.py"))}
+    loads = set().union(*map(_attribute_loads, trees.values()))
+    unread = [f"{path.name}:{cls}.{name}" for path, tree in trees.items()
+              if path.parent == SRC for cls, name in _fields(tree) if name not in loads]
+    assert not unread, f"fields never read as attributes: {unread}"
+
+
+def _environment_reads(tree: ast.Module) -> list[str]:
+    """Source of each `os.environ` or `os.getenv` use, however imported."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found.extend(f"from os import {a.name}" for a in node.names
+                         if a.name in ("environ", "getenv"))
+    return found
+
+
+def test_environment_check_flags_environment_reads():
+    source = ("import os\nfrom os import environ, path\nos.environ.get('X')\n"
+              "os.getenv('Y')\nos.path.join('a')\n")
+    assert sorted(_environment_reads(ast.parse(source))) == [
+        "from os import environ", "os.environ", "os.getenv"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    """Settings come from flags and config files only."""
+    reads = _environment_reads(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    assert not reads, f"{path.name} reads the environment: {reads}"

@@ -81,23 +81,21 @@ def test_encode_claim_deterministic(tiny_model, tiny_vocab):
     ids = tiny_vocab.encode("alpha hill rises early")
     e1 = tiny_model.encode_claim(ids)
     e2 = tiny_model.encode_claim(ids)
-    np.testing.assert_array_equal(e1.states, e2.states)
-    assert not e1.truncated
+    np.testing.assert_array_equal(e1, e2)
 
 
 def test_encode_claim_position_sensitive(tiny_model, tiny_vocab):
     a = tiny_model.encode_claim(tiny_vocab.encode("alpha hill"))
     b = tiny_model.encode_claim(tiny_vocab.encode("hill alpha"))
-    assert not np.array_equal(a.states, b.states)
+    assert not np.array_equal(a, b)
 
 
 def test_encode_claim_shapes_and_truncation(tiny_model, tiny_vocab):
     e = tiny_model.encode_claim([tiny_vocab.ids["alpha"]])
-    assert e.states.shape == (1, tiny_model.config.d_model)
+    assert e.shape == (1, tiny_model.config.d_model)
     long_ids = [tiny_vocab.ids["alpha"]] * (tiny_model.config.max_positions + 5)
     e = tiny_model.encode_claim(long_ids)
-    assert e.truncated
-    assert e.states.shape == (tiny_model.config.max_positions, tiny_model.config.d_model)
+    assert e.shape == (tiny_model.config.max_positions, tiny_model.config.d_model)
     with pytest.raises(ValueError):
         tiny_model.encode_claim([])
 
@@ -230,17 +228,15 @@ def test_engine_encodings_equal_graph_forward(tiny_vocab, dtype):
     for length in (1, 9, 24):
         ids = [int(t) for t in rng.integers(6, len(tiny_vocab), size=length)]
         enc = model.encode_claim(ids)
-        assert not enc.truncated
         expected = graph("claim_enc", ids)
-        assert enc.states.dtype == expected.dtype and np.array_equal(enc.states, expected)
+        assert enc.dtype == expected.dtype and np.array_equal(enc, expected)
         vector = model.encode_sentence(ids, source=("Doc", length)).vector
         expected = graph("sent_enc", ids).mean(axis=0)
         assert vector.dtype == expected.dtype and np.array_equal(vector, expected)
 
     ids = [int(t) for t in rng.integers(6, len(tiny_vocab), size=30)]
     enc = model.encode_claim(ids)
-    assert enc.truncated
-    assert np.array_equal(enc.states, graph("claim_enc", ids[:24]))
+    assert np.array_equal(enc, graph("claim_enc", ids[:24]))
 
 
 def test_engine_reads_parameters_replaced_after_first_use(tiny_vocab):
@@ -253,7 +249,7 @@ def test_engine_reads_parameters_replaced_after_first_use(tiny_vocab):
     for name, tensor in model.params.items():
         tensor.data = other.params[name].data.copy()
     enc, expected = model.encode_claim(ids), other.encode_claim(ids)
-    assert np.array_equal(enc.states, expected.states)
+    assert np.array_equal(enc, expected)
     assert np.array_equal(model.decode_step_title(enc, [BOS]),
                           other.decode_step_title(expected, [BOS]))
 
@@ -416,4 +412,4 @@ def test_unk_tokens_still_encode(tiny_model, tiny_vocab):
     ids = tiny_vocab.encode("completely unknowable words")
     assert UNK in ids
     enc = tiny_model.encode_claim(ids)
-    assert np.isfinite(enc.states).all()
+    assert np.isfinite(enc).all()

@@ -110,6 +110,13 @@ def test_trainer_rejects_a_clip_norm_that_would_not_clip(tiny_vocab, clip_norm):
         Trainer(model, tiny_vocab, total_updates=3, clip_norm=clip_norm)
 
 
+@pytest.mark.parametrize("peak_lr", [float("nan"), float("inf"), 0.0, -1.0])
+def test_trainer_rejects_a_peak_lr_that_is_not_finite_and_positive(tiny_vocab, peak_lr):
+    model = Seq2SeqModel(small_config(len(tiny_vocab)))
+    with pytest.raises(ValueError, match="peak_lr"):
+        Trainer(model, tiny_vocab, total_updates=3, peak_lr=peak_lr)
+
+
 def test_encode_example_candidates_and_slots(tiny_corpus, tiny_vocab, tiny_claims):
     claim = tiny_claims[1]  # evidence (Alpha_hill, 1), (Beta_ridge, 0)
     ex = encode_example(claim, gold_targets(claim, tiny_corpus), tiny_corpus,
@@ -386,7 +393,7 @@ def test_float32_model_trains_and_decodes_in_float32(tiny_corpus, tiny_vocab, ti
     logits = model.title_step(DecoderState(model, "title_dec", enc), [BOS])
     scores = model.evidence_step(DecoderState(model, "evid_dec", enc),
                                  model.params["evid_dec.start"].data, [sentence])
-    for array in (enc.states, sentence.vector, logits, scores):
+    for array in (enc, sentence.vector, logits, scores):
         assert array.dtype == np.float32
 
 
