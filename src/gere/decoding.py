@@ -12,8 +12,11 @@ length normalization each alive hypothesis is bounded through the longest
 finish the trie still allows it. The result is the full beam's, bit for bit.
 Each beam step scores all legal continuations of all alive hypotheses as
 arrays and selects with one `np.lexsort`. Evidence decoding is greedy over
-the remaining candidate sentences plus EOE; the candidates are embedded with
-one stacked sentence-encoder pass per distinct length.
+the remaining candidate sentences plus EOE. The candidates' vectors come
+from the model's sentence memo, which outlives the call: a sentence an
+earlier claim already embedded with the same sentence-encoder parameters is
+not embedded again, and the rest are embedded with one stacked pass per
+distinct length, with the bits of one pass per sentence.
 
 Both decoders cross-attend to the claim states that `encode_claim` returns
 and run incrementally on the model's KV-cached `DecoderState`: the beam

@@ -14,6 +14,10 @@ a block of equal-length sequences, each row bit-identical to the graph;
 `encode_claim` returns a claim's (length, d_model) states array, against
 which `DecoderState` decodes incrementally with per-layer key/value caches.
 Both compute attention with the one array definition, `nn.attention_forward`.
+`Seq2SeqModel.encode_sentences` keeps a per-model memo of sentence vectors,
+keyed by the encoder input row and valid for one state of the `sent_enc.*`
+parameters (each tensor's array and `nn.Tensor.version`), so a sentence that
+many claims' candidate sets share is embedded once per parameter state.
 `param_layout` is the one list of parameter names, shapes and inits, which
 both the random initialisation and checkpoint loading follow. The
 single-example losses, full-sequence logits and the per-op training graph
@@ -115,17 +119,22 @@ def _key_mask(valid: np.ndarray, dtype) -> Optional[np.ndarray]:
     return add[:, None, None, :]
 
 
-def _weights(model: "Seq2SeqModel", prefix: str) -> dict[str, np.ndarray]:
-    """The arrays of the parameters under `prefix`, keyed by the rest of the name.
-
-    The name scan runs once per model and prefix. Arrays are read from
-    `.data` on every call, so checkpoint loads and optimizer updates are seen."""
+def _group(model: "Seq2SeqModel", prefix: str) -> dict[str, nn.Tensor]:
+    """The parameters under `prefix`, keyed by the rest of the name; the name
+    scan runs once per model and prefix."""
     group = model._param_groups.get(prefix)
     if group is None:
         n = len(prefix) + 1
         group = {k[n:]: t for k, t in model.params.items() if k.startswith(prefix + ".")}
         model._param_groups[prefix] = group
-    return {k: t.data for k, t in group.items()}
+    return group
+
+
+def _weights(model: "Seq2SeqModel", prefix: str) -> dict[str, np.ndarray]:
+    """The arrays of the parameters under `prefix`, keyed by the rest of the
+    name. Arrays are read from `.data` on every call, so checkpoint loads and
+    optimizer updates are seen."""
+    return {k: t.data for k, t in _group(model, prefix).items()}
 
 
 def _scale(cfg: ModelConfig) -> float:
@@ -292,7 +301,11 @@ class Seq2SeqModel:
         else:
             self.params = {name: nn.Tensor(arrays[name], requires_grad=True)
                            for name, _, _ in param_layout(config)}
-        self._param_groups: dict[str, dict[str, nn.Tensor]] = {}  # filled by `_weights`
+        self._param_groups: dict[str, dict[str, nn.Tensor]] = {}  # filled by `_group`
+        # `encode_sentences`' vectors by encoder input row, for the sentence
+        # encoder parameters' state in `_sentence_stamp`.
+        self._sentence_memo: dict[tuple[int, ...], np.ndarray] = {}
+        self._sentence_stamp: list[tuple[np.ndarray, int]] = []
 
     # -- parameters ----------------------------------------------------------
 
@@ -421,16 +434,36 @@ class Seq2SeqModel:
 
     def encode_sentences(self, token_lists: Sequence[Sequence[int]],
                          sources: Sequence[Optional[tuple[str, int]]]) -> list[SentenceEmbedding]:
-        """`encode_sentence` of each (token_ids, source) pair, in input order, with
-        one stacked encoder pass per `length_groups` group; bit-identical to
-        one call per sentence (see `encode`)."""
-        rows = [sentence_ids(ids, self.config.max_positions) for ids in token_lists]
-        out: list[Optional[SentenceEmbedding]] = [None] * len(rows)
-        for members in length_groups(rows):
-            states = encode(self, "sent_enc", [rows[i] for i in members])
+        """`encode_sentence` of each (token_ids, source) pair, in input order.
+
+        Vectors come from the model's memo, keyed by the encoder input row
+        (`sentence_ids`) and stored read-only. The rows it lacks are encoded
+        once each, one stacked pass per `length_groups` group, and each has
+        the bits of its own one-sentence pass (see `encode`), so a memo hit
+        is the vector a fresh model computes. The memo holds one state of the
+        `sent_enc.*` parameters: it is emptied when any of their `.data`
+        arrays is rebound or its `Tensor.version` changes."""
+        rows = [tuple(sentence_ids(ids, self.config.max_positions)) for ids in token_lists]
+        memo = self._current_sentence_memo()
+        missing = list(dict.fromkeys(row for row in rows if row not in memo))
+        for members in length_groups(missing):
+            states = encode(self, "sent_enc", [missing[i] for i in members])
             for row, i in enumerate(members):
-                out[i] = SentenceEmbedding(vector=states[row].mean(axis=0), source=sources[i])
-        return out
+                vector = states[row].mean(axis=0)
+                vector.flags.writeable = False
+                memo[missing[i]] = vector
+        return [SentenceEmbedding(vector=memo[row], source=sources[i])
+                for i, row in enumerate(rows)]
+
+    def _current_sentence_memo(self) -> dict[tuple[int, ...], np.ndarray]:
+        """The sentence memo, emptied first if a `sent_enc.*` array or version
+        differs from the stamp. The stamp holds the arrays themselves, so
+        the id of a rebound array cannot be reused while the stamp lives."""
+        stamp = [(t.data, t.version) for t in _group(self, "sent_enc").values()]
+        if not all(a is b and u == v for (a, u), (b, v) in zip(stamp, self._sentence_stamp)):
+            self._sentence_memo.clear()
+        self._sentence_stamp = stamp
+        return self._sentence_memo
 
     def evidence_step(self, state: DecoderState, vector: np.ndarray,
                       candidates: Sequence[SentenceEmbedding]) -> np.ndarray:

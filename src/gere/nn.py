@@ -28,11 +28,17 @@ import numpy as np
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    """A value in the autodiff graph. `version` counts in-place writes to
+    `.data`, as PyTorch's tensor version counter does: `Adam.step` bumps it
+    on every parameter, and any other in-place write to a parameter must
+    bump it too, so that results cached for the earlier values are dropped."""
+
+    __slots__ = ("data", "grad", "requires_grad", "version", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data)
         self.grad = None
+        self.version = 0
         self.requires_grad = requires_grad
         self._parents = parents
         self._backward = backward
@@ -529,9 +535,12 @@ def global_grad_norm(params: dict[str, Tensor]) -> float:
 
 
 def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale grads in place to max_norm; returns the pre-clip global norm."""
+    """Scale grads in place to max_norm; returns the pre-clip global norm.
+    A max_norm that is not finite and positive raises `ValueError`."""
+    if not (np.isfinite(max_norm) and max_norm > 0):
+        raise ValueError(f"max_norm must be finite and positive, got {max_norm}")
     norm = global_grad_norm(params)
-    if max_norm > 0 and norm > max_norm:
+    if norm > max_norm:
         scale = max_norm / norm
         for name in sorted(params):
             g = params[name].grad
@@ -546,11 +555,12 @@ class Adam:
     The optimizer owns flat storage: one contiguous buffer per role (the
     parameters, their gradients and the moments m and v). Each parameter's
     `.data` is rebound to its view at construction, and from then on Adam
-    owns `.data`: it updates the views in place. `m` and `v` map names to
-    views. `step` copies each `.grad` into the gradient buffer (a grad of
-    None counts as zeros), then runs Adam's elementwise arithmetic over
-    fixed chunks of the buffers, so each element gets the operations of a
-    per-tensor loop in the same order and the same bits."""
+    owns `.data`: it updates the views in place and bumps each parameter's
+    `version`. `m` and `v` map names to views. `step` copies each `.grad`
+    into the gradient buffer (a grad of None counts as zeros), then runs
+    Adam's elementwise arithmetic over fixed chunks of the buffers, so each
+    element gets the operations of a per-tensor loop in the same order and
+    the same bits."""
 
     def __init__(self, params: dict[str, Tensor]):
         self.params = params
@@ -580,8 +590,9 @@ class Adam:
 
     def step(self, lr: float) -> None:
         for name in self.names:
-            grad = self.params[name].grad
-            self._grad[name][...] = 0 if grad is None else grad
+            param = self.params[name]
+            self._grad[name][...] = 0 if param.grad is None else param.grad
+            param.version += 1
         self.t += 1
         bc1 = 1.0 - _BETA1**self.t
         bc2 = 1.0 - _BETA2**self.t

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gere import model as gmodel
 from gere.corpus import Claim, Corpus, Document, Label, title_from_doc_id
 from gere.model import ModelConfig, Seq2SeqModel
 from gere.tokenizer import build_vocab
@@ -54,6 +55,28 @@ def small_config(vocab_size, **overrides):
                 n_layers_dec=1, d_ff=32, max_positions=64, seed=11)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def twin(model):
+    """A model over the same parameter arrays as `model`, with an empty
+    sentence memo: the reference for a result that `model` may serve from
+    its memo."""
+    return Seq2SeqModel(model.config, model.vocab_checksum, model.dtype,
+                        arrays={name: t.data for name, t in model.params.items()})
+
+
+def spy_sentence_rows(monkeypatch) -> list:
+    """Record the rows `model.encode` gets for the sentence encoder, in order."""
+    rows = []
+    encode = gmodel.encode
+
+    def spy(model, name, ids):
+        if name == "sent_enc":
+            rows.extend(tuple(row) for row in ids)
+        return encode(model, name, ids)
+
+    monkeypatch.setattr(gmodel, "encode", spy)
+    return rows
 
 
 @pytest.fixture

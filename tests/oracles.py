@@ -233,6 +233,7 @@ class PerTensorAdam:
             v += (1.0 - self.beta2) * (g * g)
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
             p.data -= np.asarray(lr, dtype=p.data.dtype) * update
+            p.version += 1
 
     def load_state_dict(self, state):
         self.t = int(state["t"])

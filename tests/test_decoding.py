@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gere import decoding, nn
+from gere.checkpoint import checkpoint_bytes, load_checkpoint
 from gere.corpus import Corpus, Document, Claim, Label, gold_targets, title_from_doc_id
 from gere.decoding import (
     DecodeParams, beam_search_titles, collect_candidates, greedy_evidence,
@@ -15,7 +16,7 @@ from gere.tokenizer import EOS, build_vocab
 from gere.training import encode_example
 from gere.trie import TitleTrie
 
-from conftest import small_config
+from conftest import small_config, spy_sentence_rows, twin
 from oracles import exhaustive_title_search
 
 
@@ -339,12 +340,38 @@ def test_retrieve_contract_and_determinism():
     params = DecodeParams(beam_size=4, max_titles=2, max_evidence_steps=4)
     r1 = retrieve(model, vocab, claim, trie, corpus, params)
     r2 = retrieve(model, vocab, claim, trie, corpus, params)
-    assert r1 == r2
+    assert r1 == r2 == retrieve(twin(model), vocab, claim, trie, corpus, params)
     assert r1.claim_id == 41
     assert len(set(r1.titles)) == len(r1.titles)
     assert set(d for d, _ in r1.evidence) <= set(r1.titles)
     assert len(r1.evidence) <= 4
     assert len(r1.evidence_log_probs) == len(r1.evidence)
+
+
+@pytest.mark.parametrize("length_normalize", [False, True])
+def test_retrieve_over_many_claims_equals_a_fresh_model_per_claim(
+        tiny_corpus, tiny_vocab, tiny_claims, tmp_path, length_normalize, monkeypatch):
+    """One model serving every claim, its sentence memo filled by the earlier
+    ones, gives byte-identical records to a fresh model loaded from the same
+    checkpoint bytes for each claim."""
+    path = tmp_path / "model.gereckpt"
+    path.write_bytes(checkpoint_bytes(Seq2SeqModel(small_config(len(tiny_vocab), init_std=0.5),
+                                                   vocab_checksum=tiny_vocab.checksum())))
+    trie = TitleTrie.build(tiny_corpus.titles(), tiny_vocab)
+    params = DecodeParams(beam_size=4, max_titles=3, max_evidence_steps=4,
+                          length_normalize=length_normalize)
+    encoded = spy_sentence_rows(monkeypatch)
+
+    def record(model, claim):
+        return json.dumps(retrieve(model, tiny_vocab, claim, trie, tiny_corpus,
+                                   params).to_record())
+
+    shared = load_checkpoint(path)[0]
+    together = [record(shared, claim) for claim in tiny_claims]
+    shared_rows = len(encoded)
+    apart = [record(load_checkpoint(path)[0], claim) for claim in tiny_claims]
+    assert together == apart
+    assert shared_rows < len(encoded) - shared_rows  # the memo served later claims
 
 
 def test_retrieve_blank_claim_is_a_data_error():

@@ -7,7 +7,7 @@ from gere.decoding import greedy_evidence
 from gere.model import DecoderState, ModelConfig, Seq2SeqModel, SentenceEmbedding
 from gere.tokenizer import BOS, EOS, EOT, SEP, UNK
 
-from conftest import small_config
+from conftest import small_config, spy_sentence_rows, twin
 from oracles import loss_evidence, loss_title, title_logits_all
 
 
@@ -193,7 +193,8 @@ def test_greedy_evidence_scores_equal_single_step_replays(tiny_vocab, monkeypatc
     model.params["evid_dec.ln_f.b"].data[0] = 1.0
     model.params["evid_dec.eoe"].data[:] = 0.0
     model.params["evid_dec.eoe"].data[0] = -1e3
-    for c in cands:
+    for c in cands:  # memo vectors are read-only, so zero a copy
+        c.vector = c.vector.copy()
         c.vector[0] = 0.0
     steps = []
     evidence_step = model.evidence_step
@@ -260,7 +261,7 @@ def test_engine_reads_parameters_replaced_after_first_use(tiny_vocab):
 def test_encode_sentence_contract(tiny_model, tiny_vocab):
     ids = tiny_vocab.encode("beta ridge faces north")
     e1 = tiny_model.encode_sentence(ids, source=("Beta_ridge", 0))
-    e2 = tiny_model.encode_sentence(ids, source=("Beta_ridge", 0))
+    e2 = twin(tiny_model).encode_sentence(ids, source=("Beta_ridge", 0))
     np.testing.assert_array_equal(e1.vector, e2.vector)
     assert e1.vector.shape == (tiny_model.config.d_model,)
     assert np.isfinite(e1.vector).all()
@@ -284,7 +285,7 @@ def test_encode_sentences_equal_single_encodes(tiny_vocab, dtype, width):
     stacked = model.encode_sentences(sentences, sources)
     assert [e.source for e in stacked] == sources
     for ids, source, emb in zip(sentences, sources, stacked):
-        single = model.encode_sentence(ids, source=source)
+        single = twin(model).encode_sentence(ids, source=source)
         assert emb.vector.dtype == single.vector.dtype == dtype
         assert np.array_equal(emb.vector, single.vector)
     assert model.encode_sentences([], []) == []
@@ -292,8 +293,86 @@ def test_encode_sentences_equal_single_encodes(tiny_vocab, dtype, width):
 
 def test_encode_sentence_empty_falls_back_to_eos(tiny_model):
     empty = tiny_model.encode_sentence([])
-    eos = tiny_model.encode_sentence([EOS])
+    eos = twin(tiny_model).encode_sentence([EOS])
     np.testing.assert_array_equal(empty.vector, eos.vector)
+
+
+def _sentences(vocab, texts=("alpha hill rises early .", "beta ridge faces north .",
+                             "key1 alpha hill holds two peaks .", "")):
+    return [vocab.encode(t) for t in texts]
+
+
+def _vectors(model, sents):
+    return [e.vector for e in model.encode_sentences(sents, [None] * len(sents))]
+
+
+def test_sentence_memo_encodes_each_distinct_row_once(tiny_vocab, monkeypatch):
+    """A row repeated within a call, or across calls, reaches the encoder once;
+    each call still returns its own `SentenceEmbedding` objects."""
+    model = Seq2SeqModel(small_config(len(tiny_vocab)))
+    a, b, c, blank = _sentences(tiny_vocab)
+    rows = spy_sentence_rows(monkeypatch)
+    first = model.encode_sentences([a, b, a, blank, [EOS], a], [("D", i) for i in range(6)])
+    assert sorted(rows) == sorted({tuple(a), tuple(b), (EOS,)})
+    assert [e.source for e in first] == [("D", i) for i in range(6)]
+    assert first[0].vector is first[2].vector and first[3].vector is first[4].vector
+    del rows[:]
+    second = model.encode_sentences([c, b, a], [None] * 3)
+    assert rows == [tuple(c)]
+    assert second[1] is not first[1] and second[1].vector is first[1].vector
+    expected = _vectors(twin(model), [a, b, a, blank, [EOS], a, c, b, a])
+    assert all(np.array_equal(e.vector, v) for e, v in zip(first + second, expected))
+
+
+def test_sentence_memo_vectors_are_read_only(tiny_vocab):
+    model = Seq2SeqModel(small_config(len(tiny_vocab)))
+    sents = _sentences(tiny_vocab)
+    for vector in _vectors(model, sents) + _vectors(model, sents):
+        assert not vector.flags.writeable
+        with pytest.raises(ValueError):
+            vector[0] = 0.0
+    assert all(np.array_equal(v, w) for v, w in zip(_vectors(model, sents),
+                                                     _vectors(twin(model), sents)))
+
+
+def test_sentence_memo_is_dropped_after_an_adam_step(tiny_vocab, monkeypatch):
+    """`Adam.step` updates the parameters in place and bumps their versions,
+    so the next call re-encodes and equals a fresh model's embeddings."""
+    model = Seq2SeqModel(small_config(len(tiny_vocab)))
+    optimizer = nn.Adam(model.params)
+    sents = _sentences(tiny_vocab)
+    before = _vectors(model, sents)
+    rows = spy_sentence_rows(monkeypatch)
+    _vectors(model, sents)
+    assert rows == []  # a memo hit
+    rng = np.random.default_rng(4)
+    for t in model.params.values():
+        t.grad = rng.standard_normal(t.data.shape).astype(t.data.dtype)
+    optimizer.step(1e-2)
+    assert {t.version for t in model.params.values()} == {1}
+    after = _vectors(model, sents)
+    assert len(rows) == len(sents)
+    expected = _vectors(twin(model), sents)
+    assert all(np.array_equal(v, w) for v, w in zip(after, expected))
+    assert not any(np.array_equal(v, w) for v, w in zip(after, before))
+
+
+def test_sentence_memo_follows_rebound_and_versioned_parameters(tiny_vocab):
+    """Rebinding `.data` (a checkpoint load into a used model) and an in-place
+    write that bumps `Tensor.version` each empty the memo."""
+    model = Seq2SeqModel(small_config(len(tiny_vocab), seed=1))
+    others = [Seq2SeqModel(small_config(len(tiny_vocab), seed=s)) for s in (2, 3)]
+    sents = _sentences(tiny_vocab)
+    _vectors(model, sents)
+    for name, tensor in model.params.items():
+        tensor.data = others[0].params[name].data.copy()
+    assert all(np.array_equal(v, w) for v, w in zip(_vectors(model, sents),
+                                                     _vectors(others[0], sents)))
+    for name, tensor in model.params.items():
+        tensor.data[...] = others[1].params[name].data
+        tensor.version += 1
+    assert all(np.array_equal(v, w) for v, w in zip(_vectors(model, sents),
+                                                     _vectors(others[1], sents)))
 
 
 def test_different_sentences_not_identical(tiny_model, tiny_vocab):

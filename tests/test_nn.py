@@ -349,6 +349,16 @@ def test_clip_gradients(rng):
     np.testing.assert_allclose(p.grad, [0.3, 0.4, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("max_norm", [0.0, -1.0, float("nan"), float("inf")])
+def test_clip_gradients_rejects_a_max_norm_that_is_not_finite_and_positive(rng, max_norm):
+    """No value of max_norm silently turns clipping off."""
+    p = param(rng, 4)
+    p.grad = np.array([3.0, 4.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="max_norm must be finite and positive"):
+        nn.clip_gradients({"p": p}, max_norm)
+    np.testing.assert_array_equal(p.grad, [3.0, 4.0, 0.0, 0.0])
+
+
 def _gelu_grad_by_expression(x, t, g):
     """GELU's input gradient with fresh temporaries for `1.0 - t * t` and `1.0 + t`."""
     slope = x * x
