@@ -6,12 +6,13 @@ SEP or EOS; after SEP the trie resets to the root and any already-emitted
 title has its final EOT masked (duplicate suppression). Hypothesis scores are
 sums of full-softmax token log-probs (no renormalization over the mask and,
 by default, no length normalization). Since every token log-prob is <= 0, a
-score only falls as a hypothesis grows, so the beam stops as soon as the best
-finished hypothesis outranks every alive one (Huang et al., EMNLP 2017); under
-length normalization each alive hypothesis is bounded through the longest
-finish the trie still allows it. The result is the full beam's, bit for bit.
-Each beam step scores all legal continuations of all alive hypotheses as
-arrays and selects with one `np.lexsort`. Evidence decoding is greedy over
+score only falls as a hypothesis grows, so under summed ranking each step
+drops the alive hypotheses that score below the best finished one, and under
+length normalization the beam stops as soon as the best finished hypothesis
+outranks every alive one, each bounded through the longest finish the trie
+still allows it (Huang et al., EMNLP 2017). The result is the full beam's,
+bit for bit. Each beam step ranks all legal continuations of all alive
+hypotheses with one sort of plain tuples. Evidence decoding is greedy over
 the remaining candidate sentences plus EOE. The candidates' vectors come
 from the model's sentence memo, which outlives the call: a sentence an
 earlier claim already embedded with the same sentence-encoder parameters is
@@ -80,19 +81,15 @@ class RetrievalResult:
         }
 
 
-_SEP_EOS = np.array([SEP, EOS], dtype=np.intp)
-_EOS_ONLY = np.array([EOS], dtype=np.intp)
-
-
-def _allowed_tokens(hyp: BeamHypothesis, trie: TitleTrie, max_titles: int) -> np.ndarray:
-    if hyp.node is not None:
-        first, count = trie.first_child.item(hyp.node), trie.child_count.item(hyp.node)
-        tokens = trie.token[first:first + count]
-        for end in hyp.ends:
-            if first <= end < first + count:  # an emitted title ends at this node
-                return tokens[tokens != EOT]  # duplicate-title suppression
-        return tokens
-    return _SEP_EOS if len(hyp.ends) < max_titles else _EOS_ONLY
+def _title_tokens(hyp: BeamHypothesis, trie: TitleTrie) -> np.ndarray:
+    """The legal tokens of a hypothesis inside a title: its trie node's
+    children, less an EOT that would end an emitted title again."""
+    first, count = trie.first_child.item(hyp.node), trie.child_count.item(hyp.node)
+    tokens = trie.token[first:first + count]
+    for end in hyp.ends:
+        if first <= end < first + count:  # an emitted title ends at this node
+            return tokens[tokens != EOT]  # duplicate-title suppression
+    return tokens
 
 
 def _extend(hyp: BeamHypothesis, token: int, log_prob: float, trie: TitleTrie) -> BeamHypothesis:
@@ -123,22 +120,20 @@ def _longest_finish(hyp: BeamHypothesis, trie: TitleTrie, max_titles: int, max_l
     return min(longest, max_len)
 
 
-def _cannot_improve(alive: Sequence[BeamHypothesis], best_finished: float,
-                    length_normalize: bool, trie: TitleTrie, max_titles: int,
-                    max_len: int) -> bool:
-    """Whether no hypothesis grown from the alive beam can outrank `best_finished`.
+def _cannot_improve(alive: Sequence[BeamHypothesis], best_finished: float, trie: TitleTrie,
+                    max_titles: int, max_len: int) -> bool:
+    """Under length normalisation, whether no hypothesis grown from the alive
+    beam can outrank `best_finished`.
 
-    `alive` is sorted best-first by summed score. Every token log-prob is
-    <= 0 (`nn.log_softmax64`) and float addition of a non-positive term never
-    increases a sum, so no descendant of `h` scores above `h.log_prob`. Its
-    finished descendants have at most `_longest_finish(h)` tokens and a
-    non-positive score, and float division is monotone, so none has a
-    normalised score above `h.log_prob / _longest_finish(h)`. The comparison
-    is strict, so a descendant cannot even tie and win on the token
-    tie-break: the result is the one the full beam would return, bit for bit.
+    Every token log-prob is <= 0 (`nn.log_softmax64`) and float addition of
+    a non-positive term never increases a sum, so no descendant of `h` scores
+    above `h.log_prob`. Its finished descendants have at most
+    `_longest_finish(h)` tokens and a non-positive score, and float division
+    is monotone, so none has a normalised score above
+    `h.log_prob / _longest_finish(h)`. The comparison is strict, so a
+    descendant cannot even tie and win on the token tie-break: the result is
+    the one the full beam would return, bit for bit.
     """
-    if not length_normalize:
-        return alive[0].log_prob < best_finished
     return max(h.log_prob / _longest_finish(h, trie, max_titles, max_len)
                for h in alive) < best_finished
 
@@ -155,13 +150,25 @@ def beam_search_titles(
 
     Ties in score break on the lexicographically smaller token sequence.
     Finished hypotheses do not occupy alive-beam slots, so with beam_size at
-    least the number of legal hypotheses the search is exhaustive. The search
-    stops early once no alive hypothesis can beat the best finished one
-    (`_cannot_improve`); that never changes the result.
+    least the number of legal hypotheses the search is exhaustive.
 
-    Each step scores every legal continuation as arrays: `parent_rank` ranks
-    the alive token lists, which all have one length, so sorting by
-    (-score, parent_rank, token) is the (-score, token list) order.
+    An EOS continuation finishes at once and takes no slot, so it is not
+    ranked. The alive beam is kept in the lexicographic order of its token
+    lists, which all have one length, so ranking every other legal
+    continuation as a plain `(-score, row, token)` tuple, with one sort, is
+    the (-score, token list) order. Hypotheses that cannot win are not
+    decoded further, and the result is the full beam's, bit for bit:
+
+    - Summed ranking: a kept hypothesis whose score is below the best
+      finished one is dropped. No descendant scores above it (token
+      log-probs are <= 0), so none can win, not even on the tie-break; and
+      every continuation that can still win ranks strictly ahead of all its
+      children, so the full beam would give the slots it frees only to
+      hypotheses that cannot win either.
+    - Length normalisation: slots are filled by summed score, so dropping a
+      row by its normalised bound could free a slot that the full beam
+      fills with a later winner; the search stops only when the whole beam
+      cannot improve (`_cannot_improve`).
     """
     if trie.title_count == 0:
         raise DecodingError("cannot decode titles against an empty trie")
@@ -171,33 +178,36 @@ def beam_search_titles(
         raise ValueError("max_titles must be positive")
     state = DecoderState(model, "title_dec", claim_states)
     alive = [BeamHypothesis(tokens=[BOS], log_prob=0.0, node=trie.root)]
-    parent_rank = np.zeros(1, dtype=np.intp)
     finished: list[BeamHypothesis] = []
     # Inputs fill positions 0 .. max_positions - 1 and the last one predicts EOS, so
     # a finished sequence has up to max_positions + 1 tokens, as `encode_example` allows.
     max_len = model.config.max_positions + 1
     best_finished = -math.inf
     while alive:
-        if _cannot_improve(alive, best_finished, length_normalize, trie, max_titles, max_len):
+        if length_normalize and _cannot_improve(alive, best_finished, trie, max_titles,
+                                                max_len):
             break
         if len(alive[0].tokens) >= max_len:
             break  # all alive hypotheses share one length; none can extend, all die
         log_probs = nn.log_softmax64(model.title_step(state, [hyp.tokens[-1] for hyp in alive]))
-        allowed = [_allowed_tokens(hyp, trie, max_titles) for hyp in alive]
-        rows = np.repeat(np.arange(len(alive)), [len(a) for a in allowed])
-        tokens = np.concatenate(allowed)
-        scores = np.array([hyp.log_prob for hyp in alive])[rows] + log_probs[rows, tokens]
-        order = np.lexsort((tokens, parent_rank[rows], -scores))
-        eos = tokens[order] == EOS
-        for i in order[eos].tolist():
-            finished.append(_extend(alive[rows[i]], EOS, float(scores[i]), trie))
-            best_finished = max(best_finished, _rank_score(finished[-1], length_normalize))
-        keep = order[~eos][:beam_size]
-        kept_rows, kept_tokens = rows[keep], tokens[keep]
-        alive = [_extend(alive[row], token, score, trie) for row, token, score in
-                 zip(kept_rows.tolist(), kept_tokens.tolist(), scores[keep].tolist())]
-        parent_rank = np.argsort(np.lexsort((kept_tokens, parent_rank[kept_rows])))
-        state.reorder(kept_rows)
+        candidates = []  # the continuations other than EOS
+        for row, hyp in enumerate(alive):
+            score = hyp.log_prob
+            if hyp.node is None:  # after a title: EOS, and SEP while titles are left
+                finished.append(_extend(hyp, EOS, score + log_probs.item(row, EOS), trie))
+                best_finished = max(best_finished, _rank_score(finished[-1], length_normalize))
+                if len(hyp.ends) < max_titles:
+                    candidates.append((-(score + log_probs.item(row, SEP)), row, SEP))
+            else:
+                tokens = _title_tokens(hyp, trie)
+                candidates.extend((-(score + log_prob), row, token) for token, log_prob
+                                  in zip(tokens.tolist(), log_probs[row].take(tokens).tolist()))
+        candidates.sort()
+        kept = [(row, token, -neg_score) for neg_score, row, token in candidates[:beam_size]
+                if length_normalize or -neg_score >= best_finished]
+        kept.sort()  # by (row, token): the new token lists in lexicographic order
+        alive = [_extend(alive[row], token, score, trie) for row, token, score in kept]
+        state.reorder([row for row, _, _ in kept])
     if not finished:
         raise DecodingError("no beam hypothesis could finish")
     best = min(finished, key=lambda h: (-_rank_score(h, length_normalize), h.tokens))
@@ -206,10 +216,17 @@ def beam_search_titles(
 
 def collect_candidates(model: Seq2SeqModel, vocab: Vocab, doc_ids: Sequence[str],
                        corpus: Corpus) -> list[SentenceEmbedding]:
-    """Embed every sentence of the given documents, in `Corpus.candidates` order."""
+    """Embed every sentence of the given documents, in `Corpus.candidates` order.
+    Each distinct sentence text is tokenized once per vocab (`Vocab.encoded`)."""
     rows = corpus.candidates(doc_ids)
-    return model.encode_sentences([vocab.encode(text) for _, _, text in rows],
-                                  [(doc_id, index) for doc_id, index, _ in rows])
+    encoded = vocab.encoded
+    token_lists = []
+    for _, _, text in rows:
+        ids = encoded.get(text)
+        if ids is None:
+            ids = encoded[text] = vocab.encode(text)
+        token_lists.append(ids)
+    return model.encode_sentences(token_lists, [(doc_id, index) for doc_id, index, _ in rows])
 
 
 def greedy_evidence(

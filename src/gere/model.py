@@ -175,6 +175,14 @@ class DecoderState:
     drops rows. Self-attention keys and values are cached per layer; the
     cross-attention keys and values are computed once from the claim states.
 
+    Construction packs each layer's weights, read from the parameters'
+    current `.data`, into one tuple in the order `step` uses them. The
+    self-attention q, k and v projections are one (d, 3d) matrix and one
+    (3d,) bias, so a step makes one (B, 1, d) @ (d, 3d) product per layer
+    where three (B, 1, d) @ (d, d) ones were; each output column is the same
+    dot product, and on OpenBLAS it has the same bits (float32 and float64,
+    d 16 and 64, B 1 to 20; `test_fused_qkv_product_equals_three_products`).
+
     Contract: a row's result never depends on the other rows. Every row-wise
     product is a stacked (B, 1, n) @ (n, m) matmul, which numpy evaluates
     slice by slice with the same BLAS call as B = 1 (a flat (B, n) GEMM does
@@ -195,10 +203,15 @@ class DecoderState:
         self.layers = []
         for i in range(cfg.n_layers_dec):
             w = _weights(model, f"{name}.l{i}")
-            cross_kv = (
-                nn.split_heads(memory @ w["cross_attn.wk"] + w["cross_attn.bk"], self.heads),
-                nn.split_heads(memory @ w["cross_attn.wv"] + w["cross_attn.bv"], self.heads))
-            self.layers.append((w, cross_kv))
+            qkv_w = np.concatenate([w[f"self_attn.w{p}"] for p in "qkv"], axis=1)
+            qkv_b = np.concatenate([w[f"self_attn.b{p}"] for p in "qkv"])
+            cross_k = nn.split_heads(memory @ w["cross_attn.wk"] + w["cross_attn.bk"], self.heads)
+            cross_v = nn.split_heads(memory @ w["cross_attn.wv"] + w["cross_attn.bv"], self.heads)
+            self.layers.append((
+                w["ln1.g"], w["ln1.b"], qkv_w, qkv_b, w["self_attn.wo"], w["self_attn.bo"],
+                w["ln2.g"], w["ln2.b"], w["cross_attn.wq"], w["cross_attn.bq"], cross_k, cross_v,
+                w["cross_attn.wo"], w["cross_attn.bo"],
+                w["ln3.g"], w["ln3.b"], w["ffn.w1"], w["ffn.b1"], w["ffn.w2"], w["ffn.b2"]))
         self.cache: list[Optional[tuple[np.ndarray, np.ndarray]]] = [None] * len(self.layers)
 
     def step(self, inputs: np.ndarray) -> np.ndarray:
@@ -207,30 +220,44 @@ class DecoderState:
         if self.length >= self.max_positions:
             raise ValueError(f"sequence length {self.length + 1} exceeds max_positions "
                              f"{self.max_positions}")
+        heads, scale = self.heads, self.scale
         x = (inputs.astype(self.pos_emb.dtype, copy=False) + self.pos_emb[self.length])[:, None]
-        for i, (w, (cross_k, cross_v)) in enumerate(self.layers):
-            h = nn.layer_norm_forward(x, w["ln1.g"], w["ln1.b"])[0]
-            q = nn.split_heads(h @ w["self_attn.wq"] + w["self_attn.bq"], self.heads)
-            k = nn.split_heads(h @ w["self_attn.wk"] + w["self_attn.bk"], self.heads)
-            v = nn.split_heads(h @ w["self_attn.wv"] + w["self_attn.bv"], self.heads)
+        d = x.shape[-1]
+        for i, (ln1_g, ln1_b, qkv_w, qkv_b, self_wo, self_bo, ln2_g, ln2_b, cross_wq, cross_bq,
+                cross_k, cross_v, cross_wo, cross_bo, ln3_g, ln3_b, w1, b1, w2, b2
+                ) in enumerate(self.layers):
+            # Each `y = h @ w; y += b; x += y` is `x + (h @ w + b)`, op for op.
+            qkv = nn.layer_norm_forward(x, ln1_g, ln1_b)[0] @ qkv_w
+            qkv += qkv_b
+            q = nn.split_heads(qkv[..., :d], heads)
+            k = nn.split_heads(qkv[..., d:2 * d], heads)
+            v = nn.split_heads(qkv[..., 2 * d:], heads)
             if self.cache[i] is not None:
                 k = np.concatenate((self.cache[i][0], k), axis=2)
                 v = np.concatenate((self.cache[i][1], v), axis=2)
             self.cache[i] = (k, v)
-            ctx = nn.attention_forward(q, k, v, self.scale)[0]
-            x = x + (ctx @ w["self_attn.wo"] + w["self_attn.bo"])
-            h = nn.layer_norm_forward(x, w["ln2.g"], w["ln2.b"])[0]
-            q = nn.split_heads(h @ w["cross_attn.wq"] + w["cross_attn.bq"], self.heads)
-            ctx = nn.attention_forward(q, cross_k, cross_v, self.scale)[0]
-            x = x + (ctx @ w["cross_attn.wo"] + w["cross_attn.bo"])
-            h = nn.layer_norm_forward(x, w["ln3.g"], w["ln3.b"])[0]
-            h = nn.gelu_forward(h @ w["ffn.w1"] + w["ffn.b1"])[0]
-            x = x + (h @ w["ffn.w2"] + w["ffn.b2"])
+            y = nn.attention_forward(q, k, v, scale)[0] @ self_wo
+            y += self_bo
+            x += y
+            q = nn.layer_norm_forward(x, ln2_g, ln2_b)[0] @ cross_wq
+            q += cross_bq
+            q = nn.split_heads(q, heads)
+            y = nn.attention_forward(q, cross_k, cross_v, scale)[0] @ cross_wo
+            y += cross_bo
+            x += y
+            h = nn.layer_norm_forward(x, ln3_g, ln3_b)[0] @ w1
+            h += b1
+            y = nn.gelu_forward(h)[0] @ w2
+            y += b2
+            x += y
         self.length += 1
         return nn.layer_norm_forward(x, self.final["g"], self.final["b"])[0][:, 0]
 
     def reorder(self, rows: Sequence[int]) -> None:
         """Keep the cached rows `rows`, in that order (repeats allowed)."""
+        rows = list(rows)
+        if self.cache and rows == list(range(len(self.cache[0][0]))):
+            return  # every row stays where it is
         rows = np.asarray(rows, dtype=np.intp)
         self.cache = [(k[rows], v[rows]) for k, v in self.cache]
 
@@ -411,8 +438,9 @@ class Seq2SeqModel:
     def title_step(self, state: DecoderState, tokens: Sequence[int]) -> np.ndarray:
         """Feed one title token per row of `state`; next-token logits (B, vocab)."""
         h = state.step(self.params["title_dec.tok_emb"].data[list(tokens)])
-        logits = h[:, None] @ self.params["title_dec.out_w"].data
-        return logits[:, 0] + self.params["title_dec.out_b"].data
+        logits = (h[:, None] @ self.params["title_dec.out_w"].data)[:, 0]
+        logits += self.params["title_dec.out_b"].data
+        return logits
 
     def decode_step_title(self, claim_states: np.ndarray, prefix: Sequence[int]) -> np.ndarray:
         """Next-token logits over the vocabulary after `prefix` (must start with BOS)."""

@@ -274,12 +274,18 @@ def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray
     Means are `np.add.reduce(..) / n`, the arithmetic of `.mean(-1)` without
     its Python wrapper, which cost more than the sum on short rows."""
     n = x.shape[-1]
-    mu = np.add.reduce(x, -1, keepdims=True) / n
-    xc = x - mu
-    var = np.add.reduce(xc * xc, -1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = xc * inv
-    return xhat * gain + bias, xhat, inv
+    mu = np.add.reduce(x, -1, keepdims=True)
+    mu /= n
+    xhat = x - mu
+    inv = np.add.reduce(xhat * xhat, -1, keepdims=True)
+    inv /= n
+    inv += 1e-5
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    out = xhat * gain
+    out += bias
+    return out, xhat, inv
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -303,14 +309,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 def softmax_forward(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of an array; the reductions are the ufuncs
     behind `.max` and `.sum`, without their Python wrappers."""
-    e = np.exp(x - np.maximum.reduce(x, -1, keepdims=True))
-    return e / np.add.reduce(e, -1, keepdims=True)
+    e = x - np.maximum.reduce(x, -1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, -1, keepdims=True)
+    return e
 
 
-def log_softmax(x: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last axis of an array, in its dtype."""
-    x = x - np.maximum.reduce(x, -1, keepdims=True)
-    return x - np.log(np.add.reduce(np.exp(x), -1, keepdims=True))
+def log_softmax(x: np.ndarray, dtype=None) -> np.ndarray:
+    """Log-softmax over the last axis of an array, in `dtype` (default x's).
+    The max is taken in x's dtype; casting is exact and keeps the order,
+    so that is the max of the cast values."""
+    x = np.subtract(x, np.maximum.reduce(x, -1, keepdims=True), dtype=dtype)
+    lse = np.add.reduce(np.exp(x), -1, keepdims=True)
+    x -= np.log(lse, out=lse)
+    return x
 
 
 def _softmax_back(g: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -369,7 +381,8 @@ def attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale,
     `add_mask` is added to the scores and must have their dtype; `keep` is a
     dropout multiplier for the weights. Returns the merged (B, Tq, d) context,
     the softmax weights and the weights that multiplied v."""
-    scores = (q @ k.swapaxes(-1, -2)) * scale
+    scores = q @ k.swapaxes(-1, -2)
+    scores *= scale
     if add_mask is not None:
         scores += add_mask
     weights = softmax_forward(scores)
@@ -508,7 +521,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, smoothing: float = 0.0) -
 def log_softmax64(logits: np.ndarray) -> np.ndarray:
     """Float64 log-softmax over the last axis, for decode-time scoring (not a
     graph op). Each row of a 2-d input gets the bits of that row alone."""
-    return log_softmax(np.asarray(logits, dtype=np.float64))
+    return log_softmax(logits, np.float64)
 
 
 # -- optimization -----------------------------------------------------------

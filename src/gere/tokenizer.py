@@ -44,6 +44,10 @@ class Vocab:
         if len(self.ids) != len(tokens):
             dupes = [t for t, n in Counter(tokens).items() if n > 1]
             raise DataError(f"vocab contains duplicate tokens: {dupes[:5]}")
+        # Text -> `encode(text)` for the candidate sentences that
+        # `decoding.collect_candidates` has tokenized; valid because the
+        # token table never changes.
+        self.encoded: dict[str, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self.tokens)

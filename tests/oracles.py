@@ -12,8 +12,8 @@ import numpy as np
 
 from gere import nn
 from gere.corpus import Label
-from gere.errors import DataError
-from gere.model import Seq2SeqModel, _scale
+from gere.errors import DataError, DecodingError
+from gere.model import DecoderState, Seq2SeqModel, _scale
 from gere.tokenizer import BOS, EOS, EOT, SEP
 from gere.training import Trainer, _pad_ids, encode_example
 
@@ -87,6 +87,71 @@ def exhaustive_title_search(model, enc, titles, max_titles):
             ranked.append((score_sequence(model, enc, tokens), tokens, doc_ids))
     ranked.sort(key=lambda item: (-item[0], item[1]))
     return ranked
+
+
+def _legal_next(trie, node, ends, max_titles):
+    """The legal next tokens of a hypothesis, each with the trie node it
+    leads to: the node's children inside a title, less an EOT that would end
+    an emitted title again; SEP (unless max_titles are out) and EOS outside."""
+    if node is None:
+        return {SEP: None, EOS: None} if len(ends) < max_titles else {EOS: None}
+    first, count = int(trie.first_child[node]), int(trie.child_count[node])
+    children = {int(trie.token[c]): c for c in range(first, first + count)}
+    if children.get(EOT) in ends:
+        del children[EOT]
+    return children
+
+
+def full_beam_titles(model, claim_states, trie, beam_size=5, max_titles=10,
+                     length_normalize=False):
+    """The constrained title beam with no early stop and no pruning: every
+    alive hypothesis is decoded until it finishes, loses its slot or reaches
+    max_positions. The ranking, the tie-break on token lists and the result
+    are `decoding.beam_search_titles`'s contract; selection is one
+    `np.lexsort` over (-score, parent rank, token) per step, and the steps
+    run on the model's `DecoderState`, so the decoder rows can be counted."""
+    state = DecoderState(model, "title_dec", claim_states)
+    alive = [([BOS], 0.0, (), trie.root)]  # (tokens, log_prob, ends, node)
+    parent_rank = np.zeros(1, dtype=np.intp)
+    finished = []
+    max_len = model.config.max_positions + 1
+    while alive and len(alive[0][0]) < max_len:
+        log_probs = nn.log_softmax64(model.title_step(state, [h[0][-1] for h in alive]))
+        rows, tokens, nodes = [], [], []
+        for row, (_, _, ends, node) in enumerate(alive):
+            for token, child in _legal_next(trie, node, ends, max_titles).items():
+                rows.append(row)
+                tokens.append(token)
+                nodes.append(child)
+        rows, tokens = np.array(rows, dtype=np.intp), np.array(tokens, dtype=np.intp)
+        scores = np.array([h[1] for h in alive])[rows] + log_probs[rows, tokens]
+        order = np.lexsort((tokens, parent_rank[rows], -scores))
+        kept = []
+        for i in order.tolist():
+            seq, _, ends, node = alive[rows[i]]
+            token, child, score = int(tokens[i]), nodes[i], float(scores[i])
+            if token == EOS:
+                finished.append((seq + [EOS], score, ends))
+            elif len(kept) < beam_size:
+                if token == SEP:
+                    child = trie.root
+                elif token == EOT:
+                    ends, child = ends + (child,), None
+                kept.append((i, (seq + [token], score, ends, child)))
+        kept_rows = rows[[i for i, _ in kept]]
+        parent_rank = np.argsort(np.lexsort((tokens[[i for i, _ in kept]],
+                                             parent_rank[kept_rows])))
+        alive = [hyp for _, hyp in kept]
+        state.reorder(kept_rows)
+    if not finished:
+        raise DecodingError("no beam hypothesis could finish")
+
+    def rank(item):
+        seq, score, _ = item
+        return -(score / len(seq) if length_normalize else score), seq
+
+    seq, score, ends = min(finished, key=rank)
+    return [trie.doc_ids[end] for end in ends], score, seq
 
 
 # -- single-example losses and full-sequence logits ------------------------------

@@ -12,12 +12,12 @@ from gere.decoding import (
 )
 from gere.errors import DataError, DecodingError
 from gere.model import DecoderState, Seq2SeqModel, SentenceEmbedding
-from gere.tokenizer import EOS, build_vocab
+from gere.tokenizer import EOS, EOT, SEP, Vocab, build_vocab
 from gere.training import encode_example
 from gere.trie import TitleTrie
 
 from conftest import small_config, spy_sentence_rows, twin
-from oracles import exhaustive_title_search
+from oracles import exhaustive_title_search, full_beam_titles
 
 
 def corpus_with_titles(doc_ids):
@@ -172,27 +172,46 @@ def test_length_normalized_ranking_matches_oracle_rule():
         assert norm_lp == best_norm[0]  # reported score stays the raw sum
 
 
-# -- early stop ------------------------------------------------------------------
+# -- early stop and pruning --------------------------------------------------------
 
 
-def _count_steps(monkeypatch):
-    """Count `DecoderState.step` calls (title and evidence) from here on."""
-    calls = []
+def _count_rows(monkeypatch):
+    """The row count of every `DecoderState.step` call (title and evidence)
+    from here on."""
+    rows = []
     step = DecoderState.step
-    monkeypatch.setattr(DecoderState, "step", lambda self, x: calls.append(1) or step(self, x))
-    return calls
+    monkeypatch.setattr(DecoderState, "step", lambda self, x: rows.append(len(x)) or step(self, x))
+    return rows
 
 
-def _without_stop(monkeypatch):
-    monkeypatch.setattr(decoding, "_cannot_improve", lambda *args: False)
+def _with_full_beam(monkeypatch):
+    """Make `retrieve` decode titles with the oracle beam, which neither stops
+    early nor prunes."""
+    monkeypatch.setattr(decoding, "beam_search_titles", full_beam_titles)
+
+
+def _stopped_and_full(monkeypatch, models, vocab, trie, corpus, params):
+    """The records and decoder rows of `retrieve` over `_STOP_CLAIMS`, first
+    as it is and then with the full beam."""
+    rows = _count_rows(monkeypatch)
+    runs = []
+    for _ in range(2):
+        records = [json.dumps(retrieve(model, vocab, claim, trie, corpus, params).to_record())
+                   for model in models for claim in _STOP_CLAIMS]
+        runs.append((records, list(rows)))
+        rows.clear()
+        _with_full_beam(monkeypatch)
+    return runs
+
+
+_STOP_DOC_IDS = ["Alpha", "Alpha_beta", "Gamma", "Beta_gamma", "Delta_hill_north", "Beta"]
+_STOP_CLAIMS = [Claim(i, text, Label.NOT_ENOUGH_INFO, ()) for i, text in
+                enumerate(["alpha beta", "key3 about gamma", "north hill delta", "x"])]
 
 
 @pytest.mark.parametrize("length_normalize", [False, True])
 def test_early_stop_leaves_records_unchanged(length_normalize, monkeypatch):
-    doc_ids = ["Alpha", "Alpha_beta", "Gamma", "Beta_gamma", "Delta_hill_north", "Beta"]
-    corpus, vocab, trie, _ = setup(doc_ids)
-    claims = [Claim(i, text, Label.NOT_ENOUGH_INFO, ()) for i, text in
-              enumerate(["alpha beta", "key3 about gamma", "north hill delta", "x"])]
+    corpus, vocab, trie, _ = setup(_STOP_DOC_IDS)
     params = DecodeParams(beam_size=2, max_titles=2, max_evidence_steps=3,
                           length_normalize=length_normalize)
 
@@ -202,62 +221,101 @@ def test_early_stop_leaves_records_unchanged(length_normalize, monkeypatch):
                                         max_positions=max_len))
               for seed, init_std in enumerate((0.02, 0.02, 0.5, 1.0, 2.0, 4.0))
               for max_len in (12, 64)]
-
-    def run():
-        calls = _count_steps(monkeypatch)
-        records = [json.dumps(retrieve(model, vocab, claim, trie, corpus, params).to_record())
-                   for model in models for claim in claims]
-        return records, len(calls)
-
-    stopped, stopped_steps = run()
-    _without_stop(monkeypatch)
-    full, full_steps = run()
+    (stopped, stopped_rows), (full, full_rows) = _stopped_and_full(monkeypatch, models, vocab,
+                                                                   trie, corpus, params)
     assert stopped == full
-    assert stopped_steps < full_steps
+    assert len(stopped_rows) < len(full_rows)
+    assert sum(stopped_rows) < sum(full_rows)
 
 
 def test_normalised_early_stop_fires_with_long_max_positions(monkeypatch):
     """With max_positions 64, `log_prob / max_positions` never falls below a
     finished score on this corpus; the bound from the trie depth does."""
-    doc_ids = ["Alpha", "Alpha_beta", "Gamma", "Beta_gamma", "Delta_hill_north", "Beta"]
-    corpus, vocab, trie, _ = setup(doc_ids)
-    claims = [Claim(i, text, Label.NOT_ENOUGH_INFO, ()) for i, text in
-              enumerate(["alpha beta", "key3 about gamma", "north hill delta", "x"])]
+    corpus, vocab, trie, _ = setup(_STOP_DOC_IDS)
     params = DecodeParams(beam_size=2, max_titles=2, max_evidence_steps=3,
                           length_normalize=True)
     models = [Seq2SeqModel(small_config(len(vocab), seed=seed, init_std=init_std,
                                         max_positions=64))
               for seed, init_std in enumerate((0.02, 0.5, 1.0, 2.0, 4.0))]
-
-    def run():
-        calls = _count_steps(monkeypatch)
-        records = [json.dumps(retrieve(model, vocab, claim, trie, corpus, params).to_record())
-                   for model in models for claim in claims]
-        return records, len(calls)
-
-    stopped, stopped_steps = run()
-    _without_stop(monkeypatch)
-    full, full_steps = run()
+    (stopped, stopped_rows), (full, full_rows) = _stopped_and_full(monkeypatch, models, vocab,
+                                                                   trie, corpus, params)
     assert stopped == full
-    assert stopped_steps < full_steps
+    assert len(stopped_rows) < len(full_rows)
 
 
-def test_early_stop_fires_on_a_peaked_model(monkeypatch):
+def _peaked_model():
     """EOS costs nothing and every other token costs about 50 nats: the short
     title finishes while the long ones are still alive and already behind."""
     corpus, vocab, trie, model = setup(["Alpha", "Gamma_delta_hill_north_river"])
     model.params["title_dec.out_w"].data[:] = 0.0
     model.params["title_dec.out_b"].data[:] = -50.0
     model.params["title_dec.out_b"].data[EOS] = 0.0
+    return trie, model, model.encode_claim(vocab.encode("a claim"))
+
+
+def test_early_stop_fires_on_a_peaked_model(monkeypatch):
+    trie, model, enc = _peaked_model()
+    rows = _count_rows(monkeypatch)
+    for length_normalize in (False, True):
+        kwargs = dict(beam_size=4, max_titles=2, length_normalize=length_normalize)
+        rows.clear()
+        stopped = beam_search_titles(model, enc, trie, **kwargs)
+        stopped_rows = list(rows)
+        rows.clear()
+        assert full_beam_titles(model, enc, trie, **kwargs) == stopped
+        assert stopped[0] == ["Alpha"]
+        assert len(stopped_rows) < len(rows)
+        assert sum(stopped_rows) < sum(rows)
+
+
+def test_summed_pruning_decodes_only_rows_that_can_still_win(monkeypatch):
+    """Every logit is a fixed per-token bias. `Alpha` finishes first, at about
+    -24.5; of the three continuations then kept, only the one inside the
+    cheap `Beta_gamma_delta_epsilon` (about -6.5) is decoded again. The one
+    inside `Zeta_eta` (-35.5) and the one after SEP (-84.5) are behind the
+    finish; a whole-beam stop, which looks at the best alive row only,
+    would have decoded all three."""
+    corpus, vocab, trie, model = setup(["Alpha", "Beta_gamma_delta_epsilon", "Zeta_eta"])
+    model.params["title_dec.out_w"].data[:] = 0.0
+    bias = model.params["title_dec.out_b"].data
+    bias[:] = -100.0
+    costs = {"alpha": -20.0, "beta": -1.0, "gamma": -1.0, "delta": -1.0, "epsilon": -1.0,
+             "zeta": -30.0, "eta": -1.0}
+    for word, cost in costs.items():
+        bias[vocab.ids[word]] = cost
+    bias[EOS], bias[EOT], bias[SEP] = 0.0, -1.0, -60.0
     enc = model.encode_claim(vocab.encode("a claim"))
-    calls = _count_steps(monkeypatch)
-    stopped = beam_search_titles(model, enc, trie, beam_size=4, max_titles=2)
-    stopped_steps = len(calls)
-    _without_stop(monkeypatch)
-    calls = _count_steps(monkeypatch)
-    assert beam_search_titles(model, enc, trie, beam_size=4, max_titles=2) == stopped
-    assert stopped[0] == ["Alpha"]
-    assert stopped_steps < len(calls)
+    rows = _count_rows(monkeypatch)
+    pruned = beam_search_titles(model, enc, trie, beam_size=4, max_titles=2)
+    assert pruned[0] == ["Beta_gamma_delta_epsilon"]
+    assert rows == [1, 3, 3, 1, 1, 1]
+    rows.clear()
+    assert full_beam_titles(model, enc, trie, beam_size=4, max_titles=2) == pruned
+    assert sum(rows) > 10
+
+
+def test_beam_equals_the_full_beam_on_random_checkpoints():
+    """A5-shaped random checkpoints (8-doc corpus, every tensor redrawn at a
+    random scale) in both ranking modes: (titles, log_prob, tokens) equal
+    the oracle's, bit for bit."""
+    rng = np.random.default_rng(2024)
+    words = ["alpha", "beta", "gamma", "delta", "hill", "north", "river", "stone"]
+    doc_ids = sorted({"_".join(w.capitalize() if j == 0 else w
+                               for j, w in enumerate(rng.choice(words, 1 + i % 3)))
+                      for i in range(8)})
+    corpus, vocab, trie, _ = setup(doc_ids)
+    for seed in range(12):
+        model = Seq2SeqModel(small_config(len(vocab), seed=seed))
+        prng = np.random.default_rng(seed + 10_000)
+        scale = float(prng.uniform(0.05, 6.0))
+        for p in model.params.values():
+            p.data = prng.normal(0.0, scale, p.data.shape).astype(np.float32)
+        for _ in range(6):
+            enc = model.encode_claim(vocab.encode(" ".join(rng.choice(words, 4))))
+            for length_normalize in (False, True):
+                kwargs = dict(beam_size=5, max_titles=3, length_normalize=length_normalize)
+                assert (beam_search_titles(model, enc, trie, **kwargs)
+                        == full_beam_titles(model, enc, trie, **kwargs))
 
 
 def test_log_softmax64_is_never_positive():
@@ -372,6 +430,27 @@ def test_retrieve_over_many_claims_equals_a_fresh_model_per_claim(
     apart = [record(load_checkpoint(path)[0], claim) for claim in tiny_claims]
     assert together == apart
     assert shared_rows < len(encoded) - shared_rows  # the memo served later claims
+
+
+def test_candidate_sentences_are_tokenized_once_per_vocab(
+        tiny_corpus, tiny_vocab, tiny_claims, monkeypatch):
+    """Repeated claims tokenize each distinct candidate sentence once, into
+    `Vocab.encoded`, and give the records of a fresh vocab per claim."""
+    trie = TitleTrie.build(tiny_corpus.titles(), tiny_vocab)
+    model = Seq2SeqModel(small_config(len(tiny_vocab), init_std=0.5))
+    params = DecodeParams(beam_size=4, max_titles=3, max_evidence_steps=4)
+
+    def record(vocab, claim):
+        return json.dumps(retrieve(model, vocab, claim, trie, tiny_corpus, params).to_record())
+
+    apart = [record(Vocab(tiny_vocab.tokens), claim) for claim in tiny_claims * 2]
+    texts = []
+    encode = Vocab.encode
+    monkeypatch.setattr(Vocab, "encode", lambda self, text: texts.append(text) or encode(self, text))
+    assert [record(tiny_vocab, claim) for claim in tiny_claims * 2] == apart
+    sentences = [text for text in texts if text not in {c.text for c in tiny_claims}]
+    assert sentences and len(sentences) == len(set(sentences)) == len(tiny_vocab.encoded)
+    assert all(tiny_vocab.encoded[text] == encode(tiny_vocab, text) for text in sentences)
 
 
 def test_retrieve_blank_claim_is_a_data_error():

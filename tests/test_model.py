@@ -179,6 +179,24 @@ def test_batched_title_rows_equal_single_row_replays(tiny_vocab):
         prefixes = [p + [int(t)] for p, t in zip(prefixes, rng.integers(6, 20, size=5))]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [16, 64])
+@pytest.mark.parametrize("n_rows", [1, 5, 20])
+def test_fused_qkv_product_equals_three_products(dtype, d, n_rows):
+    """`DecoderState` projects q, k and v with one stacked (B, 1, d) @ (d, 3d)
+    product on the concatenated weights; each third of it, bias added, has
+    the bits of its own (B, 1, d) @ (d, d) product."""
+    rng = np.random.default_rng(d * 100 + n_rows)
+    for _ in range(5):
+        h = rng.standard_normal((n_rows, 1, d)).astype(dtype)
+        ws = [rng.standard_normal((d, d)).astype(dtype) for _ in range(3)]
+        bs = [rng.standard_normal(d).astype(dtype) for _ in range(3)]
+        fused = h @ np.concatenate(ws, axis=1)
+        fused += np.concatenate(bs)
+        for j, (w, b) in enumerate(zip(ws, bs)):
+            assert np.array_equal(fused[..., j * d:(j + 1) * d], h @ w + b)
+
+
 def test_greedy_evidence_scores_equal_single_step_replays(tiny_vocab, monkeypatch):
     model = Seq2SeqModel(small_config(len(tiny_vocab), d_model=64, n_heads=4,
                                       n_layers_dec=2, d_ff=256))
