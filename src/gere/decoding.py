@@ -1,23 +1,25 @@
 """Inference-time generation.
 
 Title decoding is beam search over the token vocabulary with per-step masks:
-inside a title only the trie's continuations are legal; right after EOT only
-SEP or EOS; after SEP the trie resets to the root and any already-emitted
-title has its final EOT masked (duplicate suppression). Hypothesis scores are
-sums of full-softmax token log-probs (no renormalization over the mask and,
-by default, no length normalization). Since every token log-prob is <= 0, a
-score only falls as a hypothesis grows, so under summed ranking each step
-drops the alive hypotheses that score below the best finished one, and under
-length normalization the beam stops as soon as the best finished hypothesis
-outranks every alive one, each bounded through the longest finish the trie
-still allows it (Huang et al., EMNLP 2017). The result is the full beam's,
-bit for bit. Each beam step ranks all legal continuations of all alive
-hypotheses with one sort of plain tuples. Evidence decoding is greedy over
-the remaining candidate sentences plus EOE. The candidates' vectors come
-from the model's sentence memo, which outlives the call: a sentence an
-earlier claim already embedded with the same sentence-encoder parameters is
-not embedded again, and the rest are embedded with one stacked pass per
-distinct length, with the bits of one pass per sentence.
+inside a title only the trie's continuations are legal (`TitleTrie.children_of`,
+followed with `TitleTrie.child`); right after EOT only SEP or EOS; after SEP
+the trie resets to the root and any already-emitted title has its final EOT
+masked (duplicate suppression: the node's EOT child is an emitted title's
+end). Hypothesis scores are sums of full-softmax token log-probs (no
+renormalization over the mask and, by default, no length normalization).
+Since every token log-prob is <= 0, a score only falls as a hypothesis
+grows, so under summed ranking each step drops the alive hypotheses that
+score below the best finished one, and under length normalization the beam
+stops as soon as the best finished hypothesis outranks every alive one, each
+bounded through the longest finish the trie still allows it (Huang et al.,
+EMNLP 2017). The result is the full beam's, bit for bit. Each beam step
+ranks all legal continuations of all alive hypotheses with one sort of plain
+tuples. Evidence decoding is greedy over the remaining candidate sentences
+plus EOE. The candidates' vectors come from the model's sentence memo,
+which outlives the call: a sentence an earlier claim already embedded with
+the same sentence-encoder parameters is not embedded again, and the rest
+are embedded with one stacked pass per distinct length, with the bits of
+one pass per sentence.
 
 Both decoders cross-attend to the claim states that `encode_claim` returns
 and run incrementally on the model's KV-cached `DecoderState`: the beam
@@ -84,11 +86,9 @@ class RetrievalResult:
 def _title_tokens(hyp: BeamHypothesis, trie: TitleTrie) -> np.ndarray:
     """The legal tokens of a hypothesis inside a title: its trie node's
     children, less an EOT that would end an emitted title again."""
-    first, count = trie.first_child.item(hyp.node), trie.child_count.item(hyp.node)
-    tokens = trie.token[first:first + count]
-    for end in hyp.ends:
-        if first <= end < first + count:  # an emitted title ends at this node
-            return tokens[tokens != EOT]  # duplicate-title suppression
+    tokens = trie.children_of(hyp.node)
+    if hyp.ends and trie.child(hyp.node, EOT) in hyp.ends:  # an emitted title ends here
+        return tokens[tokens != EOT]  # duplicate-title suppression
     return tokens
 
 
@@ -98,8 +98,7 @@ def _extend(hyp: BeamHypothesis, token: int, log_prob: float, trie: TitleTrie) -
         return BeamHypothesis(tokens, log_prob, ends=hyp.ends)
     if token == SEP:
         return BeamHypothesis(tokens, log_prob, ends=hyp.ends, node=trie.root)
-    first, count = trie.first_child.item(hyp.node), trie.child_count.item(hyp.node)
-    child = first + trie.token[first:first + count].tolist().index(token)
+    child = trie.child(hyp.node, token)
     if token == EOT:
         return BeamHypothesis(tokens, log_prob, ends=hyp.ends + (child,))
     return BeamHypothesis(tokens, log_prob, ends=hyp.ends, node=child)

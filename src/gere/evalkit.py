@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import binio
-from .corpus import Claim, Label
+from .corpus import Claim, Label, claim_id_of
 from .errors import DataError
 
 Pair = tuple[str, int]
@@ -49,10 +49,11 @@ class VerificationScores:
 
 
 def _prediction_map(predictions: Sequence[dict]) -> dict[int, dict]:
-    """Records by claim_id; titles and evidence of a bad shape are a DataError."""
+    """Records by claim_id; a claim_id that is not an integer, a repeated
+    one, and titles and evidence of a bad shape are a DataError."""
     out: dict[int, dict] = {}
-    for rec in predictions:
-        cid = rec["claim_id"]
+    for i, rec in enumerate(predictions):
+        cid = claim_id_of(rec, "claim_id", f"prediction {i}")
         if cid in out:
             raise DataError(f"duplicate prediction for claim_id {cid}")
         titles, pairs = rec.get("predicted_titles", []), rec.get("predicted_evidence", [])

@@ -9,6 +9,13 @@ depth-first order: a node's children are consecutive, in ascending token
 order, and get their ids when the node is visited, so every child id is
 larger than its parent's. A built and a loaded trie hold the same arrays.
 The arrays are read-only, so decode-time reads need no synchronization.
+
+Two methods read the child layout, and nothing outside this module does:
+`children_of(node)` is the ascending slice of a node's child tokens (a view,
+not a copy) and `child(node, token)` follows one edge. The beam's legal
+tokens and extensions, `walk`, `allowed_next` and `resolve` (so also
+`gere inspect-trie`) all go through them, so the brute-force prefix oracle
+checks the lookup the decoder uses.
 """
 
 from __future__ import annotations
@@ -101,25 +108,32 @@ class TitleTrie:
     def node_count(self) -> int:
         return len(self.doc_ids)
 
+    def children_of(self, node: int) -> np.ndarray:
+        """The tokens of `node`'s child edges, ascending, as a read-only view:
+        child j is node `first_child[node] + j`."""
+        first = self.first_child.item(node)
+        return self.token[first:first + self.child_count.item(node)]
+
+    def child(self, node: int, token: int) -> Optional[int]:
+        """The node that `token` leads to from `node`, or None if no edge has it."""
+        tokens = self.children_of(node).tolist()
+        return self.first_child.item(node) + tokens.index(token) if token in tokens else None
+
     def walk(self, prefix: Sequence[int]) -> Optional[int]:
         """Node reached from the root by `prefix`, or None if off-trie."""
         node = self.root
         for tok in prefix:
-            node = self.children_of(node).get(tok)
+            node = self.child(node, tok)
             if node is None:
                 return None
         return node
-
-    def children_of(self, node: int) -> dict[int, int]:
-        first, count = self.first_child[node], self.child_count[node]
-        return dict(zip(self.token[first:first + count].tolist(), range(first, first + count)))
 
     def allowed_next(self, prefix: Sequence[int]) -> set[int]:
         """Exact set of tokens continuing `prefix`; empty if prefix is off-trie."""
         node = self.walk(prefix)
         if node is None:
             return set()
-        return set(self.children_of(node))
+        return set(self.children_of(node).tolist())
 
     def resolve(self, tokens: Sequence[int]) -> str:
         """doc_id for a complete token path ending in EOT."""

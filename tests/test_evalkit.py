@@ -233,6 +233,19 @@ def test_verification_is_null_without_a_gold_claim_record():
     assert report["la"] is None and report["fever"] is None
 
 
+@pytest.mark.parametrize("score", [evaluate, doc_prf, sent_prf, fever_scores],
+                         ids=lambda f: f.__name__)
+def test_prediction_claim_id_must_be_an_integer(score):
+    """A missing claim_id, a list and a bool are data errors, not a
+    KeyError, a TypeError and a record scored as claim 1."""
+    golds = [gold(1, "SUPPORTS", [[("A", 0)]])]
+    body = pred(1, titles=["A"], evidence=[("A", 0)], label="SUPPORTS")
+    del body["claim_id"]
+    for rec in (body, {**body, "claim_id": [1]}, {**body, "claim_id": True}):
+        with pytest.raises(DataError, match="claim_id"):
+            score([rec], golds)
+
+
 @pytest.mark.parametrize("oracle_labels", [False, True])
 @pytest.mark.parametrize("label", [None, "SUPPORTS"])
 def test_evaluate_validates_predictions_once(monkeypatch, oracle_labels, label):

@@ -11,7 +11,7 @@ referenced by name somewhere else in the package, the benchmark scripts or
 the demos (the tracer's wrapped names count), or is exported in
 `gere.__all__`. Every annotated class field is read as an attribute
 somewhere in the package, the benchmark scripts or the demos. No module
-reads the environment.
+reads the environment, and only `trie.py` reads a trie's child layout.
 """
 
 import ast
@@ -269,3 +269,27 @@ def test_no_module_reads_the_environment(path):
     """Settings come from flags and config files only."""
     reads = _environment_reads(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     assert not reads, f"{path.name} reads the environment: {reads}"
+
+
+_TRIE_LAYOUT = ("first_child", "child_count", "token")
+
+
+def _trie_layout_reads(tree: ast.Module) -> list[str]:
+    """Source of each use of an attribute named like a `TitleTrie` layout array."""
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in _TRIE_LAYOUT]
+
+
+def test_trie_layout_check_flags_layout_reads():
+    source = ("trie.first_child.item(n); t.child_count[n]; trie.token[a:b]; "
+              "trie.children_of(n); trie.child(n, tok); trie.height[n]; token")
+    assert sorted(_trie_layout_reads(ast.parse(source))) == [
+        "t.child_count", "trie.first_child", "trie.token"]
+
+
+@pytest.mark.parametrize("path", [p for p in SRC.glob("*.py") if p.name != "trie.py"],
+                         ids=lambda p: p.name)
+def test_only_trie_reads_the_child_layout(path):
+    """Everything else goes through `TitleTrie.children_of` and `child`."""
+    reads = _trie_layout_reads(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    assert not reads, f"{path.name} reads the trie's child layout: {reads}"

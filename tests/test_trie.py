@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gere.corpus import title_from_doc_id
 from gere.errors import DataError
 from gere.synthetic import make_doc_ids
-from gere.tokenizer import EOT, SPECIAL_TOKENS, Vocab, tokenize
+from gere.tokenizer import EOT, PAD, SPECIAL_TOKENS, UNK, Vocab, tokenize
 from gere.trie import TitleTrie
 
 from oracles import allowed_next_bruteforce
@@ -134,15 +134,49 @@ def test_child_token_slices_and_heights(tmp_path, tiny_corpus, tiny_vocab):
     longest = max(len(tiny_vocab.encode(t)) for t, _ in tiny_corpus.titles())
 
     def longest_path(trie, node):
-        children = trie.children_of(node).values()
+        children = [trie.child(node, tok) for tok in trie.children_of(node).tolist()]
         return max((1 + longest_path(trie, c) for c in children), default=0)
 
     for trie in (built, loaded):
         assert trie.height[trie.root] == longest + 1
         for node in range(trie.node_count):
-            first, count = trie.first_child[node], trie.child_count[node]
-            assert trie.token[first:first + count].tolist() == sorted(trie.children_of(node))
+            tokens = trie.children_of(node)
+            assert not tokens.flags.writeable
+            assert tokens.tolist() == sorted(set(tokens.tolist()))  # strictly ascending
             assert trie.height[node] == longest_path(trie, node)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "unseen"]), min_size=1, max_size=4),
+                min_size=1, max_size=12, unique_by=tuple))
+def test_child_and_children_of_match_a_scan_at_every_node(word_lists):
+    """At every node, `children_of` is the continuation set that a scan of
+    the titles gives for the node's path, and `child(node, t)` is the node
+    whose parent (a scan of every node's child-id range) is `node` and whose
+    edge token is t, for every id of the vocabulary and two above it; else
+    None."""
+    vocab = Vocab(SPECIAL_TOKENS + ("a", "b", "c"))
+    titles = [(" ".join(words), f"doc{i}") for i, words in enumerate(word_lists)]
+    seqs = [vocab.encode(t) for t, _ in titles]
+    assume(len(set(map(tuple, seqs))) == len(seqs))  # else rejected
+    trie = TitleTrie.build(titles, vocab)
+    first, count = trie.first_child.tolist(), trie.child_count.tolist()
+    parent = [next((p for p in range(trie.node_count) if first[p] <= n < first[p] + count[p]),
+                   None) for n in range(trie.node_count)]
+    paths = [()]
+    for n in range(1, trie.node_count):  # a child's id is larger than its parent's
+        paths.append(paths[parent[n]] + (int(trie.token[n]),))
+    probes = range(len(vocab) + 2)  # PAD .. EOT, every word, then two off-vocabulary ids
+    for node in range(trie.node_count):
+        tokens = trie.children_of(node).tolist()
+        assert tokens == sorted(allowed_next_bruteforce(seqs, paths[node]))
+        for tok in probes:
+            expected = next((n for n in range(trie.node_count)
+                             if parent[n] == node and trie.token[n] == tok), None)
+            assert trie.child(node, tok) == expected, (node, tok)
+    for tok in (PAD, EOT, len(vocab), len(vocab) + 1):
+        assert trie.child(trie.root, tok) is None
+    assert (trie.child(trie.root, UNK) is None) == (UNK not in {seq[0] for seq in seqs})
 
 
 @settings(max_examples=60, deadline=None)
