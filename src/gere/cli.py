@@ -1,18 +1,22 @@
 """Command-line pipelines: build-trie, train, retrieve, eval, inspect-trie.
 
 Configuration is a plain key=value text file plus repeatable --set overrides;
-every run writes a resolved-config copy next to its outputs. Exit codes:
-0 ok, 1 usage/config, 2 data error, 3 internal or a non-finite training update.
+every run writes a resolved-config copy next to its outputs. The keys are the
+paths, the model settings (top-level, as `ModelConfig` names them) and the
+`train.` and `decode.` settings; each key's type, default and range rule is
+its field's in `ModelConfig`, `TrainParams` or `DecodeParams`, and a bad value
+is a usage error naming the key. Exit codes: 0 ok, 1 usage/config, 2 data error
+or an output that cannot be written, 3 internal or a non-finite training update.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
-import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import binio, evalkit
@@ -23,7 +27,7 @@ from .errors import DataError, GereError
 from .kvconfig import kv_lines, parse_kv
 from .model import ModelConfig, Seq2SeqModel
 from .tokenizer import EOT, SPECIAL_TOKENS, build_vocab, load_vocab, save_vocab
-from .training import Trainer, encode_example
+from .training import Trainer, TrainParams, encode_example
 from .trie import TitleTrie
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INTERNAL = 0, 1, 2, 3
@@ -36,17 +40,6 @@ class UsageError(Exception):
 
 
 @dataclass
-class TrainParams:
-    total_updates: int = 1000
-    peak_lr: float = 3e-5
-    warmup_frac: float = 0.10
-    max_tokens: int = 4096  # dynamic batch budget: claim + target tokens
-    clip_norm: float = 1.0
-    checkpoint_every: int = 500
-    shuffle: bool = True
-
-
-@dataclass
 class RunConfig:
     wiki: str = ""
     claims: str = ""
@@ -55,36 +48,25 @@ class RunConfig:
     checkpoint: str = ""
     output_dir: str = "runs/default"
     predictions: str = ""
-    seed: int = ModelConfig.seed
-    d_model: int = ModelConfig.d_model
-    n_heads: int = ModelConfig.n_heads
-    n_layers_enc: int = ModelConfig.n_layers_enc
-    n_layers_dec: int = ModelConfig.n_layers_dec
-    d_ff: int = ModelConfig.d_ff
-    max_positions: int = ModelConfig.max_positions
-    dropout_rate: float = ModelConfig.dropout_rate
-    label_smoothing: float = ModelConfig.label_smoothing
-    init_std: float = ModelConfig.init_std
+    # Set by top-level keys (`d_model=`, `seed=`). The model settings are
+    # checked before the vocab is read, with the special tokens as the vocab.
+    model: ModelConfig = field(default_factory=lambda: ModelConfig(len(SPECIAL_TOKENS)))
     train: TrainParams = field(default_factory=TrainParams)
     decode: DecodeParams = field(default_factory=DecodeParams)
 
-    def model_config(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(vocab_size=vocab_size, **{
-            f.name: getattr(self, f.name) for f in fields(ModelConfig) if f.name != "vocab_size"})
-
     def to_kv(self) -> str:
-        return "".join(f"{key}={getattr(*_owner(self, key))}\n" for key in _RUN_KEYS)
+        return "".join(f"{key}={getattr(getattr(self, group) if group else self, f.name)}\n"
+                       for key, (group, f) in _RUN_KEYS.items())
 
 
-_GROUPS = {"train": TrainParams, "decode": DecodeParams}
-# Settable keys in `to_kv` order: top-level fields, then `group.field`.
-_RUN_KEYS = {f.name: f for f in fields(RunConfig) if f.name not in _GROUPS}
-_RUN_KEYS.update({f"{group}.{f.name}": f for group, cls in _GROUPS.items() for f in fields(cls)})
-
-
-def _owner(cfg: RunConfig, key: str) -> tuple[object, str]:
-    group, _, name = key.rpartition(".")
-    return (getattr(cfg, group) if group else cfg), name
+# Each settings group: the prefix of its keys and the dataclass that owns its
+# defaults and range rules.
+_GROUPS = {"model": ("", ModelConfig), "train": ("train.", TrainParams),
+           "decode": ("decode.", DecodeParams)}
+# Settable key -> (its group, "" for a path, and its field), in `to_kv` order.
+_RUN_KEYS = {f.name: ("", f) for f in fields(RunConfig) if f.name not in _GROUPS}
+_RUN_KEYS.update({prefix + f.name: (group, f) for group, (prefix, cls) in _GROUPS.items()
+                  for f in fields(cls) if f.name != "vocab_size"})
 
 
 def load_run_config(path: str | None, overrides: list[str]) -> RunConfig:
@@ -95,28 +77,17 @@ def load_run_config(path: str | None, overrides: list[str]) -> RunConfig:
         except DataError as exc:
             raise UsageError(f"config file {exc}") from None
     lines += [("--set", item) for item in overrides]
-    cfg = RunConfig()
-    for key, value in parse_kv(lines, _RUN_KEYS, UsageError).items():
-        setattr(*_owner(cfg, key), value)
-    if not 0.0 < cfg.train.warmup_frac < 1.0:
-        raise UsageError(f"train.warmup_frac must be in (0, 1), got {cfg.train.warmup_frac}")
-    if cfg.train.total_updates < 1:
-        raise UsageError("train.total_updates must be positive")
-    if not (math.isfinite(cfg.train.peak_lr) and cfg.train.peak_lr > 0):
-        raise UsageError(f"train.peak_lr must be finite and positive, got {cfg.train.peak_lr}")
-    if not (math.isfinite(cfg.train.clip_norm) and cfg.train.clip_norm > 0):
-        raise UsageError(f"train.clip_norm must be finite and positive, got {cfg.train.clip_norm}")
-    if cfg.decode.beam_size < 1:
-        raise UsageError("decode.beam_size must be positive")
-    if cfg.decode.max_titles < 1:
-        raise UsageError("decode.max_titles must be positive")
-    if cfg.decode.max_evidence_steps < 0:
-        raise UsageError("decode.max_evidence_steps must not be negative")
-    try:
-        cfg.model_config(vocab_size=len(SPECIAL_TOKENS))  # the model keys, checked before any work
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    return cfg
+    values = {"": {}, "model": {"vocab_size": len(SPECIAL_TOKENS)}, "train": {}, "decode": {}}
+    for key, value in parse_kv(lines, {key: f for key, (_, f) in _RUN_KEYS.items()},
+                               UsageError).items():
+        group, f = _RUN_KEYS[key]
+        values[group][f.name] = value
+    for group, (prefix, cls) in _GROUPS.items():  # each dataclass checks its settings
+        try:
+            values[""][group] = cls(**values[group])
+        except ValueError as exc:
+            raise UsageError(f"{prefix}{exc}") from None
+    return RunConfig(**values[""])
 
 
 def _require(path: str, what: str) -> str:
@@ -124,6 +95,15 @@ def _require(path: str, what: str) -> str:
     if not path:
         raise UsageError(f"missing required path for {what}")
     return path
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """Report an OS error in the block as a `DataError` naming `path`."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _write_resolved_config(cfg: RunConfig, out_dir: Path) -> None:
@@ -141,9 +121,11 @@ def cmd_build_trie(args) -> int:
         vocab = build_vocab(corpus, claims, args.max_vocab)
     except ValueError as exc:
         raise UsageError(f"--max-vocab: {exc}") from None
-    save_vocab(vocab, args.vocab_out)
+    with _writing(args.vocab_out):
+        save_vocab(vocab, args.vocab_out)
     trie = TitleTrie.build(corpus.titles(), vocab)
-    trie.save(args.trie_out, vocab)
+    with _writing(args.trie_out):
+        trie.save(args.trie_out, vocab)
     n_bytes = Path(args.trie_out).stat().st_size
     print(f"vocab: {len(vocab)} tokens -> {args.vocab_out}")
     print(f"trie: {trie.node_count} nodes, {trie.title_count} titles, "
@@ -166,15 +148,17 @@ def cmd_train(args) -> int:
     if not train_claims:
         raise DataError("no verifiable claims to train on")
     out_dir = Path(cfg.output_dir)
-    _write_resolved_config(cfg, out_dir)
+    with _writing(out_dir):
+        _write_resolved_config(cfg, out_dir)
 
+    config = replace(cfg.model, vocab_size=len(vocab))
     if args.resume:
         model, opt_state, step = load_checkpoint(_require(args.resume, "resume checkpoint"),
                                                  expected_vocab_checksum=vocab.checksum())
-        if model.config != cfg.model_config(len(vocab)):
+        if model.config != config:
             raise DataError("resume checkpoint config does not match the run config")
     else:
-        model = Seq2SeqModel(cfg.model_config(len(vocab)), vocab_checksum=vocab.checksum())
+        model = Seq2SeqModel(config, vocab_checksum=vocab.checksum())
         opt_state, step = None, 0
 
     trainer = Trainer(model, vocab, total_updates=cfg.train.total_updates,
@@ -197,16 +181,15 @@ def cmd_train(args) -> int:
     kept = []
     if args.resume and log_path.exists():
         kept = binio.read_text(log_path).splitlines(keepends=True)[:step]
-    with open(log_path, "w", encoding="utf-8") as log_fh:
+    with _writing(log_path), open(log_path, "w", encoding="utf-8") as log_fh:
         log_fh.writelines(kept)
-        for batch in trainer.batches(examples, cfg.train.max_tokens, cfg.train.shuffle):
+        for batch in trainer.batches(examples, cfg.train.max_tokens):
             stats = trainer.train_step_encoded(batch)
             log_fh.write(json.dumps(stats.as_dict()) + "\n")
             if cfg.train.checkpoint_every > 0 and stats.step % cfg.train.checkpoint_every == 0:
-                save_checkpoint(out_dir / f"checkpoint_step{stats.step}.gereckpt",
-                                model, trainer.optimizer, stats.step)
+                _save_checkpoint(out_dir / f"checkpoint_step{stats.step}.gereckpt", trainer)
     final_path = cfg.checkpoint or str(out_dir / "checkpoint_final.gereckpt")
-    save_checkpoint(final_path, model, trainer.optimizer, trainer.step_count)
+    _save_checkpoint(final_path, trainer)
     if stats is None:
         print(f"no update ran: the checkpoint is already at update {trainer.step_count} of "
               f"{cfg.train.total_updates} -> {final_path}")
@@ -216,16 +199,23 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _save_checkpoint(path, trainer: Trainer) -> None:
+    with _writing(path):
+        save_checkpoint(path, trainer.model, trainer.optimizer, trainer.step_count)
+
+
 def cmd_retrieve(args) -> int:
     cfg = load_run_config(args.config, args.set or [])
     corpus, vocab, trie, claims = _load_pipeline_inputs(cfg)
     model, _, _ = load_checkpoint(_require(cfg.checkpoint, "checkpoint"),
                                   expected_vocab_checksum=vocab.checksum())
     out_dir = Path(cfg.output_dir)
-    _write_resolved_config(cfg, out_dir)
+    with _writing(out_dir):
+        _write_resolved_config(cfg, out_dir)
     results = [retrieve(model, vocab, claim, trie, corpus, cfg.decode) for claim in claims]
     pred_path = cfg.predictions or str(out_dir / "predictions.jsonl")
-    write_predictions(results, pred_path)
+    with _writing(pred_path):
+        write_predictions(results, pred_path)
 
     n = len(results)
     n_titles = [len(r.titles) for r in results]
@@ -254,7 +244,9 @@ def cmd_eval(args) -> int:
     report = evalkit.evaluate(predictions, golds, max_evidence=args.max_evidence,
                               oracle_labels=args.oracle_labels)
     print(json.dumps(report, indent=2, sort_keys=True))
-    evalkit.write_report(report, args.out or f"{args.pred}.metrics.json")
+    out = args.out or f"{args.pred}.metrics.json"
+    with _writing(out):
+        evalkit.write_report(report, out)
     return EXIT_OK
 
 
@@ -291,7 +283,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gere", description=__doc__)
-    parser.add_argument("--log-level", default="WARNING", help="logging level")
+    parser.add_argument("--log-level", default="WARNING", type=str.upper,
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"),
+                        help="logging level (any case)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-trie", help="build vocab and title trie from wiki pages")
@@ -334,8 +328,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    logging.basicConfig(level=getattr(logging, str(args.log_level).upper(), logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except UsageError as exc:

@@ -54,6 +54,14 @@ class DecodeParams:
     max_evidence_steps: int = 10
     length_normalize: bool = False  # rank finished hypotheses by log_prob / length
 
+    def __post_init__(self):
+        if self.beam_size < 1:
+            raise ValueError("beam_size must be positive")
+        if self.max_titles < 1:
+            raise ValueError("max_titles must be positive")
+        if self.max_evidence_steps < 0:
+            raise ValueError("max_evidence_steps must not be negative")
+
 
 @dataclass
 class BeamHypothesis:
@@ -141,9 +149,9 @@ def beam_search_titles(
     model: Seq2SeqModel,
     claim_states: np.ndarray,
     trie: TitleTrie,
-    beam_size: int = 5,
-    max_titles: int = 10,
-    length_normalize: bool = False,
+    beam_size: int = DecodeParams.beam_size,
+    max_titles: int = DecodeParams.max_titles,
+    length_normalize: bool = DecodeParams.length_normalize,
 ) -> tuple[list[str], float, list[int]]:
     """Constrained beam search; returns (doc_ids, log_prob, token sequence).
 
@@ -171,10 +179,7 @@ def beam_search_titles(
     """
     if trie.title_count == 0:
         raise DecodingError("cannot decode titles against an empty trie")
-    if beam_size < 1:
-        raise ValueError("beam_size must be positive")
-    if max_titles < 1:
-        raise ValueError("max_titles must be positive")
+    DecodeParams(beam_size=beam_size, max_titles=max_titles)  # checks their ranges
     state = DecoderState(model, "title_dec", claim_states)
     alive = [BeamHypothesis(tokens=[BOS], log_prob=0.0, node=trie.root)]
     finished: list[BeamHypothesis] = []
@@ -232,7 +237,7 @@ def greedy_evidence(
     model: Seq2SeqModel,
     claim_states: np.ndarray,
     candidates: Sequence[SentenceEmbedding],
-    max_evidence_steps: int = 10,
+    max_evidence_steps: int = DecodeParams.max_evidence_steps,
 ) -> tuple[list[tuple[str, int]], list[float]]:
     """Greedy argmax decoding over the dynamic candidate vocabulary.
 
@@ -264,9 +269,8 @@ def greedy_evidence(
 
 
 def retrieve(model: Seq2SeqModel, vocab: Vocab, claim: Claim, trie: TitleTrie,
-             corpus: Corpus, params: Optional[DecodeParams] = None) -> RetrievalResult:
+             corpus: Corpus, params: DecodeParams) -> RetrievalResult:
     """Claim encoding -> constrained title beam -> candidates -> greedy evidence."""
-    params = params or DecodeParams()
     claim_ids = vocab.encode(claim.text)
     if not claim_ids:
         raise DataError(f"claim {claim.claim_id} has no tokens")

@@ -17,6 +17,28 @@ from .tokenizer import BOS, EOS, EOT, PAD, SEP, Vocab
 
 
 @dataclass
+class TrainParams:
+    """The schedule and batching settings of a run, checked on construction."""
+
+    total_updates: int = 1000
+    peak_lr: float = 3e-5
+    warmup_frac: float = 0.10
+    max_tokens: int = 4096  # dynamic batch budget: claim + target tokens
+    clip_norm: float = 1.0
+    checkpoint_every: int = 500
+
+    def __post_init__(self):
+        if not 0.0 < self.warmup_frac < 1.0:
+            raise ValueError(f"warmup_frac must be in (0, 1), got {self.warmup_frac}")
+        if self.total_updates < 1:
+            raise ValueError("total_updates must be positive")
+        for name in ("peak_lr", "clip_norm"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+@dataclass
 class TrainStats:
     step: int
     loss_title: float
@@ -32,11 +54,10 @@ class TrainStats:
 def learning_rate(step: int, total_updates: int, peak_lr: float, warmup_frac: float) -> float:
     """Linear warmup to the peak over the first warmup_frac of updates, then
     linear decay; exactly peak_lr at the warmup boundary and 0.0 at the end.
-    Steps are 1-based."""
-    if not 0.0 < warmup_frac < 1.0:
-        raise ValueError(f"warmup_frac must be in (0, 1), got {warmup_frac}")
-    if step < 1 or total_updates < 1:
-        raise ValueError("step and total_updates must be positive")
+    Steps are 1-based; the other arguments follow `TrainParams`' rules."""
+    TrainParams(total_updates=total_updates, peak_lr=peak_lr, warmup_frac=warmup_frac)
+    if step < 1:
+        raise ValueError("step must be positive")
     warmup = max(1, round(total_updates * warmup_frac))
     if step <= warmup:
         return peak_lr * (step / warmup)
@@ -118,16 +139,14 @@ def _pad_ids(seqs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
 
 class Trainer:
     """One optimizer step at a time; all randomness is a pure function of
-    (seed, step), so resuming from a checkpoint continues bit-identically."""
+    (seed, step), so resuming from a checkpoint continues bit-identically.
+    The schedule arguments take `TrainParams`' defaults and range rules."""
 
-    def __init__(self, model: Seq2SeqModel, vocab: Vocab, total_updates: int,
-                 peak_lr: float = 3e-5, warmup_frac: float = 0.10, clip_norm: float = 1.0):
-        if total_updates < 1:
-            raise ValueError("total_updates must be positive")
-        if not (math.isfinite(peak_lr) and peak_lr > 0):
-            raise ValueError(f"peak_lr must be finite and positive, got {peak_lr}")
-        if not (math.isfinite(clip_norm) and clip_norm > 0):
-            raise ValueError(f"clip_norm must be finite and positive, got {clip_norm}")
+    def __init__(self, model: Seq2SeqModel, vocab: Vocab, total_updates=TrainParams.total_updates,
+                 peak_lr=TrainParams.peak_lr, warmup_frac=TrainParams.warmup_frac,
+                 clip_norm=TrainParams.clip_norm):
+        TrainParams(total_updates=total_updates, peak_lr=peak_lr, warmup_frac=warmup_frac,
+                    clip_norm=clip_norm)  # checks their ranges
         self.model = model
         self.vocab = vocab
         self.total_updates = total_updates
@@ -146,18 +165,16 @@ class Trainer:
             np.random.SeedSequence([self.model.config.seed, 2, epoch]))
         return rng.permutation(n_examples)
 
-    def batches(self, examples: Sequence[_Example], max_tokens: int,
-                shuffle: bool = True) -> Iterator[list[_Example]]:
+    def batches(self, examples: Sequence[_Example], max_tokens: int) -> Iterator[list[_Example]]:
         """The batches of updates step_count + 1 .. total_updates, with
-        step_count read now: epoch e is `make_batches` over
-        `shuffle_order(n, e)` (the input order without shuffle), and the
-        batches of the updates already made are skipped, so a resumed run
-        continues exactly. The iteration ends whether or not the caller trains."""
+        step_count read now: epoch e is `make_batches` over the examples in
+        `shuffle_order(n, e)`, and the batches of the updates already made
+        are skipped, so a resumed run continues exactly. The iteration ends
+        whether or not the caller trains."""
         if not examples:
             raise ValueError("no examples to batch")
-        n = len(examples)
-        orders = (self.shuffle_order(n, e) if shuffle else range(n) for e in itertools.count())
-        epochs = (make_batches([examples[i] for i in order], max_tokens) for order in orders)
+        epochs = (make_batches([examples[i] for i in self.shuffle_order(len(examples), e)],
+                               max_tokens) for e in itertools.count())
         return itertools.islice(itertools.chain.from_iterable(epochs), self.step_count,
                                 self.total_updates)
 

@@ -55,7 +55,7 @@ def _writers(corpus, vocab):
         "predictions": ("predictions", lambda path, v: write_predictions(
             [RetrievalResult(claim_id=v, titles=[], evidence=[], title_log_prob=0.0)], path)),
         "config": ("config_resolved.txt", lambda path, v: _write_resolved_config(
-            RunConfig(seed=v), path.parent)),
+            RunConfig(wiki=f"wiki{v}.jsonl"), path.parent)),
         "report": ("report.json", lambda path, v: write_report({"doc_f1": v / 2}, path)),
         "wiki": ("wiki.jsonl", lambda path, v: save_wiki_pages(_first_docs(corpus, 3 - v), path)),
         "claims": (("claims.jsonl", "wiki.jsonl"), lambda path, v: write_dataset(

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,10 @@ import pytest
 from gere.cli import (
     EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, RunConfig, load_run_config, main,
 )
+from gere.decoding import DecodeParams
+from gere.model import ModelConfig
 from gere.synthetic import make_claims, make_corpus, write_dataset
+from gere.training import TrainParams
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +48,7 @@ def write_config(path, **kv):
 def test_runconfig_defaults_match_reference_settings():
     cfg = RunConfig()
     assert cfg.train.peak_lr == 3e-5
-    assert cfg.label_smoothing == 0.1
+    assert cfg.model.label_smoothing == 0.1
     assert cfg.train.warmup_frac == 0.10
     assert cfg.train.max_tokens == 4096
     assert cfg.decode.beam_size == 5
@@ -54,12 +58,24 @@ def test_load_run_config_overrides(tmp_path):
     path = write_config(tmp_path / "c.cfg", wiki="w", **{"train.total_updates": 50})
     cfg = load_run_config(str(path), ["decode.beam_size=7", "seed=3"])
     assert cfg.wiki == "w" and cfg.train.total_updates == 50
-    assert cfg.decode.beam_size == 7 and cfg.seed == 3
+    assert cfg.decode.beam_size == 7 and cfg.model.seed == 3
     from gere.cli import UsageError
     with pytest.raises(UsageError):
         load_run_config(str(path), ["nonsense=1"])
     with pytest.raises(UsageError):
         load_run_config(str(path), ["train.total_updates=soon"])
+
+
+def test_run_config_keys_are_the_paths_and_the_settings_fields():
+    """The model keys are `ModelConfig`'s fields, without a copy on `RunConfig`."""
+    paths = {"wiki", "claims", "vocab", "trie", "checkpoint", "output_dir", "predictions"}
+    model = {f.name for f in fields(ModelConfig)} - {"vocab_size"}
+    groups = {f"{group}.{f.name}" for group, cls in (("train", TrainParams),
+                                                     ("decode", DecodeParams))
+              for f in fields(cls)}
+    keys = [line.split("=", 1)[0] for line in RunConfig().to_kv().splitlines()]
+    assert len(keys) == 27 and set(keys) == paths | model | groups
+    assert not {f.name for f in fields(RunConfig)} & model
 
 
 @pytest.mark.parametrize("setting", ["decode.max_titles=0", "decode.max_titles=-3",
@@ -466,6 +482,14 @@ def test_usage_errors_exit_one():
     assert main([]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("level", ["BASIC_FORMAT", "nonsense", ""])
+def test_log_level_must_be_a_level_name(level, capsys):
+    argv = ["inspect-trie", "--trie", "none.trie", "--vocab", "none.txt"]
+    assert main(["--log-level", level, *argv]) == EXIT_USAGE
+    assert "--log-level" in capsys.readouterr().err
+    assert main(["--log-level", "info", *argv]) == EXIT_DATA  # any case; then the read fails
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "gere.cli", "--help"],
                           capture_output=True, text=True)
@@ -546,6 +570,39 @@ def test_unreadable_input_exits_cleanly_naming_it(trained_run, tmp_path, capsys,
     err = capsys.readouterr().err
     assert rc == (EXIT_USAGE if name == "config" else EXIT_DATA), err
     assert expect in err
+    assert "internal error" not in err + caplog.text and "Traceback" not in err + caplog.text
+
+
+# -- unwritable outputs ----------------------------------------------------------
+
+
+_UNWRITABLE = [("build-trie", "v.txt", "directory"), ("build-trie", "v.txt", "no_parent"),
+               ("build-trie", "t.bin", "directory"), ("train", "", "file"),
+               ("train", "train_log.jsonl", "directory"), ("retrieve", "", "file"),
+               ("retrieve", "predictions.jsonl", "directory"),
+               ("eval", "report.json", "directory"), ("eval", "report.json", "no_parent")]
+
+
+@pytest.mark.parametrize("command, name, bad", _UNWRITABLE,
+                         ids=["-".join(filter(None, case)) for case in _UNWRITABLE])
+def test_unwritable_output_exits_two_naming_it(trained_run, tmp_path, capsys, caplog,
+                                               command, name, bad):
+    """An output that is a directory or lies in a missing one, or an
+    `output_dir` that is a file: a data error (exit 2) naming the path."""
+    out = tmp_path / ("missing" if bad == "no_parent" else "out")
+    path = out / name if name else out
+    if bad == "directory":
+        path.mkdir(parents=True)
+    elif bad == "file":
+        path.write_text("")
+    argv = _argv(command, trained_run, out)
+    if command == "train":
+        argv = argv[:-2]  # a fresh run, which writes train_log.jsonl from the start
+    capsys.readouterr()
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA, err
+    assert f"cannot write {path}: " in err
     assert "internal error" not in err + caplog.text and "Traceback" not in err + caplog.text
 
 

@@ -122,6 +122,15 @@ def test_beam_rejects_empty_trie_and_bad_beam():
         beam_search_titles(model, enc, empty, beam_size=5)
 
 
+@pytest.mark.parametrize("settings", [dict(beam_size=0), dict(max_titles=0),
+                                      dict(max_titles=-3), dict(max_evidence_steps=-1)],
+                         ids=lambda settings: ",".join(f"{k}={v}" for k, v in settings.items()))
+def test_decode_params_reject_out_of_range_settings(settings):
+    with pytest.raises(ValueError, match=next(iter(settings))):
+        DecodeParams(**settings)
+    DecodeParams(max_evidence_steps=0)  # no evidence step is a valid budget
+
+
 def test_beam_error_when_no_hypothesis_can_finish():
     # max_positions too small for any title to reach EOS: every hypothesis
     # dies mid-title.

@@ -1,3 +1,6 @@
+import inspect
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from gere.errors import DataError, TrainingError
 from gere.model import DecoderState, Seq2SeqModel, length_groups
 from gere.tokenizer import BOS, EOS, EOT, SEP, build_vocab
 from gere.training import (
-    Trainer, encode_example, learning_rate, linearize_titles, make_batches,
+    Trainer, TrainParams, encode_example, learning_rate, linearize_titles, make_batches,
 )
 
 from conftest import make_doc, small_config
@@ -69,28 +72,26 @@ def _identities(batches):
     return [[id(ex) for ex in batch] for batch in batches]
 
 
-@pytest.mark.parametrize("shuffle", [True, False])
-def test_trainer_batches_resume_where_a_run_left_off(tiny_corpus, tiny_vocab, tiny_claims,
-                                                     shuffle):
+def test_trainer_batches_resume_where_a_run_left_off(tiny_corpus, tiny_vocab, tiny_claims):
     pairs = [(c, gold_targets(c, tiny_corpus)) for c in tiny_claims[:3]]
     examples = [encode_example(c, g, tiny_corpus, tiny_vocab, 64) for c, g in pairs] * 2
     budget = 2 * max(ex.cost for ex in examples)  # a few batches per epoch
     model = Seq2SeqModel(small_config(len(tiny_vocab)))
     total = 11
     fresh = Trainer(model, tiny_vocab, total_updates=total)
-    # The rule: epoch e batches shuffle_order(n, e) (input order without shuffle).
+    # The rule: epoch e batches the examples in shuffle_order(n, e).
     expected = []
     for epoch in range(total):
-        order = fresh.shuffle_order(len(examples), epoch) if shuffle else range(len(examples))
+        order = fresh.shuffle_order(len(examples), epoch)
         expected += make_batches([examples[i] for i in order], budget)
-    run = list(fresh.batches(examples, budget, shuffle))
+    run = list(fresh.batches(examples, budget))
     assert _identities(run) == _identities(expected[:total])
     assert 1 < len(make_batches(examples, budget)) < total  # resumes land mid-epoch
 
     for k in (0, 1, 4, total - 1, total):
         resumed = Trainer(model, tiny_vocab, total_updates=total)
         resumed.step_count = k
-        batches = resumed.batches(examples, budget, shuffle)
+        batches = resumed.batches(examples, budget)
         resumed.step_count = 0  # read when batches() is called, not when iterated
         tail = list(batches)
         assert len(tail) == total - k
@@ -115,6 +116,23 @@ def test_trainer_rejects_a_peak_lr_that_is_not_finite_and_positive(tiny_vocab, p
     model = Seq2SeqModel(small_config(len(tiny_vocab)))
     with pytest.raises(ValueError, match="peak_lr"):
         Trainer(model, tiny_vocab, total_updates=3, peak_lr=peak_lr)
+
+
+@pytest.mark.parametrize("warmup_frac", [0.0, 1.0, 1.5, float("nan")])
+def test_trainer_rejects_a_warmup_frac_outside_the_unit_interval(tiny_vocab, warmup_frac):
+    """Rejected at construction, before any example is encoded."""
+    model = Seq2SeqModel(small_config(len(tiny_vocab)))
+    with pytest.raises(ValueError, match="warmup_frac"):
+        Trainer(model, tiny_vocab, total_updates=3, warmup_frac=warmup_frac)
+
+
+def test_trainer_defaults_are_train_params_defaults():
+    """`TrainParams` owns the defaults: `Trainer` repeats none of them."""
+    owned = {f.name: f.default for f in fields(TrainParams)}
+    taken = {name: param.default for name, param in inspect.signature(Trainer).parameters.items()
+             if name in owned}
+    assert set(taken) == {"total_updates", "peak_lr", "warmup_frac", "clip_norm"}
+    assert taken == {name: owned[name] for name in taken}
 
 
 def test_encode_example_candidates_and_slots(tiny_corpus, tiny_vocab, tiny_claims):
