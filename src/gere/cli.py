@@ -328,7 +328,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig adds the handler once per process; the level applies on every call.
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(args.log_level)
     try:
         return args.func(args)
     except UsageError as exc:

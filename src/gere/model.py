@@ -48,7 +48,6 @@ class ModelConfig:
     n_layers_dec: int = 2
     d_ff: int = 256
     max_positions: int = 256
-    dropout_rate: float = 0.0
     label_smoothing: float = 0.1
     seed: int = 0
     init_std: float = 0.02  # scale of the Gaussian weight init
@@ -64,8 +63,6 @@ class ModelConfig:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.vocab_size < 6:
             raise ValueError("vocab_size must cover the six special tokens")
 
@@ -75,9 +72,12 @@ class ModelConfig:
 
     @classmethod
     def from_kv(cls, text: str) -> "ModelConfig":
-        """Inverse of `to_kv`; bad text or values raise `DataError`."""
-        values = parse_kv(kv_lines(text, "model config"), {f.name: f for f in fields(cls)},
-                          DataError)
+        """Inverse of `to_kv`; bad text or values raise `DataError`. The
+        `dropout_rate=0.0` line of checkpoints written while the model had a
+        dropout setting is skipped; any other `dropout_rate` is unknown."""
+        lines = [line for line in kv_lines(text, "model config")
+                 if line[1] != "dropout_rate=0.0"]
+        values = parse_kv(lines, {f.name: f for f in fields(cls)}, DataError)
         if "vocab_size" not in values:
             raise DataError("model config missing required key 'vocab_size'")
         try:
@@ -356,12 +356,12 @@ class Seq2SeqModel:
     def _linear(self, x, w_name, b_name):
         return nn.linear(x, self.params[w_name], self.params[b_name])
 
-    def _attention(self, prefix, x, kv, add_mask, rng):
+    def _attention(self, prefix, x, kv, add_mask):
         cfg = self.config
         q = self._linear(x, f"{prefix}.wq", f"{prefix}.bq")
         k = self._linear(kv, f"{prefix}.wk", f"{prefix}.bk")
         v = self._linear(kv, f"{prefix}.wv", f"{prefix}.bv")
-        ctx = nn.attention(q, k, v, cfg.n_heads, _scale(cfg), add_mask, cfg.dropout_rate, rng)
+        ctx = nn.attention(q, k, v, cfg.n_heads, _scale(cfg), add_mask)
         return self._linear(ctx, f"{prefix}.wo", f"{prefix}.bo")
 
     def _ffn(self, prefix, x):
@@ -371,9 +371,6 @@ class Seq2SeqModel:
     def _ln(self, prefix, x):
         return nn.layer_norm(x, self.params[f"{prefix}.g"], self.params[f"{prefix}.b"])
 
-    def _dropout(self, x, rng):
-        return nn.dropout(x, self.config.dropout_rate, rng)
-
     def _positions(self, name, n_pos):
         if n_pos > self.config.max_positions:
             raise ValueError(f"sequence length {n_pos} exceeds max_positions "
@@ -382,41 +379,35 @@ class Seq2SeqModel:
 
     # -- encoder / decoder forward ------------------------------------------
 
-    def encoder_forward(self, name, ids: np.ndarray, valid: np.ndarray,
-                        rng=None) -> nn.Tensor:
+    def encoder_forward(self, name, ids: np.ndarray, valid: np.ndarray) -> nn.Tensor:
         """Run an encoder stack over token ids (B, T), where `valid` (B, T) marks
         the real tokens of each row. The claim encoder's rows are right-padded
         and their padded keys masked; the sentence encoder's rows are one
         length (`length_groups`), so `valid` is all true and no mask is built."""
         x = nn.add(nn.gather(self.params[f"{name}.tok_emb"], ids),
                    self._positions(name, ids.shape[1]))
-        x = self._dropout(x, rng)
         add_mask = _key_mask(valid, self.dtype)
         for i in range(self.config.n_layers_enc):
             p = f"{name}.l{i}"
             normed = self._ln(f"{p}.ln1", x)
-            attn = self._attention(f"{p}.attn", normed, normed, add_mask, rng)
-            x = nn.add(x, self._dropout(attn, rng))
-            x = nn.add(x, self._dropout(self._ffn(f"{p}.ffn", self._ln(f"{p}.ln2", x)), rng))
+            x = nn.add(x, self._attention(f"{p}.attn", normed, normed, add_mask))
+            x = nn.add(x, self._ffn(f"{p}.ffn", self._ln(f"{p}.ln2", x)))
         return self._ln(f"{name}.ln_f", x)
 
     def decoder_forward(self, name, x: nn.Tensor, enc_out: nn.Tensor,
-                        enc_valid: np.ndarray, rng=None) -> nn.Tensor:
+                        enc_valid: np.ndarray) -> nn.Tensor:
         """Run a decoder stack over embedded inputs (B, T, d) with causal masking;
         `enc_valid` (B, T_enc) marks the real positions of `enc_out`."""
         n_q = x.data.shape[1]
         causal = _causal_mask(n_q, self.dtype)
         cross = _key_mask(enc_valid, self.dtype)
-        x = self._dropout(x, rng)
         for i in range(self.config.n_layers_dec):
             p = f"{name}.l{i}"
             normed = self._ln(f"{p}.ln1", x)
-            attn = self._attention(f"{p}.self_attn", normed, normed, causal, rng)
-            x = nn.add(x, self._dropout(attn, rng))
-            attn = self._attention(f"{p}.cross_attn", self._ln(f"{p}.ln2", x),
-                                   enc_out, cross, rng)
-            x = nn.add(x, self._dropout(attn, rng))
-            x = nn.add(x, self._dropout(self._ffn(f"{p}.ffn", self._ln(f"{p}.ln3", x)), rng))
+            x = nn.add(x, self._attention(f"{p}.self_attn", normed, normed, causal))
+            x = nn.add(x, self._attention(f"{p}.cross_attn", self._ln(f"{p}.ln2", x),
+                                          enc_out, cross))
+            x = nn.add(x, self._ffn(f"{p}.ffn", self._ln(f"{p}.ln3", x)))
         return self._ln(f"{name}.ln_f", x)
 
     def embed_title_inputs(self, ids: np.ndarray) -> nn.Tensor:

@@ -3,13 +3,12 @@
 Exactly the operations the encoder-decoder stacks need: broadcasting add and
 multiply, same-rank batched matmul, GELU, layer norm, softmax, embedding gather,
 row concatenation and row-assembly helpers for the dynamic evidence
-vocabulary, dropout and the cross-entropy heads, plus two block nodes the
-model is built from: `linear` (`x @ w + b`) and `attention` (multi-head
-scaled dot-product attention over projected q, k and v, with dropout on its
-weights). A block node computes
-and differentiates exactly what its chain of per-op nodes would, op for op
-and in the same memory layouts, so its values and gradients are the same
-bits; it only saves the intermediate `Tensor`s and closures.
+vocabulary and the cross-entropy heads, plus two block nodes the model is
+built from: `linear` (`x @ w + b`) and `attention` (multi-head scaled
+dot-product attention over projected q, k and v). A block node computes and
+differentiates exactly what its chain of per-op nodes would, op for op and
+in the same memory layouts, so its values and gradients are the same bits;
+it only saves the intermediate `Tensor`s and closures.
 
 Gradients accumulate in graph-construction order, so a fixed seed and fixed
 data order give bit-identical results on one machine. A graph is single-use:
@@ -339,26 +338,6 @@ def softmax_last(x: Tensor) -> Tensor:
     return _make(s, (x,), back)
 
 
-def _dropout_keep(shape, dtype, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout multipliers: 0 or 1 / (1 - rate), one draw per entry."""
-    keep = (rng.random(shape) >= rate).astype(dtype)
-    keep /= np.asarray(1.0 - rate, dtype=dtype)
-    return keep
-
-
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when rate is 0."""
-    if rate <= 0.0:
-        return x
-    keep = _dropout_keep(x.data.shape, x.data.dtype, rate, rng)
-    out = x.data * keep
-
-    def back(g):
-        _accum(x, g * keep, fresh=True)
-
-    return _make(out, (x,), back)
-
-
 def split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     """(B, T, d) -> (B, heads, T, d // heads), a view."""
     n_batch, n_pos, d = x.shape
@@ -372,48 +351,37 @@ def merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale,
-                      add_mask: np.ndarray | None = None, keep: np.ndarray | None = None
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                      add_mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Scaled dot-product attention over split heads (B, H, T, d_head): the one
     definition the graph's `attention` and the inference engine share.
 
     `scale` should be a Python float (a weak scalar keeps the scores' dtype);
-    `add_mask` is added to the scores and must have their dtype; `keep` is a
-    dropout multiplier for the weights. Returns the merged (B, Tq, d) context,
-    the softmax weights and the weights that multiplied v."""
+    `add_mask` is added to the scores and must have their dtype. Returns the
+    merged (B, Tq, d) context and the softmax weights."""
     scores = q @ k.swapaxes(-1, -2)
     scores *= scale
     if add_mask is not None:
         scores += add_mask
     weights = softmax_forward(scores)
-    applied = weights if keep is None else weights * keep
-    return merge_heads(applied @ v), weights, applied
+    return merge_heads(weights @ v), weights
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale,
-              add_mask: np.ndarray | None = None, dropout_rate: float = 0.0,
-              rng: np.random.Generator | None = None) -> Tensor:
+              add_mask: np.ndarray | None = None) -> Tensor:
     """Multi-head attention of projected q (B, Tq, d) over k and v (B, Tk, d)
-    as one node; dropout acts on the attention weights and draws where
-    `dropout(softmax_last(..))` would. The backward repeats that per-op chain
-    (split heads, batched matmul, scale, mask, softmax, dropout, batched
-    matmul, merge heads) op for op, with the grads in the layouts its
-    reshape and transpose nodes gave them, because numpy's matmul bits can
-    depend on memory layout."""
+    as one node. The backward repeats the per-op chain (split heads, batched
+    matmul, scale, mask, softmax, batched matmul, merge heads) op for op,
+    with the grads in the layouts its reshape and transpose nodes gave them,
+    because numpy's matmul bits can depend on memory layout."""
     qh, kh, vh = split_heads(q.data, heads), split_heads(k.data, heads), split_heads(v.data, heads)
-    keep = None
-    if dropout_rate > 0.0:
-        keep = _dropout_keep(qh.shape[:3] + kh.shape[2:3], q.data.dtype, dropout_rate, rng)
-    out, weights, applied = attention_forward(qh, kh, vh, scale, add_mask, keep)
+    out, weights = attention_forward(qh, kh, vh, scale, add_mask)
 
     def back(g):
         n_batch, n_q, d = g.shape
         # The merge's reshape and transpose nodes handed matmul this copy.
         gctx = np.array(g.reshape(n_batch, n_q, heads, d // heads).transpose(0, 2, 1, 3))
         gw = gctx @ vh.swapaxes(-1, -2)
-        gv = applied.swapaxes(-1, -2) @ gctx
-        if keep is not None:
-            gw *= keep
+        gv = weights.swapaxes(-1, -2) @ gctx
         gs = _softmax_back(gw, weights)
         gs *= scale
         _accum(q, merge_heads(gs @ kh), fresh=True)

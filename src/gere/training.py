@@ -32,6 +32,9 @@ class TrainParams:
             raise ValueError(f"warmup_frac must be in (0, 1), got {self.warmup_frac}")
         if self.total_updates < 1:
             raise ValueError("total_updates must be positive")
+        for name, low in (("max_tokens", 1), ("checkpoint_every", 0)):  # 0: final checkpoint only
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         for name in ("peak_lr", "clip_norm"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -138,9 +141,10 @@ def _pad_ids(seqs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Trainer:
-    """One optimizer step at a time; all randomness is a pure function of
-    (seed, step), so resuming from a checkpoint continues bit-identically.
-    The schedule arguments take `TrainParams`' defaults and range rules."""
+    """One optimizer step at a time; its only randomness is the epoch shuffle,
+    a pure function of (seed, epoch), so resuming from a checkpoint continues
+    bit-identically. The schedule arguments take `TrainParams`' defaults and
+    range rules."""
 
     def __init__(self, model: Seq2SeqModel, vocab: Vocab, total_updates=TrainParams.total_updates,
                  peak_lr=TrainParams.peak_lr, warmup_frac=TrainParams.warmup_frac,
@@ -155,10 +159,6 @@ class Trainer:
         self.clip_norm = clip_norm
         self.optimizer = nn.Adam(model.params)
         self.step_count = 0
-
-    def _dropout_rng(self) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence([self.model.config.seed, 1, self.step_count]))
 
     def shuffle_order(self, n_examples: int, epoch: int) -> np.ndarray:
         rng = np.random.default_rng(
@@ -180,11 +180,10 @@ class Trainer:
 
     def loss_graph(self, examples: Sequence[_Example]) -> tuple[nn.Tensor, nn.Tensor]:
         """Build the joint forward graph for a prepared batch and return its
-        (title, evidence) losses; pure given parameters and step_count. The
-        claim encoder and the decoders run over right-padded rows; the
-        sentence encoder runs `pooled_sentences`, with no padded row."""
+        (title, evidence) losses; pure given the parameters. The claim encoder
+        and the decoders run over right-padded rows; the sentence encoder runs
+        `pooled_sentences`, with no padded row."""
         model = self.model
-        rng = self._dropout_rng()
         n_batch = len(examples)
 
         claim_ids, claim_valid = _pad_ids([ex.claim_ids for ex in examples])
@@ -213,10 +212,10 @@ class Trainer:
 
         # Forward: claim encoder feeds both decoders; sentence encoder feeds
         # the dynamic candidate vocabulary and the evidence decoder inputs.
-        enc_out = model.encoder_forward("claim_enc", claim_ids, claim_valid, rng)
+        enc_out = model.encoder_forward("claim_enc", claim_ids, claim_valid)
 
         x = model.embed_title_inputs(title_in)
-        states = model.decoder_forward("title_dec", x, enc_out, claim_valid, rng)
+        states = model.decoder_forward("title_dec", x, enc_out, claim_valid)
         logits = model.title_output_logits(states)
         flat_logits = nn.reshape(logits, (-1, model.config.vocab_size))
         keep = np.flatnonzero(title_tgt.ravel() != PAD)
@@ -224,12 +223,12 @@ class Trainer:
                                       title_tgt.ravel()[keep],
                                       model.config.label_smoothing)
 
-        pooled = self.pooled_sentences(flat_sents, rng)
+        pooled = self.pooled_sentences(flat_sents)
         cand_table = nn.assemble_candidates(pooled, model.params["evid_dec.eoe"],
                                             batch_idx, slot_idx, n_batch, n_slots)
         ev_in = nn.assemble_inputs(pooled, model.params["evid_dec.start"], input_map)
         ev_in = nn.add(ev_in, model._positions("evid_dec", n_steps))
-        ev_states = model.decoder_forward("evid_dec", ev_in, enc_out, claim_valid, rng)
+        ev_states = model.decoder_forward("evid_dec", ev_in, enc_out, claim_valid)
         scores = nn.add(nn.matmul(ev_states, nn.transpose(cand_table, (0, 2, 1))),
                         nn.constant(slot_mask))
         flat_scores = nn.reshape(scores, (-1, n_slots))
@@ -238,7 +237,7 @@ class Trainer:
                                          ev_targets.ravel()[keep_steps])
         return loss_title, loss_evidence
 
-    def pooled_sentences(self, sents: list[list[int]], rng) -> nn.Tensor:
+    def pooled_sentences(self, sents: list[list[int]]) -> nn.Tensor:
         """Mean-pooled sentence-encoder states (n, d) of `sents`, row i for
         `sents[i]`, from one stacked pass per `length_groups` group (the
         grouping of `encode_sentences`): every row of a pass has the same
@@ -249,7 +248,7 @@ class Trainer:
         for members in groups:
             ids = np.array([sents[i] for i in members], dtype=np.int64)
             valid = np.ones(ids.shape, dtype=bool)
-            states = model.encoder_forward("sent_enc", ids, valid, rng)
+            states = model.encoder_forward("sent_enc", ids, valid)
             parts.append(nn.masked_mean(states, valid.astype(model.dtype)))
         return nn.concat_rows(parts, groups)
 

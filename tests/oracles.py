@@ -218,7 +218,7 @@ def linear_per_op(x, w, b):
     return nn.add(nn.reshape(flat, x.data.shape[:-1] + (n,)), b)
 
 
-def attention_per_op(q, k, v, heads, scale, add_mask=None, dropout_rate=0.0, rng=None):
+def attention_per_op(q, k, v, heads, scale, add_mask=None):
     n_batch, n_q, d = q.data.shape
     n_k = k.data.shape[1]
 
@@ -229,8 +229,7 @@ def attention_per_op(q, k, v, heads, scale, add_mask=None, dropout_rate=0.0, rng
     scores = nn.mul(nn.matmul(q, nn.transpose(k, (0, 1, 3, 2))), scale)
     if add_mask is not None:
         scores = nn.add(scores, nn.constant(add_mask))
-    weights = nn.dropout(nn.softmax_last(scores), dropout_rate, rng)
-    ctx = nn.matmul(weights, v)
+    ctx = nn.matmul(nn.softmax_last(scores), v)
     return nn.reshape(nn.transpose(ctx, (0, 2, 1, 3)), (n_batch, n_q, d))
 
 
@@ -240,13 +239,12 @@ class PerOpGraphModel(Seq2SeqModel):
     def _linear(self, x, w_name, b_name):
         return linear_per_op(x, self.params[w_name], self.params[b_name])
 
-    def _attention(self, prefix, x, kv, add_mask, rng):
+    def _attention(self, prefix, x, kv, add_mask):
         cfg = self.config
         q = self._linear(x, f"{prefix}.wq", f"{prefix}.bq")
         k = self._linear(kv, f"{prefix}.wk", f"{prefix}.bk")
         v = self._linear(kv, f"{prefix}.wv", f"{prefix}.bv")
-        ctx = attention_per_op(q, k, v, cfg.n_heads, _scale(cfg), add_mask, cfg.dropout_rate,
-                               rng)
+        ctx = attention_per_op(q, k, v, cfg.n_heads, _scale(cfg), add_mask)
         return self._linear(ctx, f"{prefix}.wo", f"{prefix}.bo")
 
 
@@ -260,9 +258,9 @@ class PerOpGraphModel(Seq2SeqModel):
 class PaddedSentenceTrainer(Trainer):
     """A trainer whose sentence encoder makes one padded pass per batch."""
 
-    def pooled_sentences(self, sents, rng):
+    def pooled_sentences(self, sents):
         ids, valid = _pad_ids(sents)
-        states = self.model.encoder_forward("sent_enc", ids, valid, rng)
+        states = self.model.encoder_forward("sent_enc", ids, valid)
         return nn.masked_mean(states, valid.astype(self.model.dtype))
 
 

@@ -1,4 +1,5 @@
 import json
+import logging
 import subprocess
 import sys
 from dataclasses import fields
@@ -74,7 +75,7 @@ def test_run_config_keys_are_the_paths_and_the_settings_fields():
                                                      ("decode", DecodeParams))
               for f in fields(cls)}
     keys = [line.split("=", 1)[0] for line in RunConfig().to_kv().splitlines()]
-    assert len(keys) == 27 and set(keys) == paths | model | groups
+    assert len(keys) == 26 and set(keys) == paths | model | groups
     assert not {f.name for f in fields(RunConfig)} & model
 
 
@@ -286,9 +287,10 @@ def test_train_rejects_bad_config_before_training(dataset, tmp_path, capsys):
                             vocab=vocab_path, trie=trie_path, output_dir=out_dir,
                             **{"train.total_updates": 2, "d_model": 32, "d_ff": 64,
                                "n_heads": 2, "n_layers_enc": 1, "n_layers_dec": 1})
-    # Each bad value is a usage error naming its key, raised before any output.
+    # Each bad value or unknown key is a usage error naming its key, raised
+    # before any output.
     for override in ("train.warmup_frac=2.0", "n_heads=3", "dropout_rate=1.5",
-                     "train.max_vocab=7"):
+                     "train.max_vocab=7", "train.max_tokens=0", "train.checkpoint_every=-5"):
         capsys.readouterr()
         assert main(["train", "--config", str(cfg_path), "--set", override]) == EXIT_USAGE
         assert override.split("=")[0] in capsys.readouterr().err
@@ -488,6 +490,15 @@ def test_log_level_must_be_a_level_name(level, capsys):
     assert main(["--log-level", level, *argv]) == EXIT_USAGE
     assert "--log-level" in capsys.readouterr().err
     assert main(["--log-level", "info", *argv]) == EXIT_DATA  # any case; then the read fails
+
+
+def test_log_level_applies_on_every_in_process_call():
+    """Each `main` call sets the `gere` logger's level, also once the root
+    logger has a handler (a previous call's, or pytest's)."""
+    argv = ["inspect-trie", "--trie", "none.trie", "--vocab", "none.txt"]
+    for level in ("ERROR", "DEBUG", "WARNING"):
+        assert main(["--log-level", level, *argv]) == EXIT_DATA
+        assert logging.getLogger("gere").getEffectiveLevel() == getattr(logging, level)
 
 
 def test_console_entry_point_runs():

@@ -18,8 +18,6 @@ def test_config_validation():
         ModelConfig(vocab_size=100, label_smoothing=1.0)
     with pytest.raises(ValueError):
         ModelConfig(vocab_size=3)
-    with pytest.raises(ValueError):
-        ModelConfig(vocab_size=100, dropout_rate=-0.1)
     # Sizes below their floor; zero layers stays legal.
     for key, value in (("n_heads", 0), ("n_heads", -2), ("d_model", 0), ("d_model", -64),
                        ("d_ff", 0), ("n_layers_enc", -1), ("n_layers_dec", -1), ("seed", -1),
@@ -31,7 +29,7 @@ def test_config_validation():
 
 
 def test_config_kv_round_trip():
-    cfg = ModelConfig(vocab_size=123, d_model=32, n_heads=4, seed=9, dropout_rate=0.25)
+    cfg = ModelConfig(vocab_size=123, d_model=32, n_heads=4, seed=9, label_smoothing=0.25)
     assert ModelConfig.from_kv(cfg.to_kv()) == cfg
 
 
@@ -39,8 +37,7 @@ def test_config_kv_text_is_pinned():
     # The checkpoint's config block is this text; changing it changes the file format.
     assert ModelConfig(vocab_size=100).to_kv() == (
         "vocab_size=100\nd_model=64\nn_heads=4\nn_layers_enc=2\nn_layers_dec=2\n"
-        "d_ff=256\nmax_positions=256\ndropout_rate=0.0\nlabel_smoothing=0.1\nseed=0\n"
-        "init_std=0.02\n")
+        "d_ff=256\nmax_positions=256\nlabel_smoothing=0.1\nseed=0\ninit_std=0.02\n")
 
 
 def test_config_kv_file(tmp_path):

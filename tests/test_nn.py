@@ -78,17 +78,14 @@ def test_linear(rng):
     fd_check(lambda: scalarize(nn.linear(x, w, b)), {"x": x, "w": w, "b": b})
 
 
-@pytest.mark.parametrize("rate", [0.0, 0.3])
 @pytest.mark.parametrize("masked", [False, True])
-def test_attention(rng, masked, rate):
+def test_attention(rng, masked):
     q, k, v = param(rng, 2, 3, 4), param(rng, 2, 5, 4), param(rng, 2, 5, 4)
     mask = None
     if masked:
         valid = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=bool)
         mask = np.where(valid, 0.0, -1e9)[:, None, None, :]
-    fd_check(lambda: scalarize(nn.attention(q, k, v, 2, 0.7, mask, rate,
-                                            np.random.default_rng(4))),
-             {"q": q, "k": k, "v": v})
+    fd_check(lambda: scalarize(nn.attention(q, k, v, 2, 0.7, mask)), {"q": q, "k": k, "v": v})
 
 
 def test_gelu(rng):
@@ -239,15 +236,6 @@ def test_cross_entropy_hand_computed_smoothed_case():
     assert abs(float(loss.data) - expected) < 1e-12
 
 
-def test_dropout_identity_at_zero_and_masks_otherwise(rng):
-    x = nn.Tensor(rng.standard_normal((4, 8)), requires_grad=True)
-    assert nn.dropout(x, 0.0, rng) is x
-    y = nn.dropout(x, 0.5, np.random.default_rng(3))
-    kept = y.data != 0
-    assert 0 < kept.sum() < y.data.size
-    np.testing.assert_allclose(y.data[kept], x.data[kept] * 2.0)
-
-
 def test_backward_requires_scalar(rng):
     x = param(rng, 2, 2)
     with pytest.raises(ValueError):
@@ -289,9 +277,9 @@ def test_backward_frees_each_interior_node_as_it_runs(rng):
 
 def test_backward_leaf_grads_equal_a_sweep_that_keeps_the_graph(tiny_corpus, tiny_vocab,
                                                                tiny_claims):
-    """The whole training graph in float32 with dropout: every parameter's
-    grad has the bits of the sweep that frees nothing."""
-    cfg = small_config(len(tiny_vocab), n_layers_enc=2, dropout_rate=0.1)
+    """The whole training graph in float32: every parameter's grad has the
+    bits of the sweep that frees nothing."""
+    cfg = small_config(len(tiny_vocab), n_layers_enc=2)
     examples = [encode_example(c, gold_targets(c, tiny_corpus), tiny_corpus, tiny_vocab,
                                cfg.max_positions) for c in verifiable(tiny_claims)]
     grads = []

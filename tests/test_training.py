@@ -126,6 +126,14 @@ def test_trainer_rejects_a_warmup_frac_outside_the_unit_interval(tiny_vocab, war
         Trainer(model, tiny_vocab, total_updates=3, warmup_frac=warmup_frac)
 
 
+@pytest.mark.parametrize("key, value", [("max_tokens", 0), ("max_tokens", -4),
+                                        ("checkpoint_every", -5)])
+def test_train_params_reject_out_of_range_settings(key, value):
+    with pytest.raises(ValueError, match=key):
+        TrainParams(**{key: value})
+    TrainParams(max_tokens=1, checkpoint_every=0)  # the floors are legal
+
+
 def test_trainer_defaults_are_train_params_defaults():
     """`TrainParams` owns the defaults: `Trainer` repeats none of them."""
     owned = {f.name: f.default for f in fields(TrainParams)}
@@ -251,17 +259,6 @@ def test_seed_changes_losses(tiny_corpus, tiny_vocab, tiny_claims):
     assert run(1) != run(2)
 
 
-def test_dropout_training_still_deterministic(tiny_corpus, tiny_vocab, tiny_claims):
-    def run():
-        cfg = small_config(len(tiny_vocab), dropout_rate=0.2)
-        model = Seq2SeqModel(cfg)
-        trainer = Trainer(model, tiny_vocab, total_updates=10, peak_lr=1e-3)
-        batch = [(c, gold_targets(c, tiny_corpus)) for c in tiny_claims[:2]]
-        return [train_step(trainer, batch, tiny_corpus).loss_total for _ in range(4)]
-
-    assert run() == run()
-
-
 def test_trainer_loss_matches_public_ops(tiny_corpus, tiny_vocab, tiny_claims):
     """Batch-of-1 trainer losses agree with the single-example loss operations."""
     cfg = small_config(len(tiny_vocab))
@@ -362,10 +359,10 @@ def test_sentence_encoder_computes_no_padded_row(tiny_corpus, tiny_vocab, tiny_c
     passes = []
     forward = Seq2SeqModel.encoder_forward
 
-    def spy(self, name, ids, valid, rng=None):
+    def spy(self, name, ids, valid):
         if name == "sent_enc":
             passes.append((ids.shape, valid.all()))
-        return forward(self, name, ids, valid, rng)
+        return forward(self, name, ids, valid)
 
     monkeypatch.setattr(Seq2SeqModel, "encoder_forward", spy)
     Trainer(Seq2SeqModel(cfg), tiny_vocab, total_updates=10).loss_graph(examples)
@@ -383,7 +380,7 @@ def test_pooled_rows_come_back_in_input_order(tiny_vocab):
     rng = np.random.default_rng(3)
     sents = [rng.integers(6, len(tiny_vocab), n).tolist() for n in (7, 3, 7, 1, 3)]
     assert length_groups(sents) == [[0, 2], [1, 4], [3]]
-    pooled = Trainer(model, tiny_vocab, total_updates=1).pooled_sentences(sents, None)
+    pooled = Trainer(model, tiny_vocab, total_updates=1).pooled_sentences(sents)
     assert pooled.data.shape == (5, cfg.d_model)
     for row, ids in zip(pooled.data, sents):
         np.testing.assert_allclose(row, model.encode_sentence(ids).vector, rtol=0, atol=1e-12)
