@@ -1,15 +1,19 @@
 """Every file gere reads or writes goes through here: UTF-8 text and JSON
 lines, atomic writes, and the header and little-endian fields of the trie and
-checkpoint formats. Input that cannot be read (an OS error, invalid UTF-8, a
-bad JSON line, a truncated or padded binary file) is a `DataError` naming the
-file and, for text, the line."""
+checkpoint formats, read from bytes or streamed from a file (`open_reader`).
+Input that cannot be read (an OS error, invalid UTF-8, a bad JSON line, a
+truncated or padded binary file) is a `DataError` naming the file and, for
+text, the line."""
 
 import io
 import json
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from .errors import DataError
 
@@ -115,32 +119,98 @@ def write_atomic(path, chunks: Iterable) -> None:
         raise
 
 
+@contextmanager
+def open_reader(path) -> Iterator["Reader"]:
+    """A `Reader` over the file at `path`, closed when the block ends,
+    whether or not it raised; an OS error opening or reading the file is a
+    `DataError`."""
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            yield Reader(b"", str(path), fh)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror})") from None
+
+
 class Reader:
-    """Cursor over a bytes object; raises DataError on truncation."""
+    """Cursor over a bytes object, or over an open file (`open_reader`) read
+    in chunks; raises DataError on truncation. Small fields come out of
+    `data`, the window of the input from offset `base` on, and `readinto`
+    reads an array's bytes from the file straight into the array, so a file
+    is never held whole."""
 
-    def __init__(self, data: bytes, name: str = "<bytes>"):
+    _CHUNK = 1 << 16
+
+    def __init__(self, data: bytes, name: str = "<bytes>", fh=None):
         self.data = data
-        self.pos = 0
+        self.base = 0
+        self.pos = 0  # in `data`; the input offset is base + pos
         self.name = name
+        self.fh = fh
+        self.size = len(data) if fh is None else os.fstat(fh.fileno()).st_size
 
-    def skip(self, n: int) -> int:
-        """Step over n bytes; returns the offset they start at."""
-        pos = self.pos
-        if pos + n > len(self.data):
-            raise DataError(f"{self.name}: truncated (needed {n} bytes at offset {pos})")
-        self.pos = pos + n
-        return pos
+    def remaining(self) -> int:
+        return self.size - self.base - self.pos
+
+    def need(self, n: int) -> None:
+        """Raise unless n more bytes remain in the input."""
+        if n > self.remaining():
+            raise DataError(f"{self.name}: truncated "
+                            f"(needed {n} bytes at offset {self.base + self.pos})")
+
+    def _fill(self, n: int) -> None:
+        """Make data[0:n] the input's next n bytes: the rest of the window,
+        then the next chunk of the file."""
+        self.need(n)
+        rest = self.data[self.pos :]
+        self.base += self.pos
+        self.data = b""
+        self.pos = 0
+        more = self.fh.read(min(max(n, self._CHUNK), self.remaining()) - len(rest))
+        self.data = rest + more if rest else more
+        if len(self.data) < n:  # the file shrank after it was opened
+            raise DataError(f"{self.name}: truncated (needed {n} bytes at offset {self.base})")
 
     def take(self, n: int) -> bytes:
-        pos = self.skip(n)
+        pos = self.pos
+        if pos + n > len(self.data):
+            self._fill(n)
+            pos = 0
+        self.pos = pos + n
         return self.data[pos : pos + n]
 
     def u8(self) -> int:
         pos = self.pos  # read in place: this is the per-byte call of `uvarint`
         if pos >= len(self.data):
-            raise DataError(f"{self.name}: truncated (needed 1 bytes at offset {pos})")
+            self._fill(1)
+            pos = 0
         self.pos = pos + 1
         return self.data[pos]
+
+    def readinto(self, array: np.ndarray) -> None:
+        """Fill the C-contiguous `array` with the input's next bytes: what the
+        window holds of them is copied, the rest is read from the file
+        straight into the array."""
+        view = memoryview(array).cast("B")
+        n = len(view)
+        pos = self.pos
+        window = memoryview(self.data)  # slices of it copy nothing
+        if pos + n <= len(window):
+            view[:] = window[pos : pos + n]
+            self.pos = pos + n
+            return
+        self.need(n)
+        have = len(window) - pos
+        view[:have] = window[pos:]
+        self.base += len(self.data)  # the window is spent
+        self.data = b""
+        self.pos = 0
+        while have < n:
+            got = self.fh.readinto(view[have:])
+            if not got:  # the file shrank after it was opened
+                raise DataError(f"{self.name}: truncated "
+                                f"(needed {n - have} bytes at offset {self.base})")
+            have += got
+            self.base += got
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -158,7 +228,7 @@ class Reader:
                 return value
             shift += 7
             if shift > 63:
-                raise DataError(f"{self.name}: uvarint overflow at offset {self.pos}")
+                raise DataError(f"{self.name}: uvarint overflow at offset {self.base + self.pos}")
 
     def bytes_(self) -> bytes:
         return self.take(self.uvarint())
@@ -167,7 +237,8 @@ class Reader:
         try:
             return self.bytes_().decode("utf-8")
         except UnicodeDecodeError:
-            raise DataError(f"{self.name}: invalid UTF-8 before offset {self.pos}") from None
+            raise DataError(f"{self.name}: invalid UTF-8 before offset "
+                            f"{self.base + self.pos}") from None
 
     def header(self, magic: bytes, version: int, kind: str,
                checksum: Optional[int] = None) -> int:
@@ -185,5 +256,5 @@ class Reader:
 
     def finish(self) -> None:
         """Raise unless every byte has been read."""
-        if self.pos != len(self.data):
-            raise DataError(f"{self.name}: {len(self.data) - self.pos} trailing bytes")
+        if self.remaining():
+            raise DataError(f"{self.name}: {self.remaining()} trailing bytes")

@@ -221,16 +221,10 @@ def beam_search_titles(
 def collect_candidates(model: Seq2SeqModel, vocab: Vocab, doc_ids: Sequence[str],
                        corpus: Corpus) -> list[SentenceEmbedding]:
     """Embed every sentence of the given documents, in `Corpus.candidates` order.
-    Each distinct sentence text is tokenized once per vocab (`Vocab.encoded`)."""
+    Each distinct sentence text is tokenized once per vocab (`Vocab.encode_sentence`)."""
     rows = corpus.candidates(doc_ids)
-    encoded = vocab.encoded
-    token_lists = []
-    for _, _, text in rows:
-        ids = encoded.get(text)
-        if ids is None:
-            ids = encoded[text] = vocab.encode(text)
-        token_lists.append(ids)
-    return model.encode_sentences(token_lists, [(doc_id, index) for doc_id, index, _ in rows])
+    return model.encode_sentences([vocab.encode_sentence(text) for _, _, text in rows],
+                                  [(doc_id, index) for doc_id, index, _ in rows])
 
 
 def greedy_evidence(

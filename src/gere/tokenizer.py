@@ -4,6 +4,13 @@ No subword model: at desk scale a word-level vocabulary keeps the title trie
 small and the model debuggable. Out-of-vocabulary words map to UNK; titles
 containing UNK stay generable because the trie stores token ids and
 end-of-title disambiguation uses the trie path, not the surface string.
+
+A token is, after lowercasing, a run of word characters or one other
+non-space character. `tokenize` splits on whitespace first, keeps each piece
+that is all letters and digits as one token and runs the regex over the
+other pieces only. That yields exactly the regex's tokens, because in
+CPython's `re` the class `\\s` is `str.isspace()` and `\\w` is
+`str.isalnum()` or `_`, on every code point (the tests walk them all).
 """
 
 from __future__ import annotations
@@ -29,7 +36,13 @@ _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split into word and single-punctuation tokens."""
-    return _TOKEN_RE.findall(text.lower())
+    tokens = []
+    for piece in text.lower().split():
+        if piece.isalnum():
+            tokens.append(piece)
+        else:
+            tokens += _TOKEN_RE.findall(piece)
+    return tokens
 
 
 class Vocab:
@@ -44,9 +57,8 @@ class Vocab:
         if len(self.ids) != len(tokens):
             dupes = [t for t, n in Counter(tokens).items() if n > 1]
             raise DataError(f"vocab contains duplicate tokens: {dupes[:5]}")
-        # Text -> `encode(text)` for the candidate sentences that
-        # `decoding.collect_candidates` has tokenized; valid because the
-        # token table never changes.
+        # Text -> `encode(text)` for the sentences `encode_sentence` has
+        # tokenized; valid because the token table never changes.
         self.encoded: dict[str, list[int]] = {}
 
     def __len__(self) -> int:
@@ -59,6 +71,15 @@ class Vocab:
         """Token ids for text; unknown words map to UNK. No BOS/EOS added."""
         ids = self.ids
         return [ids.get(tok, UNK) for tok in tokenize(text)]
+
+    def encode_sentence(self, text: str) -> list[int]:
+        """`encode(text)`, tokenized once per distinct text and kept in
+        `encoded`: corpus sentences recur as candidates across claims, in
+        training examples and in retrieval. Callers must not change the list."""
+        ids = self.encoded.get(text)
+        if ids is None:
+            ids = self.encoded[text] = self.encode(text)
+        return ids
 
     def checksum(self) -> int:
         """CRC-32 of the token table; persisted files validate against it."""

@@ -110,7 +110,8 @@ def encode_example(claim: Claim, targets: GoldTargets, corpus: Corpus, vocab: Vo
         if pair not in slot_of:
             raise DataError(f"claim {claim.claim_id}: gold evidence {pair!r} unresolvable")
         gold_slots.append(slot_of[pair])
-    cand_ids = [sentence_ids(vocab.encode(text), max_positions) for _, _, text in cands]
+    cand_ids = [sentence_ids(vocab.encode_sentence(text), max_positions)
+                for _, _, text in cands]
     return _Example(claim_ids, title_target, cand_ids, gold_slots)
 
 
@@ -257,10 +258,9 @@ class Trainer:
         raises `TrainingError` before the optimizer runs, so the parameters,
         the moments and step_count stay as they were."""
         model = self.model
+        nn.zero_grads(model.params)  # the last update's gradients go before this graph is built
         loss_title, loss_evidence = self.loss_graph(examples)
-        total = nn.add(loss_title, loss_evidence)
-        nn.zero_grads(model.params)
-        nn.backward(total)
+        nn.backward(nn.add(loss_title, loss_evidence))
         grad_norm = nn.clip_gradients(model.params, self.clip_norm)
         lt = float(loss_title.data)
         le = float(loss_evidence.data)

@@ -7,6 +7,7 @@ deliberately avoids the package's own traversal, search and scoring code.
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 
@@ -16,6 +17,17 @@ from gere.errors import DataError, DecodingError
 from gere.model import DecoderState, Seq2SeqModel, _scale
 from gere.tokenizer import BOS, EOS, EOT, SEP
 from gere.training import Trainer, _pad_ids, encode_example
+
+
+# -- tokenizer oracle ----------------------------------------------------------
+
+# The tokenizer's definition: word-character runs, plus every other non-space
+# character as its own token, after lowercasing.
+_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+
+
+def tokenize_reference(text):
+    return _TOKEN_RE.findall(text.lower())
 
 
 # -- trie oracle ---------------------------------------------------------------

@@ -254,3 +254,14 @@ def test_candidates_sorted_unique_and_reject_unknown_docs(tiny_corpus):
     assert got[0][2] == ""  # blank FEVER lines stay candidates
     with pytest.raises(DataError):
         tiny_corpus.candidates(["Alpha_hill", "Missing"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(st.integers(0, 30), max_size=12), st.integers(-2, 33))
+def test_has_sentence_agrees_with_a_scan(indices, query):
+    """Index 0 and a blank sentence among them, and queries below, between
+    and above the stored indices."""
+    sentences = tuple((i, "" if i % 3 == 0 else f"s{i}") for i in sorted(indices))
+    doc = Document("D", "D", sentences)
+    for index in {query, 0, *indices}:
+        assert doc.has_sentence(index) == any(i == index for i, _ in sentences), index

@@ -1,3 +1,6 @@
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,10 @@ from gere.tokenizer import (
     BOS, EOS, EOT, PAD, SEP, UNK, SPECIAL_TOKENS,
     Vocab, build_vocab, load_vocab, save_vocab, tokenize,
 )
+
+from oracles import tokenize_reference
+
+EVERY_CODE_POINT = "".join(map(chr, range(sys.maxunicode + 1)))
 
 
 def corpus_of(texts):
@@ -95,3 +102,27 @@ def test_checksum_changes_with_content():
     v1 = build_vocab(corpus_of(["a b"]), [], 10)
     v2 = build_vocab(corpus_of(["a c"]), [], 10)
     assert v1.checksum() != v2.checksum()
+
+
+def test_regex_classes_are_the_str_predicates_on_every_code_point():
+    """The premise of `tokenize`'s split fast path: `\\s` matches exactly
+    what `str.isspace()` accepts, and `\\w` what `str.isalnum()` accepts
+    plus `_`."""
+    assert re.findall(r"\s", EVERY_CODE_POINT) == [c for c in EVERY_CODE_POINT if c.isspace()]
+    assert re.findall(r"\w", EVERY_CODE_POINT) == [
+        c for c in EVERY_CODE_POINT if c.isalnum() or c == "_"]
+
+
+# Characters on which a split-based tokenizer could part from the regex: the
+# underscore (a word character that is not alphanumeric), combining marks
+# (neither), digits and numerals outside ASCII (alphanumeric), characters
+# whose lowercase is longer or combining (U+0130), and every whitespace.
+_AWKWARD = ["_", "\u0301", "\u0903", "\u20dd", "\u0663", "\u0967", "\u00b2", "\u00bd",
+            "\u216b", "\u0130", "\u1e9e", "\u03a3", "-", "(", "'"] + [
+    c for c in EVERY_CODE_POINT if c.isspace()]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(st.one_of(st.characters(), st.sampled_from(_AWKWARD)), max_size=40))
+def test_tokenize_equals_the_regex_reference(text):
+    assert tokenize(text) == tokenize_reference(text)

@@ -9,7 +9,7 @@ from gere import nn
 from gere.corpus import Claim, Corpus, Label, gold_targets, verifiable
 from gere.errors import DataError, TrainingError
 from gere.model import DecoderState, Seq2SeqModel, length_groups
-from gere.tokenizer import BOS, EOS, EOT, SEP, build_vocab
+from gere.tokenizer import BOS, EOS, EOT, SEP, Vocab, build_vocab
 from gere.training import (
     Trainer, TrainParams, encode_example, learning_rate, linearize_titles, make_batches,
 )
@@ -169,6 +169,25 @@ def test_encode_example_rejects_more_gold_evidence_than_the_decoder_holds():
     trainer.train_step_encoded([ex])  # the longest evidence target fits the decoder
 
 
+def test_encode_example_tokenizes_each_candidate_sentence_once(tiny_corpus, tiny_vocab,
+                                                                tiny_claims, monkeypatch):
+    """Claims 1 and 2 share Alpha_hill's sentences as candidates; each text
+    goes through `Vocab.encode` once, and the examples equal ones encoded
+    each with a vocab of its own."""
+    claims = verifiable(tiny_claims)
+    fresh = [encode_example(c, gold_targets(c, tiny_corpus), tiny_corpus,
+                            Vocab(tiny_vocab.tokens), 64) for c in claims]
+    seen = []
+    encode = type(tiny_vocab).encode
+    monkeypatch.setattr(type(tiny_vocab), "encode",
+                        lambda self, text: seen.append(text) or encode(self, text))
+    cached = [encode_example(c, gold_targets(c, tiny_corpus), tiny_corpus, tiny_vocab, 64)
+              for c in claims]
+    assert cached == fresh
+    sentences = {text for doc in tiny_corpus.documents.values() for _, text in doc.sentences}
+    assert sorted(text for text in seen if text in sentences) == sorted(sentences)
+
+
 # -- train_step --------------------------------------------------------------------
 
 
@@ -189,6 +208,24 @@ def test_train_step_stats_identity_and_lr(tiny_corpus, tiny_vocab, tiny_claims):
         assert stats.loss_total == stats.loss_title + stats.loss_evidence
         assert stats.learning_rate == learning_rate(expected_step, 100, 3e-5, 0.10)
         assert stats.grad_norm > 0
+
+
+def test_last_update_gradients_are_released_before_the_next_forward_pass(
+        tiny_corpus, tiny_vocab, tiny_claims, monkeypatch):
+    trainer = build_trainer(tiny_vocab)
+    batch = [(c, gold_targets(c, tiny_corpus)) for c in tiny_claims[:2]]
+    held = []
+    loss_graph = Trainer.loss_graph
+
+    def spy(self, examples):
+        held.append([name for name, p in self.model.params.items() if p.grad is not None])
+        return loss_graph(self, examples)
+
+    monkeypatch.setattr(Trainer, "loss_graph", spy)
+    for _ in range(3):
+        train_step(trainer, batch, tiny_corpus)
+    assert held == [[], [], []]
+    assert all(p.grad is not None for p in trainer.model.params.values())
 
 
 def _trainer_state(trainer):
