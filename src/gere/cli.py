@@ -225,6 +225,11 @@ def cmd_retrieve(args) -> int:
         print(f"avg titles: {sum(n_titles) / n:.2f}  avg evidence: {sum(n_evidence) / n:.2f}")
         print(f"claims with <=5 titles: {100.0 * sum(t <= 5 for t in n_titles) / n:.2f}%  "
               f"claims with <=5 evidence: {100.0 * sum(e <= 5 for e in n_evidence) / n:.2f}%")
+    print(f"sentence memo: {len(model.sentence_memo())} vectors")
+    for name in ("title_dec", "evid_dec"):
+        table = model.prefix_table(name)
+        print(f"prefix table {name}: {table.size} rows, {table.values.nbytes / 2 ** 20:.2f} MiB; "
+              f"{table.full_hits}/{table.steps} steps and {table.row_hits}/{table.rows} rows hit")
     return EXIT_OK
 
 

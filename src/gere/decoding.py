@@ -28,7 +28,16 @@ reorders the cache rows by parent; the evidence decoder makes one one-row
 step per pick. A batched row is bit-identical to a one-row replay of its
 prefix, which is what `Seq2SeqModel.decode_step_title` and
 `decode_step_evidence` compute, so beam scores equal the exhaustive-search
-oracle's scores exactly, not just to a tolerance.
+oracle's scores exactly, not just to a tolerance. Both decoders also share
+the model's prefix tables across claims (`model.PrefixTable`). A step whose
+rows all continue input sequences that an earlier step stored gathers
+layer 0's claim-free half (everything before its cross-attention) instead
+of computing it. The stored rows came from the same row-independent ops,
+so the bits are the same, and later claims decode the popular title
+prefixes near the trie's root and the evidence start step for less. A
+table lives as long as its decoder's parameters stay as they are (the
+sentence memo's rule) and stores at most `model.PREFIX_TABLE_ROWS`
+prefixes, 16 MiB of rows plus about 7.5 MiB of keys at d_model 64.
 """
 
 from __future__ import annotations

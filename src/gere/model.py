@@ -15,9 +15,18 @@ a block of equal-length sequences, each row bit-identical to the graph;
 which `DecoderState` decodes incrementally with per-layer key/value caches.
 Both compute attention with the one array definition, `nn.attention_forward`.
 `Seq2SeqModel.encode_sentences` keeps a per-model memo of sentence vectors,
-keyed by the encoder input row and valid for one state of the `sent_enc.*`
-parameters (each tensor's array and `nn.Tensor.version`), so a sentence that
-many claims' candidate sets share is embedded once per parameter state.
+keyed by the encoder input row, so a sentence that many claims' candidate
+sets share is embedded once per parameter state. Each decoder also has a
+per-model `PrefixTable`: layer 0 of a decoder sees the claim only in its
+cross-attention, so the half before it depends on the decoded inputs alone,
+and `DecoderState` gathers it from the table for a step whose rows all
+decode input sequences seen before, for any claim, with the bits a computed
+step has. One rule serves all three memos (`Seq2SeqModel._memo`): a memo
+holds one state of the parameters under its prefix (`sent_enc`, `title_dec`
+or `evid_dec`), and a new one is made once any of their arrays is rebound
+or its `nn.Tensor.version` changes. A table stores at most
+`PREFIX_TABLE_ROWS` nodes: 16 MiB of rows at d_model 64 in float32, plus
+about 7.5 MiB of keys.
 `param_layout` is the one list of parameter names, shapes and inits, which
 both the random initialisation and checkpoint loading follow. The
 single-example losses, full-sequence logits and the per-op training graph
@@ -26,6 +35,7 @@ that tests check against live in `tests/oracles.py`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 from typing import Iterator, Optional, Sequence
 
@@ -166,6 +176,113 @@ def encode(model: "Seq2SeqModel", name: str, ids: Sequence[Sequence[int]]) -> np
     return nn.layer_norm_forward(x, w["ln_f.g"], w["ln_f.b"])[0]
 
 
+PREFIX_TABLE_ROWS = 1 << 14  # the most nodes one decoder's prefix table stores
+ROOT, MISS = -1, -2  # a row's node before its first step; a row with no node
+
+
+class PrefixTable:
+    """The claim-free half of decoder layer 0 for every input prefix decoded
+    so far, for one decoder stack and one state of its parameters.
+
+    Layer 0 sees the claim only in its cross-attention, so everything before
+    it is a function of the input rows alone: the position embedding, ln1,
+    the fused q|k|v product, causal self-attention over the prefix's own
+    layer-0 keys and values, `wo`, the residual add, ln2 and the
+    cross-attention query. A node is one decoded prefix, and
+    `values[:, node]` holds what its last step computed of that: x after the
+    self-attention residual, the cross-attention query and the step's new
+    self-attention key and value (4 x d_model floats). Nodes form a radix
+    tree keyed by (parent node, input id), where the id interns the bytes of
+    the input row, so a node stands for one exact input sequence, and
+    `DecoderState` reuses it for any claim. Each node's parent is kept too,
+    so `paths` can give the input sequence of nodes behind any node, whose
+    keys and values are layer 0's self-attention cache for that prefix.
+
+    Rows are copies, written once by `store` and read-only after, so no
+    step's working arrays alias them. Storage doubles as nodes are added,
+    up to `PREFIX_TABLE_ROWS` nodes; after that, new prefixes are computed
+    but not stored. At d_model 64 in float32 a full table holds 16 MiB of
+    rows, plus its two key dicts (about 7.5 MiB at most).
+    """
+
+    def __init__(self, d: int, dtype):
+        self.values = np.empty((4, 64, d), dtype)  # x, cross query, k, v by node
+        self.values.flags.writeable = False
+        self.inputs: dict[bytes, int] = {}  # input row bytes -> input id
+        self.children: dict[tuple[int, int], int] = {}  # (parent, input id) -> node
+        self.parents: list[int] = []  # by node; its length is the node count
+        # Steps, steps whose rows all hit, rows and rows that hit, for reports.
+        self.steps = self.full_hits = self.rows = self.row_hits = 0
+
+    def find(self, parents: Sequence[int], keys: Sequence[bytes]) -> list[int]:
+        """The node of each row's prefix (its parent's child along the row's
+        input bytes), or MISS."""
+        child, intern = self.children.get, self.inputs.get
+        nodes = [child((parent, intern(key)), MISS) for parent, key in zip(parents, keys)]
+        hits = len(nodes) - nodes.count(MISS)
+        self.steps += 1
+        self.full_hits += hits == len(nodes)
+        self.rows += len(nodes)
+        self.row_hits += hits
+        return nodes
+
+    def store(self, parents: Sequence[int], keys: Sequence[bytes], nodes: Sequence[int],
+              *arrays: np.ndarray) -> list[int]:
+        """`nodes` with each MISS whose parent has a node replaced by a new
+        node, while the cap allows, holding a copy of the row's x, query, k
+        and v (`arrays`, each (B, 1, d)); rows with the same prefix share
+        one node."""
+        nodes = list(nodes)
+        start = len(self.parents)
+        new = []  # the rows stored, in node order
+        for row, (parent, key, node) in enumerate(zip(parents, keys, nodes)):
+            if node != MISS or parent == MISS or len(self.parents) >= PREFIX_TABLE_ROWS:
+                continue
+            edge = (parent, self.inputs.setdefault(key, len(self.inputs)))
+            node = self.children.get(edge)
+            if node is None:
+                node = self.children[edge] = len(self.parents)
+                self.parents.append(parent)
+                new.append(row)
+            nodes[row] = node
+        if new:
+            end = len(self.parents)
+            if end > self.values.shape[1]:
+                grown = np.empty((4, min(PREFIX_TABLE_ROWS, 2 * end), self.values.shape[2]),
+                                 self.values.dtype)
+                grown[:, :start] = self.values[:, :start]
+                self.values = grown
+            block = np.concatenate(arrays, axis=1)  # (B, 4, d)
+            self.values.flags.writeable = True
+            self.values[:, start:end] = (
+                block if len(new) == len(nodes) else block[new]).transpose(1, 0, 2)
+            self.values.flags.writeable = False
+        return nodes
+
+    @property
+    def size(self) -> int:
+        """The nodes stored."""
+        return len(self.parents)
+
+    def paths(self, nodes: Sequence[int]) -> list[list[int]]:
+        """Each node's path from the root, the node last."""
+        paths = []
+        for node in nodes:
+            path = []
+            while node != ROOT:
+                path.append(node)
+                node = self.parents[node]
+            paths.append(path[::-1])
+        return paths
+
+    def gather(self, nodes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh arrays of the nodes' x and query, each (B, 1, d) in the
+        memory layout a computed step gives it, since matmul bits can depend
+        on layout: x as `inputs[:, None]`, the query as a product's output."""
+        x, q = self.values[:2].take(nodes, axis=1)
+        return x[:, None], q.reshape(len(nodes), 1, -1)
+
+
 class DecoderState:
     """Incremental inference for one decoder stack against one claim.
 
@@ -176,7 +293,7 @@ class DecoderState:
     cross-attention keys and values are computed once from the claim states.
 
     Construction packs each layer's weights, read from the parameters'
-    current `.data`, into one tuple in the order `step` uses them. The
+    current `.data`, into tuples in the order `step` uses them. The
     self-attention q, k and v projections are one (d, 3d) matrix and one
     (3d,) bias, so a step makes one (B, 1, d) @ (d, 3d) product per layer
     where three (B, 1, d) @ (d, d) ones were; each output column is the same
@@ -189,6 +306,17 @@ class DecoderState:
     not give B = 1 bits), and the remaining ops are elementwise or reduce
     within a row. A batched step is therefore bit-identical to B = 1 replays
     of each row's prefix.
+
+    Each row also sits at a node of the model's `PrefixTable` for this
+    decoder, the node of its input sequence so far, and `reorder` moves the
+    nodes with the rows. When every row of a step hits the table, layer 0's
+    claim-free half is gathered from it, and the step runs from layer 0's
+    cross-attention on; layer 0's key and value cache is then dropped, as
+    the nodes' paths hold it, and the next step that misses rebuilds it
+    from them. Otherwise the step runs all of it and stores the rows that
+    missed. By the contract above a stored row has the bits that any step
+    of the same input sequence computes, whatever the claim and the other
+    rows, so a hit changes no output bit.
     """
 
     def __init__(self, model: "Seq2SeqModel", name: str, claim_states: np.ndarray):
@@ -199,18 +327,22 @@ class DecoderState:
         self.length = 0
         self.pos_emb = model.params[f"{name}.pos_emb"].data
         self.final = _weights(model, f"{name}.ln_f")
+        self.table = model.prefix_table(name)
+        self.nodes: Optional[list[int]] = None  # each row's table node; None: all at ROOT
         memory = claim_states[None]
-        self.layers = []
+        self.claim_free = []  # per layer, the weights up to the cross-attention query
+        self.layers = []  # per layer, the cross-attention and FFN weights
         for i in range(cfg.n_layers_dec):
             w = _weights(model, f"{name}.l{i}")
             qkv_w = np.concatenate([w[f"self_attn.w{p}"] for p in "qkv"], axis=1)
             qkv_b = np.concatenate([w[f"self_attn.b{p}"] for p in "qkv"])
             cross_k = nn.split_heads(memory @ w["cross_attn.wk"] + w["cross_attn.bk"], self.heads)
             cross_v = nn.split_heads(memory @ w["cross_attn.wv"] + w["cross_attn.bv"], self.heads)
-            self.layers.append((
+            self.claim_free.append((
                 w["ln1.g"], w["ln1.b"], qkv_w, qkv_b, w["self_attn.wo"], w["self_attn.bo"],
-                w["ln2.g"], w["ln2.b"], w["cross_attn.wq"], w["cross_attn.bq"], cross_k, cross_v,
-                w["cross_attn.wo"], w["cross_attn.bo"],
+                w["ln2.g"], w["ln2.b"], w["cross_attn.wq"], w["cross_attn.bq"]))
+            self.layers.append((
+                cross_k, cross_v, w["cross_attn.wo"], w["cross_attn.bo"],
                 w["ln3.g"], w["ln3.b"], w["ffn.w1"], w["ffn.b1"], w["ffn.w2"], w["ffn.b2"]))
         self.cache: list[Optional[tuple[np.ndarray, np.ndarray]]] = [None] * len(self.layers)
 
@@ -221,28 +353,18 @@ class DecoderState:
             raise ValueError(f"sequence length {self.length + 1} exceeds max_positions "
                              f"{self.max_positions}")
         heads, scale = self.heads, self.scale
-        x = (inputs.astype(self.pos_emb.dtype, copy=False) + self.pos_emb[self.length])[:, None]
-        d = x.shape[-1]
-        for i, (ln1_g, ln1_b, qkv_w, qkv_b, self_wo, self_bo, ln2_g, ln2_b, cross_wq, cross_bq,
-                cross_k, cross_v, cross_wo, cross_bo, ln3_g, ln3_b, w1, b1, w2, b2
+        inputs = inputs.astype(self.pos_emb.dtype, copy=False)
+        if self.layers:
+            x, q = self._first_claim_free(inputs)
+        else:
+            x = (inputs + self.pos_emb[self.length])[:, None]
+        for i, (cross_k, cross_v, cross_wo, cross_bo, ln3_g, ln3_b, w1, b1, w2, b2
                 ) in enumerate(self.layers):
+            if i:
+                q = self._claim_free(i, x)[0]
             # Each `y = h @ w; y += b; x += y` is `x + (h @ w + b)`, op for op.
-            qkv = nn.layer_norm_forward(x, ln1_g, ln1_b)[0] @ qkv_w
-            qkv += qkv_b
-            q = nn.split_heads(qkv[..., :d], heads)
-            k = nn.split_heads(qkv[..., d:2 * d], heads)
-            v = nn.split_heads(qkv[..., 2 * d:], heads)
-            if self.cache[i] is not None:
-                k = np.concatenate((self.cache[i][0], k), axis=2)
-                v = np.concatenate((self.cache[i][1], v), axis=2)
-            self.cache[i] = (k, v)
-            y = nn.attention_forward(q, k, v, scale)[0] @ self_wo
-            y += self_bo
-            x += y
-            q = nn.layer_norm_forward(x, ln2_g, ln2_b)[0] @ cross_wq
-            q += cross_bq
-            q = nn.split_heads(q, heads)
-            y = nn.attention_forward(q, cross_k, cross_v, scale)[0] @ cross_wo
+            y = nn.attention_forward(nn.split_heads(q, heads), cross_k, cross_v,
+                                     scale)[0] @ cross_wo
             y += cross_bo
             x += y
             h = nn.layer_norm_forward(x, ln3_g, ln3_b)[0] @ w1
@@ -253,13 +375,62 @@ class DecoderState:
         self.length += 1
         return nn.layer_norm_forward(x, self.final["g"], self.final["b"])[0][:, 0]
 
+    def _first_claim_free(self, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Layer 0's x after the self-attention residual and its
+        cross-attention query (each (B, 1, d)) for inputs (B, d): gathered
+        from the prefix table if every row hits it, else computed, storing
+        the rows that missed."""
+        parents = self.nodes or [ROOT] * len(inputs)
+        keys = [row.tobytes() for row in inputs]
+        nodes = self.table.find(parents, keys)
+        if MISS in nodes:
+            if self.length and self.cache[0] is None:  # dropped by an all-hit step
+                # C order, the layout of a computed cache: `np.concatenate` gives
+                # its output the layout of its inputs, and matmul bits follow it.
+                paths = self.table.paths(parents)
+                self.cache[0] = tuple(
+                    np.ascontiguousarray(nn.split_heads(plane.take(paths, axis=0), self.heads))
+                    for plane in self.table.values[2:])
+            x = (inputs + self.pos_emb[self.length])[:, None]
+            q, k, v = self._claim_free(0, x)
+            self.nodes = self.table.store(parents, keys, nodes, x, q, k, v)
+            return x, q
+        self.cache[0] = None  # the nodes' paths hold layer 0's keys and values
+        self.nodes = nodes
+        return self.table.gather(nodes)
+
+    def _claim_free(self, i: int, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Layer i up to its cross-attention: extends the layer's cache and adds
+        the causal self-attention output to x (B, 1, d) in place; returns the
+        cross-attention query and the step's new key and value, each
+        (B, 1, d)."""
+        ln1_g, ln1_b, qkv_w, qkv_b, self_wo, self_bo, ln2_g, ln2_b, cross_wq, cross_bq = (
+            self.claim_free[i])
+        d, heads = x.shape[-1], self.heads
+        qkv = nn.layer_norm_forward(x, ln1_g, ln1_b)[0] @ qkv_w
+        qkv += qkv_b
+        k, v = qkv[..., d:2 * d], qkv[..., 2 * d:]
+        keys, values = nn.split_heads(k, heads), nn.split_heads(v, heads)
+        if self.cache[i] is not None:
+            keys = np.concatenate((self.cache[i][0], keys), axis=2)
+            values = np.concatenate((self.cache[i][1], values), axis=2)
+        self.cache[i] = (keys, values)
+        y = nn.attention_forward(nn.split_heads(qkv[..., :d], heads), keys, values,
+                                 self.scale)[0] @ self_wo
+        y += self_bo
+        x += y
+        q = nn.layer_norm_forward(x, ln2_g, ln2_b)[0] @ cross_wq
+        q += cross_bq
+        return q, k, v
+
     def reorder(self, rows: Sequence[int]) -> None:
         """Keep the cached rows `rows`, in that order (repeats allowed)."""
         rows = list(rows)
-        if self.cache and rows == list(range(len(self.cache[0][0]))):
-            return  # every row stays where it is
+        if self.nodes is None or rows == list(range(len(self.nodes))):
+            return  # no step yet, or every row stays where it is
+        self.nodes = [self.nodes[row] for row in rows]
         rows = np.asarray(rows, dtype=np.intp)
-        self.cache = [(k[rows], v[rows]) for k, v in self.cache]
+        self.cache = [None if kv is None else (kv[0][rows], kv[1][rows]) for kv in self.cache]
 
 
 def param_layout(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...], str]]:
@@ -329,10 +500,9 @@ class Seq2SeqModel:
             self.params = {name: nn.Tensor(arrays[name], requires_grad=True)
                            for name, _, _ in param_layout(config)}
         self._param_groups: dict[str, dict[str, nn.Tensor]] = {}  # filled by `_group`
-        # `encode_sentences`' vectors by encoder input row, for the sentence
-        # encoder parameters' state in `_sentence_stamp`.
-        self._sentence_memo: dict[tuple[int, ...], np.ndarray] = {}
-        self._sentence_stamp: list[tuple[np.ndarray, int]] = []
+        # Memos by parameter prefix, each with the stamp of the parameter state
+        # it holds: `sentence_memo` and `prefix_table`, through `_memo`.
+        self._memos: dict[str, tuple[list[np.ndarray], list[int], object]] = {}
 
     # -- parameters ----------------------------------------------------------
 
@@ -460,10 +630,11 @@ class Seq2SeqModel:
         once each, one stacked pass per `length_groups` group, and each has
         the bits of its own one-sentence pass (see `encode`), so a memo hit
         is the vector a fresh model computes. The memo holds one state of the
-        `sent_enc.*` parameters: it is emptied when any of their `.data`
-        arrays is rebound or its `Tensor.version` changes."""
+        `sent_enc.*` parameters (`_memo`): a new, empty one replaces it when
+        any of their `.data` arrays is rebound or its `Tensor.version`
+        changes."""
         rows = [tuple(sentence_ids(ids, self.config.max_positions)) for ids in token_lists]
-        memo = self._current_sentence_memo()
+        memo = self.sentence_memo()
         missing = list(dict.fromkeys(row for row in rows if row not in memo))
         for members in length_groups(missing):
             states = encode(self, "sent_enc", [missing[i] for i in members])
@@ -474,15 +645,29 @@ class Seq2SeqModel:
         return [SentenceEmbedding(vector=memo[row], source=sources[i])
                 for i, row in enumerate(rows)]
 
-    def _current_sentence_memo(self) -> dict[tuple[int, ...], np.ndarray]:
-        """The sentence memo, emptied first if a `sent_enc.*` array or version
-        differs from the stamp. The stamp holds the arrays themselves, so
-        the id of a rebound array cannot be reused while the stamp lives."""
-        stamp = [(t.data, t.version) for t in _group(self, "sent_enc").values()]
-        if not all(a is b and u == v for (a, u), (b, v) in zip(stamp, self._sentence_stamp)):
-            self._sentence_memo.clear()
-        self._sentence_stamp = stamp
-        return self._sentence_memo
+    def sentence_memo(self) -> dict[tuple[int, ...], np.ndarray]:
+        """`encode_sentences`' vectors by encoder input row, for the current
+        state of the `sent_enc.*` parameters."""
+        return self._memo("sent_enc", dict)
+
+    def prefix_table(self, name: str) -> PrefixTable:
+        """Decoder `name`'s `PrefixTable`, for the current state of its
+        parameters."""
+        return self._memo(name, lambda: PrefixTable(self.config.d_model,
+                                                    self.params[f"{name}.pos_emb"].data.dtype))
+
+    def _memo(self, prefix: str, make):
+        """The memo kept for the parameters under `prefix`: a new one from
+        `make()` if none is kept or if a `prefix.*` array has been rebound or
+        its `Tensor.version` changed since the kept one was made. The stamp
+        holds the arrays themselves, so the id of a rebound array cannot be
+        reused while the stamp lives."""
+        tensors = _group(self, prefix).values()
+        arrays, versions = [t.data for t in tensors], [t.version for t in tensors]
+        kept = self._memos.get(prefix)
+        if kept is None or kept[1] != versions or not all(map(operator.is_, arrays, kept[0])):
+            kept = self._memos[prefix] = (arrays, versions, make())
+        return kept[2]
 
     def evidence_step(self, state: DecoderState, vector: np.ndarray,
                       candidates: Sequence[SentenceEmbedding]) -> np.ndarray:

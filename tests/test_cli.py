@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -377,6 +378,23 @@ def test_retrieve_and_eval_pipeline(dataset, tmp_path, capsys):
     report = json.loads(report_path.read_text())
     assert set(report) == {"doc", "sent", "la", "fever", "n", "settings"}
     assert report["fever"] <= report["la"]
+
+
+def test_retrieve_reports_the_memo_sizes(trained_run, tmp_path, capsys):
+    """After its summary, `gere retrieve` prints the sentence memo's vector
+    count and each decoder's prefix-table rows, MiB and hits."""
+    assert main(_argv("retrieve", trained_run, tmp_path)) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("retrieved 10 claims")
+    memo = re.fullmatch(r"sentence memo: (\d+) vectors", lines[-3])
+    assert memo and int(memo[1]) > 0
+    for line, name in zip(lines[-2:], ("title_dec", "evid_dec")):
+        table = re.fullmatch(rf"prefix table {name}: (\d+) rows, (\d+\.\d\d) MiB; "
+                             r"(\d+)/(\d+) steps and (\d+)/(\d+) rows hit", line)
+        assert table, line
+        rows, _, full_hits, steps, row_hits, row_count = map(float, table.groups())
+        assert 0 < rows <= row_count and 0 < full_hits <= steps <= row_count
+        assert full_hits <= row_hits <= row_count
 
 
 def test_retrieve_blank_claim_is_data_error_naming_it(dataset, tmp_path, capsys):

@@ -418,9 +418,9 @@ def test_retrieve_contract_and_determinism():
 @pytest.mark.parametrize("length_normalize", [False, True])
 def test_retrieve_over_many_claims_equals_a_fresh_model_per_claim(
         tiny_corpus, tiny_vocab, tiny_claims, tmp_path, length_normalize, monkeypatch):
-    """One model serving every claim, its sentence memo filled by the earlier
-    ones, gives byte-identical records to a fresh model loaded from the same
-    checkpoint bytes for each claim."""
+    """One model serving every claim twice, its sentence memo and prefix
+    tables filled by the earlier ones, gives byte-identical records to a
+    fresh model loaded from the same checkpoint bytes for each claim."""
     path = tmp_path / "model.gereckpt"
     path.write_bytes(checkpoint_bytes(Seq2SeqModel(small_config(len(tiny_vocab), init_std=0.5),
                                                    vocab_checksum=tiny_vocab.checksum())))
@@ -434,11 +434,14 @@ def test_retrieve_over_many_claims_equals_a_fresh_model_per_claim(
                                    params).to_record())
 
     shared = load_checkpoint(path)[0]
-    together = [record(shared, claim) for claim in tiny_claims]
+    together = [record(shared, claim) for claim in tiny_claims * 2]
     shared_rows = len(encoded)
     apart = [record(load_checkpoint(path)[0], claim) for claim in tiny_claims]
-    assert together == apart
+    assert together == apart * 2
     assert shared_rows < len(encoded) - shared_rows  # the memo served later claims
+    for name in ("title_dec", "evid_dec"):  # the tables served later steps
+        table = shared.prefix_table(name)
+        assert 0 < table.full_hits < table.steps and table.row_hits < table.rows
 
 
 def test_candidate_sentences_are_tokenized_once_per_vocab(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gere import model as gmodel
 from gere import nn
 from gere.errors import DataError
 from gere.decoding import greedy_evidence
@@ -507,3 +508,212 @@ def test_unk_tokens_still_encode(tiny_model, tiny_vocab):
     assert UNK in ids
     enc = tiny_model.encode_claim(ids)
     assert np.isfinite(enc).all()
+
+
+# -- prefix tables ----------------------------------------------------------------
+#
+# A prefix-table hit must change no bit. The references below are cold: a
+# `twin` of the model has empty tables, so each of its steps runs every op.
+
+
+def _cold_title_logits(model, enc, prefix):
+    return twin(model).decode_step_title(enc, prefix)
+
+
+def _step_rows(model, state, prefixes, enc):
+    """Feed `prefixes` row by row from `state.length`, checking each step's
+    logits against cold one-row decodes of every row's prefix."""
+    for t in range(state.length, len(prefixes[0])):
+        logits = model.title_step(state, [p[t] for p in prefixes])
+        for row, prefix in enumerate(prefixes):
+            assert np.array_equal(logits[row], _cold_title_logits(model, enc, prefix[:t + 1]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [(16, 2, 1, 32), (64, 4, 2, 256)])
+def test_title_steps_mixing_table_hits_and_misses_equal_cold_steps(tiny_vocab, width, dtype):
+    """Claim A fills the table; claim B then takes steps whose rows all hit,
+    steps that mix hits and misses (a row that leaves a stored prefix, a new
+    row, reordered rows) and steps that all miss."""
+    d_model, n_heads, n_layers_dec, d_ff = width
+    model = Seq2SeqModel(small_config(len(tiny_vocab), d_model=d_model, n_heads=n_heads,
+                                      n_layers_dec=n_layers_dec, d_ff=d_ff, init_std=0.5),
+                         dtype=dtype)
+    rng = np.random.default_rng(7)
+
+    def tokens(n):
+        return [int(t) for t in rng.integers(6, len(tiny_vocab), size=n)]
+
+    seen = [[BOS] + tokens(6) for _ in range(3)]
+    enc_a = model.encode_claim(tiny_vocab.encode("alpha hill rises early"))
+    _step_rows(model, DecoderState(model, "title_dec", enc_a), seen, enc_a)
+    table = model.prefix_table("title_dec")
+    assert table.size == 1 + 3 * 6 and table.row_hits == 0  # the rows share BOS's node
+
+    enc_b = model.encode_claim(tiny_vocab.encode("beta ridge faces north"))
+    full_hits = table.full_hits
+    _step_rows(model, DecoderState(model, "title_dec", enc_b), seen[::-1], enc_b)
+    assert table.full_hits == full_hits + 7 and table.size == 1 + 3 * 6
+
+    # Rows 0-2 stay on seen prefixes for 4 steps; row 3 leaves one at step 2,
+    # where layer 0's cache, dropped by two all-hit steps, is rebuilt.
+    prefixes = [seen[0], seen[1][:4] + tokens(3), seen[2], seen[0][:2] + tokens(5)]
+    state = DecoderState(model, "title_dec", enc_b)
+    _step_rows(model, state, [p[:4] for p in prefixes], enc_b)
+    assert table.full_hits == full_hits + 7 + 2
+    parents = [3, 0, 0, 1, 2]  # a repeated parent and rows out of order
+    tails = [tokens(3), seen[0][4:], tokens(3), seen[1][4:], seen[2][4:]]
+    prefixes = [prefixes[row][:4] + tail for row, tail in zip(parents, tails)]
+    state.reorder(parents)
+    row_hits = table.row_hits
+    _step_rows(model, state, prefixes, enc_b)
+    assert table.row_hits == row_hits + 3 * 3  # rows 1, 3 and 4 are back on seen prefixes
+    assert table.full_hits == full_hits + 7 + 2
+
+    # All hits for 5 steps, a reorder of the rows and their nodes, then a
+    # miss: the cache is rebuilt at length 5 from the reordered nodes.
+    state = DecoderState(model, "title_dec", enc_a)
+    _step_rows(model, state, [p[:5] for p in seen[1:]], enc_a)
+    state.reorder([1, 0, 0])
+    _step_rows(model, state, [seen[2], seen[1], seen[1][:5] + tokens(2)], enc_a)
+    # A miss right after the BOS step rebuilds a one-position cache.
+    _step_rows(model, DecoderState(model, "title_dec", enc_b), [[BOS] + tokens(3), seen[0][:4]],
+               enc_b)
+    assert table.full_hits == full_hits + 7 + 2 + 5 + 1
+
+
+def test_evidence_steps_from_the_table_equal_cold_steps(tiny_vocab):
+    """The evidence decoder's table is keyed by the bytes of its input
+    vectors: a second claim that feeds the same sentences hits it."""
+    model = Seq2SeqModel(small_config(len(tiny_vocab), d_model=64, n_heads=4,
+                                      n_layers_dec=2, d_ff=256))
+    cands = model.encode_sentences(_sentences(tiny_vocab), [("D", i) for i in range(4)])
+    for text in ("alpha hill rises early", "beta ridge faces north"):
+        enc = model.encode_claim(tiny_vocab.encode(text))
+        state = DecoderState(model, "evid_dec", enc)
+        vector = model.params["evid_dec.start"].data
+        for i, chosen in enumerate([cands[2], cands[0], cands[3]]):
+            scores = model.evidence_step(state, vector, cands)
+            cold = twin(model).decode_step_evidence(enc, [cands[2], cands[0], cands[3]][:i], cands)
+            assert np.array_equal(scores, cold)
+            vector = chosen.vector
+    table = model.prefix_table("evid_dec")
+    assert (table.size, table.full_hits, table.steps) == (3, 3, 6)
+
+
+def test_a_full_table_stores_no_more_and_stays_exact(tiny_vocab, monkeypatch):
+    """With the cap at 3 nodes the table keeps BOS and the first two second
+    inputs it meets (rows 0 and 1 share one) and stores nothing after; later
+    runs hit those nodes and compute the rest."""
+    monkeypatch.setattr(gmodel, "PREFIX_TABLE_ROWS", 3)
+    model = Seq2SeqModel(small_config(len(tiny_vocab), d_model=64, n_heads=4,
+                                      n_layers_dec=2, d_ff=256))
+    rng = np.random.default_rng(9)
+    prefixes = [[BOS] + [int(t) for t in rng.integers(6, len(tiny_vocab), size=4)]
+                for _ in range(4)]
+    prefixes[1][1] = prefixes[0][1]  # rows 0 and 1 share their first input
+    for text in ("alpha hill rises early", "beta ridge faces north"):
+        enc = model.encode_claim(tiny_vocab.encode(text))
+        _step_rows(model, DecoderState(model, "title_dec", enc), prefixes, enc)
+        _step_rows(model, DecoderState(model, "title_dec", enc), prefixes[:2], enc)
+    table = model.prefix_table("title_dec")
+    assert table.size == 3 and table.values.shape[1] == 64  # the first allocation
+    assert table.full_hits == 3 + 2  # the BOS step of the last three runs; step 1 of rows 0-1
+
+
+def test_table_rows_are_read_only_copies_of_layer_zeros_claim_free_half(tiny_vocab):
+    """A node holds x after layer 0's self-attention residual, the
+    cross-attention query and the step's new key and value; `store` copies
+    them before the step's later in-place adds (a view of x would hold the
+    layer's output), and `gather` returns fresh arrays."""
+    model = Seq2SeqModel(small_config(len(tiny_vocab), n_layers_dec=2), dtype=np.float64)
+    enc = model.encode_claim(tiny_vocab.encode("alpha hill rises early"))
+    ids = [BOS, tiny_vocab.ids["alpha"], EOT]
+    state = DecoderState(model, "title_dec", enc)
+    for token in ids:
+        model.title_step(state, [token])
+    table = model.prefix_table("title_dec")
+    assert table.size == 3 and not table.values.flags.writeable
+    with pytest.raises(ValueError):
+        table.values[0, 0, 0] = 1.0
+
+    w = {k[len("title_dec.l0."):]: t.data for k, t in model.params.items()
+         if k.startswith("title_dec.l0.")}
+    heads, d = model.config.n_heads, model.config.d_model
+    x = (model.params["title_dec.tok_emb"].data[ids]
+         + model.params["title_dec.pos_emb"].data[:len(ids)])[None]
+    h = nn.layer_norm_forward(x, w["ln1.g"], w["ln1.b"])[0]
+    q, k, v = (h @ w[f"self_attn.w{p}"] + w[f"self_attn.b{p}"] for p in "qkv")
+    ctx = nn.attention_forward(*(nn.split_heads(a, heads) for a in (q, k, v)),
+                               1.0 / np.sqrt(d // heads),
+                               gmodel._causal_mask(len(ids), x.dtype))[0]
+    x = x + (ctx @ w["self_attn.wo"] + w["self_attn.bo"])
+    query = nn.layer_norm_forward(x, w["ln2.g"], w["ln2.b"])[0] @ w["cross_attn.wq"]
+    query += w["cross_attn.bq"]
+    expected = np.stack([x[0], query[0], k[0], v[0]])
+    np.testing.assert_allclose(table.values[:, :3], expected, rtol=1e-12, atol=1e-14)
+    gathered = table.gather([2, 0])
+    assert not any(np.shares_memory(a, table.values) for a in gathered)
+    assert all(a.flags.writeable for a in gathered)
+
+
+def _fill_tables(model, tiny_vocab):
+    enc = model.encode_claim(tiny_vocab.encode("alpha hill rises early"))
+    model.title_step(DecoderState(model, "title_dec", enc), [BOS, EOT])
+    model.evidence_step(DecoderState(model, "evid_dec", enc),
+                        model.params["evid_dec.start"].data, _embeddings(model, tiny_vocab))
+
+
+def _embeddings(model, tiny_vocab):
+    sents = _sentences(tiny_vocab)
+    return model.encode_sentences(sents, [("D", i) for i in range(len(sents))])
+
+
+@pytest.mark.parametrize("name", ["title_dec", "evid_dec"])
+def test_prefix_table_is_dropped_after_an_adam_step(tiny_vocab, name):
+    """`Adam.step` bumps every parameter's version, so the next state gets an
+    empty table, and its steps equal a fresh model's."""
+    model = Seq2SeqModel(small_config(len(tiny_vocab)))
+    optimizer = nn.Adam(model.params)
+    _fill_tables(model, tiny_vocab)
+    table = model.prefix_table(name)
+    assert table.size > 0 and model.prefix_table(name) is table
+    rng = np.random.default_rng(4)
+    for t in model.params.values():
+        t.grad = rng.standard_normal(t.data.shape).astype(t.data.dtype)
+    optimizer.step(1e-2)
+    assert model.prefix_table(name) is not table and model.prefix_table(name).size == 0
+    enc = model.encode_claim(tiny_vocab.encode("beta ridge faces north"))
+    if name == "title_dec":
+        for prefix in ([BOS], [BOS, EOT]):
+            assert np.array_equal(model.decode_step_title(enc, prefix),
+                                  _cold_title_logits(model, enc, prefix))
+    else:
+        cands = _embeddings(model, tiny_vocab)
+        assert np.array_equal(model.decode_step_evidence(enc, [], cands),
+                              twin(model).decode_step_evidence(enc, [], cands))
+
+
+@pytest.mark.parametrize("name", ["title_dec", "evid_dec"])
+def test_prefix_table_follows_its_decoders_rebound_and_versioned_parameters(tiny_vocab, name):
+    """Rebinding any `<name>.*` array, or bumping its version, drops that
+    decoder's table and nothing else; another stack's array leaves it."""
+    model = Seq2SeqModel(small_config(len(tiny_vocab)))
+    _fill_tables(model, tiny_vocab)
+    other = "evid_dec" if name == "title_dec" else "title_dec"
+    tables = {n: model.prefix_table(n) for n in (name, other)}
+    for param in (f"{other}.pos_emb", "sent_enc.ln_f.g", "claim_enc.l0.ln1.b"):
+        model.params[param].data = model.params[param].data.copy()
+    assert model.prefix_table(name) is tables[name]
+    memo = model.sentence_memo()
+    names = [n for n in model.params if n.startswith(name + ".")]
+    assert len(names) == 31 + (name == "title_dec")  # one layer, ln_f, pos_emb and the rest
+    for param in names:
+        table = model.prefix_table(name)
+        model.params[param].data = model.params[param].data.copy()
+        assert model.prefix_table(name) is not table
+        table = model.prefix_table(name)
+        model.params[param].version += 1
+        assert model.prefix_table(name) is not table
+    assert model.prefix_table(other) is not tables[other]  # rebound above
+    assert model.sentence_memo() is memo
