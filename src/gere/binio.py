@@ -1,6 +1,7 @@
 """Every file gere reads or writes goes through here: UTF-8 text and JSON
 lines, atomic writes, and the header and little-endian fields of the trie and
-checkpoint formats, read from bytes or streamed from a file (`open_reader`).
+checkpoint formats, read by one cursor over bytes or over a buffered file
+(`open_reader`).
 Input that cannot be read (an OS error, invalid UTF-8, a bad JSON line, a
 truncated or padded binary file) is a `DataError` naming the file and, for
 text, the line."""
@@ -125,92 +126,63 @@ def open_reader(path) -> Iterator["Reader"]:
     whether or not it raised; an OS error opening or reading the file is a
     `DataError`."""
     try:
-        with open(path, "rb", buffering=0) as fh:
+        # Not `open(path, "rb", buffering=Reader._CHUNK)`: there a size of 1
+        # means line buffering, which a binary file warns about and ignores.
+        with open(path, "rb", buffering=0) as raw, io.BufferedReader(raw, Reader._CHUNK) as fh:
             yield Reader(b"", str(path), fh)
     except OSError as exc:
         raise DataError(f"{path}: cannot read ({exc.strerror})") from None
 
 
 class Reader:
-    """Cursor over a bytes object, or over an open file (`open_reader`) read
-    in chunks; raises DataError on truncation. Small fields come out of
-    `data`, the window of the input from offset `base` on, and `readinto`
-    reads an array's bytes from the file straight into the array, so a file
-    is never held whole."""
+    """Cursor over a binary file object: a bytes object read through
+    `io.BytesIO`, or a file that `open_reader` buffered; raises DataError on
+    truncation. `readinto` reads a large array's bytes from the file straight
+    into the array, so a file is never held whole."""
 
-    _CHUNK = 1 << 16
+    _CHUNK = 1 << 16  # the file buffer's size
 
     def __init__(self, data: bytes, name: str = "<bytes>", fh=None):
-        self.data = data
-        self.base = 0
-        self.pos = 0  # in `data`; the input offset is base + pos
         self.name = name
-        self.fh = fh
+        self.fh = io.BytesIO(data) if fh is None else fh
         self.size = len(data) if fh is None else os.fstat(fh.fileno()).st_size
 
     def remaining(self) -> int:
-        return self.size - self.base - self.pos
+        return self.size - self.fh.tell()
 
     def need(self, n: int) -> None:
         """Raise unless n more bytes remain in the input."""
         if n > self.remaining():
-            raise DataError(f"{self.name}: truncated "
-                            f"(needed {n} bytes at offset {self.base + self.pos})")
+            self._truncated(n, 0)
 
-    def _fill(self, n: int) -> None:
-        """Make data[0:n] the input's next n bytes: the rest of the window,
-        then the next chunk of the file."""
-        self.need(n)
-        rest = self.data[self.pos :]
-        self.base += self.pos
-        self.data = b""
-        self.pos = 0
-        more = self.fh.read(min(max(n, self._CHUNK), self.remaining()) - len(rest))
-        self.data = rest + more if rest else more
-        if len(self.data) < n:  # the file shrank after it was opened
-            raise DataError(f"{self.name}: truncated (needed {n} bytes at offset {self.base})")
+    def _truncated(self, n: int, got: int) -> None:
+        """Raise for a read of n bytes that got only `got` (the offset is
+        worked out only here, off the reads' path)."""
+        raise DataError(f"{self.name}: truncated "
+                        f"(needed {n} bytes at offset {self.fh.tell() - got})")
 
     def take(self, n: int) -> bytes:
-        pos = self.pos
-        if pos + n > len(self.data):
-            self._fill(n)
-            pos = 0
-        self.pos = pos + n
-        return self.data[pos : pos + n]
+        if n > self._CHUNK:  # a corrupt length must not size a read's buffer
+            self.need(n)
+        data = self.fh.read(n)
+        if len(data) < n:  # also a file that shrank after it was opened
+            self._truncated(n, len(data))
+        return data
 
     def u8(self) -> int:
-        pos = self.pos  # read in place: this is the per-byte call of `uvarint`
-        if pos >= len(self.data):
-            self._fill(1)
-            pos = 0
-        self.pos = pos + 1
-        return self.data[pos]
+        data = self.fh.read(1)  # not `take`: this is the per-byte call of `uvarint`
+        if not data:
+            self._truncated(1, 0)
+        return data[0]
 
     def readinto(self, array: np.ndarray) -> None:
-        """Fill the C-contiguous `array` with the input's next bytes: what the
-        window holds of them is copied, the rest is read from the file
-        straight into the array."""
+        """Fill the C-contiguous `array` with the input's next bytes. Past
+        what the file buffer holds, an array larger than the buffer is read
+        from the file straight into place."""
         view = memoryview(array).cast("B")
-        n = len(view)
-        pos = self.pos
-        window = memoryview(self.data)  # slices of it copy nothing
-        if pos + n <= len(window):
-            view[:] = window[pos : pos + n]
-            self.pos = pos + n
-            return
-        self.need(n)
-        have = len(window) - pos
-        view[:have] = window[pos:]
-        self.base += len(self.data)  # the window is spent
-        self.data = b""
-        self.pos = 0
-        while have < n:
-            got = self.fh.readinto(view[have:])
-            if not got:  # the file shrank after it was opened
-                raise DataError(f"{self.name}: truncated "
-                                f"(needed {n - have} bytes at offset {self.base})")
-            have += got
-            self.base += got
+        got = self.fh.readinto(view)  # short only where the input ends
+        if got < len(view):
+            self._truncated(len(view), got)
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -228,7 +200,7 @@ class Reader:
                 return value
             shift += 7
             if shift > 63:
-                raise DataError(f"{self.name}: uvarint overflow at offset {self.base + self.pos}")
+                raise DataError(f"{self.name}: uvarint overflow at offset {self.fh.tell()}")
 
     def bytes_(self) -> bytes:
         return self.take(self.uvarint())
@@ -238,7 +210,7 @@ class Reader:
             return self.bytes_().decode("utf-8")
         except UnicodeDecodeError:
             raise DataError(f"{self.name}: invalid UTF-8 before offset "
-                            f"{self.base + self.pos}") from None
+                            f"{self.fh.tell()}") from None
 
     def header(self, magic: bytes, version: int, kind: str,
                checksum: Optional[int] = None) -> int:

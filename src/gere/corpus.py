@@ -133,10 +133,9 @@ def _parse_sentences(lines: str, where: str) -> tuple[tuple[int, str], ...]:
         if entry == "":
             continue
         parts = entry.split("\t")
-        try:
-            index = int(parts[0])
-        except ValueError:
-            raise DataError(f"{where}: sentence entry {entry!r} lacks an integer index") from None
+        if not (parts[0].isascii() and parts[0].isdigit()):  # `int` also takes "1_0", " 3"
+            raise DataError(f"{where}: sentence entry {entry!r} lacks an integer index")
+        index = int(parts[0])
         if index <= prev:
             raise DataError(f"{where}: sentence indices not strictly increasing at {index}")
         prev = index

@@ -184,7 +184,7 @@ class TitleTrie:
         r.header(_MAGIC, _VERSION, "trie", vocab.checksum())
         node_count = r.u32()
         title_count = r.u32()
-        if not 1 <= node_count <= (len(data) - r.pos) // 2:  # a node record takes >= 2 bytes
+        if not 1 <= node_count <= r.remaining() // 2:  # a node record takes >= 2 bytes
             raise DataError(f"{name}: node count {node_count} does not fit the file")
 
         def records():

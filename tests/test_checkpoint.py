@@ -194,7 +194,7 @@ def _edit_config(data, old, new):
     assert text.count(old) == 1
     out = bytearray(data[:24])
     binio.write_str(out, text.replace(old, new))
-    return bytes(out) + data[r.pos:]
+    return bytes(out) + data[len(data) - r.remaining():]
 
 
 def test_config_claiming_huge_layer_counts_is_data_error(tmp_path, tiny_vocab):
@@ -203,6 +203,33 @@ def test_config_claiming_huge_layer_counts_is_data_error(tmp_path, tiny_vocab):
     path.write_bytes(_edit_config(data, "n_layers_enc=1\n", f"n_layers_enc={10**12}\n"))
     with pytest.raises(DataError, match="expected more tensors"):
         load_checkpoint(path)
+
+
+def test_config_block_claiming_a_huge_length_allocates_nothing(tmp_path):
+    """A several-MB checkpoint whose config block's length field reads 2**40
+    fails as truncated, without a buffer of that length or a copy of the file."""
+    cfg = ModelConfig(vocab_size=1200, d_model=64, n_heads=4, n_layers_enc=2, n_layers_dec=2,
+                      d_ff=256, max_positions=128, seed=3)
+    data = checkpoint_bytes(Seq2SeqModel(cfg))
+    r = binio.Reader(data)
+    r.take(24)  # magic, version, vocab checksum, step
+    r.uvarint()
+    out = bytearray(data[:24])
+    binio.write_uvarint(out, 2**40)  # 6 bytes
+    path = tmp_path / "m.gereckpt"
+    path.write_bytes(bytes(out) + data[len(data) - r.remaining():])
+    assert path.stat().st_size > 3_000_000
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        with pytest.raises(DataError) as err:
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"{path}: truncated (needed {2**40} bytes at offset 30)"
+    assert peak - before < 1 << 20, f"load peaked at {peak - before} bytes"
 
 
 @pytest.mark.parametrize("with_optimizer", [False, True])

@@ -1,6 +1,7 @@
 """The streamed checkpoint load: one copy of each tensor, read straight from
 the file, with every error a `DataError` and no file handle left open."""
 
+import contextlib
 import os
 import tracemalloc
 
@@ -149,7 +150,7 @@ def test_a_file_that_shrinks_while_it_is_read_is_truncated(tmp_path):
     with binio.open_reader(path) as r:
         r.take(4)
         os.truncate(path, 2)
-        r.readinto(np.empty(r._CHUNK - 4, np.uint8))  # the rest of the window
+        r.readinto(np.empty(r._CHUNK - 4, np.uint8))  # the rest of the buffer
         with pytest.raises(DataError, match="f.bin: truncated"):
             r.u8()
 
@@ -198,3 +199,65 @@ def test_streamed_fields_read_back_as_written(tmp_path_factory, fields, chunk):
             assert read_all(r) == want
     finally:
         binio.Reader._CHUNK = default
+
+
+_RUN = [("u32", 7), ("str_", "héllo"), ("uvarint", 300), ("readinto", bytes(range(10))),
+        ("str_", "x" * 130), ("readinto", bytes(40)), ("u32", 9)]
+
+
+def _reads(kind, value, start):
+    """(offset, bytes needed) of each read a written field takes to read back."""
+    if kind == "u32":
+        return [(start, 4)]
+    if kind == "readinto":
+        return [(start, len(value))]
+    n = len(value.encode()) if kind == "str_" else value
+    prefix = bytearray()
+    binio.write_uvarint(prefix, n)
+    reads = [(start + i, 1) for i in range(len(prefix))]  # a uvarint is read a byte at a time
+    return reads + [(start + len(prefix), n)] if kind == "str_" else reads
+
+
+def _read_run(r):
+    for kind, value in _RUN:
+        if kind == "readinto":
+            r.readinto(np.empty(len(value), np.uint8))
+        else:
+            getattr(r, kind)()
+    r.finish()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, binio.Reader._CHUNK])
+def test_reader_error_messages_name_the_short_read_and_its_offset(tmp_path, monkeypatch, chunk):
+    """The exact message of every read error, from bytes and from a file: a
+    cut at every offset of a run of fields fails on the first read that the
+    cut leaves short, naming its size and where it starts."""
+    monkeypatch.setattr(binio.Reader, "_CHUNK", chunk)
+    buf = bytearray()
+    reads = []
+    for kind, value in _RUN:
+        start = len(buf)
+        _WRITE[kind](buf, value)
+        reads += _reads(kind, value, start)
+    path = tmp_path / "f.bin"
+
+    def message(data):
+        path.write_bytes(data)
+        got = []
+        for reader in (lambda: contextlib.nullcontext(binio.Reader(data, "f.bin")),
+                       lambda: binio.open_reader(path)):
+            with pytest.raises(DataError) as err, reader() as r:
+                _read_run(r)
+            got.append(str(err.value).replace(str(path), "f.bin"))
+        assert got[0] == got[1]
+        return got[0]
+
+    for cut in range(len(buf)):
+        offset, n = next((offset, n) for offset, n in reads if offset + n > cut)
+        want = f"f.bin: truncated (needed {n} bytes at offset {offset})"
+        assert message(bytes(buf[:cut])) == want
+    assert message(bytes(buf) + b"\0\0") == "f.bin: 2 trailing bytes"
+    assert message(bytes(buf[:4]) + b"\x80" * 11) == "f.bin: uvarint overflow at offset 14"
+    bad = bytearray(buf[:4])
+    binio.write_bytes(bad, b"ok\xff")
+    assert message(bytes(bad)) == "f.bin: invalid UTF-8 before offset 8"

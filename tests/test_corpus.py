@@ -77,6 +77,14 @@ def test_non_increasing_indices_rejected(tmp_path):
         load_wiki_pages(path)
 
 
+# `int` takes all of these ("0_1" as 1, "\u0663" as 3); only ASCII digits are an index.
+@pytest.mark.parametrize("index", ["0_1", " 3", "+4", "\u0663", "3 ", "-1"])
+def test_sentence_index_must_be_ascii_digits(tmp_path, index):
+    path = write_jsonl(tmp_path / "w.jsonl", [{"id": "A", "lines": f"0\ta\n{index}\tb"}])
+    with pytest.raises(DataError, match=r"w.jsonl:1: sentence entry .* lacks an integer index"):
+        load_wiki_pages(path)
+
+
 def test_directory_load_order_irrelevant(tmp_path):
     d1 = tmp_path / "d1"
     d2 = tmp_path / "d2"
