@@ -133,7 +133,9 @@ def _parse_sentences(lines: str, where: str) -> tuple[tuple[int, str], ...]:
         if entry == "":
             continue
         parts = entry.split("\t")
-        if not (parts[0].isascii() and parts[0].isdigit()):  # `int` also takes "1_0", " 3"
+        # `int` also takes "1_0", " 3" and "01"; an index is written back as `str(index)`.
+        digits = parts[0]
+        if not (digits.isascii() and digits.isdigit() and (digits == "0" or digits[0] != "0")):
             raise DataError(f"{where}: sentence entry {entry!r} lacks an integer index")
         index = int(parts[0])
         if index <= prev:

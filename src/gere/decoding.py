@@ -1,19 +1,21 @@
 """Inference-time generation.
 
 Title decoding is beam search over the token vocabulary with per-step masks:
-inside a title only the trie's continuations are legal (`TitleTrie.children_of`,
-followed with `TitleTrie.child`); right after EOT only SEP or EOS; after SEP
-the trie resets to the root and any already-emitted title has its final EOT
-masked (duplicate suppression: the node's EOT child is an emitted title's
-end). Hypothesis scores are sums of full-softmax token log-probs (no
-renormalization over the mask and, by default, no length normalization).
-Since every token log-prob is <= 0, a score only falls as a hypothesis
-grows, so under summed ranking each step drops the alive hypotheses that
-score below the best finished one, and under length normalization the beam
-stops as soon as the best finished hypothesis outranks every alive one, each
-bounded through the longest finish the trie still allows it (Huang et al.,
-EMNLP 2017). The result is the full beam's, bit for bit. Each beam step
-ranks all legal continuations of all alive hypotheses with one sort of plain
+inside a title only the trie's continuations are legal (`TitleTrie.edges`:
+the j-th child token leads to the node's first child id plus j); right
+after EOT only SEP or EOS; after SEP the trie resets to the root and any
+already-emitted title has its final EOT masked (duplicate suppression: the
+node's EOT child is an emitted title's end). Hypothesis scores are sums of
+full-softmax token log-probs (no renormalization over the mask and, by
+default, no length normalization). Since every token log-prob is <= 0, a
+score only falls as a hypothesis grows, so under summed ranking each step
+drops the alive hypotheses that score below the best finished one, and
+under length normalization the beam stops as soon as the best finished
+hypothesis outranks every alive one, each bounded through the longest
+finish the trie still allows it (Huang et al., EMNLP 2017). The result is
+the full beam's, bit for bit. Hypotheses are plain tuples that carry their
+trie node and its height, which the bound reads, and each beam step ranks
+all legal continuations of all alive hypotheses with one sort of plain
 tuples. Evidence decoding is greedy over the remaining candidate sentences
 plus EOE. The candidates' vectors come from the model's sentence memo,
 which outlives the call: a sentence an earlier claim already embedded with
@@ -22,29 +24,32 @@ are embedded with one stacked pass per distinct length, with the bits of
 one pass per sentence.
 
 Both decoders cross-attend to the claim states that `encode_claim` returns
-and run incrementally on the model's KV-cached `DecoderState`: the beam
-makes one batched step per iteration for all alive hypotheses and then
-reorders the cache rows by parent; the evidence decoder makes one one-row
-step per pick. A batched row is bit-identical to a one-row replay of its
-prefix, which is what `Seq2SeqModel.decode_step_title` and
+and run incrementally on the model's KV-cached `DecoderState`. Its weights
+come packed from the decoder's `model.DecoderMemo`, and the cross-attention
+keys and values of all its layers are one product per claim and decoder.
+The beam makes one batched step per iteration for all alive hypotheses and
+then reorders the cache rows by parent; the evidence decoder makes one
+one-row step per pick. A batched row is bit-identical to a one-row replay
+of its prefix, which is what `Seq2SeqModel.decode_step_title` and
 `decode_step_evidence` compute, so beam scores equal the exhaustive-search
 oracle's scores exactly, not just to a tolerance. Both decoders also share
-the model's prefix tables across claims (`model.PrefixTable`). A step whose
-rows all continue input sequences that an earlier step stored gathers
-layer 0's claim-free half (everything before its cross-attention) instead
-of computing it. The stored rows came from the same row-independent ops,
-so the bits are the same, and later claims decode the popular title
-prefixes near the trie's root and the evidence start step for less. A
-table lives as long as its decoder's parameters stay as they are (the
-sentence memo's rule) and stores at most `model.PREFIX_TABLE_ROWS`
-prefixes, 16 MiB of rows plus about 7.5 MiB of keys at d_model 64.
+the model's prefix tables across claims (`model.PrefixTable`, held by the
+memo). A step whose rows all continue input sequences that an earlier step
+stored gathers layer 0's claim-free half (everything before its
+cross-attention) instead of computing it. The stored rows came from the
+same row-independent ops, so the bits are the same, and later claims
+decode the popular title prefixes near the trie's root and the evidence
+start step for less. A table lives as long as its decoder's parameters stay
+as they are (the sentence memo's rule) and stores at most
+`model.PREFIX_TABLE_ROWS` prefixes, 16 MiB of rows plus about 7.5 MiB of
+keys at d_model 64.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -73,14 +78,6 @@ class DecodeParams:
 
 
 @dataclass
-class BeamHypothesis:
-    tokens: list[int]
-    log_prob: float
-    ends: tuple[int, ...] = ()  # the terminal trie node of each emitted title
-    node: Optional[int] = None  # trie node while inside a title, else None
-
-
-@dataclass
 class RetrievalResult:
     claim_id: int
     titles: list[str]  # ordered doc_ids
@@ -100,58 +97,32 @@ class RetrievalResult:
         }
 
 
-def _title_tokens(hyp: BeamHypothesis, trie: TitleTrie) -> np.ndarray:
-    """The legal tokens of a hypothesis inside a title: its trie node's
-    children, less an EOT that would end an emitted title again."""
-    tokens = trie.children_of(hyp.node)
-    if hyp.ends and trie.child(hyp.node, EOT) in hyp.ends:  # an emitted title ends here
-        return tokens[tokens != EOT]  # duplicate-title suppression
-    return tokens
-
-
-def _extend(hyp: BeamHypothesis, token: int, log_prob: float, trie: TitleTrie) -> BeamHypothesis:
-    tokens = hyp.tokens + [token]
-    if token == EOS:
-        return BeamHypothesis(tokens, log_prob, ends=hyp.ends)
-    if token == SEP:
-        return BeamHypothesis(tokens, log_prob, ends=hyp.ends, node=trie.root)
-    child = trie.child(hyp.node, token)
-    if token == EOT:
-        return BeamHypothesis(tokens, log_prob, ends=hyp.ends + (child,))
-    return BeamHypothesis(tokens, log_prob, ends=hyp.ends, node=child)
-
-
-def _rank_score(hyp: BeamHypothesis, length_normalize: bool) -> float:
-    return hyp.log_prob / len(hyp.tokens) if length_normalize else hyp.log_prob
-
-
-def _longest_finish(hyp: BeamHypothesis, trie: TitleTrie, max_titles: int, max_len: int) -> int:
+def _longest_finish(hyp: tuple, root_height: int, max_titles: int, max_len: int) -> int:
     """The most tokens a finished descendant of `hyp` can hold: the rest of the
-    current title, then every title still allowed at the trie's greatest depth
-    (SEP, its tokens and EOT each), then EOS; never more than `max_len`."""
-    inside = hyp.node is not None
-    rest = trie.height.item(hyp.node) if inside else 0
-    titles_left = max_titles - len(hyp.ends) - inside
-    longest = len(hyp.tokens) + rest + titles_left * (1 + trie.height.item(trie.root)) + 1
-    return min(longest, max_len)
+    current title (its node's height), then every title still allowed at the
+    trie's greatest depth (`root_height`: SEP, its tokens and EOT each), then
+    EOS; never more than `max_len`."""
+    tokens, _, ends, node, height = hyp
+    titles_left = max_titles - len(ends) - (node is not None)
+    return min(len(tokens) + height + titles_left * (1 + root_height) + 1, max_len)
 
 
-def _cannot_improve(alive: Sequence[BeamHypothesis], best_finished: float, trie: TitleTrie,
+def _cannot_improve(alive: Sequence[tuple], best_finished: float, root_height: int,
                     max_titles: int, max_len: int) -> bool:
     """Under length normalisation, whether no hypothesis grown from the alive
     beam can outrank `best_finished`.
 
     Every token log-prob is <= 0 (`nn.log_softmax64`) and float addition of
     a non-positive term never increases a sum, so no descendant of `h` scores
-    above `h.log_prob`. Its finished descendants have at most
+    above its log-prob. Its finished descendants have at most
     `_longest_finish(h)` tokens and a non-positive score, and float division
     is monotone, so none has a normalised score above
-    `h.log_prob / _longest_finish(h)`. The comparison is strict, so a
+    `log_prob / _longest_finish(h)`. The comparison is strict, so a
     descendant cannot even tie and win on the token tie-break: the result is
     the one the full beam would return, bit for bit.
     """
-    return max(h.log_prob / _longest_finish(h, trie, max_titles, max_len)
-               for h in alive) < best_finished
+    return max(hyp[1] / _longest_finish(hyp, root_height, max_titles, max_len)
+               for hyp in alive) < best_finished
 
 
 def beam_search_titles(
@@ -171,9 +142,11 @@ def beam_search_titles(
     An EOS continuation finishes at once and takes no slot, so it is not
     ranked. The alive beam is kept in the lexicographic order of its token
     lists, which all have one length, so ranking every other legal
-    continuation as a plain `(-score, row, token)` tuple, with one sort, is
-    the (-score, token list) order. Hypotheses that cannot win are not
-    decoded further, and the result is the full beam's, bit for bit:
+    continuation as a plain `(-score, row, token, node)` tuple, with one
+    sort, is the (-score, token list) order (no two share a row and a token,
+    so the trie node after the token is never compared). Hypotheses that
+    cannot win are not decoded further, and the result is the full beam's,
+    bit for bit:
 
     - Summed ranking: a kept hypothesis whose score is below the best
       finished one is dropped. No descendant scores above it (token
@@ -190,41 +163,55 @@ def beam_search_titles(
         raise DecodingError("cannot decode titles against an empty trie")
     DecodeParams(beam_size=beam_size, max_titles=max_titles)  # checks their ranges
     state = DecoderState(model, "title_dec", claim_states)
-    alive = [BeamHypothesis(tokens=[BOS], log_prob=0.0, node=trie.root)]
-    finished: list[BeamHypothesis] = []
+    root, root_height = trie.root, trie.height.item(trie.root)
+    # A hypothesis is (tokens, log_prob, ends, node, height): `ends` holds the
+    # terminal trie node of each emitted title, `node` is the trie node while
+    # inside a title, else None, and `height` is that node's height, else 0.
+    alive = [([BOS], 0.0, (), root, root_height)]
+    finished = []  # (-rank score, tokens, log_prob, ends) of each finished hypothesis
     # Inputs fill positions 0 .. max_positions - 1 and the last one predicts EOS, so
     # a finished sequence has up to max_positions + 1 tokens, as `encode_example` allows.
     max_len = model.config.max_positions + 1
     best_finished = -math.inf
     while alive:
-        if length_normalize and _cannot_improve(alive, best_finished, trie, max_titles,
+        if length_normalize and _cannot_improve(alive, best_finished, root_height, max_titles,
                                                 max_len):
             break
-        if len(alive[0].tokens) >= max_len:
+        if len(alive[0][0]) >= max_len:
             break  # all alive hypotheses share one length; none can extend, all die
-        log_probs = nn.log_softmax64(model.title_step(state, [hyp.tokens[-1] for hyp in alive]))
+        log_probs = nn.log_softmax64(model.title_step(state, [hyp[0][-1] for hyp in alive]))
         candidates = []  # the continuations other than EOS
-        for row, hyp in enumerate(alive):
-            score = hyp.log_prob
-            if hyp.node is None:  # after a title: EOS, and SEP while titles are left
-                finished.append(_extend(hyp, EOS, score + log_probs.item(row, EOS), trie))
-                best_finished = max(best_finished, _rank_score(finished[-1], length_normalize))
-                if len(hyp.ends) < max_titles:
-                    candidates.append((-(score + log_probs.item(row, SEP)), row, SEP))
-            else:
-                tokens = _title_tokens(hyp, trie)
-                candidates.extend((-(score + log_prob), row, token) for token, log_prob
-                                  in zip(tokens.tolist(), log_probs[row].take(tokens).tolist()))
+        for row, (tokens, score, ends, node, _) in enumerate(alive):
+            if node is None:  # after a title: EOS, and SEP while titles are left
+                log_prob = score + log_probs.item(row, EOS)
+                rank = log_prob / (len(tokens) + 1) if length_normalize else log_prob
+                finished.append((-rank, tokens + [EOS], log_prob, ends))
+                best_finished = max(best_finished, rank)
+                if len(ends) < max_titles:
+                    candidates.append((-(score + log_probs.item(row, SEP)), row, SEP, root))
+                continue
+            first, children = trie.edges(node)  # child j is node first + j
+            for j, (token, log_prob) in enumerate(zip(
+                    children.tolist(), log_probs[row].take(children).tolist())):
+                if token != EOT or first + j not in ends:  # no emitted title ends again
+                    candidates.append((-(score + log_prob), row, token, first + j))
         candidates.sort()
-        kept = [(row, token, -neg_score) for neg_score, row, token in candidates[:beam_size]
+        kept = [(row, token, child, -neg_score)
+                for neg_score, row, token, child in candidates[:beam_size]
                 if length_normalize or -neg_score >= best_finished]
         kept.sort()  # by (row, token): the new token lists in lexicographic order
-        alive = [_extend(alive[row], token, score, trie) for row, token, score in kept]
-        state.reorder([row for row, _, _ in kept])
+        parents, alive = alive, []
+        for row, token, child, score in kept:
+            tokens, _, ends = parents[row][:3]
+            if token == EOT:
+                alive.append((tokens + [token], score, ends + (child,), None, 0))
+            else:
+                alive.append((tokens + [token], score, ends, child, trie.height.item(child)))
+        state.reorder([row for row, _, _, _ in kept])
     if not finished:
         raise DecodingError("no beam hypothesis could finish")
-    best = min(finished, key=lambda h: (-_rank_score(h, length_normalize), h.tokens))
-    return [trie.doc_ids[end] for end in best.ends], best.log_prob, best.tokens
+    _, tokens, log_prob, ends = min(finished)  # by rank, then token list
+    return [trie.doc_ids[end] for end in ends], log_prob, tokens
 
 
 def collect_candidates(model: Seq2SeqModel, vocab: Vocab, doc_ids: Sequence[str],

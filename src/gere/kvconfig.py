@@ -3,14 +3,18 @@
 
 Each line is `key=value`; blank lines and whole-line `#` comments are
 skipped, and there are no inline comments. A value is coerced to the type
-annotated on its dataclass field (int, float, bool or str).
+annotated on its dataclass field (int, float, bool or str). An int is
+written in canonical ASCII form only (`0` or `-?[1-9][0-9]*`), so a saved
+value is written back as the text it was read from.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import Field
 from typing import Mapping, Sequence
 
+_INT = re.compile(r"0|-?[1-9][0-9]*")  # `int` also takes "0_2", "+3", "064" and "\u0665"
 _TYPES = {"int": int, "float": float, "bool": bool, "str": str}
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
@@ -34,6 +38,8 @@ def parse_kv(lines: Sequence[tuple[str, str]], keys: Mapping[str, Field],
             raise error(f"{where}: unknown config key {key!r}")
         kind = _TYPES.get(keys[key].type, keys[key].type)  # annotations may be strings
         try:
+            if kind is int and not _INT.fullmatch(text):
+                raise ValueError(text)
             values[key] = _BOOLS[text.lower()] if kind is bool else kind(text)
         except (KeyError, ValueError):
             expected = "a boolean" if kind is bool else kind.__name__

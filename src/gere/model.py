@@ -14,14 +14,19 @@ a block of equal-length sequences, each row bit-identical to the graph;
 `encode_claim` returns a claim's (length, d_model) states array, against
 which `DecoderState` decodes incrementally with per-layer key/value caches.
 Both compute attention with the one array definition, `nn.attention_forward`.
+Each decoder has a per-model `DecoderMemo`: its weights packed once per
+parameter state in the order a step reads them (the fused self-attention
+q|k|v matrix and bias of each layer and one cross-attention k|v matrix and
+bias for all layers, copies made read-only), its `pos_emb` and final layer
+norm, and its `PrefixTable`; a `DecoderState` looks the memo up and makes
+one cross-attention product with its claim.
 `Seq2SeqModel.encode_sentences` keeps a per-model memo of sentence vectors,
 keyed by the encoder input row, so a sentence that many claims' candidate
-sets share is embedded once per parameter state. Each decoder also has a
-per-model `PrefixTable`: layer 0 of a decoder sees the claim only in its
-cross-attention, so the half before it depends on the decoded inputs alone,
-and `DecoderState` gathers it from the table for a step whose rows all
-decode input sequences seen before, for any claim, with the bits a computed
-step has. One rule serves all three memos (`Seq2SeqModel._memo`): a memo
+sets share is embedded once per parameter state. A decoder's layer 0 sees
+the claim only in its cross-attention, so the half before it depends on
+the decoded inputs alone, and `DecoderState` gathers it from the memo's
+`PrefixTable` for a step whose rows all decode input sequences seen before,
+for any claim, with the bits a computed step has. One rule serves all three memos (`Seq2SeqModel._memo`): a memo
 holds one state of the parameters under its prefix (`sent_enc`, `title_dec`
 or `evid_dec`), and a new one is made once any of their arrays is rebound
 or its `nn.Tensor.version` changes. A table stores at most
@@ -283,6 +288,59 @@ class PrefixTable:
         return x[:, None], q.reshape(len(nodes), 1, -1)
 
 
+def _frozen(parts: Sequence[np.ndarray], axis: int) -> np.ndarray:
+    """A read-only concatenation of `parts`."""
+    packed = np.concatenate(parts, axis=axis)
+    packed.flags.writeable = False
+    return packed
+
+
+class DecoderMemo:
+    """What every `DecoderState` of one decoder stack shares, for one state of
+    its parameters (`Seq2SeqModel.decoder_memo`): the stack's weights packed
+    in the order `step` reads them, and its `PrefixTable`.
+
+    Per layer, `claim_free` holds the weights up to the cross-attention query
+    and `layers` the cross-attention output and FFN weights. The
+    self-attention q, k and v projections are one (d, 3d) matrix and one
+    (3d,) bias, so a step makes one (B, 1, d) @ (d, 3d) product per layer
+    where three (B, 1, d) @ (d, d) ones were; each output column is the same
+    dot product, and on OpenBLAS it has the same bits (float32 and float64,
+    d 16 and 64, B 1 to 20; `test_fused_qkv_product_equals_three_products`).
+    Every layer's cross-attention k and v projections are one (d, 2 L d)
+    matrix `cross_w` and bias `cross_b`, in layer order and k before v, so a
+    claim's keys and values for all layers are one (T, d) @ (d, 2 L d)
+    product; each column block, made C-contiguous, has the bits of its own
+    (1, T, d) @ (d, d) product (T 1 to 24,
+    `test_fused_cross_kv_product_equals_per_layer_products`). The packed
+    arrays are copies, made read-only; the rest are the parameters' arrays.
+    A new memo, with an empty table, replaces this one once any of the
+    stack's arrays is rebound or its `nn.Tensor.version` changes
+    (`Seq2SeqModel._memo`), so no packed copy outlives its parameter state.
+    """
+
+    def __init__(self, model: "Seq2SeqModel", name: str):
+        stack = _weights(model, name)
+        self.scale = _scale(model.config)
+        self.pos_emb = stack["pos_emb"]
+        self.final = (stack["ln_f.g"], stack["ln_f.b"])
+        self.claim_free, self.layers = [], []
+        layers = range(model.config.n_layers_dec)
+        for i in layers:
+            w = _weights(model, f"{name}.l{i}")
+            self.claim_free.append((
+                w["ln1.g"], w["ln1.b"], _frozen([w[f"self_attn.w{p}"] for p in "qkv"], 1),
+                _frozen([w[f"self_attn.b{p}"] for p in "qkv"], 0), w["self_attn.wo"],
+                w["self_attn.bo"], w["ln2.g"], w["ln2.b"], w["cross_attn.wq"], w["cross_attn.bq"]))
+            self.layers.append((w["cross_attn.wo"], w["cross_attn.bo"], w["ln3.g"], w["ln3.b"],
+                                w["ffn.w1"], w["ffn.b1"], w["ffn.w2"], w["ffn.b2"]))
+        if layers:
+            kv = [(i, p) for i in layers for p in "kv"]  # by layer, k before v
+            self.cross_w = _frozen([stack[f"l{i}.cross_attn.w{p}"] for i, p in kv], 1)
+            self.cross_b = _frozen([stack[f"l{i}.cross_attn.b{p}"] for i, p in kv], 0)
+        self.table = PrefixTable(model.config.d_model, self.pos_emb.dtype)
+
+
 class DecoderState:
     """Incremental inference for one decoder stack against one claim.
 
@@ -290,15 +348,13 @@ class DecoderState:
     embedding, or the evidence start vector or a chosen sentence) at the next
     position and returns the rows' final states; `reorder` keeps, repeats or
     drops rows. Self-attention keys and values are cached per layer; the
-    cross-attention keys and values are computed once from the claim states.
-
-    Construction packs each layer's weights, read from the parameters'
-    current `.data`, into tuples in the order `step` uses them. The
-    self-attention q, k and v projections are one (d, 3d) matrix and one
-    (3d,) bias, so a step makes one (B, 1, d) @ (d, 3d) product per layer
-    where three (B, 1, d) @ (d, d) ones were; each output column is the same
-    dot product, and on OpenBLAS it has the same bits (float32 and float64,
-    d 16 and 64, B 1 to 20; `test_fused_qkv_product_equals_three_products`).
+    cross-attention keys and values of every layer come from one product of
+    the claim states with the memo's `cross_w`, made at construction.
+    Construction packs no weights: they come from the decoder's
+    `DecoderMemo`, which holds each layer's weight tuples (with the fused
+    q|k|v and k|v copies, read-only), `pos_emb`, the final layer norm and
+    the `PrefixTable`, and which is made anew once any of the decoder's
+    parameter arrays is rebound or its version changes.
 
     Contract: a row's result never depends on the other rows. Every row-wise
     product is a stacked (B, 1, n) @ (n, m) matmul, which numpy evaluates
@@ -307,44 +363,34 @@ class DecoderState:
     within a row. A batched step is therefore bit-identical to B = 1 replays
     of each row's prefix.
 
-    Each row also sits at a node of the model's `PrefixTable` for this
-    decoder, the node of its input sequence so far, and `reorder` moves the
-    nodes with the rows. When every row of a step hits the table, layer 0's
-    claim-free half is gathered from it, and the step runs from layer 0's
-    cross-attention on; layer 0's key and value cache is then dropped, as
-    the nodes' paths hold it, and the next step that misses rebuilds it
-    from them. Otherwise the step runs all of it and stores the rows that
-    missed. By the contract above a stored row has the bits that any step
-    of the same input sequence computes, whatever the claim and the other
-    rows, so a hit changes no output bit.
+    Each row also sits at a node of the memo's `PrefixTable`, the node of
+    its input sequence so far, and `reorder` moves the nodes with the rows.
+    When every row of a step hits the table, layer 0's claim-free half is
+    gathered from it, and the step runs from layer 0's cross-attention on;
+    layer 0's key and value cache is then dropped, as the nodes' paths hold
+    it, and the next step that misses rebuilds it from them. Otherwise the
+    step runs all of it and stores the rows that missed. By the contract
+    above a stored row has the bits that any step of the same input sequence
+    computes, whatever the claim and the other rows, so a hit changes no
+    output bit.
     """
 
     def __init__(self, model: "Seq2SeqModel", name: str, claim_states: np.ndarray):
         cfg = model.config
-        self.heads = cfg.n_heads
-        self.scale = _scale(cfg)
-        self.max_positions = cfg.max_positions
+        self.memo = memo = model.decoder_memo(name)
+        self.heads, self.scale, self.max_positions = cfg.n_heads, memo.scale, cfg.max_positions
         self.length = 0
-        self.pos_emb = model.params[f"{name}.pos_emb"].data
-        self.final = _weights(model, f"{name}.ln_f")
-        self.table = model.prefix_table(name)
         self.nodes: Optional[list[int]] = None  # each row's table node; None: all at ROOT
-        memory = claim_states[None]
-        self.claim_free = []  # per layer, the weights up to the cross-attention query
-        self.layers = []  # per layer, the cross-attention and FFN weights
-        for i in range(cfg.n_layers_dec):
-            w = _weights(model, f"{name}.l{i}")
-            qkv_w = np.concatenate([w[f"self_attn.w{p}"] for p in "qkv"], axis=1)
-            qkv_b = np.concatenate([w[f"self_attn.b{p}"] for p in "qkv"])
-            cross_k = nn.split_heads(memory @ w["cross_attn.wk"] + w["cross_attn.bk"], self.heads)
-            cross_v = nn.split_heads(memory @ w["cross_attn.wv"] + w["cross_attn.bv"], self.heads)
-            self.claim_free.append((
-                w["ln1.g"], w["ln1.b"], qkv_w, qkv_b, w["self_attn.wo"], w["self_attn.bo"],
-                w["ln2.g"], w["ln2.b"], w["cross_attn.wq"], w["cross_attn.bq"]))
-            self.layers.append((
-                cross_k, cross_v, w["cross_attn.wo"], w["cross_attn.bo"],
-                w["ln3.g"], w["ln3.b"], w["ffn.w1"], w["ffn.b1"], w["ffn.w2"], w["ffn.b2"]))
-        self.cache: list[Optional[tuple[np.ndarray, np.ndarray]]] = [None] * len(self.layers)
+        self.cross = []  # per layer, the cross-attention keys and values
+        if memo.layers:
+            kv = claim_states @ memo.cross_w
+            kv += memo.cross_b
+            d = cfg.d_model
+            # C order, the layout of a per-layer product: matmul bits follow it.
+            blocks = [nn.split_heads(np.ascontiguousarray(kv[None, :, j:j + d]), self.heads)
+                      for j in range(0, kv.shape[1], d)]
+            self.cross = list(zip(blocks[::2], blocks[1::2]))
+        self.cache: list[Optional[tuple[np.ndarray, np.ndarray]]] = [None] * len(memo.layers)
 
     def step(self, inputs: np.ndarray) -> np.ndarray:
         """Decode position `self.length` for inputs (B, d), cast to the model's
@@ -352,14 +398,14 @@ class DecoderState:
         if self.length >= self.max_positions:
             raise ValueError(f"sequence length {self.length + 1} exceeds max_positions "
                              f"{self.max_positions}")
-        heads, scale = self.heads, self.scale
-        inputs = inputs.astype(self.pos_emb.dtype, copy=False)
-        if self.layers:
+        heads, scale, memo = self.heads, self.scale, self.memo
+        inputs = inputs.astype(memo.pos_emb.dtype, copy=False)
+        if memo.layers:
             x, q = self._first_claim_free(inputs)
         else:
-            x = (inputs + self.pos_emb[self.length])[:, None]
-        for i, (cross_k, cross_v, cross_wo, cross_bo, ln3_g, ln3_b, w1, b1, w2, b2
-                ) in enumerate(self.layers):
+            x = (inputs + memo.pos_emb[self.length])[:, None]
+        for i, ((cross_k, cross_v), (cross_wo, cross_bo, ln3_g, ln3_b, w1, b1, w2, b2)
+                ) in enumerate(zip(self.cross, memo.layers)):
             if i:
                 q = self._claim_free(i, x)[0]
             # Each `y = h @ w; y += b; x += y` is `x + (h @ w + b)`, op for op.
@@ -373,7 +419,7 @@ class DecoderState:
             y += b2
             x += y
         self.length += 1
-        return nn.layer_norm_forward(x, self.final["g"], self.final["b"])[0][:, 0]
+        return nn.layer_norm_forward(x, *memo.final)[0][:, 0]
 
     def _first_claim_free(self, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Layer 0's x after the self-attention residual and its
@@ -382,22 +428,23 @@ class DecoderState:
         the rows that missed."""
         parents = self.nodes or [ROOT] * len(inputs)
         keys = [row.tobytes() for row in inputs]
-        nodes = self.table.find(parents, keys)
+        table = self.memo.table
+        nodes = table.find(parents, keys)
         if MISS in nodes:
             if self.length and self.cache[0] is None:  # dropped by an all-hit step
                 # C order, the layout of a computed cache: `np.concatenate` gives
                 # its output the layout of its inputs, and matmul bits follow it.
-                paths = self.table.paths(parents)
+                paths = table.paths(parents)
                 self.cache[0] = tuple(
                     np.ascontiguousarray(nn.split_heads(plane.take(paths, axis=0), self.heads))
-                    for plane in self.table.values[2:])
-            x = (inputs + self.pos_emb[self.length])[:, None]
+                    for plane in table.values[2:])
+            x = (inputs + self.memo.pos_emb[self.length])[:, None]
             q, k, v = self._claim_free(0, x)
-            self.nodes = self.table.store(parents, keys, nodes, x, q, k, v)
+            self.nodes = table.store(parents, keys, nodes, x, q, k, v)
             return x, q
         self.cache[0] = None  # the nodes' paths hold layer 0's keys and values
         self.nodes = nodes
-        return self.table.gather(nodes)
+        return table.gather(nodes)
 
     def _claim_free(self, i: int, x: np.ndarray) -> tuple[np.ndarray, ...]:
         """Layer i up to its cross-attention: extends the layer's cache and adds
@@ -405,7 +452,7 @@ class DecoderState:
         cross-attention query and the step's new key and value, each
         (B, 1, d)."""
         ln1_g, ln1_b, qkv_w, qkv_b, self_wo, self_bo, ln2_g, ln2_b, cross_wq, cross_bq = (
-            self.claim_free[i])
+            self.memo.claim_free[i])
         d, heads = x.shape[-1], self.heads
         qkv = nn.layer_norm_forward(x, ln1_g, ln1_b)[0] @ qkv_w
         qkv += qkv_b
@@ -650,11 +697,15 @@ class Seq2SeqModel:
         state of the `sent_enc.*` parameters."""
         return self._memo("sent_enc", dict)
 
+    def decoder_memo(self, name: str) -> DecoderMemo:
+        """Decoder `name`'s `DecoderMemo`, for the current state of its
+        parameters."""
+        return self._memo(name, lambda: DecoderMemo(self, name))
+
     def prefix_table(self, name: str) -> PrefixTable:
         """Decoder `name`'s `PrefixTable`, for the current state of its
         parameters."""
-        return self._memo(name, lambda: PrefixTable(self.config.d_model,
-                                                    self.params[f"{name}.pos_emb"].data.dtype))
+        return self.decoder_memo(name).table
 
     def _memo(self, prefix: str, make):
         """The memo kept for the parameters under `prefix`: a new one from

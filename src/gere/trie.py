@@ -12,10 +12,12 @@ The arrays are read-only, so decode-time reads need no synchronization.
 
 Two methods read the child layout, and nothing outside this module does:
 `children_of(node)` is the ascending slice of a node's child tokens (a view,
-not a copy) and `child(node, token)` follows one edge. The beam's legal
-tokens and extensions, `walk`, `allowed_next` and `resolve` (so also
-`gere inspect-trie`) all go through them, so the brute-force prefix oracle
-checks the lookup the decoder uses.
+not a copy), and `edges(node)` is that slice with the node's first child id,
+so the j-th token leads to that id plus j. `child(node, token)` follows one
+edge through `edges`. The beam's legal tokens and extensions (`edges`),
+`walk`, `allowed_next` and `resolve` (so also `gere inspect-trie`) all go
+through them, so the brute-force prefix oracle checks the lookup the
+decoder uses.
 """
 
 from __future__ import annotations
@@ -114,10 +116,16 @@ class TitleTrie:
         first = self.first_child.item(node)
         return self.token[first:first + self.child_count.item(node)]
 
+    def edges(self, node: int) -> tuple[int, np.ndarray]:
+        """`node`'s first child id and `children_of(node)`: the edge with the
+        j-th token leads to node `first + j`."""
+        return self.first_child.item(node), self.children_of(node)
+
     def child(self, node: int, token: int) -> Optional[int]:
         """The node that `token` leads to from `node`, or None if no edge has it."""
-        tokens = self.children_of(node).tolist()
-        return self.first_child.item(node) + tokens.index(token) if token in tokens else None
+        first, tokens = self.edges(node)
+        tokens = tokens.tolist()
+        return first + tokens.index(token) if token in tokens else None
 
     def walk(self, prefix: Sequence[int]) -> Optional[int]:
         """Node reached from the root by `prefix`, or None if off-trie."""

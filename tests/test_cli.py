@@ -66,6 +66,10 @@ def test_load_run_config_overrides(tmp_path):
         load_run_config(str(path), ["nonsense=1"])
     with pytest.raises(UsageError):
         load_run_config(str(path), ["train.total_updates=soon"])
+    for text in ("0_2", "\u0665", "+3", "064"):  # `int` would read 2, 5, 3 and 64
+        message = f"'train.total_updates': expected int, got '{text}'"
+        with pytest.raises(UsageError, match=re.escape(message)):
+            load_run_config(str(path), [f"train.total_updates={text}"])
 
 
 def test_run_config_keys_are_the_paths_and_the_settings_fields():

@@ -77,8 +77,9 @@ def test_non_increasing_indices_rejected(tmp_path):
         load_wiki_pages(path)
 
 
-# `int` takes all of these ("0_1" as 1, "\u0663" as 3); only ASCII digits are an index.
-@pytest.mark.parametrize("index", ["0_1", " 3", "+4", "\u0663", "3 ", "-1"])
+# `int` takes all of these ("0_1" and "01" as 1, "\u0663" as 3); only ASCII digits
+# without a leading zero are an index.
+@pytest.mark.parametrize("index", ["0_1", " 3", "+4", "\u0663", "3 ", "-1", "01"])
 def test_sentence_index_must_be_ascii_digits(tmp_path, index):
     path = write_jsonl(tmp_path / "w.jsonl", [{"id": "A", "lines": f"0\ta\n{index}\tb"}])
     with pytest.raises(DataError, match=r"w.jsonl:1: sentence entry .* lacks an integer index"):

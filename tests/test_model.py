@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,11 @@ def test_config_kv_rejects_garbage():
         ModelConfig.from_kv("vocab_size=10\nn_heads=3\n")
     with pytest.raises(DataError, match="init_std"):
         ModelConfig.from_kv("vocab_size=10\ninit_std=nan\n")
+    # `int` reads these as 2, 5, 3 and 64; a re-save would write other text.
+    for key, text in (("d_model", "0_2"), ("seed", "\u0665"), ("seed", "+3"), ("d_model", "064")):
+        message = f"config key '{key}': expected int, got '{text}'"
+        with pytest.raises(DataError, match=re.escape(message)):
+            ModelConfig.from_kv(f"vocab_size=10\n{key}={text}\n")
 
 
 def test_same_seed_same_params(tiny_vocab):
@@ -193,6 +200,34 @@ def test_fused_qkv_product_equals_three_products(dtype, d, n_rows):
         fused += np.concatenate(bs)
         for j, (w, b) in enumerate(zip(ws, bs)):
             assert np.array_equal(fused[..., j * d:(j + 1) * d], h @ w + b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [16, 64])
+def test_fused_cross_kv_product_equals_per_layer_products(tiny_vocab, dtype, d):
+    """`DecoderState` projects every layer's cross-attention keys and values
+    with one (T, d) @ (d, 2 L d) product on the memo's read-only `cross_w`;
+    each layer's C-contiguous slice of it, bias added, has the bits and the
+    layout of its own `claim_states[None] @ wk + bk` and `@ wv + bv`. Length
+    1 runs gemv on both sides."""
+    model = Seq2SeqModel(small_config(len(tiny_vocab), d_model=d, n_heads=4, n_layers_dec=2,
+                                      d_ff=2 * d, init_std=0.5), dtype=dtype)
+    rng = np.random.default_rng(d)
+    for name in ("title_dec", "evid_dec"):
+        memo = model.decoder_memo(name)
+        assert memo.cross_w.shape == (d, 4 * d) and memo.cross_b.shape == (4 * d,)
+        packed = [memo.cross_w, memo.cross_b] + [a for layer in memo.claim_free for a in layer[2:4]]
+        assert not any(a.flags.writeable for a in packed)
+        for length in range(1, 25):
+            claim = rng.standard_normal((length, d)).astype(dtype)
+            state = DecoderState(model, name, claim)
+            for i, pair in enumerate(state.cross):
+                for got, p in zip(pair, "kv"):
+                    w = model.params[f"{name}.l{i}.cross_attn.w{p}"].data
+                    b = model.params[f"{name}.l{i}.cross_attn.b{p}"].data
+                    expected = nn.split_heads(claim[None] @ w + b, 4)
+                    assert got.strides == expected.strides, (name, length, i, p)
+                    assert np.array_equal(got, expected), (name, length, i, p)
 
 
 def test_greedy_evidence_scores_equal_single_step_replays(tiny_vocab, monkeypatch):
@@ -692,6 +727,23 @@ def test_prefix_table_is_dropped_after_an_adam_step(tiny_vocab, name):
         cands = _embeddings(model, tiny_vocab)
         assert np.array_equal(model.decode_step_evidence(enc, [], cands),
                               twin(model).decode_step_evidence(enc, [], cands))
+    _assert_scores_equal_a_fresh_models(model, tiny_vocab)
+
+
+def _assert_scores_equal_a_fresh_models(model, tiny_vocab):
+    """Title logits and evidence scores, each taken twice (the second time
+    from a filled table), equal those of a fresh model over the same arrays:
+    no packed weight copy of an older parameter state is read."""
+    enc = model.encode_claim(tiny_vocab.encode("beta ridge faces north"))
+    fresh = twin(model)
+    cands = _embeddings(model, tiny_vocab)
+    for _ in range(2):
+        for prefix in ([BOS], [BOS, EOT]):
+            assert np.array_equal(model.decode_step_title(enc, prefix),
+                                  fresh.decode_step_title(enc, prefix))
+        for previous in ([], cands[1:2]):
+            assert np.array_equal(model.decode_step_evidence(enc, previous, cands),
+                                  fresh.decode_step_evidence(enc, previous, cands))
 
 
 @pytest.mark.parametrize("name", ["title_dec", "evid_dec"])
@@ -717,3 +769,17 @@ def test_prefix_table_follows_its_decoders_rebound_and_versioned_parameters(tiny
         assert model.prefix_table(name) is not table
     assert model.prefix_table(other) is not tables[other]  # rebound above
     assert model.sentence_memo() is memo
+
+    # New values, rebound and then written in place with a version bump (as
+    # `Adam.step` does): the scores follow both.
+    _fill_tables(model, tiny_vocab)
+    rng = np.random.default_rng(6)
+    for param in names:
+        tensor = model.params[param]
+        tensor.data = tensor.data + rng.normal(0.0, 0.1, tensor.data.shape).astype(np.float32)
+    _assert_scores_equal_a_fresh_models(model, tiny_vocab)
+    for param in names:
+        tensor = model.params[param]
+        tensor.data += rng.normal(0.0, 0.1, tensor.data.shape).astype(np.float32)
+        tensor.version += 1
+    _assert_scores_equal_a_fresh_models(model, tiny_vocab)

@@ -154,7 +154,8 @@ def test_child_and_children_of_match_a_scan_at_every_node(word_lists):
     the titles gives for the node's path, and `child(node, t)` is the node
     whose parent (a scan of every node's child-id range) is `node` and whose
     edge token is t, for every id of the vocabulary and two above it; else
-    None."""
+    None. `edges(node)` gives the same tokens, and its first child id plus j
+    is that node for the j-th token."""
     vocab = Vocab(SPECIAL_TOKENS + ("a", "b", "c"))
     titles = [(" ".join(words), f"doc{i}") for i, words in enumerate(word_lists)]
     seqs = [vocab.encode(t) for t, _ in titles]
@@ -170,6 +171,11 @@ def test_child_and_children_of_match_a_scan_at_every_node(word_lists):
     for node in range(trie.node_count):
         tokens = trie.children_of(node).tolist()
         assert tokens == sorted(allowed_next_bruteforce(seqs, paths[node]))
+        first, edge_tokens = trie.edges(node)
+        assert edge_tokens.tolist() == tokens
+        assert [first + j for j in range(len(tokens))] == [
+            n for n in range(trie.node_count) if parent[n] == node]
+        assert [int(trie.token[first + j]) for j in range(len(tokens))] == tokens
         for tok in probes:
             expected = next((n for n in range(trie.node_count)
                              if parent[n] == node and trie.token[n] == tok), None)
