@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, at_least
 
 
 def read_bytes(path) -> bytes:
@@ -75,8 +75,7 @@ def write_u64(buf: bytearray, value: int) -> None:
 
 
 def write_uvarint(buf: bytearray, value: int) -> None:
-    if value < 0:
-        raise ValueError(f"uvarint cannot encode negative value {value}")
+    at_least("uvarint value", value, 0)
     while True:
         byte = value & 0x7F
         value >>= 7

@@ -54,8 +54,9 @@ from typing import Sequence
 import numpy as np
 
 from . import binio, nn
-from .corpus import Claim, Corpus, claim_id_of
-from .errors import DataError, DecodingError
+from .corpus import Claim, Corpus
+from .errors import DataError, DecodingError, at_least
+from .evalkit import check_predictions
 from .model import DecoderState, Seq2SeqModel, SentenceEmbedding
 from .tokenizer import BOS, EOS, EOT, SEP, Vocab
 from .trie import TitleTrie
@@ -69,12 +70,8 @@ class DecodeParams:
     length_normalize: bool = False  # rank finished hypotheses by log_prob / length
 
     def __post_init__(self):
-        if self.beam_size < 1:
-            raise ValueError("beam_size must be positive")
-        if self.max_titles < 1:
-            raise ValueError("max_titles must be positive")
-        if self.max_evidence_steps < 0:
-            raise ValueError("max_evidence_steps must not be negative")
+        for name, low in (("beam_size", 1), ("max_titles", 1), ("max_evidence_steps", 0)):
+            at_least(name, getattr(self, name), low)
 
 
 @dataclass
@@ -236,6 +233,7 @@ def greedy_evidence(
     none). Score ties prefer the earliest candidate in (doc_id,
     sentence_index) order, then EOE last.
     """
+    at_least("max_evidence_steps", max_evidence_steps, 0)
     state = DecoderState(model, "evid_dec", claim_states)
     vector = model.params["evid_dec.start"].data
     remaining = list(candidates)
@@ -284,8 +282,6 @@ def write_predictions(results: Sequence[RetrievalResult], path) -> None:
 
 
 def read_predictions(path) -> list[dict]:
-    records = []
-    for where, rec in binio.read_jsonl(path):
-        claim_id_of(rec, "claim_id", where)
-        records.append(rec)
-    return records
+    """The records of a prediction file, in file order, each checked by
+    `evalkit.check_predictions`; a bad record is a `DataError` naming its line."""
+    return list(check_predictions(binio.read_jsonl(path)).values())

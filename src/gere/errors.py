@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two range rules that
+every setting and argument is checked with."""
+
+import math
 
 
 class GereError(Exception):
@@ -16,3 +19,15 @@ class TrainingError(GereError):
 class DecodingError(GereError):
     """Inference-time failure: an empty trie, or a beam in which no
     hypothesis could finish."""
+
+
+def at_least(name: str, value, low) -> None:
+    """Raise `ValueError` unless `value` is at least `low`."""
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
+def finite_positive(name: str, value) -> None:
+    """Raise `ValueError` unless `value` is a finite number above 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import binio
 from .corpus import Claim, Label, claim_id_of
-from .errors import DataError
+from .errors import DataError, at_least
 
 Pair = tuple[str, int]
 
@@ -48,29 +48,31 @@ class VerificationScores:
     fever: float
 
 
-def _prediction_map(predictions: Sequence[dict]) -> dict[int, dict]:
-    """Records by claim_id; a claim_id that is not an integer, a repeated
-    one, and titles and evidence of a bad shape are a DataError."""
+def check_predictions(located: Iterable[tuple[str, dict]]) -> dict[int, dict]:
+    """Records by claim_id from (location, record) pairs. A claim_id that is
+    not an integer or repeats, titles that are not a list of strings and
+    evidence that is not a list of [doc_id, sentence_index] pairs with a
+    non-negative integer index are a DataError that starts with the location."""
     out: dict[int, dict] = {}
-    for i, rec in enumerate(predictions):
-        cid = claim_id_of(rec, "claim_id", f"prediction {i}")
+    for where, rec in located:
+        cid = claim_id_of(rec, "claim_id", where)
         if cid in out:
-            raise DataError(f"duplicate prediction for claim_id {cid}")
+            raise DataError(f"{where}: duplicate prediction for claim_id {cid}")
         titles, pairs = rec.get("predicted_titles", []), rec.get("predicted_evidence", [])
         if not isinstance(titles, list) or not all(isinstance(t, str) for t in titles):
-            raise DataError(f"claim_id {cid}: predicted_titles must be a list of strings")
+            raise DataError(f"{where}: claim_id {cid}: predicted_titles must be a list of strings")
         if not isinstance(pairs, list) or not all(
                 isinstance(p, list) and len(p) == 2 and isinstance(p[0], str)
-                and type(p[1]) is int for p in pairs):
-            raise DataError(f"claim_id {cid}: predicted_evidence must be a list of "
-                            "[doc_id, sentence_index] pairs")
+                and type(p[1]) is int and p[1] >= 0 for p in pairs):
+            raise DataError(f"{where}: claim_id {cid}: predicted_evidence must be a list of "
+                            "[doc_id, sentence_index] pairs with a non-negative index")
         out[cid] = rec
     return out
 
 
-def _check_max_evidence(max_evidence: int) -> None:
-    if max_evidence < 1:
-        raise ValueError(f"max_evidence must be at least 1, got {max_evidence}")
+def _prediction_map(predictions: Sequence[dict]) -> dict[int, dict]:
+    """`check_predictions` over in-memory records, located as `prediction <i>`."""
+    return check_predictions((f"prediction {i}", rec) for i, rec in enumerate(predictions))
 
 
 def _predicted_pairs(rec: dict, max_evidence: int) -> set[Pair]:
@@ -120,7 +122,7 @@ def doc_prf(predictions, golds: Iterable[Claim]) -> PRF:
 def sent_prf(predictions, golds: Iterable[Claim], max_evidence: int = 5) -> PRF:
     """As doc_prf over (doc_id, sentence_index) pairs; only the first
     max_evidence predicted pairs are scored."""
-    _check_max_evidence(max_evidence)
+    at_least("max_evidence", max_evidence, 1)
     return _sent_prf(_prediction_map(predictions), golds, max_evidence)
 
 
@@ -164,7 +166,7 @@ def fever_scores(predictions, golds: Iterable[Claim], max_evidence: int = 5
     gold evidence group fully contained in the first max_evidence predicted
     pairs. Predictions present in the file must carry `predicted_label`.
     """
-    _check_max_evidence(max_evidence)
+    at_least("max_evidence", max_evidence, 1)
     return _fever_scores(_prediction_map(predictions), golds, max_evidence)
 
 
@@ -175,7 +177,7 @@ def evaluate(predictions, golds: Sequence[Claim], max_evidence: int = 5,
     claim ids are counted in `n.predicted` but not scored. `oracle_labels`
     copies each gold claim's label onto its record first (pipeline testing
     only; this package retrieves evidence, it does not verify claims)."""
-    _check_max_evidence(max_evidence)
+    at_least("max_evidence", max_evidence, 1)
     pred_map = _prediction_map(predictions)
     if oracle_labels:
         labels = {c.claim_id: {"predicted_label": c.label.value} for c in golds}

@@ -47,9 +47,9 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import nn
-from .errors import DataError
+from .errors import DataError, at_least, finite_positive
 from .kvconfig import kv_lines, parse_kv
-from .tokenizer import BOS, EOS
+from .tokenizer import BOS, EOS, SPECIAL_TOKENS
 
 NEG_INF = -1e9  # additive mask; exp(NEG_INF - max) underflows to exactly 0
 
@@ -68,18 +68,15 @@ class ModelConfig:
     init_std: float = 0.02  # scale of the Gaussian weight init
 
     def __post_init__(self):
-        for name, low in (("d_model", 1), ("n_heads", 1), ("d_ff", 1), ("max_positions", 2),
-                          ("n_layers_enc", 0), ("n_layers_dec", 0), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
-        if not (np.isfinite(self.init_std) and self.init_std > 0):
-            raise ValueError(f"init_std must be finite and positive, got {self.init_std}")
+        for name, low in (("vocab_size", len(SPECIAL_TOKENS)), ("d_model", 1), ("n_heads", 1),
+                          ("d_ff", 1), ("max_positions", 2), ("n_layers_enc", 0),
+                          ("n_layers_dec", 0), ("seed", 0)):
+            at_least(name, getattr(self, name), low)
+        finite_positive("init_std", self.init_std)
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
-        if self.vocab_size < 6:
-            raise ValueError("vocab_size must cover the six special tokens")
 
     def to_kv(self) -> str:
         lines = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import finite_positive
+
 
 class Tensor:
     """A value in the autodiff graph. `version` counts in-place writes to
@@ -518,8 +520,7 @@ def global_grad_norm(params: dict[str, Tensor]) -> float:
 def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
     """Scale grads in place to max_norm; returns the pre-clip global norm.
     A max_norm that is not finite and positive raises `ValueError`."""
-    if not (np.isfinite(max_norm) and max_norm > 0):
-        raise ValueError(f"max_norm must be finite and positive, got {max_norm}")
+    finite_positive("max_norm", max_norm)
     norm = global_grad_norm(params)
     if norm > max_norm:
         scale = max_norm / norm

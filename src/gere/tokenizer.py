@@ -21,7 +21,7 @@ from collections import Counter
 from typing import Sequence
 
 from . import binio
-from .errors import DataError
+from .errors import DataError, at_least
 
 # Reserved ids; EOE is not a vocabulary token (the evidence decoder scores it
 # against a learned embedding, outside the token vocabulary).
@@ -91,8 +91,7 @@ def build_vocab(corpus, claims, max_size: int) -> Vocab:
 
     Ties break lexicographically; the result is deterministic for fixed inputs.
     """
-    if max_size < len(SPECIAL_TOKENS):
-        raise ValueError(f"max_size must be >= {len(SPECIAL_TOKENS)}, got {max_size}")
+    at_least("max_size", max_size, len(SPECIAL_TOKENS))
     counts: Counter[str] = Counter()
     for doc in corpus.documents.values():
         counts.update(tokenize(doc.title))

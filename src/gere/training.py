@@ -11,7 +11,7 @@ import numpy as np
 
 from . import nn
 from .corpus import Claim, Corpus, GoldTargets
-from .errors import DataError, TrainingError
+from .errors import DataError, TrainingError, at_least, finite_positive
 from .model import NEG_INF, Seq2SeqModel, length_groups, sentence_ids
 from .tokenizer import BOS, EOS, EOT, PAD, SEP, Vocab
 
@@ -30,15 +30,11 @@ class TrainParams:
     def __post_init__(self):
         if not 0.0 < self.warmup_frac < 1.0:
             raise ValueError(f"warmup_frac must be in (0, 1), got {self.warmup_frac}")
-        if self.total_updates < 1:
-            raise ValueError("total_updates must be positive")
-        for name, low in (("max_tokens", 1), ("checkpoint_every", 0)):  # 0: final checkpoint only
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        for name, low in (("total_updates", 1), ("max_tokens", 1),
+                          ("checkpoint_every", 0)):  # 0: final checkpoint only
+            at_least(name, getattr(self, name), low)
         for name in ("peak_lr", "clip_norm"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+            finite_positive(name, getattr(self, name))
 
 
 @dataclass
@@ -59,8 +55,7 @@ def learning_rate(step: int, total_updates: int, peak_lr: float, warmup_frac: fl
     linear decay; exactly peak_lr at the warmup boundary and 0.0 at the end.
     Steps are 1-based; the other arguments follow `TrainParams`' rules."""
     TrainParams(total_updates=total_updates, peak_lr=peak_lr, warmup_frac=warmup_frac)
-    if step < 1:
-        raise ValueError("step must be positive")
+    at_least("step", step, 1)
     warmup = max(1, round(total_updates * warmup_frac))
     if step <= warmup:
         return peak_lr * (step / warmup)

@@ -458,7 +458,8 @@ def test_eval_perfect_and_empty_fixtures(dataset, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value", [("predicted_evidence", [["x"]]),
-                                          ("predicted_titles", "Some_doc")])
+                                          ("predicted_titles", "Some_doc"),
+                                          ("predicted_evidence", [["x", -1]])])
 def test_eval_rejects_malformed_prediction_fields(dataset, tmp_path, capsys, field, value):
     from gere.corpus import load_claims
     claim = next(c for c in load_claims(dataset[2]) if c.evidence_groups)
@@ -477,6 +478,17 @@ def test_eval_rejects_malformed_prediction_lines(dataset, tmp_path, capsys, line
     path.write_text("\n" + line + "\n")
     assert main(["eval", "--pred", str(path), "--gold", str(dataset[2])]) == EXIT_DATA
     assert f"{path}:2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("second, message", [
+    ({"claim_id": 2, "predicted_titles": [7]}, "claim_id 2: predicted_titles"),
+    ({"claim_id": 1}, "duplicate prediction for claim_id 1"),
+])
+def test_eval_record_errors_name_path_and_line(dataset, tmp_path, capsys, second, message):
+    path = tmp_path / "pred.jsonl"
+    path.write_text(json.dumps({"claim_id": 1}) + "\n" + json.dumps(second) + "\n")
+    assert main(["eval", "--pred", str(path), "--gold", str(dataset[2])]) == EXIT_DATA
+    assert f"{path}:2: {message}" in capsys.readouterr().err
 
 
 def test_inspect_trie(dataset, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -387,6 +388,14 @@ def test_greedy_over_no_candidates_returns_no_evidence():
     assert greedy_evidence(model, enc, [], max_evidence_steps=3) == ([], [])
 
 
+def test_greedy_rejects_a_negative_step_budget():
+    """The `DecodeParams` rule, not a silent empty result."""
+    corpus, vocab, trie, model = setup(["Alpha"])
+    enc = model.encode_claim(vocab.encode("claim"))
+    with pytest.raises(ValueError, match="max_evidence_steps must be at least 0, got -1"):
+        greedy_evidence(model, enc, [], max_evidence_steps=-1)
+
+
 def test_greedy_tie_breaks_by_source_order():
     corpus, vocab, trie, model = setup(["Alpha"])
     enc = model.encode_claim(vocab.encode("claim"))
@@ -500,6 +509,19 @@ def test_prediction_round_trip(tmp_path):
     assert [r["claim_id"] for r in records] == [1, 2]  # sorted by claim_id
     assert records[0]["predicted_evidence"] == [["A", 0], ["B", 2]]
     assert records[0]["scores"]["title_log_prob"] == -2.0
+
+
+@pytest.mark.parametrize("second, message", [
+    ('{"claim_id": 2, "predicted_evidence": [["A", -1]]}', "claim_id 2: predicted_evidence"),
+    ('{"claim_id": 2, "predicted_titles": "A"}', "claim_id 2: predicted_titles"),
+    ('{"claim_id": 1}', "duplicate prediction for claim_id 1"),
+    ('{"claim_id": "2"}', "claim_id must be an integer"),
+])
+def test_read_predictions_names_the_line_of_a_bad_record(tmp_path, second, message):
+    path = tmp_path / "pred.jsonl"
+    path.write_text('{"claim_id": 1}\n' + second + "\n")
+    with pytest.raises(DataError, match="^" + re.escape(f"{path}:2: {message}")):
+        read_predictions(path)
 
 
 def test_read_predictions_rejects_bad_lines(tmp_path):

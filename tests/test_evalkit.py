@@ -154,12 +154,22 @@ def test_oracle_labels_pass_through():
     ("predicted_evidence", "A"),
     ("predicted_titles", "A"),
     ("predicted_titles", [["A"]]),
+    ("predicted_evidence", [["A", -1]]),
 ])
 def test_malformed_prediction_fields_are_data_errors(field, value):
     golds = [gold(7, "SUPPORTS", [[("A", 0)]])]
     rec = dict(pred(7, titles=["A"], evidence=[("A", 0)], label="SUPPORTS"), **{field: value})
     with pytest.raises(DataError, match=f"claim_id 7: {field}"):
         evaluate([rec], golds)
+
+
+def test_in_memory_record_errors_name_the_record():
+    golds = [gold(7, "SUPPORTS", [[("A", 0)]])]
+    bad = dict(pred(7), predicted_titles="A")
+    with pytest.raises(DataError, match="^prediction 1: claim_id 7: predicted_titles"):
+        evaluate([pred(6), bad], golds)
+    with pytest.raises(DataError, match="^prediction 2: duplicate prediction for claim_id 7$"):
+        evaluate([pred(7), pred(6), pred(7)], golds)
 
 
 # -- randomized oracle cross-check ---------------------------------------------------

@@ -293,3 +293,34 @@ def test_only_trie_reads_the_child_layout(path):
     """Everything else goes through `TitleTrie.children_of` and `child`."""
     reads = _trie_layout_reads(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     assert not reads, f"{path.name} reads the trie's child layout: {reads}"
+
+
+_RANGE_WORDS = ("must be at least", "must be positive", "must not be negative", "must be >=",
+                "finite and positive")
+# errors.py states the two shared range rules; cli.py's `--max-evidence` check
+# stays a usage error raised before any file is read.
+_RANGE_RULES = {"errors.py": 2, "cli.py": 1}
+
+
+def _range_messages(tree: ast.Module) -> list[str]:
+    """The text of each raised message that states a range rule."""
+    return [node.value for raise_ in ast.walk(tree) if isinstance(raise_, ast.Raise)
+            for node in ast.walk(raise_) if isinstance(node, ast.Constant)
+            and isinstance(node.value, str) and any(w in node.value for w in _RANGE_WORDS)]
+
+
+def test_range_rule_check_flags_hand_written_range_messages():
+    source = ("raise ValueError('n must be positive')\n"
+              "raise ValueError(f'{k} must not be negative, got {v}')\n"
+              "raise ValueError(f'max_size must be >= {low}')\n"
+              "raise DataError('claim 3 has no tokens')\n")
+    assert _range_messages(ast.parse(source)) == [
+        "n must be positive", " must not be negative, got ", "max_size must be >= "]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_range_rules_are_the_shared_ones(path):
+    """A lower bound or a finite-positive rule goes through `errors.at_least`
+    or `errors.finite_positive`, so each is worded and checked one way."""
+    found = _range_messages(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    assert len(found) == _RANGE_RULES.get(path.name, 0), f"{path.name}: {found}"

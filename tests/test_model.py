@@ -692,6 +692,33 @@ def test_table_rows_are_read_only_copies_of_layer_zeros_claim_free_half(tiny_voc
     assert all(a.flags.writeable for a in gathered)
 
 
+def test_gathered_x_and_query_have_a_computed_steps_layout(tiny_vocab):
+    """Matmul bits can follow the memory layout, so an all-hit step's x and
+    query must have the strides and contiguity a computed step gives them:
+    x as `inputs[:, None]` (stride 0 on its length-1 axis), the query as a
+    product's output (no stride-0 axis)."""
+    model = Seq2SeqModel(small_config(len(tiny_vocab), d_model=64, n_heads=4,
+                                      n_layers_dec=2, d_ff=256))
+    enc = model.encode_claim(tiny_vocab.encode("alpha hill rises early"))
+    tok_emb = model.params["title_dec.tok_emb"].data
+    steps = [[BOS, BOS, BOS], [tiny_vocab.ids["alpha"], tiny_vocab.ids["hill"], EOT]]
+    computed, gathered = (DecoderState(model, "title_dec", enc) for _ in range(2))
+    table = model.prefix_table("title_dec")
+    for tokens in steps:
+        full_hits = table.full_hits
+        cold = computed._first_claim_free(tok_emb[tokens])
+        assert table.full_hits == full_hits
+        warm = gathered._first_claim_free(tok_emb[tokens])
+        assert table.full_hits == full_hits + 1
+        computed.length += 1
+        gathered.length += 1
+        for a, b in zip(cold, warm):
+            assert (b.shape, b.dtype, b.strides) == (a.shape, a.dtype, a.strides)
+            assert (b.flags.c_contiguous, b.flags.f_contiguous) == (
+                a.flags.c_contiguous, a.flags.f_contiguous)
+            assert np.array_equal(a, b)
+
+
 def _fill_tables(model, tiny_vocab):
     enc = model.encode_claim(tiny_vocab.encode("alpha hill rises early"))
     model.title_step(DecoderState(model, "title_dec", enc), [BOS, EOT])
