@@ -22,7 +22,7 @@ from pathlib import Path
 from . import binio, evalkit
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import gold_targets, load_claims, load_wiki_pages, verifiable
-from .decoding import DecodeParams, read_predictions, retrieve, write_predictions
+from .decoding import DecodeParams, retrieve, write_predictions
 from .errors import DataError, GereError
 from .kvconfig import kv_lines, parse_kv
 from .model import ModelConfig, Seq2SeqModel
@@ -237,17 +237,16 @@ def cmd_eval(args) -> int:
     if args.max_evidence < 1:
         raise UsageError(f"--max-evidence must be at least 1, got {args.max_evidence}")
     golds = load_claims(_require(args.gold, "gold claims"))
-    predictions = read_predictions(_require(args.pred, "predictions"))
+    pred_map = evalkit.check_predictions(binio.read_jsonl(_require(args.pred, "predictions")))
     gold_ids = {c.claim_id for c in golds}
-    pred_ids = {rec["claim_id"] for rec in predictions}
-    missing = sorted(gold_ids - pred_ids)
-    extra = sorted(pred_ids - gold_ids)
+    missing = sorted(gold_ids - pred_map.keys())
+    extra = sorted(pred_map.keys() - gold_ids)
     if missing:
         log.warning("claims missing from predictions (scored as empty): %s", missing)
     if extra:
         log.warning("predictions for unknown claim ids (ignored): %s", extra)
-    report = evalkit.evaluate(predictions, golds, max_evidence=args.max_evidence,
-                              oracle_labels=args.oracle_labels)
+    report = evalkit.evaluate_map(pred_map, golds, max_evidence=args.max_evidence,
+                                  oracle_labels=args.oracle_labels)
     print(json.dumps(report, indent=2, sort_keys=True))
     out = args.out or f"{args.pred}.metrics.json"
     with _writing(out):

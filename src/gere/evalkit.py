@@ -172,13 +172,20 @@ def fever_scores(predictions, golds: Iterable[Claim], max_evidence: int = 5
 
 def evaluate(predictions, golds: Sequence[Claim], max_evidence: int = 5,
              oracle_labels: bool = False) -> dict:
-    """Full metrics report. LA/FEVER are null unless some gold claim has a
-    record and every gold claim's record carries a label; records for other
-    claim ids are counted in `n.predicted` but not scored. `oracle_labels`
-    copies each gold claim's label onto its record first (pipeline testing
-    only; this package retrieves evidence, it does not verify claims)."""
+    """`evaluate_map` of a list of prediction records, each checked by
+    `check_predictions`."""
+    return evaluate_map(_prediction_map(predictions), golds, max_evidence, oracle_labels)
+
+
+def evaluate_map(pred_map: dict[int, dict], golds: Sequence[Claim], max_evidence: int = 5,
+                 oracle_labels: bool = False) -> dict:
+    """Full metrics report over records by claim_id, as `check_predictions`
+    returns them. LA/FEVER are null unless some gold claim has a record and
+    every gold claim's record carries a label; records for other claim ids
+    are counted in `n.predicted` but not scored. `oracle_labels` copies each
+    gold claim's label onto its record first (pipeline testing only; this
+    package retrieves evidence, it does not verify claims)."""
     at_least("max_evidence", max_evidence, 1)
-    pred_map = _prediction_map(predictions)
     if oracle_labels:
         labels = {c.claim_id: {"predicted_label": c.label.value} for c in golds}
         pred_map = {cid: dict(rec, **labels.get(cid, {})) for cid, rec in pred_map.items()}

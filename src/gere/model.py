@@ -7,13 +7,18 @@ evidence vocabulary, and an evidence decoder that scores decoder states
 against candidate sentence embeddings plus one learned end-of-evidence (EOE)
 embedding. Pre-norm residual blocks with a final layer norm per stack.
 
-Training runs the `nn` graph, built from block nodes: `nn.linear` for every
-projection and `nn.attention` for every attention block. Inference runs a
-plain-numpy engine and builds no graph objects: `encode` runs an encoder over
-a block of equal-length sequences, each row bit-identical to the graph;
-`encode_claim` returns a claim's (length, d_model) states array, against
-which `DecoderState` decodes incrementally with per-layer key/value caches.
-Both compute attention with the one array definition, `nn.attention_forward`.
+The layer norm, attention, FFN and encoder-stack blocks are each defined
+once, as module functions over an `ops` argument offering `nn`'s `linear`,
+`layer_norm`, `attention`, `gelu` and `add`. Training runs them on
+`Seq2SeqModel.ops`, the `nn` module, so the graph is built from block nodes:
+`nn.linear` for every projection and `nn.attention` for every attention
+block. Inference runs them on `_ARRAYS`, the same five ops on plain arrays,
+and builds no graph objects: `encode` runs an encoder over a block of
+equal-length sequences, each row bit-identical to the graph; `encode_claim`
+returns a claim's (length, d_model) states array, against which
+`DecoderState` decodes incrementally with per-layer key/value caches, in step
+code of its own. All compute attention with the one array definition,
+`nn.attention_forward`.
 Each decoder has a per-model `DecoderMemo`: its weights packed once per
 parameter state in the order a step reads them (the fused self-attention
 q|k|v matrix and bias of each layer and one cross-attention k|v matrix and
@@ -40,8 +45,10 @@ that tests check against live in `tests/oracles.py`.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -152,30 +159,65 @@ def _weights(model: "Seq2SeqModel", prefix: str) -> dict[str, np.ndarray]:
 def _scale(cfg: ModelConfig) -> float:
     """The attention scale 1 / sqrt(d_head) as a Python float: a weak scalar
     under NumPy's promotion rules, so it keeps the scores' dtype."""
-    return float(1.0 / np.sqrt(cfg.d_model // cfg.n_heads))
+    return 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
+
+
+# -- shared blocks ---------------------------------------------------------------
+#
+# Each block is written once over `ops`, which offers `nn`'s `linear`,
+# `layer_norm`, `attention`, `gelu` and `add`: the `nn` module itself builds
+# graph nodes, `_ARRAYS` computes on plain arrays. `w` maps a stack's
+# parameter names, less the stack prefix, to what `ops` takes.
+
+
+def _ln(ops, w, prefix, x):
+    return ops.layer_norm(x, w[prefix + ".g"], w[prefix + ".b"])
+
+
+def _attention(ops, w, prefix, x, kv, add_mask, cfg: ModelConfig):
+    q = ops.linear(x, w[prefix + ".wq"], w[prefix + ".bq"])
+    k = ops.linear(kv, w[prefix + ".wk"], w[prefix + ".bk"])
+    v = ops.linear(kv, w[prefix + ".wv"], w[prefix + ".bv"])
+    ctx = ops.attention(q, k, v, cfg.n_heads, _scale(cfg), add_mask)
+    return ops.linear(ctx, w[prefix + ".wo"], w[prefix + ".bo"])
+
+
+def _ffn(ops, w, prefix, x):
+    h = ops.gelu(ops.linear(x, w[prefix + ".w1"], w[prefix + ".b1"]))
+    return ops.linear(h, w[prefix + ".w2"], w[prefix + ".b2"])
+
+
+def _encoder(ops, w, x, add_mask, cfg: ModelConfig):
+    """The encoder layers over embedded inputs x (B, T, d), then the final
+    layer norm."""
+    for i in range(cfg.n_layers_enc):
+        normed = _ln(ops, w, f"l{i}.ln1", x)
+        x = ops.add(x, _attention(ops, w, f"l{i}.attn", normed, normed, add_mask, cfg))
+        x = ops.add(x, _ffn(ops, w, f"l{i}.ffn", _ln(ops, w, f"l{i}.ln2", x)))
+    return _ln(ops, w, "ln_f", x)
+
+
+# `nn`'s block ops on arrays. `linear` is the stacked (B, T, d) @ (d, m)
+# product, which numpy evaluates slice by slice with the (T, d) @ (d, m) call
+# of B = 1, so each row has the bits of its own pass.
+_ARRAYS = SimpleNamespace(
+    linear=lambda x, w, b: x @ w + b,
+    layer_norm=lambda x, gain, bias: nn.layer_norm_forward(x, gain, bias)[0],
+    attention=lambda q, k, v, heads, scale, add_mask=None: nn.attention_forward(
+        nn.split_heads(q, heads), nn.split_heads(k, heads), nn.split_heads(v, heads),
+        scale, add_mask)[0],
+    gelu=lambda x: nn.gelu_forward(x)[0],
+    add=operator.add)
 
 
 def encode(model: "Seq2SeqModel", name: str, ids: Sequence[Sequence[int]]) -> np.ndarray:
     """Final states (B, T, d) of encoder `name` over a (B, T) block of token ids,
-    T <= max_positions. It repeats `encoder_forward`'s ops, and numpy evaluates
-    each (B, T, d) @ (d, m) projection slice by slice with the (T, d) @ (d, m)
-    call of B = 1, so row b is bit-identical to the graph's states for that
-    row alone. Rows are never padded: padding would change the bits."""
-    heads, scale = model.config.n_heads, _scale(model.config)
+    T <= max_positions: `_encoder`, the one definition `encoder_forward` also
+    runs, on `_ARRAYS`, so row b is bit-identical to the graph's states for
+    that row alone. Rows are never padded: padding would change the bits."""
     w = _weights(model, name)
-    ids = np.asarray(ids)
-    x = w["tok_emb"][ids] + w["pos_emb"][: ids.shape[1]]
-    for i in range(model.config.n_layers_enc):
-        p = f"l{i}."
-        h = nn.layer_norm_forward(x, w[p + "ln1.g"], w[p + "ln1.b"])[0]
-        q = nn.split_heads(h @ w[p + "attn.wq"] + w[p + "attn.bq"], heads)
-        k = nn.split_heads(h @ w[p + "attn.wk"] + w[p + "attn.bk"], heads)
-        v = nn.split_heads(h @ w[p + "attn.wv"] + w[p + "attn.bv"], heads)
-        x = x + (nn.attention_forward(q, k, v, scale)[0] @ w[p + "attn.wo"] + w[p + "attn.bo"])
-        h = nn.layer_norm_forward(x, w[p + "ln2.g"], w[p + "ln2.b"])[0]
-        h = nn.gelu_forward(h @ w[p + "ffn.w1"] + w[p + "ffn.b1"])[0]
-        x = x + (h @ w[p + "ffn.w2"] + w[p + "ffn.b2"])
-    return nn.layer_norm_forward(x, w["ln_f.g"], w["ln_f.b"])[0]
+    x = w["tok_emb"][np.asarray(ids)] + w["pos_emb"][: len(ids[0])]
+    return _encoder(_ARRAYS, w, x, None, model.config)
 
 
 PREFIX_TABLE_ROWS = 1 << 14  # the most nodes one decoder's prefix table stores
@@ -565,25 +607,11 @@ class Seq2SeqModel:
     def num_params(self) -> int:
         return sum(p.data.size for p in self.params.values())
 
-    # -- shared blocks ---------------------------------------------------------
+    # -- encoder / decoder forward ------------------------------------------
 
-    def _linear(self, x, w_name, b_name):
-        return nn.linear(x, self.params[w_name], self.params[b_name])
-
-    def _attention(self, prefix, x, kv, add_mask):
-        cfg = self.config
-        q = self._linear(x, f"{prefix}.wq", f"{prefix}.bq")
-        k = self._linear(kv, f"{prefix}.wk", f"{prefix}.bk")
-        v = self._linear(kv, f"{prefix}.wv", f"{prefix}.bv")
-        ctx = nn.attention(q, k, v, cfg.n_heads, _scale(cfg), add_mask)
-        return self._linear(ctx, f"{prefix}.wo", f"{prefix}.bo")
-
-    def _ffn(self, prefix, x):
-        h = nn.gelu(self._linear(x, f"{prefix}.w1", f"{prefix}.b1"))
-        return self._linear(h, f"{prefix}.w2", f"{prefix}.b2")
-
-    def _ln(self, prefix, x):
-        return nn.layer_norm(x, self.params[f"{prefix}.g"], self.params[f"{prefix}.b"])
+    # The training graph's block ops: the module itself, so that an op
+    # replaced on `nn` after import is the one the graph calls.
+    ops = nn
 
     def _positions(self, name, n_pos):
         if n_pos > self.config.max_positions:
@@ -591,45 +619,38 @@ class Seq2SeqModel:
                              f"{self.config.max_positions}")
         return nn.gather(self.params[f"{name}.pos_emb"], np.arange(n_pos))
 
-    # -- encoder / decoder forward ------------------------------------------
-
     def encoder_forward(self, name, ids: np.ndarray, valid: np.ndarray) -> nn.Tensor:
         """Run an encoder stack over token ids (B, T), where `valid` (B, T) marks
         the real tokens of each row. The claim encoder's rows are right-padded
         and their padded keys masked; the sentence encoder's rows are one
         length (`length_groups`), so `valid` is all true and no mask is built."""
-        x = nn.add(nn.gather(self.params[f"{name}.tok_emb"], ids),
-                   self._positions(name, ids.shape[1]))
-        add_mask = _key_mask(valid, self.dtype)
-        for i in range(self.config.n_layers_enc):
-            p = f"{name}.l{i}"
-            normed = self._ln(f"{p}.ln1", x)
-            x = nn.add(x, self._attention(f"{p}.attn", normed, normed, add_mask))
-            x = nn.add(x, self._ffn(f"{p}.ffn", self._ln(f"{p}.ln2", x)))
-        return self._ln(f"{name}.ln_f", x)
+        x = self.ops.add(nn.gather(self.params[f"{name}.tok_emb"], ids),
+                         self._positions(name, ids.shape[1]))
+        return _encoder(self.ops, _group(self, name), x, _key_mask(valid, self.dtype),
+                        self.config)
 
     def decoder_forward(self, name, x: nn.Tensor, enc_out: nn.Tensor,
                         enc_valid: np.ndarray) -> nn.Tensor:
         """Run a decoder stack over embedded inputs (B, T, d) with causal masking;
         `enc_valid` (B, T_enc) marks the real positions of `enc_out`."""
-        n_q = x.data.shape[1]
-        causal = _causal_mask(n_q, self.dtype)
+        ops, w, cfg = self.ops, _group(self, name), self.config
+        causal = _causal_mask(x.data.shape[1], self.dtype)
         cross = _key_mask(enc_valid, self.dtype)
-        for i in range(self.config.n_layers_dec):
-            p = f"{name}.l{i}"
-            normed = self._ln(f"{p}.ln1", x)
-            x = nn.add(x, self._attention(f"{p}.self_attn", normed, normed, causal))
-            x = nn.add(x, self._attention(f"{p}.cross_attn", self._ln(f"{p}.ln2", x),
-                                          enc_out, cross))
-            x = nn.add(x, self._ffn(f"{p}.ffn", self._ln(f"{p}.ln3", x)))
-        return self._ln(f"{name}.ln_f", x)
+        for i in range(cfg.n_layers_dec):
+            normed = _ln(ops, w, f"l{i}.ln1", x)
+            x = ops.add(x, _attention(ops, w, f"l{i}.self_attn", normed, normed, causal, cfg))
+            x = ops.add(x, _attention(ops, w, f"l{i}.cross_attn", _ln(ops, w, f"l{i}.ln2", x),
+                                      enc_out, cross, cfg))
+            x = ops.add(x, _ffn(ops, w, f"l{i}.ffn", _ln(ops, w, f"l{i}.ln3", x)))
+        return _ln(ops, w, "ln_f", x)
 
     def embed_title_inputs(self, ids: np.ndarray) -> nn.Tensor:
-        return nn.add(nn.gather(self.params["title_dec.tok_emb"], ids),
-                      self._positions("title_dec", ids.shape[1]))
+        return self.ops.add(nn.gather(self.params["title_dec.tok_emb"], ids),
+                            self._positions("title_dec", ids.shape[1]))
 
     def title_output_logits(self, states: nn.Tensor) -> nn.Tensor:
-        return self._linear(states, "title_dec.out_w", "title_dec.out_b")
+        return self.ops.linear(states, self.params["title_dec.out_w"],
+                               self.params["title_dec.out_b"])
 
     # -- public operations (inference, on the engine) -------------------------
 
@@ -643,9 +664,8 @@ class Seq2SeqModel:
     def title_step(self, state: DecoderState, tokens: Sequence[int]) -> np.ndarray:
         """Feed one title token per row of `state`; next-token logits (B, vocab)."""
         h = state.step(self.params["title_dec.tok_emb"].data[list(tokens)])
-        logits = (h[:, None] @ self.params["title_dec.out_w"].data)[:, 0]
-        logits += self.params["title_dec.out_b"].data
-        return logits
+        return _ARRAYS.linear(h[:, None], self.params["title_dec.out_w"].data,
+                              self.params["title_dec.out_b"].data)[:, 0]
 
     def decode_step_title(self, claim_states: np.ndarray, prefix: Sequence[int]) -> np.ndarray:
         """Next-token logits over the vocabulary after `prefix` (must start with BOS)."""

@@ -93,6 +93,8 @@ def encode_example(claim: Claim, targets: GoldTargets, corpus: Corpus, vocab: Vo
     claim_ids = vocab.encode(claim.text)[:max_positions]
     if not claim_ids:
         raise DataError(f"claim {claim.claim_id} has no tokens")
+    if not targets.evidence_sequence:
+        raise DataError(f"claim {claim.claim_id}: no gold evidence")
     title_target = linearize_titles(vocab, targets.title_sequence)
     if len(title_target) - 1 > max_positions:
         raise DataError(f"claim {claim.claim_id}: title target longer than max_positions")

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import itertools
 import re
+from types import SimpleNamespace
 
 import numpy as np
 
 from gere import nn
 from gere.corpus import Label
 from gere.errors import DataError, DecodingError
-from gere.model import DecoderState, Seq2SeqModel, _scale
+from gere.model import DecoderState, Seq2SeqModel
 from gere.tokenizer import BOS, EOS, EOT, SEP
 from gere.training import Trainer, _pad_ids, encode_example
 
@@ -248,16 +249,8 @@ def attention_per_op(q, k, v, heads, scale, add_mask=None):
 class PerOpGraphModel(Seq2SeqModel):
     """A model whose training graph builds its blocks from per-op nodes."""
 
-    def _linear(self, x, w_name, b_name):
-        return linear_per_op(x, self.params[w_name], self.params[b_name])
-
-    def _attention(self, prefix, x, kv, add_mask):
-        cfg = self.config
-        q = self._linear(x, f"{prefix}.wq", f"{prefix}.bq")
-        k = self._linear(kv, f"{prefix}.wk", f"{prefix}.bk")
-        v = self._linear(kv, f"{prefix}.wv", f"{prefix}.bv")
-        ctx = attention_per_op(q, k, v, cfg.n_heads, _scale(cfg), add_mask)
-        return self._linear(ctx, f"{prefix}.wo", f"{prefix}.bo")
+    ops = SimpleNamespace(linear=linear_per_op, attention=attention_per_op,
+                          layer_norm=nn.layer_norm, gelu=nn.gelu, add=nn.add)
 
 
 # -- padded sentence pass ------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from gere import nn
 from gere.corpus import gold_targets
 from gere.model import Seq2SeqModel, _causal_mask, _key_mask
-from gere.training import Trainer
+from gere.training import Trainer, encode_example
 
 from conftest import small_config
 from oracles import PerOpGraphModel, attention_per_op, linear_per_op, train_step
@@ -91,3 +91,25 @@ def test_trainer_on_block_graph_equals_per_op_graph(tiny_corpus, tiny_vocab, tin
         assert np.array_equal(p.data, per_op.model.params[name].data), name
         assert np.array_equal(block.optimizer.m[name], per_op.optimizer.m[name]), name
         assert np.array_equal(block.optimizer.v[name], per_op.optimizer.v[name]), name
+
+
+def test_per_op_graph_builds_no_block_node(tiny_corpus, tiny_vocab, tiny_claims, monkeypatch):
+    """`PerOpGraphModel` reaches every block through its `ops`: with
+    `nn.linear` and `nn.attention` refused, its loss graph still builds, as
+    the block model's no longer does, so the comparisons above set block
+    nodes against per-op chains and not against themselves."""
+    cfg = small_config(len(tiny_vocab), n_layers_enc=2, n_layers_dec=2)
+    examples = [encode_example(c, gold_targets(c, tiny_corpus), tiny_corpus, tiny_vocab,
+                               cfg.max_positions) for c in tiny_claims[:3]]
+    expected = Trainer(Seq2SeqModel(cfg), tiny_vocab).loss_graph(examples)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block node was built")
+
+    for op in ("linear", "attention"):
+        monkeypatch.setattr(nn, op, refuse)
+    with pytest.raises(AssertionError, match="block node"):
+        Trainer(Seq2SeqModel(cfg), tiny_vocab).loss_graph(examples)
+    losses = Trainer(PerOpGraphModel(cfg), tiny_vocab).loss_graph(examples)
+    for got, want in zip(losses, expected, strict=True):
+        assert np.array_equal(got.data, want.data)

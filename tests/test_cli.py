@@ -341,6 +341,37 @@ def test_train_rejects_gold_evidence_longer_than_the_decoder(tmp_path, capsys, c
     assert not (out_dir / "train_log.jsonl").exists()
 
 
+@pytest.mark.parametrize("max_tokens", [4096, 1])
+def test_train_rejects_a_verifiable_claim_without_gold_evidence(tmp_path, capsys, caplog,
+                                                                max_tokens):
+    """A SUPPORTS claim whose evidence elements all have a null page loads
+    with no evidence group: `gere train` exits 2 naming it, before any
+    update, however the claims are batched."""
+    from gere.corpus import Corpus, save_wiki_pages
+    from conftest import make_doc
+    corpus = Corpus()
+    corpus.add(make_doc("Delta", ["key7 delta holds ."]))
+    wiki, claims_path = tmp_path / "wiki.jsonl", tmp_path / "claims.jsonl"
+    save_wiki_pages(corpus, wiki)
+    claims_path.write_text("".join(json.dumps(rec) + "\n" for rec in (
+        {"id": 1, "claim": "key7 delta", "label": "SUPPORTS",
+         "evidence": [[[1, 2, "Delta", 0]]]},
+        {"id": 2, "claim": "key7 holds", "label": "REFUTES",
+         "evidence": [[[1, 2, None, None]]]})))
+    vocab_path, trie_path = build_artifacts((tmp_path, wiki, claims_path), tmp_path)
+    out_dir = tmp_path / "out"
+    cfg_path = write_config(tmp_path / "run.cfg", wiki=wiki, claims=claims_path,
+                            vocab=vocab_path, trie=trie_path, output_dir=out_dir,
+                            d_model=16, d_ff=32, n_heads=2,
+                            **{"train.total_updates": 2, "train.max_tokens": max_tokens})
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "claim 2: no gold evidence" in err
+    assert "Traceback" not in err + caplog.text
+    assert not (out_dir / "train_log.jsonl").exists()
+
+
 def test_train_missing_inputs_is_data_error(dataset, tmp_path):
     cfg_path = write_config(tmp_path / "missing.cfg", wiki="/nope/wiki.jsonl",
                             claims="x", vocab="y", trie="z")
@@ -455,6 +486,30 @@ def test_eval_perfect_and_empty_fixtures(dataset, tmp_path, capsys):
     assert report["la"] == 1.0  # labels all correct, evidence all missing
     nei = sum(1 for c in golds if not c.evidence_groups)
     assert report["fever"] == pytest.approx(nei / len(golds))
+
+
+def test_eval_checks_the_prediction_records_once(dataset, tmp_path, monkeypatch, capsys):
+    """One `check_predictions` pass over the file's records per `gere eval`,
+    through whichever module calls it."""
+    from gere import decoding, evalkit
+    from gere.corpus import load_claims
+    check, passes = evalkit.check_predictions, []
+
+    def spy(located):
+        passes.append(0)
+        for item in located:
+            passes[-1] += 1
+            yield item
+
+    for module in (evalkit, decoding):
+        monkeypatch.setattr(module, "check_predictions", lambda located: check(spy(located)))
+    golds = load_claims(dataset[2])
+    path = tmp_path / "pred.jsonl"
+    path.write_text("".join(json.dumps({"claim_id": c.claim_id, "predicted_titles": [],
+                                        "predicted_evidence": []}) + "\n" for c in golds))
+    assert main(["eval", "--pred", str(path), "--gold", str(dataset[2])]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["n"]["predicted"] == len(golds)
+    assert passes == [len(golds)]
 
 
 @pytest.mark.parametrize("field, value", [("predicted_evidence", [["x"]]),

@@ -267,10 +267,12 @@ def test_greedy_evidence_scores_equal_single_step_replays(tiny_vocab, monkeypatc
         assert log_probs[i] == nn.log_softmax64(scores)[pick]
 
 
+@pytest.mark.parametrize("n_layers_enc", [0, 1, 2])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_engine_encodings_equal_graph_forward(tiny_vocab, dtype):
+def test_engine_encodings_equal_graph_forward(tiny_vocab, dtype, n_layers_enc):
     model = Seq2SeqModel(small_config(len(tiny_vocab), d_model=64, n_heads=4,
-                                      n_layers_enc=2, d_ff=256, max_positions=24), dtype=dtype)
+                                      n_layers_enc=n_layers_enc, d_ff=256, max_positions=24),
+                         dtype=dtype)
     rng = np.random.default_rng(8)
 
     def graph(name, ids):
@@ -289,6 +291,33 @@ def test_engine_encodings_equal_graph_forward(tiny_vocab, dtype):
     ids = [int(t) for t in rng.integers(6, len(tiny_vocab), size=30)]
     enc = model.encode_claim(ids)
     assert np.array_equal(enc, graph("claim_enc", ids[:24]))
+
+
+def test_engine_builds_no_graph_node(tiny_vocab, monkeypatch):
+    """The encoder blocks the graph shares run on arrays in the engine: with
+    every `nn.Tensor` construction refused, the claim and sentence encoders
+    and a title and an evidence step still run, and give the same values."""
+    model = Seq2SeqModel(small_config(len(tiny_vocab), n_layers_enc=2, n_layers_dec=2))
+    ids = tiny_vocab.encode("alpha hill holds two peaks")
+
+    def run(model):  # on a model with empty memos
+        enc = model.encode_claim(ids)
+        sents = model.encode_sentences([ids, ids[:2], ids[1:3]], [("A", 0), ("A", 1), ("B", 0)])
+        logits = model.title_step(DecoderState(model, "title_dec", enc), [BOS])
+        scores = model.evidence_step(DecoderState(model, "evid_dec", enc),
+                                     model.params["evid_dec.start"].data, sents)
+        return [enc, *(s.vector for s in sents), logits, scores]
+
+    expected, fresh = run(model), twin(model)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the engine built a graph node")
+
+    monkeypatch.setattr(nn.Tensor, "__init__", refuse)
+    with pytest.raises(AssertionError, match="graph node"):
+        nn.constant(ids)
+    for got, want in zip(run(fresh), expected, strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_engine_reads_parameters_replaced_after_first_use(tiny_vocab):
