@@ -12,7 +12,7 @@ import os
 import struct
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -211,19 +211,20 @@ class Reader:
             raise DataError(f"{self.name}: invalid UTF-8 before offset "
                             f"{self.fh.tell()}") from None
 
-    def header(self, magic: bytes, version: int, kind: str,
-               checksum: Optional[int] = None) -> int:
-        """Check a `write_header` header (the checksum when given); returns the file's."""
+    def header(self, magic: bytes, versions: Collection[int], kind: str,
+               checksum: Optional[int] = None) -> tuple[int, int]:
+        """Check a `write_header` header: its version one of `versions`, its
+        checksum `checksum` when given. Returns the file's version and checksum."""
         if self.take(len(magic)) != magic:
             raise DataError(f"{self.name}: not a {kind} file (bad magic)")
-        got = self.u32()
-        if got != version:
-            raise DataError(f"{self.name}: unsupported {kind} version {got}")
+        version = self.u32()
+        if version not in versions:
+            raise DataError(f"{self.name}: unsupported {kind} version {version}")
         file_checksum = self.u32()
         if checksum is not None and file_checksum != checksum:
             raise DataError(f"{self.name}: vocab checksum mismatch "
                             f"(file {file_checksum:#010x}, vocab {checksum:#010x})")
-        return file_checksum
+        return version, file_checksum
 
     def finish(self) -> None:
         """Raise unless every byte has been read."""

@@ -575,16 +575,16 @@ class Seq2SeqModel:
     def __init__(self, config: ModelConfig, vocab_checksum: int = 0, dtype=np.float32,
                  arrays: Optional[dict[str, np.ndarray]] = None):
         """A model with freshly drawn parameters, or, given `arrays` (every name
-        of `param_layout`, in its shape and of `dtype`), with those arrays as its
-        parameters and nothing drawn."""
+        of `param_layout`, in its order and shape and of `dtype`), with those
+        arrays as its parameters and nothing drawn."""
         self.config = config
         self.vocab_checksum = vocab_checksum
         self.dtype = np.dtype(dtype)
         if arrays is None:
             self._init_params()
         else:
-            self.params = {name: nn.Tensor(arrays[name], requires_grad=True)
-                           for name, _, _ in param_layout(config)}
+            self.params = {name: nn.Tensor(array, requires_grad=True)
+                           for name, array in arrays.items()}
         self._param_groups: dict[str, dict[str, nn.Tensor]] = {}  # filled by `_group`
         # Memos by parameter prefix, each with the stamp of the parameter state
         # it holds: `sentence_memo` and `prefix_table`, through `_memo`.

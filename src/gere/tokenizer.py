@@ -92,14 +92,14 @@ def build_vocab(corpus, claims, max_size: int) -> Vocab:
     Ties break lexicographically; the result is deterministic for fixed inputs.
     """
     at_least("max_size", max_size, len(SPECIAL_TOKENS))
-    counts: Counter[str] = Counter()
+    tokens: list[str] = []  # counted once, not text by text
     for doc in corpus.documents.values():
-        counts.update(tokenize(doc.title))
+        tokens += tokenize(doc.title)
         for _, text in doc.sentences:
-            counts.update(tokenize(text))
+            tokens += tokenize(text)
     for claim in claims:
-        counts.update(tokenize(claim.text))
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        tokens += tokenize(claim.text)
+    ranked = sorted(Counter(tokens).items(), key=lambda kv: (-kv[1], kv[0]))
     keep = [tok for tok, _ in ranked[: max_size - len(SPECIAL_TOKENS)]]
     return Vocab(SPECIAL_TOKENS + tuple(keep))
 

@@ -189,7 +189,7 @@ class TitleTrie:
     @classmethod
     def from_bytes(cls, data: bytes, vocab: Vocab, name: str = "<bytes>") -> "TitleTrie":
         r = binio.Reader(data, name)
-        r.header(_MAGIC, _VERSION, "trie", vocab.checksum())
+        r.header(_MAGIC, (_VERSION,), "trie", vocab.checksum())
         node_count = r.u32()
         title_count = r.u32()
         if not 1 <= node_count <= r.remaining() // 2:  # a node record takes >= 2 bytes

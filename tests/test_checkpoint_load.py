@@ -15,21 +15,23 @@ from gere.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from gere.errors import DataError
 from gere.model import ModelConfig, Seq2SeqModel
 
+from oracles import checkpoint_v1_bytes
 
-def tiny_checkpoint(n_layers=0, vocab_size=8, adam=True) -> bytes:
+
+def tiny_checkpoint(n_layers=0, vocab_size=8, adam=True, write=checkpoint_bytes) -> bytes:
     """A checkpoint, with Adam state by default, small enough to cut at every
-    byte."""
+    byte; `write=checkpoint_v1_bytes` gives it in format version 1."""
     cfg = ModelConfig(vocab_size=vocab_size, d_model=2, n_heads=1, n_layers_enc=n_layers,
                       n_layers_dec=n_layers, d_ff=2, max_positions=2, seed=5)
     model = Seq2SeqModel(cfg)
     if not adam:
-        return checkpoint_bytes(model, None, 3)
+        return write(model, None, 3)
     optimizer = nn.Adam(model.params)
     rng = np.random.default_rng(5)
     for p in model.params.values():  # one update, so that no moment is zero
         p.grad = rng.normal(size=p.data.shape).astype(np.float32)
     optimizer.step(0.1)
-    return checkpoint_bytes(model, optimizer, 3)
+    return write(model, optimizer, 3)
 
 
 @pytest.fixture
@@ -81,7 +83,9 @@ def test_load_peaks_at_the_loaded_arrays(tmp_path):
     # No moments after the parameters, and token tables far longer than a
     # tensor's name and shape: a cut inside them leaves less file than they need.
     (binio.Reader._CHUNK, tiny_checkpoint(vocab_size=200, adam=False)),
-], ids=["adam", "adam-chunk7", "large-tables"])
+    (binio.Reader._CHUNK, tiny_checkpoint(write=checkpoint_v1_bytes)),
+    (7, tiny_checkpoint(write=checkpoint_v1_bytes)),
+], ids=["adam", "adam-chunk7", "large-tables", "v1-adam", "v1-adam-chunk7"])
 def test_truncation_at_every_offset_is_a_data_error(tmp_path, opened, monkeypatch, chunk, data):
     monkeypatch.setattr(binio.Reader, "_CHUNK", chunk)
     path = tmp_path / "m.gereckpt"
@@ -120,8 +124,9 @@ def _corruptions(data: bytes) -> dict:
     }
 
 
-def test_no_file_handle_is_left_open_on_any_path(tmp_path, opened):
-    data = tiny_checkpoint()
+@pytest.mark.parametrize("write", [checkpoint_bytes, checkpoint_v1_bytes], ids=["v2", "v1"])
+def test_no_file_handle_is_left_open_on_any_path(tmp_path, opened, write):
+    data = tiny_checkpoint(write=write)
     path = tmp_path / "m.gereckpt"
     path.write_bytes(data)
     load_checkpoint(path)
@@ -136,6 +141,76 @@ def test_no_file_handle_is_left_open_on_any_path(tmp_path, opened):
             load_checkpoint(missing)
     assert len(opened) == 2 + len(_corruptions(data))
     assert all(fh.closed for fh in opened)
+
+
+def _tensor_section(data: bytes) -> tuple[list[str], int, int]:
+    """The sorted tensor names of version 2 checkpoint bytes, and the offsets
+    where their names string and their shape table start."""
+    r = binio.Reader(data)
+    r.take(24)  # magic, version, vocab checksum, step
+    r.str_()  # the config block
+    n_tensors = r.u32()
+    length = r.uvarint()
+    names_at = len(data) - r.remaining()
+    names = r.take(length).decode().split("\n")
+    assert len(names) == n_tensors
+    return names, names_at, names_at + length
+
+
+def test_a_flipped_byte_in_the_names_or_the_shape_table_names_the_tensor(tmp_path):
+    """Every byte of the names string and of the shape table, flipped in its
+    lowest bit, fails the load with a `DataError` naming the file and the
+    tensor whose name or row it is in."""
+    data = tiny_checkpoint()
+    names, names_at, table_at = _tensor_section(data)
+    owners = [names[data[names_at:at].count(b"\n")] for at in range(names_at, table_at)]
+    row = 4 * 3  # rank, d0, d1
+    owners += [names[i // row] for i in range(row * len(names))]
+    path = tmp_path / "m.gereckpt"
+    for at, name in enumerate(owners, start=names_at):
+        flipped = bytearray(data)
+        flipped[at] ^= 1
+        path.write_bytes(flipped)
+        with pytest.raises(DataError) as err:
+            load_checkpoint(path)
+        message = str(err.value)
+        if at < table_at:
+            assert message.startswith(f"{path}: tensor order mismatch (")
+            assert message.endswith(f" vs {name!r})"), (at, message)
+        else:
+            assert message.startswith(f"{path}: tensor {name!r} shape "), (at, message)
+            assert "does not match config-derived shape" in message
+
+
+@pytest.mark.parametrize("write", [checkpoint_bytes, checkpoint_v1_bytes], ids=["v2", "v1"])
+@pytest.mark.parametrize("key, value", [("vocab_size", 2**32), ("d_ff", 2**32 + 3),
+                                        ("max_positions", 2**40), ("d_model", 10**20)])
+def test_a_config_dim_past_u32_is_the_shape_error_and_allocates_nothing(
+        tmp_path, write, key, value):
+    """No file can hold a dim of 2**32 or more, so a config block that implies
+    one fails on the first tensor with it, as a shape mismatch: never as an
+    error of packing or converting the dim, and before any array exists."""
+    data = tiny_checkpoint(n_layers=1, write=write)
+    r = binio.Reader(data)
+    r.take(24)  # magic, version, vocab checksum, step
+    lines = r.str_().splitlines(keepends=True)
+    edited = bytearray(data[:24])
+    binio.write_str(edited, "".join(f"{key}={value}\n" if line.startswith(f"{key}=") else line
+                                    for line in lines))
+    path = tmp_path / "m.gereckpt"
+    path.write_bytes(bytes(edited) + data[len(data) - r.remaining():])
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        with pytest.raises(DataError, match="does not match config-derived shape") as err:
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value).startswith(f"{path}: tensor ")
+    assert str(value) in str(err.value)
+    assert peak - before < 1 << 20, f"load peaked at {peak - before} bytes"
 
 
 def test_a_file_that_shrinks_while_it_is_read_is_truncated(tmp_path):

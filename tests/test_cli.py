@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gere import nn
+from gere.checkpoint import load_checkpoint, save_checkpoint
 from gere.cli import (
     EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, RunConfig, load_run_config, main,
 )
@@ -16,6 +18,8 @@ from gere.decoding import DecodeParams
 from gere.model import ModelConfig
 from gere.synthetic import make_claims, make_corpus, write_dataset
 from gere.training import TrainParams
+
+from oracles import checkpoint_v1_bytes
 
 
 @pytest.fixture(scope="module")
@@ -266,6 +270,29 @@ def test_resume_from_a_finished_run_runs_no_update(dataset, tmp_path, capsys):
     assert "no update ran" in capsys.readouterr().out
     assert (out_a / "train_log.jsonl").read_bytes() == log_bytes
     assert (out_a / "checkpoint_final.gereckpt").read_bytes() == ckpt_bytes
+
+
+def test_resume_from_a_v1_checkpoint_logs_as_from_its_v2_resave(dataset, tmp_path):
+    """A checkpoint in format version 1 resumes training exactly: its
+    `train_log.jsonl` lines equal those of a resume from the version 2 file
+    a save of it writes, and those of the uninterrupted run."""
+    out_a, _ = run_training(dataset, tmp_path, "run_a", total_updates=12)
+    mid = out_a / "checkpoint_step6.gereckpt"
+    model, opt_state, step = load_checkpoint(mid)
+    optimizer = nn.Adam(model.params)
+    optimizer.load_state_dict(opt_state)
+    v1, v2 = tmp_path / "step6_v1.gereckpt", tmp_path / "step6_v2.gereckpt"
+    v1.write_bytes(checkpoint_v1_bytes(model, optimizer, step))
+    model, opt_state, step = load_checkpoint(v1)
+    optimizer = nn.Adam(model.params)
+    optimizer.load_state_dict(opt_state)
+    save_checkpoint(v2, model, optimizer, step)
+    assert v2.read_bytes() == mid.read_bytes()
+
+    logs = [(run_training(dataset, tmp_path / name, "run", total_updates=12, resume=path)[0]
+             / "train_log.jsonl").read_bytes() for name, path in (("v1", v1), ("v2", v2))]
+    assert logs[0] == logs[1]
+    assert logs[0].splitlines() == (out_a / "train_log.jsonl").read_bytes().splitlines()[6:]
 
 
 def test_train_rerun_is_idempotent(dataset, tmp_path):
