@@ -37,12 +37,9 @@ params = DecodeParams(beam_size=5, max_titles=3, max_evidence_steps=5)
 for claim in claims[:5]:
     targets = gold_targets(claim, corpus)
     enc = model.encode_claim(vocab.encode(claim.text))
-    doc_ids, log_prob, _ = beam_search_titles(model, enc, trie,
-                                              beam_size=params.beam_size,
-                                              max_titles=params.max_titles)
+    doc_ids, log_prob, _ = beam_search_titles(model, enc, trie, params)
     candidates = collect_candidates(model, vocab, doc_ids, corpus)
-    evidence, _ = greedy_evidence(model, enc, candidates,
-                                  max_evidence_steps=params.max_evidence_steps)
+    evidence, _ = greedy_evidence(model, enc, candidates, params)
     gold_docs = list(dict.fromkeys(d for d, _ in targets.evidence_sequence))
     print(f"claim {claim.claim_id}: {claim.text[:64]}")
     print(f"  titles    {doc_ids}  (log prob {log_prob:.2f}; gold {gold_docs})")

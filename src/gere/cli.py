@@ -39,7 +39,7 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     wiki: str = ""
     claims: str = ""

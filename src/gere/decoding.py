@@ -23,8 +23,10 @@ the same sentence-encoder parameters is not embedded again, and the rest
 are embedded with one stacked pass per distinct length, with the bits of
 one pass per sentence.
 
-Both decoders cross-attend to the claim states that `encode_claim` returns
-and run incrementally on the model's KV-cached `DecoderState`. Its weights
+Both decoders take the run's `DecodeParams` whole (the frozen dataclass
+owns each setting's default and range rule, checked once when it is built),
+cross-attend to the claim states that `encode_claim` returns and run
+incrementally on the model's KV-cached `DecoderState`. Its weights
 come packed from the decoder's `model.DecoderMemo`, and the cross-attention
 keys and values of all its layers are one product per claim and decoder.
 The beam makes one batched step per iteration for all alive hypotheses and
@@ -62,7 +64,7 @@ from .tokenizer import BOS, EOS, EOT, SEP, Vocab
 from .trie import TitleTrie
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecodeParams:
     beam_size: int = 5
     max_titles: int = 10
@@ -122,15 +124,10 @@ def _cannot_improve(alive: Sequence[tuple], best_finished: float, root_height: i
                for hyp in alive) < best_finished
 
 
-def beam_search_titles(
-    model: Seq2SeqModel,
-    claim_states: np.ndarray,
-    trie: TitleTrie,
-    beam_size: int = DecodeParams.beam_size,
-    max_titles: int = DecodeParams.max_titles,
-    length_normalize: bool = DecodeParams.length_normalize,
-) -> tuple[list[str], float, list[int]]:
-    """Constrained beam search; returns (doc_ids, log_prob, token sequence).
+def beam_search_titles(model: Seq2SeqModel, claim_states: np.ndarray, trie: TitleTrie,
+                       params: DecodeParams) -> tuple[list[str], float, list[int]]:
+    """Constrained beam search with `params`' beam size, title limit and
+    ranking; returns (doc_ids, log_prob, token sequence).
 
     Ties in score break on the lexicographically smaller token sequence.
     Finished hypotheses do not occupy alive-beam slots, so with beam_size at
@@ -158,7 +155,6 @@ def beam_search_titles(
     """
     if trie.title_count == 0:
         raise DecodingError("cannot decode titles against an empty trie")
-    DecodeParams(beam_size=beam_size, max_titles=max_titles)  # checks their ranges
     state = DecoderState(model, "title_dec", claim_states)
     root, root_height = trie.root, trie.height.item(trie.root)
     # A hypothesis is (tokens, log_prob, ends, node, height): `ends` holds the
@@ -171,8 +167,8 @@ def beam_search_titles(
     max_len = model.config.max_positions + 1
     best_finished = -math.inf
     while alive:
-        if length_normalize and _cannot_improve(alive, best_finished, root_height, max_titles,
-                                                max_len):
+        if params.length_normalize and _cannot_improve(alive, best_finished, root_height,
+                                                       params.max_titles, max_len):
             break
         if len(alive[0][0]) >= max_len:
             break  # all alive hypotheses share one length; none can extend, all die
@@ -181,10 +177,10 @@ def beam_search_titles(
         for row, (tokens, score, ends, node, _) in enumerate(alive):
             if node is None:  # after a title: EOS, and SEP while titles are left
                 log_prob = score + log_probs.item(row, EOS)
-                rank = log_prob / (len(tokens) + 1) if length_normalize else log_prob
+                rank = log_prob / (len(tokens) + 1) if params.length_normalize else log_prob
                 finished.append((-rank, tokens + [EOS], log_prob, ends))
                 best_finished = max(best_finished, rank)
-                if len(ends) < max_titles:
+                if len(ends) < params.max_titles:
                     candidates.append((-(score + log_probs.item(row, SEP)), row, SEP, root))
                 continue
             first, children = trie.edges(node)  # child j is node first + j
@@ -194,8 +190,8 @@ def beam_search_titles(
                     candidates.append((-(score + log_prob), row, token, first + j))
         candidates.sort()
         kept = [(row, token, child, -neg_score)
-                for neg_score, row, token, child in candidates[:beam_size]
-                if length_normalize or -neg_score >= best_finished]
+                for neg_score, row, token, child in candidates[:params.beam_size]
+                if params.length_normalize or -neg_score >= best_finished]
         kept.sort()  # by (row, token): the new token lists in lexicographic order
         parents, alive = alive, []
         for row, token, child, score in kept:
@@ -220,26 +216,22 @@ def collect_candidates(model: Seq2SeqModel, vocab: Vocab, doc_ids: Sequence[str]
                                   [(doc_id, index) for doc_id, index, _ in rows])
 
 
-def greedy_evidence(
-    model: Seq2SeqModel,
-    claim_states: np.ndarray,
-    candidates: Sequence[SentenceEmbedding],
-    max_evidence_steps: int = DecodeParams.max_evidence_steps,
-) -> tuple[list[tuple[str, int]], list[float]]:
+def greedy_evidence(model: Seq2SeqModel, claim_states: np.ndarray,
+                    candidates: Sequence[SentenceEmbedding],
+                    params: DecodeParams) -> tuple[list[tuple[str, int]], list[float]]:
     """Greedy argmax decoding over the dynamic candidate vocabulary.
 
     A chosen candidate is removed from later steps; decoding stops at EOE, at
-    max_evidence_steps, or when candidates run out (at once if there are
-    none). Score ties prefer the earliest candidate in (doc_id,
+    `params.max_evidence_steps`, or when candidates run out (at once if there
+    are none). Score ties prefer the earliest candidate in (doc_id,
     sentence_index) order, then EOE last.
     """
-    at_least("max_evidence_steps", max_evidence_steps, 0)
     state = DecoderState(model, "evid_dec", claim_states)
     vector = model.params["evid_dec.start"].data
     remaining = list(candidates)
     pairs: list[tuple[str, int]] = []
     log_probs: list[float] = []
-    for _ in range(max_evidence_steps):
+    for _ in range(params.max_evidence_steps):
         if not remaining:
             break
         if 1 + len(pairs) >= model.config.max_positions:
@@ -263,12 +255,9 @@ def retrieve(model: Seq2SeqModel, vocab: Vocab, claim: Claim, trie: TitleTrie,
     if not claim_ids:
         raise DataError(f"claim {claim.claim_id} has no tokens")
     claim_states = model.encode_claim(claim_ids)
-    doc_ids, title_lp, _ = beam_search_titles(
-        model, claim_states, trie, beam_size=params.beam_size, max_titles=params.max_titles,
-        length_normalize=params.length_normalize)
+    doc_ids, title_lp, _ = beam_search_titles(model, claim_states, trie, params)
     candidates = collect_candidates(model, vocab, doc_ids, corpus)
-    evidence, ev_lps = greedy_evidence(model, claim_states, candidates,
-                                       max_evidence_steps=params.max_evidence_steps)
+    evidence, ev_lps = greedy_evidence(model, claim_states, candidates, params)
     return RetrievalResult(claim_id=claim.claim_id, titles=doc_ids, evidence=evidence,
                            title_log_prob=title_lp, evidence_log_probs=ev_lps)
 

@@ -61,7 +61,7 @@ from .tokenizer import BOS, EOS, SPECIAL_TOKENS
 NEG_INF = -1e9  # additive mask; exp(NEG_INF - max) underflows to exactly 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
     d_model: int = 64

@@ -1,4 +1,9 @@
-"""Joint teacher-forced training of the title and evidence objectives."""
+"""Joint teacher-forced training of the title and evidence objectives.
+
+`TrainParams` owns the defaults and range rules of the schedule and batching
+settings. It is frozen, so a check made when it is built holds for as long as
+it lives; `learning_rate` and `Trainer` read their settings from one.
+"""
 
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from .model import NEG_INF, Seq2SeqModel, length_groups, sentence_ids
 from .tokenizer import BOS, EOS, EOT, PAD, SEP, Vocab
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainParams:
     """The schedule and batching settings of a run, checked on construction."""
 
@@ -50,18 +55,17 @@ class TrainStats:
         return asdict(self)
 
 
-def learning_rate(step: int, total_updates: int, peak_lr: float, warmup_frac: float) -> float:
-    """Linear warmup to the peak over the first warmup_frac of updates, then
-    linear decay; exactly peak_lr at the warmup boundary and 0.0 at the end.
-    Steps are 1-based; the other arguments follow `TrainParams`' rules."""
-    TrainParams(total_updates=total_updates, peak_lr=peak_lr, warmup_frac=warmup_frac)
+def learning_rate(step: int, params: TrainParams) -> float:
+    """Linear warmup to `params.peak_lr` over the first `warmup_frac` of
+    `total_updates`, then linear decay; exactly the peak at the warmup
+    boundary and 0.0 at the end. Steps are 1-based."""
     at_least("step", step, 1)
-    warmup = max(1, round(total_updates * warmup_frac))
+    warmup = max(1, round(params.total_updates * params.warmup_frac))
     if step <= warmup:
-        return peak_lr * (step / warmup)
-    if step >= total_updates:
+        return params.peak_lr * (step / warmup)
+    if step >= params.total_updates:
         return 0.0
-    return peak_lr * ((total_updates - step) / (total_updates - warmup))
+    return params.peak_lr * ((params.total_updates - step) / (params.total_updates - warmup))
 
 
 def linearize_titles(vocab: Vocab, titles: Sequence[str]) -> list[int]:
@@ -141,22 +145,23 @@ def _pad_ids(seqs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
 class Trainer:
     """One optimizer step at a time; its only randomness is the epoch shuffle,
     a pure function of (seed, epoch), so resuming from a checkpoint continues
-    bit-identically. The schedule arguments take `TrainParams`' defaults and
-    range rules."""
+    bit-identically. The schedule keywords take `TrainParams`' defaults and
+    build the one `TrainParams` (`settings`) that checks them and that every
+    update reads."""
 
     def __init__(self, model: Seq2SeqModel, vocab: Vocab, total_updates=TrainParams.total_updates,
                  peak_lr=TrainParams.peak_lr, warmup_frac=TrainParams.warmup_frac,
                  clip_norm=TrainParams.clip_norm):
-        TrainParams(total_updates=total_updates, peak_lr=peak_lr, warmup_frac=warmup_frac,
-                    clip_norm=clip_norm)  # checks their ranges
+        self.settings = TrainParams(total_updates=total_updates, peak_lr=peak_lr,
+                                    warmup_frac=warmup_frac, clip_norm=clip_norm)
         self.model = model
         self.vocab = vocab
-        self.total_updates = total_updates
-        self.peak_lr = peak_lr
-        self.warmup_frac = warmup_frac
-        self.clip_norm = clip_norm
         self.optimizer = nn.Adam(model.params)
         self.step_count = 0
+
+    @property
+    def total_updates(self) -> int:
+        return self.settings.total_updates
 
     def shuffle_order(self, n_examples: int, epoch: int) -> np.ndarray:
         rng = np.random.default_rng(
@@ -258,7 +263,7 @@ class Trainer:
         nn.zero_grads(model.params)  # the last update's gradients go before this graph is built
         loss_title, loss_evidence = self.loss_graph(examples)
         nn.backward(nn.add(loss_title, loss_evidence))
-        grad_norm = nn.clip_gradients(model.params, self.clip_norm)
+        grad_norm = nn.clip_gradients(model.params, self.settings.clip_norm)
         lt = float(loss_title.data)
         le = float(loss_evidence.data)
         if not (math.isfinite(lt) and math.isfinite(le) and math.isfinite(grad_norm)):
@@ -266,8 +271,7 @@ class Trainer:
                 f"update {self.step_count + 1}: non-finite loss_title {lt}, loss_evidence {le} "
                 f"or grad_norm {grad_norm}; the parameters are left as update "
                 f"{self.step_count} made them")
-        lr = learning_rate(self.step_count + 1, self.total_updates,
-                           self.peak_lr, self.warmup_frac)
+        lr = learning_rate(self.step_count + 1, self.settings)
         self.optimizer.step(lr)
         self.step_count += 1
         return TrainStats(step=self.step_count, loss_title=lt, loss_evidence=le,

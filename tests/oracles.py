@@ -115,14 +115,14 @@ def _legal_next(trie, node, ends, max_titles):
     return children
 
 
-def full_beam_titles(model, claim_states, trie, beam_size=5, max_titles=10,
-                     length_normalize=False):
-    """The constrained title beam with no early stop and no pruning: every
-    alive hypothesis is decoded until it finishes, loses its slot or reaches
-    max_positions. The ranking, the tie-break on token lists and the result
-    are `decoding.beam_search_titles`'s contract; selection is one
-    `np.lexsort` over (-score, parent rank, token) per step, and the steps
-    run on the model's `DecoderState`, so the decoder rows can be counted."""
+def full_beam_titles(model, claim_states, trie, params):
+    """The constrained title beam with `params`' settings and no early stop
+    and no pruning: every alive hypothesis is decoded until it finishes,
+    loses its slot or reaches max_positions. The ranking, the tie-break on
+    token lists and the result are `decoding.beam_search_titles`'s contract;
+    selection is one `np.lexsort` over (-score, parent rank, token) per
+    step, and the steps run on the model's `DecoderState`, so the decoder
+    rows can be counted."""
     state = DecoderState(model, "title_dec", claim_states)
     alive = [([BOS], 0.0, (), trie.root)]  # (tokens, log_prob, ends, node)
     parent_rank = np.zeros(1, dtype=np.intp)
@@ -132,7 +132,7 @@ def full_beam_titles(model, claim_states, trie, beam_size=5, max_titles=10,
         log_probs = nn.log_softmax64(model.title_step(state, [h[0][-1] for h in alive]))
         rows, tokens, nodes = [], [], []
         for row, (_, _, ends, node) in enumerate(alive):
-            for token, child in _legal_next(trie, node, ends, max_titles).items():
+            for token, child in _legal_next(trie, node, ends, params.max_titles).items():
                 rows.append(row)
                 tokens.append(token)
                 nodes.append(child)
@@ -145,7 +145,7 @@ def full_beam_titles(model, claim_states, trie, beam_size=5, max_titles=10,
             token, child, score = int(tokens[i]), nodes[i], float(scores[i])
             if token == EOS:
                 finished.append((seq + [EOS], score, ends))
-            elif len(kept) < beam_size:
+            elif len(kept) < params.beam_size:
                 if token == SEP:
                     child = trie.root
                 elif token == EOT:
@@ -161,7 +161,7 @@ def full_beam_titles(model, claim_states, trie, beam_size=5, max_titles=10,
 
     def rank(item):
         seq, score, _ = item
-        return -(score / len(seq) if length_normalize else score), seq
+        return -(score / len(seq) if params.length_normalize else score), seq
 
     seq, score, ends = min(finished, key=rank)
     return [trie.doc_ids[end] for end in ends], score, seq

@@ -150,8 +150,8 @@ def test_a3_beam_oracle(capsys):
                           max_positions=64, seed=seed)
         model = Seq2SeqModel(cfg)
         enc = model.encode_claim(vocab.encode(f"claim text {tokens[seed % len(tokens)]}"))
-        docs, log_prob, _ = beam_search_titles(model, enc, trie, beam_size=16,
-                                               max_titles=2)
+        docs, log_prob, _ = beam_search_titles(model, enc, trie,
+                                               DecodeParams(beam_size=16, max_titles=2))
         ranked = exhaustive_title_search(model, enc, title_seqs, max_titles=2)
         best_score, _, best_docs = ranked[0]
         agree += docs == best_docs and log_prob == best_score

@@ -3,7 +3,7 @@ import logging
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +58,16 @@ def test_runconfig_defaults_match_reference_settings():
     assert cfg.train.warmup_frac == 0.10
     assert cfg.train.max_tokens == 4096
     assert cfg.decode.beam_size == 5
+
+
+@pytest.mark.parametrize("settings", [RunConfig(), ModelConfig(vocab_size=8), TrainParams(),
+                                      DecodeParams()], ids=lambda s: type(s).__name__)
+def test_settings_are_frozen(settings):
+    """A check made when a settings object is built holds while it lives:
+    every field of every settings class refuses assignment."""
+    for f in fields(settings):
+        with pytest.raises(FrozenInstanceError):
+            setattr(settings, f.name, getattr(settings, f.name))
 
 
 def test_load_run_config_overrides(tmp_path):

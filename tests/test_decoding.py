@@ -44,7 +44,8 @@ def setup(doc_ids, seed=0, **cfg_overrides):
 def test_single_title_trie_fully_constrained():
     corpus, vocab, trie, model = setup(["Only_page"])
     enc = model.encode_claim(vocab.encode("whatever claim"))
-    docs, log_prob, tokens = beam_search_titles(model, enc, trie, beam_size=5, max_titles=3)
+    docs, log_prob, tokens = beam_search_titles(model, enc, trie,
+                                                DecodeParams(beam_size=5, max_titles=3))
     assert docs == ["Only_page"]
     assert log_prob <= 0.0
 
@@ -55,7 +56,7 @@ def test_outputs_are_always_corpus_titles(rng):
     for seed in range(10):
         m = Seq2SeqModel(small_config(len(vocab), seed=seed))
         enc = m.encode_claim(vocab.encode("some claim text here"))
-        docs, _, _ = beam_search_titles(m, enc, trie, beam_size=3, max_titles=3)
+        docs, _, _ = beam_search_titles(m, enc, trie, DecodeParams(beam_size=3, max_titles=3))
         assert docs and set(docs) <= valid
         assert len(set(docs)) == len(docs)
 
@@ -67,7 +68,8 @@ def test_beam_matches_exhaustive_enumeration():
     for seed in range(8):
         m = Seq2SeqModel(small_config(len(vocab), seed=seed))
         enc = m.encode_claim(vocab.encode("pick some pages"))
-        docs, log_prob, _ = beam_search_titles(m, enc, trie, beam_size=16, max_titles=2)
+        docs, log_prob, _ = beam_search_titles(m, enc, trie,
+                                               DecodeParams(beam_size=16, max_titles=2))
         ranked = exhaustive_title_search(m, enc, titles, max_titles=2)
         best_score, _, best_docs = ranked[0]
         assert docs == best_docs
@@ -80,8 +82,8 @@ def test_beam_score_monotone_in_beam_size():
     enc = model.encode_claim(vocab.encode("claim for monotonicity"))
     scores = []
     for beam_size in range(1, 7):
-        _, log_prob, _ = beam_search_titles(model, enc, trie, beam_size=beam_size,
-                                            max_titles=2)
+        _, log_prob, _ = beam_search_titles(model, enc, trie,
+                                            DecodeParams(beam_size=beam_size, max_titles=2))
         scores.append(log_prob)
     assert all(b >= a - 1e-12 for a, b in zip(scores, scores[1:]))
 
@@ -90,8 +92,8 @@ def test_beam_respects_max_titles():
     corpus, vocab, trie, model = setup(["A_b", "C_d", "E_f"])
     enc = model.encode_claim(vocab.encode("claim"))
     for max_titles in (1, 2):
-        docs, _, _ = beam_search_titles(model, enc, trie, beam_size=8,
-                                        max_titles=max_titles)
+        docs, _, _ = beam_search_titles(model, enc, trie,
+                                        DecodeParams(beam_size=8, max_titles=max_titles))
         assert 1 <= len(docs) <= max_titles
 
 
@@ -106,21 +108,23 @@ def test_beam_ties_break_on_token_lists():
     ranked = exhaustive_title_search(model, enc, titles, max_titles=2)
     best_norm = min(ranked, key=lambda item: (-(item[0] / len(item[1])), item[1]))
     for length_normalize, (score, tokens, docs) in ((False, ranked[0]), (True, best_norm)):
-        assert beam_search_titles(model, enc, trie, beam_size=32, max_titles=2,
-                                  length_normalize=length_normalize) == (docs, score, tokens)
+        params = DecodeParams(beam_size=32, max_titles=2, length_normalize=length_normalize)
+        assert beam_search_titles(model, enc, trie, params) == (docs, score, tokens)
 
 
 def test_beam_rejects_empty_trie_and_bad_beam():
+    """A bad beam is refused when its `DecodeParams` is built, before any
+    decoding; an empty trie when the beam starts."""
     corpus, vocab, trie, model = setup(["Alpha"])
     enc = model.encode_claim(vocab.encode("x"))
     with pytest.raises(ValueError):
-        beam_search_titles(model, enc, trie, beam_size=0)
+        DecodeParams(beam_size=0)
     for max_titles in (0, -3):
         with pytest.raises(ValueError):
-            beam_search_titles(model, enc, trie, beam_size=5, max_titles=max_titles)
+            DecodeParams(beam_size=5, max_titles=max_titles)
     empty = TitleTrie([(None, ())])
     with pytest.raises(DecodingError):
-        beam_search_titles(model, enc, empty, beam_size=5)
+        beam_search_titles(model, enc, empty, DecodeParams(beam_size=5))
 
 
 @pytest.mark.parametrize("settings", [dict(beam_size=0), dict(max_titles=0),
@@ -139,7 +143,7 @@ def test_beam_error_when_no_hypothesis_can_finish():
                                        max_positions=3)
     enc = model.encode_claim(vocab.encode("x"))
     with pytest.raises(DecodingError):
-        beam_search_titles(model, enc, trie, beam_size=4, max_titles=2)
+        beam_search_titles(model, enc, trie, DecodeParams(beam_size=4, max_titles=2))
 
 
 @pytest.mark.parametrize("length_normalize", [False, True])
@@ -154,15 +158,17 @@ def test_beam_decodes_the_longest_title_target_training_accepts(length_normalize
         targets = gold_targets(claim, corpus)
         if fits:
             encode_example(claim, targets, corpus, vocab, max_positions)
-            docs, _, tokens = beam_search_titles(model, enc, trie, beam_size=2, max_titles=1,
-                                                 length_normalize=length_normalize)
+            docs, _, tokens = beam_search_titles(model, enc, trie,
+                                                 DecodeParams(beam_size=2, max_titles=1,
+                                                              length_normalize=length_normalize))
             assert docs == ["Aa_bb_cc"] and len(tokens) == 6
         else:
             with pytest.raises(DataError, match="title target"):
                 encode_example(claim, targets, corpus, vocab, max_positions)
             with pytest.raises(DecodingError):
-                beam_search_titles(model, enc, trie, beam_size=2, max_titles=1,
-                                   length_normalize=length_normalize)
+                beam_search_titles(model, enc, trie,
+                                   DecodeParams(beam_size=2, max_titles=1,
+                                                length_normalize=length_normalize))
 
 
 def test_length_normalized_ranking_matches_oracle_rule():
@@ -172,10 +178,11 @@ def test_length_normalized_ranking_matches_oracle_rule():
         model = Seq2SeqModel(small_config(len(vocab), seed=seed))
         enc = model.encode_claim(vocab.encode("rank these pages"))
         ranked = exhaustive_title_search(model, enc, titles, max_titles=2)
-        plain_docs, plain_lp, _ = beam_search_titles(model, enc, trie, beam_size=32,
-                                                     max_titles=2)
-        norm_docs, norm_lp, _ = beam_search_titles(model, enc, trie, beam_size=32,
-                                                   max_titles=2, length_normalize=True)
+        plain_docs, plain_lp, _ = beam_search_titles(model, enc, trie,
+                                                     DecodeParams(beam_size=32, max_titles=2))
+        norm_docs, norm_lp, _ = beam_search_titles(model, enc, trie,
+                                                   DecodeParams(beam_size=32, max_titles=2,
+                                                                length_normalize=True))
         assert plain_docs == ranked[0][2]
         best_norm = min(ranked, key=lambda item: (-(item[0] / len(item[1])), item[1]))
         assert norm_docs == best_norm[2]
@@ -269,10 +276,10 @@ def test_early_stop_fires_on_a_peaked_model(monkeypatch):
     for length_normalize in (False, True):
         kwargs = dict(beam_size=4, max_titles=2, length_normalize=length_normalize)
         rows.clear()
-        stopped = beam_search_titles(model, enc, trie, **kwargs)
+        stopped = beam_search_titles(model, enc, trie, DecodeParams(**kwargs))
         stopped_rows = list(rows)
         rows.clear()
-        assert full_beam_titles(model, enc, trie, **kwargs) == stopped
+        assert full_beam_titles(model, enc, trie, DecodeParams(**kwargs)) == stopped
         assert stopped[0] == ["Alpha"]
         assert len(stopped_rows) < len(rows)
         assert sum(stopped_rows) < sum(rows)
@@ -296,11 +303,11 @@ def test_summed_pruning_decodes_only_rows_that_can_still_win(monkeypatch):
     bias[EOS], bias[EOT], bias[SEP] = 0.0, -1.0, -60.0
     enc = model.encode_claim(vocab.encode("a claim"))
     rows = _count_rows(monkeypatch)
-    pruned = beam_search_titles(model, enc, trie, beam_size=4, max_titles=2)
+    pruned = beam_search_titles(model, enc, trie, DecodeParams(beam_size=4, max_titles=2))
     assert pruned[0] == ["Beta_gamma_delta_epsilon"]
     assert rows == [1, 3, 3, 1, 1, 1]
     rows.clear()
-    assert full_beam_titles(model, enc, trie, beam_size=4, max_titles=2) == pruned
+    assert full_beam_titles(model, enc, trie, DecodeParams(beam_size=4, max_titles=2)) == pruned
     assert sum(rows) > 10
 
 
@@ -324,8 +331,8 @@ def test_beam_equals_the_full_beam_on_random_checkpoints():
             enc = model.encode_claim(vocab.encode(" ".join(rng.choice(words, 4))))
             for length_normalize in (False, True):
                 kwargs = dict(beam_size=5, max_titles=3, length_normalize=length_normalize)
-                assert (beam_search_titles(model, enc, trie, **kwargs)
-                        == full_beam_titles(model, enc, trie, **kwargs))
+                assert (beam_search_titles(model, enc, trie, DecodeParams(**kwargs))
+                        == full_beam_titles(model, enc, trie, DecodeParams(**kwargs)))
 
 
 def test_log_softmax64_is_never_positive():
@@ -353,7 +360,7 @@ def test_greedy_single_candidate_then_eoe():
     corpus, vocab, trie, model = setup(["Alpha"])
     enc = model.encode_claim(vocab.encode("alpha claim"))
     cands = collect_candidates(model, vocab, ["Alpha"], corpus)
-    pairs, log_probs = greedy_evidence(model, enc, cands, max_evidence_steps=5)
+    pairs, log_probs = greedy_evidence(model, enc, cands, DecodeParams(max_evidence_steps=5))
     assert len(pairs) <= 1
     assert len(log_probs) == len(pairs)
 
@@ -366,7 +373,7 @@ def test_greedy_empty_when_eoe_wins_immediately():
     state = DecoderState(model, "evid_dec", enc).step(model.params["evid_dec.start"].data[None])[0]
     model.params["evid_dec.eoe"].data[:] = (10.0 * state / np.linalg.norm(state) ** 2 * 50)
     cands = crafted_candidates(model, [np.zeros(model.config.d_model)] * 3)
-    pairs, log_probs = greedy_evidence(model, enc, cands, max_evidence_steps=5)
+    pairs, log_probs = greedy_evidence(model, enc, cands, DecodeParams(max_evidence_steps=5))
     assert pairs == [] and log_probs == []
 
 
@@ -376,24 +383,23 @@ def test_greedy_no_repeats_and_step_cap():
     # EOE pushed far down so decoding keeps picking candidates.
     model.params["evid_dec.eoe"].data[:] = -1000.0
     cands = collect_candidates(model, vocab, ["Alpha", "Beta"], corpus)
-    pairs, _ = greedy_evidence(model, enc, cands, max_evidence_steps=10)
+    pairs, _ = greedy_evidence(model, enc, cands, DecodeParams(max_evidence_steps=10))
     assert len(pairs) == len(set(pairs)) == 2  # all candidates, no repeats
-    pairs1, _ = greedy_evidence(model, enc, cands, max_evidence_steps=1)
+    pairs1, _ = greedy_evidence(model, enc, cands, DecodeParams(max_evidence_steps=1))
     assert len(pairs1) == 1
 
 
 def test_greedy_over_no_candidates_returns_no_evidence():
     corpus, vocab, trie, model = setup(["Alpha"])
     enc = model.encode_claim(vocab.encode("claim"))
-    assert greedy_evidence(model, enc, [], max_evidence_steps=3) == ([], [])
+    assert greedy_evidence(model, enc, [], DecodeParams(max_evidence_steps=3)) == ([], [])
 
 
 def test_greedy_rejects_a_negative_step_budget():
-    """The `DecodeParams` rule, not a silent empty result."""
-    corpus, vocab, trie, model = setup(["Alpha"])
-    enc = model.encode_claim(vocab.encode("claim"))
+    """The `DecodeParams` rule, raised when the settings are built, not a
+    silent empty result."""
     with pytest.raises(ValueError, match="max_evidence_steps must be at least 0, got -1"):
-        greedy_evidence(model, enc, [], max_evidence_steps=-1)
+        DecodeParams(max_evidence_steps=-1)
 
 
 def test_greedy_tie_breaks_by_source_order():
@@ -403,7 +409,7 @@ def test_greedy_tie_breaks_by_source_order():
     model.params["evid_dec.eoe"].data[:] = -1000.0
     cands = [SentenceEmbedding(vector=v.copy(), source=("A", 0)),
              SentenceEmbedding(vector=v.copy(), source=("A", 1))]
-    pairs, _ = greedy_evidence(model, enc, cands, max_evidence_steps=1)
+    pairs, _ = greedy_evidence(model, enc, cands, DecodeParams(max_evidence_steps=1))
     assert pairs == [("A", 0)]
 
 

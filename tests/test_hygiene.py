@@ -11,7 +11,9 @@ referenced by name somewhere else in the package, the benchmark scripts or
 the demos (the tracer's wrapped names count), or is exported in
 `gere.__all__`. Every annotated class field is read as an attribute
 somewhere in the package, the benchmark scripts or the demos. No module
-reads the environment, and only `trie.py` reads a trie's child layout.
+reads the environment, and only `trie.py` reads a trie's child layout. No
+function re-declares a settings dataclass's default or builds one only to
+check its own arguments.
 """
 
 import ast
@@ -324,3 +326,61 @@ def test_range_rules_are_the_shared_ones(path):
     or `errors.finite_positive`, so each is worded and checked one way."""
     found = _range_messages(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     assert len(found) == _RANGE_RULES.get(path.name, 0), f"{path.name}: {found}"
+
+
+_SETTINGS = ("ModelConfig", "TrainParams", "DecodeParams", "RunConfig")
+# `Trainer.__init__` keeps its keyword signature and `TrainParams`' defaults,
+# because the benchmark's train-a2 workload and the demos call it that way.
+_SETTINGS_DEFAULT_EXEMPT = {"Trainer.__init__"}
+
+
+def _settings_copies(tree: ast.Module) -> list[str]:
+    """`function(parameter)` for each parameter whose default is a field of a
+    settings dataclass, and `function: Class(...)` for each settings object
+    built and thrown away (a check of the function's own arguments)."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, prefix)
+                continue
+            name, args = prefix + child.name, child.args
+            positional = args.posonlyargs + args.args
+            defaults = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            defaults += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            found.extend(f"{name}({arg.arg})" for arg, default in defaults
+                         if isinstance(default, ast.Attribute)
+                         and isinstance(default.value, ast.Name)
+                         and default.value.id in _SETTINGS)
+            found.extend(f"{name}: {stmt.value.func.id}(...)" for stmt in ast.walk(child)
+                         if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+                         and isinstance(stmt.value.func, ast.Name)
+                         and stmt.value.func.id in _SETTINGS)
+            visit(child, f"{name}.")
+
+    visit(tree, "")
+    return found
+
+
+def test_settings_copy_check_flags_copied_defaults_and_throwaway_checks():
+    source = ("def beam(trie, beam_size=DecodeParams.beam_size, *, k=TrainParams.peak_lr):\n"
+              "    DecodeParams(beam_size=beam_size)\n    return trie, k\n"
+              "def ok(params, n=5, m=nn.Adam):\n    params = TrainParams(peak_lr=n)\n"
+              "    return params, m\n"
+              "class T:\n    def __init__(self, d=ModelConfig.d_model):\n        self.d = d\n")
+    assert _settings_copies(ast.parse(source)) == [
+        "beam(beam_size)", "beam(k)", "beam: DecodeParams(...)", "T.__init__(d)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_settings_defaults_and_checks_live_in_their_dataclass(path):
+    """A function takes the settings object whole instead of re-declaring its
+    defaults or building one to check its own arguments."""
+    found = [f for f in _settings_copies(ast.parse(path.read_text(encoding="utf-8"),
+                                                   filename=str(path)))
+             if f.split("(")[0].split(":")[0] not in _SETTINGS_DEFAULT_EXEMPT]
+    assert not found, f"{path.name}: {found}"

@@ -6,7 +6,7 @@ import pytest
 from gere import model as gmodel
 from gere import nn
 from gere.errors import DataError
-from gere.decoding import greedy_evidence
+from gere.decoding import DecodeParams, greedy_evidence
 from gere.model import DecoderState, ModelConfig, Seq2SeqModel, SentenceEmbedding
 from gere.tokenizer import BOS, EOS, EOT, SEP, UNK
 
@@ -256,7 +256,7 @@ def test_greedy_evidence_scores_equal_single_step_replays(tiny_vocab, monkeypatc
         return scores
 
     monkeypatch.setattr(model, "evidence_step", recording)
-    pairs, log_probs = greedy_evidence(model, enc, cands, max_evidence_steps=4)
+    pairs, log_probs = greedy_evidence(model, enc, cands, DecodeParams(max_evidence_steps=4))
     monkeypatch.undo()
     assert len(pairs) == len(steps) == 4
     by_source = {c.source: c for c in cands}

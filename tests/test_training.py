@@ -23,26 +23,30 @@ from oracles import PaddedSentenceTrainer, loss_evidence, loss_title, train_step
 
 def test_schedule_anchors_exact():
     total, peak = 1000, 3e-5
-    assert learning_rate(100, total, peak, 0.10) == peak  # exactly at 10%
-    assert learning_rate(total, total, peak, 0.10) == 0.0
-    assert learning_rate(50, total, peak, 0.10) == peak * 0.5
+    params = TrainParams(total_updates=total, peak_lr=peak, warmup_frac=0.10)
+    assert learning_rate(100, params) == peak  # exactly at 10%
+    assert learning_rate(total, params) == 0.0
+    assert learning_rate(50, params) == peak * 0.5
 
 
 def test_schedule_linear_between():
     total, peak = 200, 3e-5
     warmup = 20
+    params = TrainParams(total_updates=total, peak_lr=peak, warmup_frac=0.10)
     for step in range(warmup, total + 1):
         expected = peak * (total - step) / (total - warmup)
-        assert abs(learning_rate(step, total, peak, 0.10) - expected) < 1e-20
+        assert abs(learning_rate(step, params) - expected) < 1e-20
     for step in range(1, warmup + 1):
-        assert abs(learning_rate(step, total, peak, 0.10) - peak * step / warmup) < 1e-20
+        assert abs(learning_rate(step, params) - peak * step / warmup) < 1e-20
 
 
 def test_schedule_validates():
+    """A bad warmup is refused when its `TrainParams` is built; a bad step,
+    a runtime argument, by `learning_rate` itself."""
     with pytest.raises(ValueError):
-        learning_rate(1, 100, 1e-3, 0.0)
+        TrainParams(total_updates=100, peak_lr=1e-3, warmup_frac=0.0)
     with pytest.raises(ValueError):
-        learning_rate(0, 100, 1e-3, 0.1)
+        learning_rate(0, TrainParams(total_updates=100, peak_lr=1e-3, warmup_frac=0.1))
 
 
 # -- target linearization ---------------------------------------------------------
@@ -206,7 +210,8 @@ def test_train_step_stats_identity_and_lr(tiny_corpus, tiny_vocab, tiny_claims):
         stats = train_step(trainer, batch, tiny_corpus)
         assert stats.step == expected_step
         assert stats.loss_total == stats.loss_title + stats.loss_evidence
-        assert stats.learning_rate == learning_rate(expected_step, 100, 3e-5, 0.10)
+        assert stats.learning_rate == learning_rate(
+            expected_step, TrainParams(total_updates=100, peak_lr=3e-5, warmup_frac=0.10))
         assert stats.grad_norm > 0
 
 
