@@ -24,12 +24,12 @@ model = Seq2SeqModel(config, vocab_checksum=vocab.checksum())
 print(f"model: {model.num_params} parameters, vocab {len(vocab)}\n")
 
 total_updates = 300
-trainer = Trainer(model, vocab, total_updates=total_updates, peak_lr=2e-3)
+trainer = Trainer(model, vocab, total_updates=total_updates, peak_lr=2e-3, max_tokens=512)
 examples = [encode_example(c, gold_targets(c, corpus), corpus, vocab,
                            config.max_positions) for c in claims]
 
 print(f"{'step':>5s} {'loss_title':>11s} {'loss_evid':>10s} {'grad_norm':>10s} {'lr':>9s}")
-for batch in trainer.batches(examples, max_tokens=512):
+for batch in trainer.batches(examples):
     stats = trainer.train_step_encoded(batch)
     if stats.step % 50 == 0 or stats.step == 1:
         print(f"{stats.step:5d} {stats.loss_title:11.4f} {stats.loss_evidence:10.4f} "

@@ -26,10 +26,10 @@ config = ModelConfig(vocab_size=len(vocab), d_model=48, n_heads=4, n_layers_enc=
                      n_layers_dec=2, d_ff=128, max_positions=96, seed=5)
 model = Seq2SeqModel(config, vocab_checksum=vocab.checksum())
 
-trainer = Trainer(model, vocab, total_updates=400, peak_lr=2e-3)
+trainer = Trainer(model, vocab, total_updates=400, peak_lr=2e-3, max_tokens=512)
 examples = [encode_example(c, gold_targets(c, corpus), corpus, vocab,
                            config.max_positions) for c in claims]
-for batch in trainer.batches(examples, 512):
+for batch in trainer.batches(examples):
     trainer.train_step_encoded(batch)
 print("trained 400 updates\n")
 

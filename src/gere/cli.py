@@ -16,7 +16,7 @@ import contextlib
 import json
 import logging
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import binio, evalkit
@@ -161,9 +161,7 @@ def cmd_train(args) -> int:
         model = Seq2SeqModel(config, vocab_checksum=vocab.checksum())
         opt_state, step = None, 0
 
-    trainer = Trainer(model, vocab, total_updates=cfg.train.total_updates,
-                      peak_lr=cfg.train.peak_lr, warmup_frac=cfg.train.warmup_frac,
-                      clip_norm=cfg.train.clip_norm)
+    trainer = Trainer(model, vocab, **asdict(cfg.train))
     if opt_state is not None:
         trainer.optimizer.load_state_dict(opt_state)
         trainer.step_count = step
@@ -183,7 +181,7 @@ def cmd_train(args) -> int:
         kept = binio.read_text(log_path).splitlines(keepends=True)[:step]
     with _writing(log_path), open(log_path, "w", encoding="utf-8") as log_fh:
         log_fh.writelines(kept)
-        for batch in trainer.batches(examples, cfg.train.max_tokens):
+        for batch in trainer.batches(examples):
             stats = trainer.train_step_encoded(batch)
             log_fh.write(json.dumps(stats.as_dict()) + "\n")
             if cfg.train.checkpoint_every > 0 and stats.step % cfg.train.checkpoint_every == 0:

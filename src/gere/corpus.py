@@ -232,13 +232,13 @@ def load_claims(path, corpus: Optional[Corpus] = None) -> list[Claim]:
     return claims
 
 
-def gold_targets(claim: Claim, corpus: Optional[Corpus] = None) -> GoldTargets:
+def gold_targets(claim: Claim, corpus: Corpus) -> GoldTargets:
     """Flatten annotation groups into a single ordered target sequence.
 
     The first group's pairs keep their annotation order; pairs from later
     groups are appended unless already present. Titles follow the first
-    occurrence of each doc_id. With a corpus supplied, every doc_id must
-    resolve; otherwise titles are derived from the doc_id alone.
+    occurrence of each doc_id and are the corpus's titles, so every doc_id
+    must resolve.
     """
     if claim.label is Label.NOT_ENOUGH_INFO:
         raise ValueError(f"claim {claim.claim_id} is NOT ENOUGH INFO; no gold targets exist")
@@ -255,13 +255,10 @@ def gold_targets(claim: Claim, corpus: Optional[Corpus] = None) -> GoldTargets:
         if doc_id in seen_docs:
             continue
         seen_docs.add(doc_id)
-        if corpus is not None:
-            doc = corpus.documents.get(doc_id)
-            if doc is None:
-                raise DataError(f"claim {claim.claim_id}: gold doc_id {doc_id!r} not in corpus")
-            titles.append(doc.title)
-        else:
-            titles.append(title_from_doc_id(doc_id))
+        doc = corpus.documents.get(doc_id)
+        if doc is None:
+            raise DataError(f"claim {claim.claim_id}: gold doc_id {doc_id!r} not in corpus")
+        titles.append(doc.title)
     return GoldTargets(title_sequence=tuple(titles), evidence_sequence=tuple(evidence))
 
 

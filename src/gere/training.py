@@ -2,7 +2,8 @@
 
 `TrainParams` owns the defaults and range rules of the schedule and batching
 settings. It is frozen, so a check made when it is built holds for as long as
-it lives; `learning_rate` and `Trainer` read their settings from one.
+it lives; `learning_rate` reads its settings from one, and `Trainer` builds
+the one it holds from its keywords, which are `TrainParams`' fields.
 """
 
 from __future__ import annotations
@@ -145,15 +146,12 @@ def _pad_ids(seqs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
 class Trainer:
     """One optimizer step at a time; its only randomness is the epoch shuffle,
     a pure function of (seed, epoch), so resuming from a checkpoint continues
-    bit-identically. The schedule keywords take `TrainParams`' defaults and
-    build the one `TrainParams` (`settings`) that checks them and that every
-    update reads."""
+    bit-identically. The keyword settings are `TrainParams` fields; they build
+    the one `TrainParams` (`settings`) that checks them and that every batch
+    and update reads."""
 
-    def __init__(self, model: Seq2SeqModel, vocab: Vocab, total_updates=TrainParams.total_updates,
-                 peak_lr=TrainParams.peak_lr, warmup_frac=TrainParams.warmup_frac,
-                 clip_norm=TrainParams.clip_norm):
-        self.settings = TrainParams(total_updates=total_updates, peak_lr=peak_lr,
-                                    warmup_frac=warmup_frac, clip_norm=clip_norm)
+    def __init__(self, model: Seq2SeqModel, vocab: Vocab, **settings):
+        self.settings = TrainParams(**settings)
         self.model = model
         self.vocab = vocab
         self.optimizer = nn.Adam(model.params)
@@ -168,16 +166,16 @@ class Trainer:
             np.random.SeedSequence([self.model.config.seed, 2, epoch]))
         return rng.permutation(n_examples)
 
-    def batches(self, examples: Sequence[_Example], max_tokens: int) -> Iterator[list[_Example]]:
+    def batches(self, examples: Sequence[_Example]) -> Iterator[list[_Example]]:
         """The batches of updates step_count + 1 .. total_updates, with
         step_count read now: epoch e is `make_batches` over the examples in
-        `shuffle_order(n, e)`, and the batches of the updates already made
-        are skipped, so a resumed run continues exactly. The iteration ends
-        whether or not the caller trains."""
+        `shuffle_order(n, e)` under `settings.max_tokens`, and the batches of
+        the updates already made are skipped, so a resumed run continues
+        exactly. The iteration ends whether or not the caller trains."""
         if not examples:
             raise ValueError("no examples to batch")
         epochs = (make_batches([examples[i] for i in self.shuffle_order(len(examples), e)],
-                               max_tokens) for e in itertools.count())
+                               self.settings.max_tokens) for e in itertools.count())
         return itertools.islice(itertools.chain.from_iterable(epochs), self.step_count,
                                 self.total_updates)
 

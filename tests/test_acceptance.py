@@ -119,7 +119,7 @@ def test_a2_overfit_retrieval(tmp_path, capsys):
     exact = 0
     train_claims = verifiable(golds)
     for claim in train_claims:
-        want = [[d, i] for d, i in gold_targets(claim).evidence_sequence]
+        want = [[d, i] for d, i in gold_targets(claim, corpus).evidence_sequence]
         if by_id[claim.claim_id]["predicted_evidence"] == want:
             exact += 1
     exact_frac = exact / len(train_claims)

@@ -17,7 +17,7 @@ from gere.cli import (
 from gere.decoding import DecodeParams
 from gere.model import ModelConfig
 from gere.synthetic import make_claims, make_corpus, write_dataset
-from gere.training import TrainParams
+from gere.training import Trainer, TrainParams
 
 from oracles import checkpoint_v1_bytes
 
@@ -303,6 +303,24 @@ def test_resume_from_a_v1_checkpoint_logs_as_from_its_v2_resave(dataset, tmp_pat
              / "train_log.jsonl").read_bytes() for name, path in (("v1", v1), ("v2", v2))]
     assert logs[0] == logs[1]
     assert logs[0].splitlines() == (out_a / "train_log.jsonl").read_bytes().splitlines()[6:]
+
+
+def test_train_builds_its_trainer_from_the_run_settings(dataset, tmp_path, monkeypatch):
+    """`gere train` hands `Trainer` the run's `TrainParams` whole: the batch
+    budget and checkpoint interval it holds are the run's, not the defaults."""
+    built = []
+
+    class RecordingTrainer(Trainer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr("gere.cli.Trainer", RecordingTrainer)
+    _, cfg_path = run_training(dataset, tmp_path, "settings", total_updates=2)
+    want = load_run_config(str(cfg_path), []).train
+    assert want.max_tokens != TrainParams.max_tokens
+    assert want.checkpoint_every != TrainParams.checkpoint_every
+    assert [trainer.settings for trainer in built] == [want]
 
 
 def test_train_rerun_is_idempotent(dataset, tmp_path):

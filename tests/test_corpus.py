@@ -11,6 +11,8 @@ from gere.corpus import (
 )
 from gere.errors import DataError
 
+from conftest import make_doc
+
 
 def write_jsonl(path, records):
     with open(path, "w", encoding="utf-8") as fh:
@@ -211,19 +213,25 @@ def make_claim(groups, label=Label.SUPPORTS):
     return Claim(1, "text", label, tuple(tuple(g) for g in groups))
 
 
+# Docs `A`-`D`, each titled by its doc_id, with sentences 0-3.
+LETTERS = Corpus()
+for _doc_id in "ABCD":
+    LETTERS.add(make_doc(_doc_id, [f"{_doc_id} sentence {i} ." for i in range(4)]))
+
+
 def test_gold_targets_single_group():
-    got = gold_targets(make_claim([[("A", 0), ("A", 1)]]))
+    got = gold_targets(make_claim([[("A", 0), ("A", 1)]]), LETTERS)
     assert got == GoldTargets(("A",), (("A", 0), ("A", 1)))
 
 
 def test_gold_targets_deduplicates_across_groups():
-    got = gold_targets(make_claim([[("A", 0)], [("A", 0), ("B", 2)]]))
+    got = gold_targets(make_claim([[("A", 0)], [("A", 0), ("B", 2)]]), LETTERS)
     assert got.title_sequence == ("A", "B")
     assert got.evidence_sequence == (("A", 0), ("B", 2))
 
 
 def test_gold_targets_keeps_first_occurrence_order():
-    got = gold_targets(make_claim([[("B", 3)], [("A", 1)]]))
+    got = gold_targets(make_claim([[("B", 3)], [("A", 1)]]), LETTERS)
     assert got.title_sequence == ("B", "A")
 
 
@@ -235,7 +243,7 @@ def test_gold_targets_maps_titles_through_corpus(tiny_corpus):
 
 def test_gold_targets_rejects_nei_and_unknown_docs(tiny_corpus):
     with pytest.raises(ValueError):
-        gold_targets(make_claim([], label=Label.NOT_ENOUGH_INFO))
+        gold_targets(make_claim([], label=Label.NOT_ENOUGH_INFO), tiny_corpus)
     with pytest.raises(DataError):
         gold_targets(make_claim([[("Missing", 0)]]), tiny_corpus)
 
@@ -245,7 +253,7 @@ def test_gold_targets_rejects_nei_and_unknown_docs(tiny_corpus):
     st.lists(st.tuples(st.sampled_from("ABCD"), st.integers(0, 3)), min_size=1, max_size=4),
     min_size=1, max_size=4))
 def test_gold_targets_invariants_hold(groups):
-    got = gold_targets(make_claim(groups))
+    got = gold_targets(make_claim(groups), LETTERS)
     assert len(set(got.title_sequence)) == len(got.title_sequence)
     assert len(set(got.evidence_sequence)) == len(got.evidence_sequence)
     assert {d for d, _ in got.evidence_sequence} == set(got.title_sequence)

@@ -329,9 +329,6 @@ def test_range_rules_are_the_shared_ones(path):
 
 
 _SETTINGS = ("ModelConfig", "TrainParams", "DecodeParams", "RunConfig")
-# `Trainer.__init__` keeps its keyword signature and `TrainParams`' defaults,
-# because the benchmark's train-a2 workload and the demos call it that way.
-_SETTINGS_DEFAULT_EXEMPT = {"Trainer.__init__"}
 
 
 def _settings_copies(tree: ast.Module) -> list[str]:
@@ -380,7 +377,5 @@ def test_settings_copy_check_flags_copied_defaults_and_throwaway_checks():
 def test_settings_defaults_and_checks_live_in_their_dataclass(path):
     """A function takes the settings object whole instead of re-declaring its
     defaults or building one to check its own arguments."""
-    found = [f for f in _settings_copies(ast.parse(path.read_text(encoding="utf-8"),
-                                                   filename=str(path)))
-             if f.split("(")[0].split(":")[0] not in _SETTINGS_DEFAULT_EXEMPT]
+    found = _settings_copies(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     assert not found, f"{path.name}: {found}"

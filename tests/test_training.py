@@ -1,5 +1,5 @@
 import inspect
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -82,20 +82,20 @@ def test_trainer_batches_resume_where_a_run_left_off(tiny_corpus, tiny_vocab, ti
     budget = 2 * max(ex.cost for ex in examples)  # a few batches per epoch
     model = Seq2SeqModel(small_config(len(tiny_vocab)))
     total = 11
-    fresh = Trainer(model, tiny_vocab, total_updates=total)
+    fresh = Trainer(model, tiny_vocab, total_updates=total, max_tokens=budget)
     # The rule: epoch e batches the examples in shuffle_order(n, e).
     expected = []
     for epoch in range(total):
         order = fresh.shuffle_order(len(examples), epoch)
         expected += make_batches([examples[i] for i in order], budget)
-    run = list(fresh.batches(examples, budget))
+    run = list(fresh.batches(examples))
     assert _identities(run) == _identities(expected[:total])
     assert 1 < len(make_batches(examples, budget)) < total  # resumes land mid-epoch
 
     for k in (0, 1, 4, total - 1, total):
-        resumed = Trainer(model, tiny_vocab, total_updates=total)
+        resumed = Trainer(model, tiny_vocab, total_updates=total, max_tokens=budget)
         resumed.step_count = k
-        batches = resumed.batches(examples, budget)
+        batches = resumed.batches(examples)
         resumed.step_count = 0  # read when batches() is called, not when iterated
         tail = list(batches)
         assert len(tail) == total - k
@@ -103,9 +103,10 @@ def test_trainer_batches_resume_where_a_run_left_off(tiny_corpus, tiny_vocab, ti
 
 
 def test_trainer_batches_rejects_no_examples(tiny_vocab):
-    trainer = Trainer(Seq2SeqModel(small_config(len(tiny_vocab))), tiny_vocab, total_updates=3)
+    trainer = Trainer(Seq2SeqModel(small_config(len(tiny_vocab))), tiny_vocab, total_updates=3,
+                      max_tokens=100)
     with pytest.raises(ValueError):
-        trainer.batches([], 100)
+        trainer.batches([])
 
 
 @pytest.mark.parametrize("clip_norm", [0.0, -1.0, float("nan"), float("inf")])
@@ -138,13 +139,17 @@ def test_train_params_reject_out_of_range_settings(key, value):
     TrainParams(max_tokens=1, checkpoint_every=0)  # the floors are legal
 
 
-def test_trainer_defaults_are_train_params_defaults():
-    """`TrainParams` owns the defaults: `Trainer` repeats none of them."""
-    owned = {f.name: f.default for f in fields(TrainParams)}
-    taken = {name: param.default for name, param in inspect.signature(Trainer).parameters.items()
-             if name in owned}
-    assert set(taken) == {"total_updates", "peak_lr", "warmup_frac", "clip_norm"}
-    assert taken == {name: owned[name] for name in taken}
+def test_trainer_defaults_are_train_params_defaults(tiny_vocab):
+    """`TrainParams` owns the defaults: `Trainer` names none of its fields and
+    holds the one `TrainParams` its keywords build, every field of it."""
+    owned = {f.name for f in fields(TrainParams)}
+    assert not owned & set(inspect.signature(Trainer).parameters)
+    model = Seq2SeqModel(small_config(len(tiny_vocab)))
+    moved = TrainParams(total_updates=7, peak_lr=1e-3, warmup_frac=0.25, max_tokens=300,
+                        clip_norm=0.5, checkpoint_every=3)
+    assert all(getattr(moved, f.name) != f.default for f in fields(TrainParams))
+    for params in (TrainParams(), moved):
+        assert Trainer(model, tiny_vocab, **asdict(params)).settings == params
 
 
 def test_encode_example_candidates_and_slots(tiny_corpus, tiny_vocab, tiny_claims):
