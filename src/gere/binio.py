@@ -1,7 +1,7 @@
 """Every file gere reads or writes goes through here: UTF-8 text and JSON
-lines, atomic writes, and the header and little-endian fields of the trie and
-checkpoint formats, read by one cursor over bytes or over a buffered file
-(`open_reader`).
+lines, atomic writes, and the header, little-endian fields, u32 arrays and
+CRC-32 trailer of the trie and checkpoint formats, read by one cursor over
+bytes or over a buffered file (`open_reader`).
 Input that cannot be read (an OS error, invalid UTF-8, a bad JSON line, a
 truncated or padded binary file) is a `DataError` naming the file and, for
 text, the line."""
@@ -10,6 +10,7 @@ import io
 import json
 import os
 import struct
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Optional
@@ -68,6 +69,16 @@ def write_u8(buf: bytearray, value: int) -> None:
 
 def write_u32(buf: bytearray, value: int) -> None:
     buf += struct.pack("<I", value)
+
+
+def write_u32s(buf: bytearray, values: np.ndarray) -> None:
+    """Non-negative integers below 2**32, as one little-endian u32 block."""
+    buf += values.astype("<u4").tobytes()
+
+
+def write_crc32(buf: bytearray) -> None:
+    """The trailer `Reader.finish(crc32=True)` checks: the CRC-32 of `buf`."""
+    write_u32(buf, zlib.crc32(buf))
 
 
 def write_u64(buf: bytearray, value: int) -> None:
@@ -186,6 +197,10 @@ class Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
+    def u32s(self, n: int) -> np.ndarray:
+        """The next n little-endian u32 values, as one read-only array."""
+        return np.frombuffer(self.take(4 * n), dtype="<u4")
+
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
 
@@ -226,7 +241,20 @@ class Reader:
                             f"(file {file_checksum:#010x}, vocab {checksum:#010x})")
         return version, file_checksum
 
-    def finish(self) -> None:
-        """Raise unless every byte has been read."""
+    def finish(self, crc32: bool = False) -> None:
+        """Raise unless every byte has been read. With `crc32`, the input
+        ends in a `write_crc32` trailer: it is read, and checked against the
+        bytes before it once the trailing-bytes check has passed, so a
+        parse's own errors come first."""
+        body = self.fh.tell()
+        stored = self.u32() if crc32 else None
         if self.remaining():
             raise DataError(f"{self.name}: {self.remaining()} trailing bytes")
+        if crc32:
+            self.fh.seek(0)
+            crc = 0
+            for start in range(0, body, self._CHUNK):
+                crc = zlib.crc32(self.take(min(self._CHUNK, body - start)), crc)
+            if crc != stored:
+                raise DataError(f"{self.name}: CRC-32 mismatch (file {stored:#010x}, "
+                                f"content {crc:#010x})")

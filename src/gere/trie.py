@@ -2,13 +2,25 @@
 
 Every title's token sequence is terminated by an explicit EOT edge, so titles
 that are prefixes of other titles ("a" vs "a b") stay distinguishable. The
-node reached by the EOT edge is terminal and annotated with the doc_id.
+node reached by the EOT edge is terminal and annotated with the doc_id, and
+the terminal nodes are exactly the leaves below the root.
 
 The trie is flat arrays with one entry per node. Node ids follow the file's
 depth-first order: a node's children are consecutive, in ascending token
 order, and get their ids when the node is visited, so every child id is
 larger than its parent's. A built and a loaded trie hold the same arrays.
 The arrays are read-only, so decode-time reads need no synchronization.
+
+The file (version 2) holds those arrays as they are: after the header, the
+node and title counts, then little-endian u32 blocks of every node's child
+count, first child id and height and of the edge token into every node but
+the root, the length in code points of each terminal's doc_id in node order,
+the doc_ids' concatenated UTF-8 text, and a CRC-32 of all the bytes before
+it. A load reads each block with one array read and checks the layout with
+array operations, the heights too, so a version 2 save or load runs no
+per-node loop. A version 1 file (a depth-first stream of per-node records
+with delta-coded child tokens) still loads, record by record, and its
+heights are computed.
 
 Two methods read the child layout, and nothing outside this module does:
 `children_of(node)` is the ascending slice of a node's child tokens (a view,
@@ -22,7 +34,7 @@ decoder uses.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -32,7 +44,8 @@ from .errors import DataError
 from .tokenizer import EOT, Vocab
 
 _MAGIC = b"GERETRIE"
-_VERSION = 1
+_VERSION = 2
+_VERSIONS = (1, _VERSION)  # both load; `to_bytes` writes the latest
 
 
 class TitleTrie:
@@ -44,12 +57,26 @@ class TitleTrie:
 
     root = 0
 
-    def __init__(self, records: Iterable[tuple[Optional[str], Sequence[int]]]):
-        """Consume the pre-order records (doc_id or None, ascending child
-        tokens) of every node, the root's first."""
+    def __init__(self, first_child: np.ndarray, child_count: np.ndarray, token: np.ndarray,
+                 height: np.ndarray, doc_ids: list[Optional[str]]):
+        """Adopt the per-node arrays (np.intp) and doc_ids; the arrays
+        become read-only."""
+        self.first_child, self.child_count, self.token, self.height = (
+            first_child, child_count, token, height)
+        for array in (first_child, child_count, token, height):
+            array.flags.writeable = False  # shared by every decoder
+        self.doc_ids = doc_ids
+        self.title_count = len(doc_ids) - doc_ids.count(None)
+
+    @classmethod
+    def from_records(cls, records: Iterable[tuple[Optional[str], Sequence[int]]]
+                     ) -> "TitleTrie":
+        """The trie of the pre-order records (doc_id or None, ascending child
+        tokens) of every node, the root's first. One Python step per node,
+        which on small tries costs less than array passes."""
         records = iter(records)
         token, visited, counts, terminals = [-1], [], [], []
-        pending = [self.root]
+        pending = [cls.root]
         while pending:
             node = pending.pop()
             doc_id, tokens = next(records)
@@ -62,24 +89,21 @@ class TitleTrie:
             pending.extend(range(len(token) - 1, first - 1, -1))
         n = len(token)
         visited, counts = np.array(visited, dtype=np.intp), np.array(counts, dtype=np.intp)
-        self.first_child = np.empty(n, dtype=np.intp)
-        self.first_child[visited] = 1 + np.cumsum(counts) - counts
-        self.child_count = np.empty(n, dtype=np.intp)
-        self.child_count[visited] = counts
-        self.token = np.array(token, dtype=np.intp)
+        first_child = np.empty(n, dtype=np.intp)
+        first_child[visited] = 1 + np.cumsum(counts) - counts
+        child_count = np.empty(n, dtype=np.intp)
+        child_count[visited] = counts
         parents = np.repeat(visited, counts).tolist()  # of nodes 1 .. n - 1
         height = [0] * n
         for child in range(n - 1, 0, -1):  # children before parents
             parent, h = parents[child - 1], height[child] + 1
             if h > height[parent]:
                 height[parent] = h
-        self.height = np.array(height, dtype=np.intp)
-        for array in (self.first_child, self.child_count, self.token, self.height):
-            array.flags.writeable = False  # shared by every decoder
-        self.doc_ids = [None] * n
+        doc_ids = [None] * n
         for node, doc_id in terminals:
-            self.doc_ids[node] = doc_id
-        self.title_count = len(terminals)
+            doc_ids[node] = doc_id
+        return cls(first_child, child_count, np.array(token, dtype=np.intp),
+                   np.array(height, dtype=np.intp), doc_ids)
 
     # -- construction ------------------------------------------------------
 
@@ -102,7 +126,7 @@ class TitleTrie:
                     f"titles {title!r} ({doc_id!r}) and ({first!r}) share one token sequence")
         if not paths:
             raise DataError("cannot build a title trie from zero titles")
-        return cls(_sorted_records(sorted(paths.items())))
+        return cls.from_records(_sorted_records(sorted(paths.items())))
 
     # -- queries -----------------------------------------------------------
 
@@ -161,62 +185,53 @@ class TitleTrie:
     # -- persistence -------------------------------------------------------
 
     def to_bytes(self, vocab: Vocab) -> bytes:
-        """Depth-first serialization with delta-encoded child token ids."""
+        """The version 2 file: the per-node arrays as u32 blocks, the
+        terminals' doc_ids as lengths and one text, then a CRC-32."""
         buf = bytearray()
         binio.write_header(buf, _MAGIC, _VERSION, vocab.checksum())
         binio.write_u32(buf, self.node_count)
         binio.write_u32(buf, self.title_count)
-        # Pre-order DFS; children visited in ascending token-id order, which
-        # is the order that assigns the node ids.
-        first_child, child_count = self.first_child.tolist(), self.child_count.tolist()
-        token = self.token.tolist()
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            doc_id = self.doc_ids[node]
-            binio.write_u8(buf, 1 if doc_id is not None else 0)
-            if doc_id is not None:
-                binio.write_str(buf, doc_id)
-            first, count = first_child[node], child_count[node]
-            binio.write_uvarint(buf, count)
-            prev = -1
-            for tok in token[first:first + count]:
-                binio.write_uvarint(buf, tok - prev)
-                prev = tok
-            stack.extend(range(first + count - 1, first - 1, -1))
+        binio.write_u32s(buf, self.child_count)
+        binio.write_u32s(buf, self.first_child)
+        binio.write_u32s(buf, self.height)
+        binio.write_u32s(buf, self.token[1:])
+        doc_ids = list(compress(self.doc_ids, (self.token == EOT).tolist()))
+        binio.write_u32s(buf, np.fromiter(map(len, doc_ids), np.intp, len(doc_ids)))
+        binio.write_str(buf, "".join(doc_ids))
+        binio.write_crc32(buf)
         return bytes(buf)
 
     @classmethod
     def from_bytes(cls, data: bytes, vocab: Vocab, name: str = "<bytes>") -> "TitleTrie":
         r = binio.Reader(data, name)
-        r.header(_MAGIC, (_VERSION,), "trie", vocab.checksum())
+        version, _ = r.header(_MAGIC, _VERSIONS, "trie", vocab.checksum())
         node_count = r.u32()
         title_count = r.u32()
-        if not 1 <= node_count <= r.remaining() // 2:  # a node record takes >= 2 bytes
+        if version == 1:
+            return _from_v1(r, vocab, node_count, title_count)
+        if not 0 < 16 * node_count <= r.remaining():  # four u32 blocks and the CRC
             raise DataError(f"{name}: node count {node_count} does not fit the file")
-
-        def records():
-            declared = 1  # the root, then every child read so far
-            while True:
-                doc_id = r.str_() if r.u8() else None
-                n_children = r.uvarint()
-                declared += n_children
-                if declared > node_count:
-                    raise DataError(f"{name}: more nodes than declared ({node_count})")
-                steps = [r.uvarint() for _ in range(n_children)]
-                tokens = [total - 1 for total in accumulate(steps)]
-                if 0 in steps or (tokens and tokens[-1] >= len(vocab)):
-                    raise DataError(f"{name}: child tokens out of order or out of the vocabulary")
-                yield doc_id, tokens
-
-        trie = cls(records())
-        if trie.node_count != node_count:
-            raise DataError(
-                f"{name}: node count mismatch ({trie.node_count} read, {node_count} declared)")
-        r.finish()
-        if trie.title_count != title_count:
-            raise DataError(f"{name}: title count mismatch")
-        return trie
+        child_count = r.u32s(node_count).astype(np.intp)
+        first_child = r.u32s(node_count).astype(np.intp)
+        height = r.u32s(node_count).astype(np.intp)
+        token = np.empty(node_count, dtype=np.intp)
+        token[0] = -1
+        token[1:] = r.u32s(node_count - 1)
+        lengths = r.u32s(title_count)
+        text = r.str_()
+        r.finish(crc32=True)
+        terminals = _check_layout(name, len(vocab), first_child, child_count, height, token,
+                                  title_count)
+        total = int(lengths.sum())
+        if total != len(text):
+            raise DataError(f"{name}: doc_id lengths sum to {total}, "
+                            f"not the {len(text)} code points of their text")
+        ends = np.cumsum(lengths, dtype=np.int64)
+        doc_ids = [None] * node_count
+        for node, start, end in zip(terminals.tolist(), (ends - lengths).tolist(),
+                                    ends.tolist()):
+            doc_ids[node] = text[start:end]
+        return cls(first_child, child_count, token, height, doc_ids)
 
     def save(self, path, vocab: Vocab) -> None:
         binio.write_atomic(path, (self.to_bytes(vocab),))
@@ -224,6 +239,82 @@ class TitleTrie:
     @classmethod
     def load(cls, path, vocab: Vocab) -> "TitleTrie":
         return cls.from_bytes(binio.read_bytes(path), vocab, name=str(path))
+
+
+def _from_v1(r: binio.Reader, vocab: Vocab, node_count: int, title_count: int) -> TitleTrie:
+    """A version 1 trie: after the counts, each node's pre-order record, a
+    terminal flag (u8) with the doc_id, the child count and each child
+    token's step up from the previous one (uvarints, from -1)."""
+    name = r.name
+    if not 1 <= node_count <= r.remaining() // 2:  # a node record takes >= 2 bytes
+        raise DataError(f"{name}: node count {node_count} does not fit the file")
+
+    def records():
+        declared = 1  # the root, then every child read so far
+        while True:
+            doc_id = r.str_() if r.u8() else None
+            n_children = r.uvarint()
+            declared += n_children
+            if declared > node_count:
+                raise DataError(f"{name}: more nodes than declared ({node_count})")
+            steps = [r.uvarint() for _ in range(n_children)]
+            tokens = [total - 1 for total in accumulate(steps)]
+            if 0 in steps or (tokens and tokens[-1] >= len(vocab)):
+                raise DataError(f"{name}: child tokens out of order or out of the vocabulary")
+            yield doc_id, tokens
+
+    trie = TitleTrie.from_records(records())
+    if trie.node_count != node_count:
+        raise DataError(
+            f"{name}: node count mismatch ({trie.node_count} read, {node_count} declared)")
+    r.finish()
+    if trie.title_count != title_count:
+        raise DataError(f"{name}: title count mismatch")
+    return trie
+
+
+def _check_layout(name: str, vocab_size: int, first_child: np.ndarray,
+                  child_count: np.ndarray, height: np.ndarray, token: np.ndarray,
+                  title_count: int) -> np.ndarray:
+    """Raise unless the arrays are a trie, and return its terminal node ids.
+    The child ranges, each after its parent, tile the ids 1 .. n - 1, so
+    each node but the root has one parent, with a smaller id; siblings'
+    tokens ascend strictly and are in the vocabulary; the EOT edges lead to
+    exactly the leaves below the root, one per title; and each height is 0
+    at a leaf, else one more than the largest of the node's children, which
+    in a tree fixes every height."""
+    n = len(child_count)
+    total = int(child_count.sum())
+    if total != n - 1:
+        raise DataError(f"{name}: child counts sum to {total}, not node count - 1 ({n - 1})")
+    ends = first_child + child_count
+    if first_child.min() < 1 or ends.max() > n:
+        raise DataError(f"{name}: a child range leaves the node ids")
+    parents = np.flatnonzero(child_count)
+    if (first_child[parents] <= parents).any():
+        raise DataError(f"{name}: a child range does not follow its parent")
+    parents = parents[np.argsort(first_child[parents])]  # in the order of their ranges
+    starts = first_child[parents]
+    # n - 1 children in all, inside the ids 1 .. n - 1: ranges that each
+    # start where the one before ends tile those ids, and a gap would mean
+    # an overlap elsewhere.
+    if (starts[1:] != ends[parents[:-1]]).any():
+        raise DataError(f"{name}: child ranges overlap")
+    is_first = np.zeros(n, dtype=bool)
+    is_first[starts] = True
+    if n > 1 and (token[1:].max() >= vocab_size
+                  or ((token[2:] <= token[1:-1]) & ~is_first[2:]).any()):
+        raise DataError(f"{name}: child tokens out of order or out of the vocabulary")
+    terminals = np.flatnonzero(token == EOT)
+    if len(terminals) != title_count:
+        raise DataError(f"{name}: {len(terminals)} terminal nodes, but {title_count} titles")
+    if not np.array_equal(terminals, np.flatnonzero(child_count[1:] == 0) + 1):
+        raise DataError(f"{name}: a terminal node has children or a leaf is not terminal")
+    # The ranges, in order, are consecutive runs of the ids 1 .. n - 1.
+    if height[child_count == 0].any() or (
+            height[parents] != 1 + np.maximum.reduceat(height[1:], starts - 1)).any():
+        raise DataError(f"{name}: a height is not one more than its children's largest")
+    return terminals
 
 
 def _sorted_records(paths: list[tuple[tuple[int, ...], str]]):

@@ -122,7 +122,7 @@ def test_beam_rejects_empty_trie_and_bad_beam():
     for max_titles in (0, -3):
         with pytest.raises(ValueError):
             DecodeParams(beam_size=5, max_titles=max_titles)
-    empty = TitleTrie([(None, ())])
+    empty = TitleTrie.from_records([(None, ())])
     with pytest.raises(DecodingError):
         beam_search_titles(model, enc, empty, DecodeParams(beam_size=5))
 

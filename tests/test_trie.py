@@ -1,4 +1,5 @@
 import struct
+import zlib
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from gere.synthetic import make_doc_ids
 from gere.tokenizer import EOT, PAD, SPECIAL_TOKENS, UNK, Vocab, tokenize
 from gere.trie import TitleTrie
 
-from oracles import allowed_next_bruteforce
+from oracles import allowed_next_bruteforce, trie_v1_bytes
 
 
 @pytest.fixture
@@ -226,7 +227,7 @@ def test_loaded_trie_heap_per_node(tmp_path):
 
 def test_load_rejects_child_tokens_out_of_order_or_vocabulary(vocab):
     trie = TitleTrie.build([("a", "doc-a"), ("b", "doc-b")], vocab)
-    data = trie.to_bytes(vocab)
+    data = trie_v1_bytes(trie, vocab)
     a, b = vocab.ids["a"], vocab.ids["b"]
     root = bytes([0, 2, a + 1, b - a])  # not terminal, two children, token deltas
     assert data.count(root) == 1
@@ -272,3 +273,129 @@ def test_huge_node_count_rejected_before_allocating(tiny_corpus, tiny_vocab):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# -- file format version 2 ------------------------------------------------------
+
+
+def _v2_bytes(vocab, child_count, first_child, height, tokens, doc_ids, title_count=None):
+    """A version 2 file of the given blocks, written from the format's
+    definition, with a valid CRC-32: header, node and title counts, the u32
+    blocks of child counts, first child ids, heights, edge tokens (nodes
+    1 .. n - 1) and doc_id lengths in code points, the doc_ids' UTF-8 text after its
+    uvarint byte length, then the CRC-32 of everything before it."""
+    n = len(child_count)
+    buf = bytearray(b"GERETRIE" + struct.pack("<4I", 2, vocab.checksum(), n,
+                                              len(doc_ids) if title_count is None
+                                              else title_count))
+    for block in (child_count, first_child, height, tokens, [len(d) for d in doc_ids]):
+        buf += struct.pack(f"<{len(block)}I", *block)
+    text = "".join(doc_ids).encode("utf-8")
+    assert len(text) < 128  # a one-byte uvarint
+    buf += bytes([len(text)]) + text
+    return bytes(buf + struct.pack("<I", zlib.crc32(buf)))
+
+
+def test_v2_bytes_are_the_arrays_and_doc_ids(vocab):
+    """Titles "a" and "a b": root -> a, a -> {EOT, b}, b -> EOT."""
+    trie = TitleTrie.build([("a b", "AB"), ("a", "A")], vocab)
+    a, b = vocab.ids["a"], vocab.ids["b"]
+    assert trie.child_count.tolist() == [1, 2, 0, 1, 0]
+    assert trie.first_child.tolist() == [1, 2, 4, 4, 5]
+    assert trie.token.tolist() == [-1, a, EOT, b, EOT]
+    assert trie.height.tolist() == [3, 2, 0, 1, 0]
+    assert trie.to_bytes(vocab) == _v2_bytes(vocab, [1, 2, 0, 1, 0], [1, 2, 4, 4, 5],
+                                             [3, 2, 0, 1, 0], [a, EOT, b, EOT], ["A", "AB"])
+
+
+def test_doc_ids_with_newline_tab_and_non_ascii_round_trip(tmp_path, vocab):
+    titles = [("a", "line\nbreak"), ("a b", "tab\there"), ("b", "Ünïcödé_日本_\U0001F600"),
+              ("c", "\r\n\x00"), ("z", "")]
+    trie = TitleTrie.build(titles, vocab)
+    trie.save(tmp_path / "trie.bin", vocab)
+    loaded = TitleTrie.load(tmp_path / "trie.bin", vocab)
+    assert loaded == trie
+    for title, doc_id in titles:
+        assert loaded.resolve(vocab.encode(title) + [EOT]) == doc_id
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "unseen"]), min_size=1, max_size=4),
+                min_size=1, max_size=12, unique_by=tuple),
+       st.randoms(use_true_random=False))
+def test_v1_bytes_load_to_the_built_arrays(word_lists, random):
+    """Version 1 files, from the reference writer, still load: prefix titles
+    and UNK tokens included, in any insertion order."""
+    vocab = Vocab(SPECIAL_TOKENS + ("a", "b", "c"))
+    titles = [(" ".join(words), f"doc{i}") for i, words in enumerate(word_lists)]
+    assume(len({tuple(vocab.encode(t)) for t, _ in titles}) == len(titles))  # else rejected
+    random.shuffle(titles)
+    built = TitleTrie.build(titles, vocab)
+    loaded = TitleTrie.from_bytes(trie_v1_bytes(built, vocab), vocab)
+    for name in ("first_child", "child_count", "token", "height"):
+        assert getattr(built, name).tolist() == getattr(loaded, name).tolist(), name
+    assert built.doc_ids == loaded.doc_ids
+    assert loaded.title_count == built.title_count
+
+
+_A, _B, _C = 6, 7, 8  # the `vocab` fixture's ids of "a", "b" and "c"
+_H = [3, 2, 0, 1, 0]  # the heights of the trie of "a" and "a b"
+
+
+@pytest.mark.parametrize("blocks, message", [
+    # child counts, first child ids, heights, edge tokens, doc_ids[, title
+    # count]; the valid file of "a" and "a b" is ([1, 2, 0, 1, 0],
+    # [1, 2, 4, 4, 5], _H, [a, EOT, b, EOT], ["A", "AB"]).
+    (([1, 2, 0, 2, 0], [1, 2, 4, 4, 5], _H, [_A, EOT, _B, EOT], ["A", "AB"]),
+     "child counts sum to 5, not node count - 1"),
+    (([1, 2, 0, 1, 0], [1, 3, 4, 4, 5], _H, [_A, EOT, _B, EOT], ["A", "AB"]), "overlap"),
+    (([1, 2, 0, 1, 0], [1, 2, 4, 5, 5], _H, [_A, EOT, _B, EOT], ["A", "AB"]),
+     "leaves the node ids"),
+    (([1, 2, 0, 1, 0], [0, 2, 4, 4, 5], _H, [_A, EOT, _B, EOT], ["A", "AB"]),
+     "leaves the node ids"),
+    (([1, 2, 0, 1, 0], [1, 2, 4, 3, 5], _H, [_A, EOT, _B, EOT], ["A", "AB"]),
+     "does not follow its parent"),
+    (([1, 2, 0, 1, 0], [1, 2, 4, 4, 5], _H, [_A, _B, EOT, EOT], ["A", "AB"]), "out of order"),
+    (([1, 2, 0, 1, 0], [1, 2, 4, 4, 5], _H, [_A, EOT, EOT, EOT], ["A", "AB"]), "out of order"),
+    (([1, 2, 0, 1, 0], [1, 2, 4, 4, 5], _H, [_A, EOT, 10, EOT], ["A", "AB"]),
+     "out of the vocabulary"),
+    (([1, 2, 0, 1, 0], [1, 2, 4, 4, 5], _H, [_A, EOT, _B, EOT], ["A", "AB", "X"]),
+     "2 terminal nodes, but 3 titles"),
+    (([1, 2, 0, 1, 0], [1, 2, 4, 4, 5], [3, 2, 0, 1, 1], [_A, EOT, _B, EOT], ["A", "AB"]),
+     "a height is not one more"),
+    (([1, 2, 0, 1, 0], [1, 2, 4, 4, 5], [3, 1, 0, 1, 0], [_A, EOT, _B, EOT], ["A", "AB"]),
+     "a height is not one more"),
+    # "a b" alone is ([1, 1, 1, 0], [1, 2, 3, 4], [3, 2, 1, 0], [a, b, EOT], ["AB"]).
+    (([1, 1, 1, 0], [1, 2, 3, 4], [3, 2, 1, 0], [_A, EOT, EOT], ["X", "AB"]),
+     "terminal node has children"),
+    (([1, 1, 1, 0], [1, 2, 3, 4], [3, 2, 1, 0], [_A, _B, _C], []), "leaf is not terminal"),
+    (([1, 1, 1, 0], [1, 2, 3, 4], [3, 2, 1, 0], [_A, _B, EOT], ["AB", "X"], 1),
+     "trailing bytes"),
+], ids=lambda case: case if isinstance(case, str) else None)
+def test_v2_layout_errors_name_the_file(tmp_path, vocab, blocks, message):
+    """Each file has a valid CRC-32, so the layout checks are what reject it."""
+    path = tmp_path / "bad.trie"
+    path.write_bytes(_v2_bytes(vocab, *blocks))
+    with pytest.raises(DataError, match=f"{path.name}: .*{message}"):
+        TitleTrie.load(path, vocab)
+
+
+def test_v2_lengths_that_miss_the_text_are_rejected(tmp_path, vocab):
+    data = _v2_bytes(vocab, [1, 2, 0, 1, 0], [1, 2, 4, 4, 5], _H, [_A, EOT, _B, EOT],
+                     ["A", "AB"])
+    at = 24 + 4 * (4 * 5 - 1)  # after the header, the counts and four u32 blocks
+    assert data[at:at + 8] == struct.pack("<2I", 1, 2)
+    body = data[:at] + struct.pack("<2I", 1, 1) + data[at + 8:-4]
+    path = tmp_path / "bad.trie"
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(DataError, match=f"{path.name}: doc_id lengths sum to 2"):
+        TitleTrie.load(path, vocab)
+
+
+def test_every_single_bit_flip_of_a_v2_trie_is_rejected(vocab):
+    data = TitleTrie.build([("a", "A"), ("a b", "AB"), ("c", "C")], vocab).to_bytes(vocab)
+    for bit in range(8 * len(data)):
+        mutant = bytearray(data)
+        mutant[bit // 8] ^= 1 << bit % 8
+        with pytest.raises(DataError):
+            TitleTrie.from_bytes(bytes(mutant), vocab)
