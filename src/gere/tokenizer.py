@@ -6,11 +6,21 @@ containing UNK stay generable because the trie stores token ids and
 end-of-title disambiguation uses the trie path, not the surface string.
 
 A token is, after lowercasing, a run of word characters or one other
-non-space character. `tokenize` splits on whitespace first, keeps each piece
-that is all letters and digits as one token and runs the regex over the
-other pieces only. That yields exactly the regex's tokens, because in
-CPython's `re` the class `\\s` is `str.isspace()` and `\\w` is
-`str.isalnum()` or `_`, on every code point (the tests walk them all).
+non-space character. No token spans whitespace, so the unit of work is the
+lowercased whitespace piece (`str.split()`), and `_piece_tokens` is the one
+definition of a piece's tokens: the piece itself if it is all letters and
+digits, else the regex's tokens of it. That yields exactly the regex's
+tokens of the text, because in CPython's `re` the class `\\s` is
+`str.isspace()` and `\\w` is `str.isalnum()` or `_`, on every code point
+(the tests walk them all).
+
+`build_vocab` counts pieces, one page at a time (its title and sentences
+joined by `\\n`) and the claims in one pass, then credits each distinct
+piece's count to its tokens. Joining keeps `str.lower` exact: `\\n` is
+whitespace and neither cased nor case-ignorable, so no piece spans two texts
+and the one context rule of lowercasing (a final capital sigma) sees each
+text alone. `Vocab.encode` maps each piece through the vocab's piece table,
+which holds one tuple of ids per distinct piece it has encoded.
 """
 
 from __future__ import annotations
@@ -34,15 +44,14 @@ SPECIAL_TOKENS = ("<pad>", "<bos>", "<eos>", "<sep>", "<unk>", "<eot>")
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
 
+def _piece_tokens(piece: str) -> list[str]:
+    """The tokens of one lowercased whitespace piece."""
+    return [piece] if piece.isalnum() else _TOKEN_RE.findall(piece)
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase and split into word and single-punctuation tokens."""
-    tokens = []
-    for piece in text.lower().split():
-        if piece.isalnum():
-            tokens.append(piece)
-        else:
-            tokens += _TOKEN_RE.findall(piece)
-    return tokens
+    return [tok for piece in text.lower().split() for tok in _piece_tokens(piece)]
 
 
 class Vocab:
@@ -57,8 +66,11 @@ class Vocab:
         if len(self.ids) != len(tokens):
             dupes = [t for t, n in Counter(tokens).items() if n > 1]
             raise DataError(f"vocab contains duplicate tokens: {dupes[:5]}")
+        # Lowercased whitespace piece -> its token ids, for every piece
+        # `encode` has seen; valid because the token table never changes.
+        self.pieces: dict[str, tuple[int, ...]] = {}
         # Text -> `encode(text)` for the sentences `encode_sentence` has
-        # tokenized; valid because the token table never changes.
+        # tokenized.
         self.encoded: dict[str, list[int]] = {}
 
     def __len__(self) -> int:
@@ -68,9 +80,18 @@ class Vocab:
         return isinstance(other, Vocab) and self.tokens == other.tokens
 
     def encode(self, text: str) -> list[int]:
-        """Token ids for text; unknown words map to UNK. No BOS/EOS added."""
-        ids = self.ids
-        return [ids.get(tok, UNK) for tok in tokenize(text)]
+        """Token ids for text; unknown words map to UNK. No BOS/EOS added.
+        The list is new on every call, so callers may extend it."""
+        pieces = self.pieces
+        out: list[int] = []
+        for piece in text.lower().split():
+            piece_ids = pieces.get(piece)
+            if piece_ids is None:
+                ids = self.ids
+                piece_ids = pieces[piece] = tuple(ids.get(tok, UNK)
+                                                  for tok in _piece_tokens(piece))
+            out += piece_ids
+        return out
 
     def encode_sentence(self, text: str) -> list[int]:
         """`encode(text)`, tokenized once per distinct text and kept in
@@ -90,18 +111,23 @@ def build_vocab(corpus, claims, max_size: int) -> Vocab:
     """Frequency-ranked vocabulary over corpus titles, sentences and claim text.
 
     Ties break lexicographically; the result is deterministic for fixed inputs.
+    Pieces are counted one page at a time, so no list of the corpus's tokens
+    is ever held.
     """
     at_least("max_size", max_size, len(SPECIAL_TOKENS))
-    tokens: list[str] = []  # counted once, not text by text
+    pieces: Counter[str] = Counter()
     for doc in corpus.documents.values():
-        tokens += tokenize(doc.title)
-        for _, text in doc.sentences:
-            tokens += tokenize(text)
-    for claim in claims:
-        tokens += tokenize(claim.text)
-    ranked = sorted(Counter(tokens).items(), key=lambda kv: (-kv[1], kv[0]))
-    keep = [tok for tok, _ in ranked[: max_size - len(SPECIAL_TOKENS)]]
-    return Vocab(SPECIAL_TOKENS + tuple(keep))
+        pieces.update("\n".join([doc.title, *(text for _, text in doc.sentences)])
+                      .lower().split())
+    pieces.update("\n".join(claim.text for claim in claims).lower().split())
+    counts: dict[str, int] = {}
+    for piece, n in pieces.items():
+        for tok in _piece_tokens(piece):
+            counts[tok] = counts.get(tok, 0) + n
+    # By token, then stably by count descending: the order (-count, token).
+    ranked = sorted(counts)
+    ranked.sort(key=counts.__getitem__, reverse=True)
+    return Vocab(SPECIAL_TOKENS + tuple(ranked[: max_size - len(SPECIAL_TOKENS)]))
 
 
 def save_vocab(vocab: Vocab, path) -> None:

@@ -20,7 +20,9 @@ it. A load reads each block with one array read and checks the layout with
 array operations, the heights too, so a version 2 save or load runs no
 per-node loop. A version 1 file (a depth-first stream of per-node records
 with delta-coded child tokens) still loads, record by record, and its
-heights are computed.
+heights are computed; the arrays it builds then pass version 2's layout
+checks, and its doc_ids must sit on exactly the terminal nodes, so every
+version 1 file that loads re-saves as a version 2 file that loads.
 
 Two methods read the child layout, and nothing outside this module does:
 `children_of(node)` is the ascending slice of a node's child tokens (a view,
@@ -244,7 +246,8 @@ class TitleTrie:
 def _from_v1(r: binio.Reader, vocab: Vocab, node_count: int, title_count: int) -> TitleTrie:
     """A version 1 trie: after the counts, each node's pre-order record, a
     terminal flag (u8) with the doc_id, the child count and each child
-    token's step up from the previous one (uvarints, from -1)."""
+    token's step up from the previous one (uvarints, from -1). The records
+    give a tree; version 2's checks then place the terminals."""
     name = r.name
     if not 1 <= node_count <= r.remaining() // 2:  # a node record takes >= 2 bytes
         raise DataError(f"{name}: node count {node_count} does not fit the file")
@@ -268,8 +271,11 @@ def _from_v1(r: binio.Reader, vocab: Vocab, node_count: int, title_count: int) -
         raise DataError(
             f"{name}: node count mismatch ({trie.node_count} read, {node_count} declared)")
     r.finish()
-    if trie.title_count != title_count:
-        raise DataError(f"{name}: title count mismatch")
+    terminals = _check_layout(name, len(vocab), trie.first_child, trie.child_count,
+                              trie.height, trie.token, title_count)
+    if [node for node, doc_id in enumerate(trie.doc_ids) if doc_id is not None] != \
+            terminals.tolist():
+        raise DataError(f"{name}: a doc_id is not on a terminal node or a terminal has none")
     return trie
 
 

@@ -16,7 +16,7 @@ from gere import binio, nn
 from gere.corpus import Label
 from gere.errors import DataError, DecodingError
 from gere.model import DecoderState, Seq2SeqModel
-from gere.tokenizer import BOS, EOS, EOT, SEP
+from gere.tokenizer import BOS, EOS, EOT, SEP, SPECIAL_TOKENS, Vocab
 from gere.training import Trainer, _pad_ids, encode_example
 
 
@@ -29,6 +29,21 @@ _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
 def tokenize_reference(text):
     return _TOKEN_RE.findall(text.lower())
+
+
+def build_vocab_reference(corpus, claims, max_size):
+    """The vocabulary by definition: every title, sentence and claim text
+    tokenized on its own, the tokens counted, ranked by count descending and
+    then by token, and the first `max_size` - 6 kept after the specials."""
+    counts = {}
+    texts = [text for doc in corpus.documents.values()
+             for text in (doc.title, *(text for _, text in doc.sentences))]
+    for text in texts + [claim.text for claim in claims]:
+        for tok in tokenize_reference(text):
+            counts[tok] = counts.get(tok, 0) + 1
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    keep = ranked[: max_size - len(SPECIAL_TOKENS)]
+    return Vocab(SPECIAL_TOKENS + tuple(tok for tok, _ in keep))
 
 
 # -- trie oracle ---------------------------------------------------------------

@@ -19,7 +19,7 @@ from gere.model import ModelConfig
 from gere.synthetic import make_claims, make_corpus, write_dataset
 from gere.training import Trainer, TrainParams
 
-from oracles import checkpoint_v1_bytes
+from oracles import build_vocab_reference, checkpoint_v1_bytes
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +169,20 @@ def test_build_trie_round_trip_and_determinism(dataset, tmp_path, capsys):
                "--vocab-out", str(vocab_path), "--trie-out", str(trie_path)])
     assert rc == EXIT_OK
     assert trie_path.read_bytes() == first  # byte-identical rerun
+
+
+def test_build_trie_outputs_are_the_reference_vocab_and_its_trie(dataset, tmp_path):
+    """`gere build-trie` writes, byte for byte, the vocab of the per-text
+    reference count and the trie built over it."""
+    from gere.corpus import load_claims, load_wiki_pages
+    from gere.tokenizer import save_vocab
+    from gere.trie import TitleTrie
+    vocab_path, trie_path = build_artifacts(dataset, tmp_path)
+    corpus = load_wiki_pages(dataset[1])
+    vocab = build_vocab_reference(corpus, load_claims(dataset[2]), 50000)
+    save_vocab(vocab, tmp_path / "reference_vocab.txt")
+    assert vocab_path.read_bytes() == (tmp_path / "reference_vocab.txt").read_bytes()
+    assert trie_path.read_bytes() == TitleTrie.build(corpus.titles(), vocab).to_bytes(vocab)
 
 
 def test_build_trie_too_small_max_vocab_is_usage_error(dataset, tmp_path, capsys):

@@ -12,7 +12,7 @@ from gere.tokenizer import (
     Vocab, build_vocab, load_vocab, save_vocab, tokenize,
 )
 
-from oracles import tokenize_reference
+from oracles import build_vocab_reference, tokenize_reference
 
 EVERY_CODE_POINT = "".join(map(chr, range(sys.maxunicode + 1)))
 
@@ -126,3 +126,42 @@ _AWKWARD = ["_", "\u0301", "\u0903", "\u20dd", "\u0663", "\u0967", "\u00b2", "\u
 @given(st.text(st.one_of(st.characters(), st.sampled_from(_AWKWARD)), max_size=40))
 def test_tokenize_equals_the_regex_reference(text):
     assert tokenize(text) == tokenize_reference(text)
+
+
+# Texts for the piece-counting oracles: random Unicode and the awkward
+# characters, after an optional combining or case-ignorable start and before
+# an optional capital sigma end (lowercased as final only when no cased
+# letter follows, so a piece spanning two texts would change it), and
+# empty or whitespace-only texts.
+_TEXTS = st.one_of(
+    st.builds(lambda start, body, end: start + body + end,
+              st.sampled_from(["", "\u0301", "\u0345", "\u00ad", "'", "b"]),
+              st.text(st.one_of(st.characters(), st.sampled_from(_AWKWARD)), max_size=24),
+              st.sampled_from(["", "\u03a3", "A\u03a3", "\u03c3\u03a3\u0301", "-\u03a3"])),
+    st.sampled_from(["", " ", "\n", "\t \u3000\u2028"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TEXTS.filter(bool), unique=True, max_size=5),
+       st.lists(st.lists(_TEXTS, max_size=4), min_size=5, max_size=5),
+       st.lists(_TEXTS, max_size=5), st.integers(6, 30))
+def test_build_vocab_equals_the_per_text_reference(titles, sentences, claim_texts, max_size):
+    corpus = Corpus()
+    for i, (title, texts) in enumerate(zip(titles, sentences)):
+        corpus.add(Document(doc_id=f"D{i}", title=title, sentences=tuple(enumerate(texts))))
+    claims = [Claim(i, text, Label.NOT_ENOUGH_INFO, ()) for i, text in enumerate(claim_texts)]
+    assert build_vocab(corpus, claims, max_size) == build_vocab_reference(
+        corpus, claims, max_size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_TEXTS, min_size=1, max_size=6), st.randoms(use_true_random=False))
+def test_encode_through_the_piece_table_equals_the_reference(texts, random):
+    known = sorted({tok for text in texts for tok in tokenize_reference(text)})
+    vocab = Vocab(SPECIAL_TOKENS + tuple(random.sample(known, len(known) // 2)))
+    expected = [[vocab.ids.get(tok, UNK) for tok in tokenize_reference(text)] for text in texts]
+    assert [vocab.encode(text) for text in texts] == expected  # cold table
+    assert [vocab.encode(text) for text in texts] == expected  # warm table
+    for text, ids in zip(texts, expected):
+        vocab.encode(text).append(EOT)
+        assert vocab.encode(text) == ids

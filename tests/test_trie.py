@@ -1,3 +1,4 @@
+import re
 import struct
 import zlib
 import tracemalloc
@@ -340,6 +341,25 @@ def test_v1_bytes_load_to_the_built_arrays(word_lists, random):
 
 _A, _B, _C = 6, 7, 8  # the `vocab` fixture's ids of "a", "b" and "c"
 _H = [3, 2, 0, 1, 0]  # the heights of the trie of "a" and "a b"
+
+
+@pytest.mark.parametrize("records, message", [
+    # root -> a, with doc_id X on the a node: no EOT edge leads to a title.
+    ([(None, [_A]), ("X", [])], "0 terminal nodes, but 1 titles"),
+    # root -> a -> EOT, with X on the a node and no doc_id on the terminal.
+    ([(None, [_A]), ("X", [EOT]), (None, [])], "a doc_id is not on a terminal node"),
+    # The same, with a doc_id on the terminal too.
+    ([(None, [_A]), ("X", [EOT]), ("Y", [])], "1 terminal nodes, but 2 titles"),
+])
+def test_v1_doc_ids_off_the_terminals_fail_at_load(tmp_path, vocab, records, message):
+    """Version 2's layout checks run on a version 1 file's arrays, so a
+    file whose doc_ids are not on exactly the EOT leaves fails at its own
+    load, naming the file, instead of re-saving as an unloadable version 2
+    file. The reference writer writes the records' arrays as they are."""
+    path = tmp_path / "v1.trie"
+    path.write_bytes(trie_v1_bytes(TitleTrie.from_records(records), vocab))
+    with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+        TitleTrie.load(path, vocab)
 
 
 @pytest.mark.parametrize("blocks, message", [
