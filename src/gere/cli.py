@@ -137,6 +137,9 @@ def _load_pipeline_inputs(cfg: RunConfig):
     corpus = load_wiki_pages(_require(cfg.wiki, "wiki"))
     vocab = load_vocab(_require(cfg.vocab, "vocab"))
     trie = TitleTrie.load(_require(cfg.trie, "trie"), vocab)
+    for doc_id in filter(None, trie.doc_ids):
+        if doc_id not in corpus.documents:
+            raise DataError(f"{cfg.trie}: doc_id {doc_id!r} is not a page of {cfg.wiki}")
     claims = load_claims(_require(cfg.claims, "claims"), corpus)
     return corpus, vocab, trie, claims
 
@@ -176,9 +179,7 @@ def cmd_train(args) -> int:
     stats = None
     # The log is rewritten so reruns are byte-identical; a resume keeps the
     # records of the updates before its checkpoint and drops any later ones.
-    kept = []
-    if args.resume and log_path.exists():
-        kept = binio.read_text(log_path).splitlines(keepends=True)[:step]
+    kept = _resumed_log(log_path, step) if args.resume and log_path.exists() else []
     with _writing(log_path), open(log_path, "w", encoding="utf-8") as log_fh:
         log_fh.writelines(kept)
         for batch in trainer.batches(examples):
@@ -195,6 +196,23 @@ def cmd_train(args) -> int:
         print(f"trained {trainer.step_count} updates; final loss_total="
               f"{stats.loss_total:.4f} -> {final_path}")
     return EXIT_OK
+
+
+def _resumed_log(log_path: Path, step: int) -> list[str]:
+    """The lines a resume from update `step` keeps of its log: its first
+    `step` records, which must be those of updates 1 .. `step` in order, so
+    that the rewritten log has no gap. Each is dumped again as training
+    dumps it, so a log that training wrote keeps its bytes."""
+    kept = []
+    for update, (where, record) in zip(range(1, step + 1), binio.read_jsonl(log_path)):
+        if record.get("step") != update:
+            raise DataError(f"{where}: not the record of update {update}, "
+                            f"but the resume checkpoint is at update {step}")
+        kept.append(json.dumps(record) + "\n")
+    if len(kept) < step:
+        raise DataError(f"{log_path}: {len(kept)} records, "
+                        f"but the resume checkpoint is at update {step}")
+    return kept
 
 
 def _save_checkpoint(path, trainer: Trainer) -> None:

@@ -17,12 +17,12 @@ count, first child id and height and of the edge token into every node but
 the root, the length in code points of each terminal's doc_id in node order,
 the doc_ids' concatenated UTF-8 text, and a CRC-32 of all the bytes before
 it. A load reads each block with one array read and checks the layout with
-array operations, the heights too, so a version 2 save or load runs no
-per-node loop. A version 1 file (a depth-first stream of per-node records
-with delta-coded child tokens) still loads, record by record, and its
-heights are computed; the arrays it builds then pass version 2's layout
-checks, and its doc_ids must sit on exactly the terminal nodes, so every
-version 1 file that loads re-saves as a version 2 file that loads.
+array operations, the heights too, so a save or load runs no per-node loop.
+The doc_ids must be non-empty and distinct, one array test and one set.
+Version 2 is the one format a load accepts: a file of any other version,
+such as version 1's stream of per-node records, fails at its header with a
+`DataError` naming the file, and `gere build-trie` on the same wiki, claims
+and `--max-vocab` writes it again.
 
 Two methods read the child layout, and nothing outside this module does:
 `children_of(node)` is the ascending slice of a node's child tokens (a view,
@@ -36,7 +36,7 @@ decoder uses.
 
 from __future__ import annotations
 
-from itertools import accumulate, compress
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -47,7 +47,6 @@ from .tokenizer import EOT, Vocab
 
 _MAGIC = b"GERETRIE"
 _VERSION = 2
-_VERSIONS = (1, _VERSION)  # both load; `to_bytes` writes the latest
 
 
 class TitleTrie:
@@ -115,8 +114,8 @@ class TitleTrie:
         seen_docs: set[str] = set()
         paths: dict[tuple[int, ...], str] = {}  # title tokens and EOT -> doc_id
         for title, doc_id in titles:
-            if doc_id in seen_docs:
-                raise DataError(f"duplicate doc_id {doc_id!r} in trie build")
+            if not doc_id or doc_id in seen_docs:
+                raise DataError(f"empty or duplicate doc_id {doc_id!r} in trie build")
             seen_docs.add(doc_id)
             tokens = vocab.encode(title)
             if not tokens:
@@ -206,11 +205,9 @@ class TitleTrie:
     @classmethod
     def from_bytes(cls, data: bytes, vocab: Vocab, name: str = "<bytes>") -> "TitleTrie":
         r = binio.Reader(data, name)
-        version, _ = r.header(_MAGIC, _VERSIONS, "trie", vocab.checksum())
+        r.header(_MAGIC, (_VERSION,), "trie", vocab.checksum())
         node_count = r.u32()
         title_count = r.u32()
-        if version == 1:
-            return _from_v1(r, vocab, node_count, title_count)
         if not 0 < 16 * node_count <= r.remaining():  # four u32 blocks and the CRC
             raise DataError(f"{name}: node count {node_count} does not fit the file")
         child_count = r.u32s(node_count).astype(np.intp)
@@ -228,11 +225,15 @@ class TitleTrie:
         if total != len(text):
             raise DataError(f"{name}: doc_id lengths sum to {total}, "
                             f"not the {len(text)} code points of their text")
+        if not lengths.all():
+            raise DataError(f"{name}: a doc_id is empty")
         ends = np.cumsum(lengths, dtype=np.int64)
+        titled = [text[start:end] for start, end in zip((ends - lengths).tolist(), ends.tolist())]
+        if len(set(titled)) != title_count:
+            raise DataError(f"{name}: a doc_id is on two terminal nodes")
         doc_ids = [None] * node_count
-        for node, start, end in zip(terminals.tolist(), (ends - lengths).tolist(),
-                                    ends.tolist()):
-            doc_ids[node] = text[start:end]
+        for node, doc_id in zip(terminals.tolist(), titled):
+            doc_ids[node] = doc_id
         return cls(first_child, child_count, token, height, doc_ids)
 
     def save(self, path, vocab: Vocab) -> None:
@@ -241,42 +242,6 @@ class TitleTrie:
     @classmethod
     def load(cls, path, vocab: Vocab) -> "TitleTrie":
         return cls.from_bytes(binio.read_bytes(path), vocab, name=str(path))
-
-
-def _from_v1(r: binio.Reader, vocab: Vocab, node_count: int, title_count: int) -> TitleTrie:
-    """A version 1 trie: after the counts, each node's pre-order record, a
-    terminal flag (u8) with the doc_id, the child count and each child
-    token's step up from the previous one (uvarints, from -1). The records
-    give a tree; version 2's checks then place the terminals."""
-    name = r.name
-    if not 1 <= node_count <= r.remaining() // 2:  # a node record takes >= 2 bytes
-        raise DataError(f"{name}: node count {node_count} does not fit the file")
-
-    def records():
-        declared = 1  # the root, then every child read so far
-        while True:
-            doc_id = r.str_() if r.u8() else None
-            n_children = r.uvarint()
-            declared += n_children
-            if declared > node_count:
-                raise DataError(f"{name}: more nodes than declared ({node_count})")
-            steps = [r.uvarint() for _ in range(n_children)]
-            tokens = [total - 1 for total in accumulate(steps)]
-            if 0 in steps or (tokens and tokens[-1] >= len(vocab)):
-                raise DataError(f"{name}: child tokens out of order or out of the vocabulary")
-            yield doc_id, tokens
-
-    trie = TitleTrie.from_records(records())
-    if trie.node_count != node_count:
-        raise DataError(
-            f"{name}: node count mismatch ({trie.node_count} read, {node_count} declared)")
-    r.finish()
-    terminals = _check_layout(name, len(vocab), trie.first_child, trie.child_count,
-                              trie.height, trie.token, title_count)
-    if [node for node, doc_id in enumerate(trie.doc_ids) if doc_id is not None] != \
-            terminals.tolist():
-        raise DataError(f"{name}: a doc_id is not on a terminal node or a terminal has none")
-    return trie
 
 
 def _check_layout(name: str, vocab_size: int, first_child: np.ndarray,

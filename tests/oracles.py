@@ -77,36 +77,6 @@ class BruteForcePrefixScanner:
         return out
 
 
-def trie_v1_bytes(trie, vocab):
-    """The version 1 trie file, the reference writer for that format: after
-    the header (version 1) and the node and title counts, a pre-order
-    depth-first walk writes each node's terminal flag (u8) and doc_id, its
-    child count and each child token's step up from the previous one
-    (uvarints, from -1). Children are walked in ascending token order, the
-    order that assigns the node ids."""
-    buf = bytearray()
-    binio.write_header(buf, b"GERETRIE", 1, vocab.checksum())
-    binio.write_u32(buf, trie.node_count)
-    binio.write_u32(buf, trie.title_count)
-    first_child, child_count = trie.first_child.tolist(), trie.child_count.tolist()
-    token = trie.token.tolist()
-    stack = [trie.root]
-    while stack:
-        node = stack.pop()
-        doc_id = trie.doc_ids[node]
-        binio.write_u8(buf, 1 if doc_id is not None else 0)
-        if doc_id is not None:
-            binio.write_str(buf, doc_id)
-        first, count = first_child[node], child_count[node]
-        binio.write_uvarint(buf, count)
-        prev = -1
-        for tok in token[first:first + count]:
-            binio.write_uvarint(buf, tok - prev)
-            prev = tok
-        stack.extend(range(first + count - 1, first - 1, -1))
-    return bytes(buf)
-
-
 # -- beam search oracle --------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ from gere.cli import (
     EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, RunConfig, load_run_config, main,
 )
 from gere.decoding import DecodeParams
+from gere.errors import DataError
 from gere.model import ModelConfig
 from gere.synthetic import make_claims, make_corpus, write_dataset
 from gere.training import Trainer, TrainParams
@@ -317,6 +318,30 @@ def test_resume_from_a_v1_checkpoint_logs_as_from_its_v2_resave(dataset, tmp_pat
              / "train_log.jsonl").read_bytes() for name, path in (("v1", v1), ("v2", v2))]
     assert logs[0] == logs[1]
     assert logs[0].splitlines() == (out_a / "train_log.jsonl").read_bytes().splitlines()[6:]
+
+
+def test_resume_rejects_a_log_with_a_gap(dataset, tmp_path, capsys, caplog):
+    """Resuming from update 6 into a directory whose log does not start with
+    the records of updates 1 .. 6 (a log cut short, or one whose third
+    record is another update's) exits 2 naming the log, where it falls
+    short and the checkpoint's update, before the log is rewritten or any
+    update runs."""
+    out_a, _ = run_training(dataset, tmp_path, "run_a", total_updates=12)
+    log = out_a / "train_log.jsonl"
+    lines = log.read_bytes().splitlines(keepends=True)
+    final = out_a / "checkpoint_final.gereckpt"
+    final_bytes = final.read_bytes()
+    for bad, message in ((lines[:3], f"{log}: 3 records"),
+                         (lines[:2] + lines[3:], f"{log}:3: not the record of update 3")):
+        log.write_bytes(b"".join(bad))
+        capsys.readouterr()
+        run_training(dataset, tmp_path, "run_a", total_updates=12,
+                     resume=out_a / "checkpoint_step6.gereckpt", expect=EXIT_DATA)
+        err = capsys.readouterr().err
+        assert f"{message}, but the resume checkpoint is at update 6" in err
+        assert "Traceback" not in err + caplog.text
+        assert log.read_bytes() == b"".join(bad)
+        assert final.read_bytes() == final_bytes
 
 
 def test_train_builds_its_trainer_from_the_run_settings(dataset, tmp_path, monkeypatch):
@@ -634,6 +659,57 @@ def test_inspect_trie(dataset, tmp_path, capsys):
                "--prefix", "zzzz unknown prefix zzzz"])
     assert rc == EXIT_OK
     assert "off-trie" in capsys.readouterr().out
+
+
+def _without_an_uncited_page(dataset, tmp_path):
+    """A copy of the dataset's wiki that lacks one page no claim cites, and
+    that page's doc_id."""
+    from gere.corpus import load_claims, load_wiki_pages, save_wiki_pages
+    corpus = load_wiki_pages(dataset[1])
+    cited = {doc_id for claim in load_claims(dataset[2]) for group in claim.evidence_groups
+             for doc_id, _ in group}
+    doc_id = sorted(corpus.documents.keys() - cited)[0]
+    del corpus.documents[doc_id]
+    wiki = tmp_path / "smaller_wiki.jsonl"
+    save_wiki_pages(corpus, wiki)
+    return wiki, doc_id
+
+
+@pytest.mark.parametrize("command", ["train", "retrieve"])
+def test_a_trie_doc_id_missing_from_the_wiki_is_data_error(trained_run, dataset, tmp_path,
+                                                           capsys, caplog, command):
+    """A trie built from another wiki fails at load, naming the trie, the
+    doc_id and the wiki, before any update or claim runs."""
+    wiki, doc_id = _without_an_uncited_page(dataset, tmp_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(_argv(command, dict(trained_run, wiki=wiki), out)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{trained_run['trie']}: doc_id {doc_id!r} is not a page of {wiki}" in err
+    assert "Traceback" not in err + caplog.text
+    assert not out.exists()  # no log, checkpoint or predictions
+
+
+def test_a_version_1_trie_is_rejected_naming_the_file(trained_run, tmp_path, capsys, caplog):
+    """A trie whose header says format version 1 fails at `TitleTrie.load`,
+    `gere retrieve` and `gere inspect-trie` with a data error naming it."""
+    from gere.tokenizer import load_vocab
+    from gere.trie import TitleTrie
+    data = trained_run["trie"].read_bytes()
+    assert data[8:12] == (2).to_bytes(4, "little")  # the version, after the magic
+    path = tmp_path / "v1.trie"
+    path.write_bytes(data[:8] + (1).to_bytes(4, "little") + data[12:])
+    message = f"{path}: unsupported trie version 1"
+    with pytest.raises(DataError, match=re.escape(message)):
+        TitleTrie.load(path, load_vocab(trained_run["vocab"]))
+    out = tmp_path / "out"
+    for command in ("retrieve", "inspect-trie"):
+        capsys.readouterr()
+        assert main(_argv(command, dict(trained_run, trie=path), out)) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"gere: data error: {message}" in err
+        assert "internal error" not in err + caplog.text and "Traceback" not in err + caplog.text
+    assert not out.exists()
 
 
 def test_usage_errors_exit_one():

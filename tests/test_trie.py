@@ -1,4 +1,3 @@
-import re
 import struct
 import zlib
 import tracemalloc
@@ -14,7 +13,7 @@ from gere.synthetic import make_doc_ids
 from gere.tokenizer import EOT, PAD, SPECIAL_TOKENS, UNK, Vocab, tokenize
 from gere.trie import TitleTrie
 
-from oracles import allowed_next_bruteforce, trie_v1_bytes
+from oracles import allowed_next_bruteforce
 
 
 @pytest.fixture
@@ -65,6 +64,12 @@ def test_colliding_token_sequences_rejected():
 def test_duplicate_doc_id_rejected(vocab):
     with pytest.raises(DataError):
         TitleTrie.build([("a", "X"), ("b", "X")], vocab)
+
+
+def test_empty_doc_id_rejected(vocab):
+    """A load rejects an empty doc_id, so a build writes none."""
+    with pytest.raises(DataError, match="empty or duplicate doc_id ''"):
+        TitleTrie.build([("a", "X"), ("b", "")], vocab)
 
 
 def test_resolve_non_terminal_errors(vocab):
@@ -226,17 +231,6 @@ def test_loaded_trie_heap_per_node(tmp_path):
     assert held / trie.node_count < 128, f"{held / trie.node_count:.0f} B per node"
 
 
-def test_load_rejects_child_tokens_out_of_order_or_vocabulary(vocab):
-    trie = TitleTrie.build([("a", "doc-a"), ("b", "doc-b")], vocab)
-    data = trie_v1_bytes(trie, vocab)
-    a, b = vocab.ids["a"], vocab.ids["b"]
-    root = bytes([0, 2, a + 1, b - a])  # not terminal, two children, token deltas
-    assert data.count(root) == 1
-    for bad in (bytes([0, 2, a + 1, 0]), bytes([0, 2, a + 1, len(vocab)])):
-        with pytest.raises(DataError, match="child tokens"):
-            TitleTrie.from_bytes(data.replace(root, bad), vocab)
-
-
 def test_load_rejects_wrong_vocab(tmp_path, tiny_corpus, tiny_vocab):
     trie = TitleTrie.build(tiny_corpus.titles(), tiny_vocab)
     path = tmp_path / "trie.bin"
@@ -311,7 +305,7 @@ def test_v2_bytes_are_the_arrays_and_doc_ids(vocab):
 
 def test_doc_ids_with_newline_tab_and_non_ascii_round_trip(tmp_path, vocab):
     titles = [("a", "line\nbreak"), ("a b", "tab\there"), ("b", "Ünïcödé_日本_\U0001F600"),
-              ("c", "\r\n\x00"), ("z", "")]
+              ("c", "\r\n\x00"), ("z", " ")]
     trie = TitleTrie.build(titles, vocab)
     trie.save(tmp_path / "trie.bin", vocab)
     loaded = TitleTrie.load(tmp_path / "trie.bin", vocab)
@@ -320,46 +314,8 @@ def test_doc_ids_with_newline_tab_and_non_ascii_round_trip(tmp_path, vocab):
         assert loaded.resolve(vocab.encode(title) + [EOT]) == doc_id
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "unseen"]), min_size=1, max_size=4),
-                min_size=1, max_size=12, unique_by=tuple),
-       st.randoms(use_true_random=False))
-def test_v1_bytes_load_to_the_built_arrays(word_lists, random):
-    """Version 1 files, from the reference writer, still load: prefix titles
-    and UNK tokens included, in any insertion order."""
-    vocab = Vocab(SPECIAL_TOKENS + ("a", "b", "c"))
-    titles = [(" ".join(words), f"doc{i}") for i, words in enumerate(word_lists)]
-    assume(len({tuple(vocab.encode(t)) for t, _ in titles}) == len(titles))  # else rejected
-    random.shuffle(titles)
-    built = TitleTrie.build(titles, vocab)
-    loaded = TitleTrie.from_bytes(trie_v1_bytes(built, vocab), vocab)
-    for name in ("first_child", "child_count", "token", "height"):
-        assert getattr(built, name).tolist() == getattr(loaded, name).tolist(), name
-    assert built.doc_ids == loaded.doc_ids
-    assert loaded.title_count == built.title_count
-
-
 _A, _B, _C = 6, 7, 8  # the `vocab` fixture's ids of "a", "b" and "c"
 _H = [3, 2, 0, 1, 0]  # the heights of the trie of "a" and "a b"
-
-
-@pytest.mark.parametrize("records, message", [
-    # root -> a, with doc_id X on the a node: no EOT edge leads to a title.
-    ([(None, [_A]), ("X", [])], "0 terminal nodes, but 1 titles"),
-    # root -> a -> EOT, with X on the a node and no doc_id on the terminal.
-    ([(None, [_A]), ("X", [EOT]), (None, [])], "a doc_id is not on a terminal node"),
-    # The same, with a doc_id on the terminal too.
-    ([(None, [_A]), ("X", [EOT]), ("Y", [])], "1 terminal nodes, but 2 titles"),
-])
-def test_v1_doc_ids_off_the_terminals_fail_at_load(tmp_path, vocab, records, message):
-    """Version 2's layout checks run on a version 1 file's arrays, so a
-    file whose doc_ids are not on exactly the EOT leaves fails at its own
-    load, naming the file, instead of re-saving as an unloadable version 2
-    file. The reference writer writes the records' arrays as they are."""
-    path = tmp_path / "v1.trie"
-    path.write_bytes(trie_v1_bytes(TitleTrie.from_records(records), vocab))
-    with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
-        TitleTrie.load(path, vocab)
 
 
 @pytest.mark.parametrize("blocks, message", [
@@ -409,6 +365,22 @@ def test_v2_lengths_that_miss_the_text_are_rejected(tmp_path, vocab):
     path = tmp_path / "bad.trie"
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
     with pytest.raises(DataError, match=f"{path.name}: doc_id lengths sum to 2"):
+        TitleTrie.load(path, vocab)
+
+
+@pytest.mark.parametrize("doc_ids, message", [
+    (["A", "A"], "a doc_id is on two terminal nodes"),
+    (["", "AB"], "a doc_id is empty"),
+    (["A", ""], "a doc_id is empty"),
+])
+def test_v2_empty_or_repeated_doc_ids_are_rejected(tmp_path, vocab, doc_ids, message):
+    """Two terminals with one doc_id would let the beam emit that document
+    twice, and an empty one names no page. The file has a valid CRC-32 and
+    layout, so the doc_id checks are what reject it."""
+    path = tmp_path / "bad.trie"
+    path.write_bytes(_v2_bytes(vocab, [1, 2, 0, 1, 0], [1, 2, 4, 4, 5], _H,
+                               [_A, EOT, _B, EOT], doc_ids))
+    with pytest.raises(DataError, match=f"{path.name}: {message}"):
         TitleTrie.load(path, vocab)
 
 
