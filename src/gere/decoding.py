@@ -153,8 +153,6 @@ def beam_search_titles(model: Seq2SeqModel, claim_states: np.ndarray, trie: Titl
       fills with a later winner; the search stops only when the whole beam
       cannot improve (`_cannot_improve`).
     """
-    if trie.title_count == 0:
-        raise DecodingError("cannot decode titles against an empty trie")
     state = DecoderState(model, "title_dec", claim_states)
     root, root_height = trie.root, trie.height.item(trie.root)
     # A hypothesis is (tokens, log_prob, ends, node, height): `ends` holds the

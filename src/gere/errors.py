@@ -17,8 +17,7 @@ class TrainingError(GereError):
 
 
 class DecodingError(GereError):
-    """Inference-time failure: an empty trie, or a beam in which no
-    hypothesis could finish."""
+    """Inference-time failure: a beam in which no hypothesis could finish."""
 
 
 def at_least(name: str, value, low) -> None:

@@ -5,22 +5,28 @@ that are prefixes of other titles ("a" vs "a b") stay distinguishable. The
 node reached by the EOT edge is terminal and annotated with the doc_id, and
 the terminal nodes are exactly the leaves below the root.
 
-The trie is flat arrays with one entry per node. Node ids follow the file's
-depth-first order: a node's children are consecutive, in ascending token
-order, and get their ids when the node is visited, so every child id is
-larger than its parent's. A built and a loaded trie hold the same arrays.
-The arrays are read-only, so decode-time reads need no synchronization.
+The trie is flat arrays with one entry per node. Node ids are breadth-first:
+depth by depth, and within a depth in the order of the parents, a node's
+children consecutive and in ascending token order, so every child id is
+larger than its parent's. In that order the child counts alone fix the
+tree (a level-order degree sequence): node i's first child is 1 plus the
+child counts of nodes 0 .. i - 1, and each depth's heights follow from the
+depth below. `TitleTrie.__init__` derives both, so a build and a load of
+the same titles hold the same arrays. The arrays are read-only, so
+decode-time reads need no synchronization.
 
-The file (version 2) holds those arrays as they are: after the header, the
-node and title counts, then little-endian u32 blocks of every node's child
-count, first child id and height and of the edge token into every node but
-the root, the length in code points of each terminal's doc_id in node order,
-the doc_ids' concatenated UTF-8 text, and a CRC-32 of all the bytes before
-it. A load reads each block with one array read and checks the layout with
-array operations, the heights too, so a save or load runs no per-node loop.
-The doc_ids must be non-empty and distinct, one array test and one set.
-Version 2 is the one format a load accepts: a file of any other version,
-such as version 1's stream of per-node records, fails at its header with a
+The file (version 3) holds what the derived arrays do not: after the header,
+the node and title counts, then little-endian u32 blocks of every node's
+child count and of the edge token into every node but the root, the length
+in code points of each terminal's doc_id in node order, the doc_ids'
+concatenated UTF-8 text, and a CRC-32 of all the bytes before it. A load
+reads each block with one array read and checks with array operations that
+the counts give every node but the root a parent with a smaller id, so they
+describe a tree; a save or load runs no per-node loop, and the heights
+take one array pass per depth. The doc_ids must be non-empty and distinct,
+one array test and one set, and there must be at least one. Version 3 is
+the one format a load accepts: a file of any other version, such as
+version 2's depth-first arrays, fails at its header with a
 `DataError` naming the file, and `gere build-trie` on the same wiki, claims
 and `--max-vocab` writes it again.
 
@@ -46,65 +52,43 @@ from .errors import DataError
 from .tokenizer import EOT, Vocab
 
 _MAGIC = b"GERETRIE"
-_VERSION = 2
+_VERSION = 3
 
 
 class TitleTrie:
-    """Node i's children are ids `first_child[i]` .. `first_child[i] +
-    child_count[i] - 1`; `token[i]` labels the edge into node i (-1 at the
-    root), `height[i]` counts the edges on the longest path from node i down
-    to a terminal node, and `doc_ids[i]` is a terminal node's doc_id, else
-    None."""
+    """Nodes are numbered breadth-first. Node i's children are ids
+    `first_child[i]` .. `first_child[i] + child_count[i] - 1`; `token[i]`
+    labels the edge into node i (-1 at the root), `height[i]` counts the
+    edges on the longest path from node i down to a terminal node, and
+    `doc_ids[i]` is a terminal node's doc_id, else None."""
 
     root = 0
 
-    def __init__(self, first_child: np.ndarray, child_count: np.ndarray, token: np.ndarray,
-                 height: np.ndarray, doc_ids: list[Optional[str]]):
-        """Adopt the per-node arrays (np.intp) and doc_ids; the arrays
-        become read-only."""
+    def __init__(self, child_count: np.ndarray, token: np.ndarray,
+                 doc_ids: list[Optional[str]]):
+        """Adopt the breadth-first child counts and edge tokens (np.intp) and
+        the doc_ids of a tree, and derive the first child ids and heights,
+        the one place either is computed; the arrays become read-only."""
+        first_child = 1 + np.cumsum(child_count) - child_count
+        levels = [0, 1]  # depth d holds the nodes levels[d] .. levels[d + 1] - 1
+        while levels[-1] < len(child_count):
+            last = levels[-1] - 1
+            levels.append(first_child.item(last) + child_count.item(last))
+        parents = np.flatnonzero(child_count)
+        starts = first_child[parents]
+        bounds = np.searchsorted(parents, levels).tolist()  # each depth's run of `parents`
+        height = np.zeros(len(child_count), dtype=np.intp)
+        # Deepest first: a depth's parents take 1 + the largest height of
+        # their children, the next depth's nodes, in runs that start at
+        # `starts` and end where the next depth ends.
+        for lo, hi, stop in reversed(list(zip(bounds, bounds[1:], levels[2:]))):
+            height[parents[lo:hi]] = 1 + np.maximum.reduceat(height[:stop], starts[lo:hi])
         self.first_child, self.child_count, self.token, self.height = (
             first_child, child_count, token, height)
         for array in (first_child, child_count, token, height):
             array.flags.writeable = False  # shared by every decoder
         self.doc_ids = doc_ids
         self.title_count = len(doc_ids) - doc_ids.count(None)
-
-    @classmethod
-    def from_records(cls, records: Iterable[tuple[Optional[str], Sequence[int]]]
-                     ) -> "TitleTrie":
-        """The trie of the pre-order records (doc_id or None, ascending child
-        tokens) of every node, the root's first. One Python step per node,
-        which on small tries costs less than array passes."""
-        records = iter(records)
-        token, visited, counts, terminals = [-1], [], [], []
-        pending = [cls.root]
-        while pending:
-            node = pending.pop()
-            doc_id, tokens = next(records)
-            if doc_id is not None:
-                terminals.append((node, doc_id))
-            visited.append(node)
-            counts.append(len(tokens))
-            first = len(token)
-            token.extend(tokens)
-            pending.extend(range(len(token) - 1, first - 1, -1))
-        n = len(token)
-        visited, counts = np.array(visited, dtype=np.intp), np.array(counts, dtype=np.intp)
-        first_child = np.empty(n, dtype=np.intp)
-        first_child[visited] = 1 + np.cumsum(counts) - counts
-        child_count = np.empty(n, dtype=np.intp)
-        child_count[visited] = counts
-        parents = np.repeat(visited, counts).tolist()  # of nodes 1 .. n - 1
-        height = [0] * n
-        for child in range(n - 1, 0, -1):  # children before parents
-            parent, h = parents[child - 1], height[child] + 1
-            if h > height[parent]:
-                height[parent] = h
-        doc_ids = [None] * n
-        for node, doc_id in terminals:
-            doc_ids[node] = doc_id
-        return cls(first_child, child_count, np.array(token, dtype=np.intp),
-                   np.array(height, dtype=np.intp), doc_ids)
 
     # -- construction ------------------------------------------------------
 
@@ -127,7 +111,31 @@ class TitleTrie:
                     f"titles {title!r} ({doc_id!r}) and ({first!r}) share one token sequence")
         if not paths:
             raise DataError("cannot build a title trie from zero titles")
-        return cls.from_records(_sorted_records(sorted(paths.items())))
+        # The paths through a node at depth d share their first d tokens, and
+        # the node's children are the distinct tokens at position d of those
+        # paths; kept in sorted order, they come out ascending. A node whose
+        # one path ends at depth d is a terminal node.
+        level = [sorted(paths.items())]  # the paths through each node of a depth
+        child_count, token, doc_ids = [], [-1], []
+        depth = 0
+        while level:
+            below = []  # the same for the next depth, breadth-first
+            for through in level:
+                tokens, doc_id = through[0]
+                if len(tokens) == depth:
+                    child_count.append(0)
+                    doc_ids.append(doc_id)
+                    continue
+                children: dict[int, list] = {}  # token at depth -> the paths taking it
+                for path in through:
+                    children.setdefault(path[0][depth], []).append(path)
+                child_count.append(len(children))
+                doc_ids.append(None)
+                token.extend(children)
+                below.extend(children.values())
+            level, depth = below, depth + 1
+        return cls(np.array(child_count, dtype=np.intp), np.array(token, dtype=np.intp),
+                   doc_ids)
 
     # -- queries -----------------------------------------------------------
 
@@ -178,23 +186,20 @@ class TitleTrie:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TitleTrie):
             return NotImplemented
-        return self.doc_ids == other.doc_ids and all(
-            np.array_equal(mine, theirs) for mine, theirs in
-            zip((self.first_child, self.child_count, self.token, self.height),
-                (other.first_child, other.child_count, other.token, other.height)))
+        return (self.doc_ids == other.doc_ids
+                and np.array_equal(self.child_count, other.child_count)
+                and np.array_equal(self.token, other.token))
 
     # -- persistence -------------------------------------------------------
 
     def to_bytes(self, vocab: Vocab) -> bytes:
-        """The version 2 file: the per-node arrays as u32 blocks, the
-        terminals' doc_ids as lengths and one text, then a CRC-32."""
+        """The version 3 file: the child counts and edge tokens as u32
+        blocks, the terminals' doc_ids as lengths and one text, then a CRC-32."""
         buf = bytearray()
         binio.write_header(buf, _MAGIC, _VERSION, vocab.checksum())
         binio.write_u32(buf, self.node_count)
         binio.write_u32(buf, self.title_count)
         binio.write_u32s(buf, self.child_count)
-        binio.write_u32s(buf, self.first_child)
-        binio.write_u32s(buf, self.height)
         binio.write_u32s(buf, self.token[1:])
         doc_ids = list(compress(self.doc_ids, (self.token == EOT).tolist()))
         binio.write_u32s(buf, np.fromiter(map(len, doc_ids), np.intp, len(doc_ids)))
@@ -208,19 +213,16 @@ class TitleTrie:
         r.header(_MAGIC, (_VERSION,), "trie", vocab.checksum())
         node_count = r.u32()
         title_count = r.u32()
-        if not 0 < 16 * node_count <= r.remaining():  # four u32 blocks and the CRC
+        if not 0 < 8 * node_count <= r.remaining():  # two u32 blocks and the CRC
             raise DataError(f"{name}: node count {node_count} does not fit the file")
         child_count = r.u32s(node_count).astype(np.intp)
-        first_child = r.u32s(node_count).astype(np.intp)
-        height = r.u32s(node_count).astype(np.intp)
         token = np.empty(node_count, dtype=np.intp)
         token[0] = -1
         token[1:] = r.u32s(node_count - 1)
         lengths = r.u32s(title_count)
         text = r.str_()
         r.finish(crc32=True)
-        terminals = _check_layout(name, len(vocab), first_child, child_count, height, token,
-                                  title_count)
+        terminals = _check_layout(name, len(vocab), child_count, token, title_count)
         total = int(lengths.sum())
         if total != len(text):
             raise DataError(f"{name}: doc_id lengths sum to {total}, "
@@ -234,7 +236,7 @@ class TitleTrie:
         doc_ids = [None] * node_count
         for node, doc_id in zip(terminals.tolist(), titled):
             doc_ids[node] = doc_id
-        return cls(first_child, child_count, token, height, doc_ids)
+        return cls(child_count, token, doc_ids)
 
     def save(self, path, vocab: Vocab) -> None:
         binio.write_atomic(path, (self.to_bytes(vocab),))
@@ -244,71 +246,29 @@ class TitleTrie:
         return cls.from_bytes(binio.read_bytes(path), vocab, name=str(path))
 
 
-def _check_layout(name: str, vocab_size: int, first_child: np.ndarray,
-                  child_count: np.ndarray, height: np.ndarray, token: np.ndarray,
+def _check_layout(name: str, vocab_size: int, child_count: np.ndarray, token: np.ndarray,
                   title_count: int) -> np.ndarray:
-    """Raise unless the arrays are a trie, and return its terminal node ids.
-    The child ranges, each after its parent, tile the ids 1 .. n - 1, so
-    each node but the root has one parent, with a smaller id; siblings'
-    tokens ascend strictly and are in the vocabulary; the EOT edges lead to
-    exactly the leaves below the root, one per title; and each height is 0
-    at a leaf, else one more than the largest of the node's children, which
-    in a tree fixes every height."""
+    """Raise unless the breadth-first child counts and edge tokens are a
+    trie of at least one title, and return its terminal node ids. The
+    children of the nodes in id order are the ids 1 .. n - 1 in order, so
+    the counts must sum to n - 1 and give each node a parent with a smaller
+    id; siblings' tokens ascend strictly and are in the vocabulary; and the
+    EOT edges lead to exactly the leaves below the root, one per title."""
     n = len(child_count)
     total = int(child_count.sum())
     if total != n - 1:
         raise DataError(f"{name}: child counts sum to {total}, not node count - 1 ({n - 1})")
-    ends = first_child + child_count
-    if first_child.min() < 1 or ends.max() > n:
-        raise DataError(f"{name}: a child range leaves the node ids")
-    parents = np.flatnonzero(child_count)
-    if (first_child[parents] <= parents).any():
-        raise DataError(f"{name}: a child range does not follow its parent")
-    parents = parents[np.argsort(first_child[parents])]  # in the order of their ranges
-    starts = first_child[parents]
-    # n - 1 children in all, inside the ids 1 .. n - 1: ranges that each
-    # start where the one before ends tile those ids, and a gap would mean
-    # an overlap elsewhere.
-    if (starts[1:] != ends[parents[:-1]]).any():
-        raise DataError(f"{name}: child ranges overlap")
-    is_first = np.zeros(n, dtype=bool)
-    is_first[starts] = True
+    parent = np.repeat(np.arange(n), child_count)  # of the nodes 1 .. n - 1
+    if (parent >= np.arange(1, n)).any():
+        raise DataError(f"{name}: a node comes before its parent")
     if n > 1 and (token[1:].max() >= vocab_size
-                  or ((token[2:] <= token[1:-1]) & ~is_first[2:]).any()):
+                  or ((token[2:] <= token[1:-1]) & (parent[1:] == parent[:-1])).any()):
         raise DataError(f"{name}: child tokens out of order or out of the vocabulary")
     terminals = np.flatnonzero(token == EOT)
     if len(terminals) != title_count:
         raise DataError(f"{name}: {len(terminals)} terminal nodes, but {title_count} titles")
     if not np.array_equal(terminals, np.flatnonzero(child_count[1:] == 0) + 1):
         raise DataError(f"{name}: a terminal node has children or a leaf is not terminal")
-    # The ranges, in order, are consecutive runs of the ids 1 .. n - 1.
-    if height[child_count == 0].any() or (
-            height[parents] != 1 + np.maximum.reduceat(height[1:], starts - 1)).any():
-        raise DataError(f"{name}: a height is not one more than its children's largest")
+    if title_count == 0:
+        raise DataError(f"{name}: a trie of zero titles")
     return terminals
-
-
-def _sorted_records(paths: list[tuple[tuple[int, ...], str]]):
-    """The pre-order records of the trie over `paths`, (tokens ending in EOT,
-    doc_id) pairs sorted by tokens. The paths through a node at depth d are a
-    run of the list that shares its first d tokens, and the node's children
-    are the distinct tokens at position d of that run, ascending."""
-    stack = [(0, len(paths), 0)]  # (run start, run end, depth)
-    while stack:
-        lo, hi, depth = stack.pop()
-        if hi - lo == 1:  # one title below: a chain down to its terminal node
-            tokens, doc_id = paths[lo]
-            for tok in tokens[depth:]:
-                yield None, (tok,)
-            yield doc_id, ()
-            continue
-        children, starts = [], []
-        for i in range(lo, hi):
-            tok = paths[i][0][depth]
-            if not children or tok != children[-1]:
-                children.append(tok)
-                starts.append(i)
-        starts.append(hi)
-        yield None, children
-        stack.extend((start, end, depth + 1)
-                     for start, end in reversed(list(zip(starts, starts[1:]))))

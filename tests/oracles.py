@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import itertools
 import re
+import struct
+import zlib
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -75,6 +78,47 @@ class BruteForcePrefixScanner:
             if len(full) > n and full[:n] == prefix:
                 out.add(full[n])
         return out
+
+
+def trie_bfs_reference(titles, vocab):
+    """The breadth-first child counts, edge tokens (-1 at the root) and
+    doc_ids of the trie over (title, doc_id) pairs: a nested-dict trie of
+    each title's tokens and EOT, walked with a queue, each node's children
+    in ascending token order."""
+    root, doc_of = {}, {}
+    for title, doc_id in titles:
+        path = tuple(vocab.encode(title)) + (EOT,)
+        node = root
+        for tok in path:
+            node = node.setdefault(tok, {})
+        doc_of[path] = doc_id
+    child_count, token, doc_ids = [], [-1], []
+    queue = deque([((), root)])
+    while queue:
+        path, node = queue.popleft()
+        child_count.append(len(node))
+        doc_ids.append(doc_of.get(path))
+        for tok in sorted(node):
+            token.append(tok)
+            queue.append((path + (tok,), node[tok]))
+    return child_count, token, doc_ids
+
+
+def trie_v3_bytes(vocab, child_count, tokens, doc_ids, title_count=None):
+    """A version 3 trie file of the given blocks, written from the format's
+    definition, with a valid CRC-32: header, node and title counts, the u32
+    blocks of child counts, edge tokens (nodes 1 .. n - 1) and doc_id
+    lengths in code points, the doc_ids' UTF-8 text after its uvarint byte
+    length, then the CRC-32 of everything before it."""
+    buf = bytearray(b"GERETRIE" + struct.pack(
+        "<4I", 3, vocab.checksum(), len(child_count),
+        len(doc_ids) if title_count is None else title_count))
+    for block in (child_count, tokens, [len(d) for d in doc_ids]):
+        buf += struct.pack(f"<{len(block)}I", *block)
+    text = "".join(doc_ids).encode("utf-8")
+    assert len(text) < 128  # a one-byte uvarint
+    buf += bytes([len(text)]) + text
+    return bytes(buf + struct.pack("<I", zlib.crc32(buf)))
 
 
 # -- beam search oracle --------------------------------------------------------

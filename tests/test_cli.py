@@ -20,7 +20,7 @@ from gere.model import ModelConfig
 from gere.synthetic import make_claims, make_corpus, write_dataset
 from gere.training import Trainer, TrainParams
 
-from oracles import build_vocab_reference, checkpoint_v1_bytes
+from oracles import build_vocab_reference, checkpoint_v1_bytes, trie_v3_bytes
 
 
 @pytest.fixture(scope="module")
@@ -690,26 +690,42 @@ def test_a_trie_doc_id_missing_from_the_wiki_is_data_error(trained_run, dataset,
     assert not out.exists()  # no log, checkpoint or predictions
 
 
-def test_a_version_1_trie_is_rejected_naming_the_file(trained_run, tmp_path, capsys, caplog):
-    """A trie whose header says format version 1 fails at `TitleTrie.load`,
-    `gere retrieve` and `gere inspect-trie` with a data error naming it."""
+def _rejected_naming_the_file(run, path, message, capsys, caplog):
+    """`TitleTrie.load`, `gere retrieve` and `gere inspect-trie` of the trie
+    at `path` fail with a data error `message` that names it, and leave no
+    output directory."""
     from gere.tokenizer import load_vocab
     from gere.trie import TitleTrie
-    data = trained_run["trie"].read_bytes()
-    assert data[8:12] == (2).to_bytes(4, "little")  # the version, after the magic
-    path = tmp_path / "v1.trie"
-    path.write_bytes(data[:8] + (1).to_bytes(4, "little") + data[12:])
-    message = f"{path}: unsupported trie version 1"
     with pytest.raises(DataError, match=re.escape(message)):
-        TitleTrie.load(path, load_vocab(trained_run["vocab"]))
-    out = tmp_path / "out"
+        TitleTrie.load(path, load_vocab(run["vocab"]))
+    out = path.parent / "out"
     for command in ("retrieve", "inspect-trie"):
         capsys.readouterr()
-        assert main(_argv(command, dict(trained_run, trie=path), out)) == EXIT_DATA
+        assert main(_argv(command, dict(run, trie=path), out)) == EXIT_DATA
         err = capsys.readouterr().err
         assert f"gere: data error: {message}" in err
         assert "internal error" not in err + caplog.text and "Traceback" not in err + caplog.text
     assert not out.exists()
+
+
+def test_a_version_1_trie_is_rejected_naming_the_file(trained_run, tmp_path, capsys, caplog):
+    """A trie whose header says format version 1 or 2 fails with a data
+    error naming it; `gere build-trie` writes version 3."""
+    data = trained_run["trie"].read_bytes()
+    assert data[8:12] == (3).to_bytes(4, "little")  # the version, after the magic
+    for version in (1, 2):
+        path = tmp_path / f"v{version}.trie"
+        path.write_bytes(data[:8] + version.to_bytes(4, "little") + data[12:])
+        _rejected_naming_the_file(trained_run, path, f"{path}: unsupported trie version {version}",
+                                  capsys, caplog)
+
+
+def test_a_root_only_trie_is_rejected_naming_the_file(trained_run, tmp_path, capsys, caplog):
+    """A valid version 3 file of the root alone holds no title to decode."""
+    from gere.tokenizer import load_vocab
+    path = tmp_path / "root.trie"
+    path.write_bytes(trie_v3_bytes(load_vocab(trained_run["vocab"]), [0], [], []))
+    _rejected_naming_the_file(trained_run, path, f"{path}: a trie of zero titles", capsys, caplog)
 
 
 def test_usage_errors_exit_one():

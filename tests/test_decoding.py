@@ -114,17 +114,13 @@ def test_beam_ties_break_on_token_lists():
 
 def test_beam_rejects_empty_trie_and_bad_beam():
     """A bad beam is refused when its `DecodeParams` is built, before any
-    decoding; an empty trie when the beam starts."""
-    corpus, vocab, trie, model = setup(["Alpha"])
-    enc = model.encode_claim(vocab.encode("x"))
+    decoding. An empty trie never reaches the beam: a build refuses zero
+    titles and a load a file of none (`tests/test_trie.py`)."""
     with pytest.raises(ValueError):
         DecodeParams(beam_size=0)
     for max_titles in (0, -3):
         with pytest.raises(ValueError):
             DecodeParams(beam_size=5, max_titles=max_titles)
-    empty = TitleTrie.from_records([(None, ())])
-    with pytest.raises(DecodingError):
-        beam_search_titles(model, enc, empty, DecodeParams(beam_size=5))
 
 
 @pytest.mark.parametrize("settings", [dict(beam_size=0), dict(max_titles=0),

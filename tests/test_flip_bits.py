@@ -18,12 +18,12 @@ _spec.loader.exec_module(flip_bits)
 
 
 def test_counts_the_mutants_that_load(tmp_path, capsys, tiny_corpus, tiny_vocab):
-    """No mutant of a version 2 trie loads; many of a small float32
+    """No mutant of a version 3 trie loads; many of a small float32
     checkpoint do, since its float sections have no check, and each file
     itself is left as it was."""
     vocab = tmp_path / "vocab.txt"
     save_vocab(tiny_vocab, vocab)
-    trie, ckpt = tmp_path / "v2.trie", tmp_path / "small.gereckpt"
+    trie, ckpt = tmp_path / "v3.trie", tmp_path / "small.gereckpt"
     TitleTrie.build(tiny_corpus.titles(), tiny_vocab).save(trie, tiny_vocab)
     config = small_config(len(tiny_vocab), d_model=4, n_heads=1, d_ff=4, max_positions=4)
     save_checkpoint(ckpt, Seq2SeqModel(config, vocab_checksum=tiny_vocab.checksum()))

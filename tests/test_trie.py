@@ -13,7 +13,7 @@ from gere.synthetic import make_doc_ids
 from gere.tokenizer import EOT, PAD, SPECIAL_TOKENS, UNK, Vocab, tokenize
 from gere.trie import TitleTrie
 
-from oracles import allowed_next_bruteforce
+from oracles import allowed_next_bruteforce, trie_bfs_reference, trie_v3_bytes
 
 
 @pytest.fixture
@@ -153,9 +153,14 @@ def test_child_token_slices_and_heights(tmp_path, tiny_corpus, tiny_vocab):
             assert trie.height[node] == longest_path(trie, node)
 
 
+# Titles of one to four words, "unseen" outside the vocabulary (so UNK), and
+# prefixes of each other ("a" and "a b") among them.
+_WORD_LISTS = st.lists(st.lists(st.sampled_from(["a", "b", "c", "unseen"]), min_size=1,
+                                max_size=4), min_size=1, max_size=12, unique_by=tuple)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "unseen"]), min_size=1, max_size=4),
-                min_size=1, max_size=12, unique_by=tuple))
+@given(_WORD_LISTS)
 def test_child_and_children_of_match_a_scan_at_every_node(word_lists):
     """At every node, `children_of` is the continuation set that a scan of
     the titles gives for the node's path, and `child(node, t)` is the node
@@ -193,9 +198,7 @@ def test_child_and_children_of_match_a_scan_at_every_node(word_lists):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "unseen"]), min_size=1, max_size=4),
-                min_size=1, max_size=12, unique_by=tuple),
-       st.randoms(use_true_random=False))
+@given(_WORD_LISTS, st.randoms(use_true_random=False))
 def test_built_and_loaded_tries_hold_the_same_arrays(word_lists, random):
     """Prefix titles ("a" and "a b") and UNK tokens ("unseen") included, in
     any insertion order."""
@@ -211,6 +214,23 @@ def test_built_and_loaded_tries_hold_the_same_arrays(word_lists, random):
     assert built == loaded
     assert all(built.first_child[n] > n for n in range(built.node_count)
                if built.child_count[n])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_WORD_LISTS, st.randoms(use_true_random=False))
+def test_build_numbers_nodes_breadth_first(word_lists, random):
+    """A build holds the child counts, edge tokens and doc_ids of a
+    queue-driven walk of a nested-dict trie, so siblings ascend by token and
+    each depth follows the one above, in its parents' order."""
+    vocab = Vocab(SPECIAL_TOKENS + ("a", "b", "c"))
+    titles = [(" ".join(words), f"doc{i}") for i, words in enumerate(word_lists)]
+    assume(len({tuple(vocab.encode(t)) for t, _ in titles}) == len(titles))  # else rejected
+    random.shuffle(titles)
+    trie = TitleTrie.build(titles, vocab)
+    child_count, token, doc_ids = trie_bfs_reference(titles, vocab)
+    assert trie.child_count.tolist() == child_count
+    assert trie.token.tolist() == token
+    assert trie.doc_ids == doc_ids
 
 
 def test_loaded_trie_heap_per_node(tmp_path):
@@ -270,25 +290,9 @@ def test_huge_node_count_rejected_before_allocating(tiny_corpus, tiny_vocab):
     assert peak < 1 << 20
 
 
-# -- file format version 2 ------------------------------------------------------
-
-
-def _v2_bytes(vocab, child_count, first_child, height, tokens, doc_ids, title_count=None):
-    """A version 2 file of the given blocks, written from the format's
-    definition, with a valid CRC-32: header, node and title counts, the u32
-    blocks of child counts, first child ids, heights, edge tokens (nodes
-    1 .. n - 1) and doc_id lengths in code points, the doc_ids' UTF-8 text after its
-    uvarint byte length, then the CRC-32 of everything before it."""
-    n = len(child_count)
-    buf = bytearray(b"GERETRIE" + struct.pack("<4I", 2, vocab.checksum(), n,
-                                              len(doc_ids) if title_count is None
-                                              else title_count))
-    for block in (child_count, first_child, height, tokens, [len(d) for d in doc_ids]):
-        buf += struct.pack(f"<{len(block)}I", *block)
-    text = "".join(doc_ids).encode("utf-8")
-    assert len(text) < 128  # a one-byte uvarint
-    buf += bytes([len(text)]) + text
-    return bytes(buf + struct.pack("<I", zlib.crc32(buf)))
+# -- file format version 3 ------------------------------------------------------
+# The tests named `v2` check version 3 files and keep the names they had when
+# version 2 was the format.
 
 
 def test_v2_bytes_are_the_arrays_and_doc_ids(vocab):
@@ -299,8 +303,8 @@ def test_v2_bytes_are_the_arrays_and_doc_ids(vocab):
     assert trie.first_child.tolist() == [1, 2, 4, 4, 5]
     assert trie.token.tolist() == [-1, a, EOT, b, EOT]
     assert trie.height.tolist() == [3, 2, 0, 1, 0]
-    assert trie.to_bytes(vocab) == _v2_bytes(vocab, [1, 2, 0, 1, 0], [1, 2, 4, 4, 5],
-                                             [3, 2, 0, 1, 0], [a, EOT, b, EOT], ["A", "AB"])
+    assert trie.to_bytes(vocab) == trie_v3_bytes(vocab, [1, 2, 0, 1, 0], [a, EOT, b, EOT],
+                                                 ["A", "AB"])
 
 
 def test_doc_ids_with_newline_tab_and_non_ascii_round_trip(tmp_path, vocab):
@@ -315,51 +319,44 @@ def test_doc_ids_with_newline_tab_and_non_ascii_round_trip(tmp_path, vocab):
 
 
 _A, _B, _C = 6, 7, 8  # the `vocab` fixture's ids of "a", "b" and "c"
-_H = [3, 2, 0, 1, 0]  # the heights of the trie of "a" and "a b"
 
 
 @pytest.mark.parametrize("blocks, message", [
-    # child counts, first child ids, heights, edge tokens, doc_ids[, title
-    # count]; the valid file of "a" and "a b" is ([1, 2, 0, 1, 0],
-    # [1, 2, 4, 4, 5], _H, [a, EOT, b, EOT], ["A", "AB"]).
-    (([1, 2, 0, 2, 0], [1, 2, 4, 4, 5], _H, [_A, EOT, _B, EOT], ["A", "AB"]),
+    # child counts, edge tokens, doc_ids[, title count]; the valid file of
+    # "a" and "a b" is ([1, 2, 0, 1, 0], [a, EOT, b, EOT], ["A", "AB"]).
+    (([1, 2, 0, 2, 0], [_A, EOT, _B, EOT], ["A", "AB"]),
      "child counts sum to 5, not node count - 1"),
-    (([1, 2, 0, 1, 0], [1, 3, 4, 4, 5], _H, [_A, EOT, _B, EOT], ["A", "AB"]), "overlap"),
-    (([1, 2, 0, 1, 0], [1, 2, 4, 5, 5], _H, [_A, EOT, _B, EOT], ["A", "AB"]),
-     "leaves the node ids"),
-    (([1, 2, 0, 1, 0], [0, 2, 4, 4, 5], _H, [_A, EOT, _B, EOT], ["A", "AB"]),
-     "leaves the node ids"),
-    (([1, 2, 0, 1, 0], [1, 2, 4, 3, 5], _H, [_A, EOT, _B, EOT], ["A", "AB"]),
-     "does not follow its parent"),
-    (([1, 2, 0, 1, 0], [1, 2, 4, 4, 5], _H, [_A, _B, EOT, EOT], ["A", "AB"]), "out of order"),
-    (([1, 2, 0, 1, 0], [1, 2, 4, 4, 5], _H, [_A, EOT, EOT, EOT], ["A", "AB"]), "out of order"),
-    (([1, 2, 0, 1, 0], [1, 2, 4, 4, 5], _H, [_A, EOT, 10, EOT], ["A", "AB"]),
-     "out of the vocabulary"),
-    (([1, 2, 0, 1, 0], [1, 2, 4, 4, 5], _H, [_A, EOT, _B, EOT], ["A", "AB", "X"]),
+    # Counts that sum to n - 1 but make a node its own parent, or leave a
+    # cycle apart from the root's tree.
+    (([0, 2, 0], [_A, EOT], ["A"]), "a node comes before its parent"),
+    (([1, 0, 1], [_A, EOT], ["A"]), "a node comes before its parent"),
+    (([1, 1, 0, 0, 2], [_A, EOT, _B, EOT], ["A", "AB"]), "a node comes before its parent"),
+    (([1, 1, 0, 1, 0], [_A, EOT, _B, EOT], ["A", "AB"]),
+     "child counts sum to 3, not node count - 1"),
+    (([1, 2, 0, 1, 0], [_A, _B, EOT, EOT], ["A", "AB"]), "out of order"),
+    (([1, 2, 0, 1, 0], [_A, EOT, EOT, EOT], ["A", "AB"]), "out of order"),
+    (([1, 2, 0, 1, 0], [_A, EOT, 10, EOT], ["A", "AB"]), "out of the vocabulary"),
+    (([1, 2, 0, 1, 0], [_A, EOT, _B, EOT], ["A", "AB", "X"]),
      "2 terminal nodes, but 3 titles"),
-    (([1, 2, 0, 1, 0], [1, 2, 4, 4, 5], [3, 2, 0, 1, 1], [_A, EOT, _B, EOT], ["A", "AB"]),
-     "a height is not one more"),
-    (([1, 2, 0, 1, 0], [1, 2, 4, 4, 5], [3, 1, 0, 1, 0], [_A, EOT, _B, EOT], ["A", "AB"]),
-     "a height is not one more"),
-    # "a b" alone is ([1, 1, 1, 0], [1, 2, 3, 4], [3, 2, 1, 0], [a, b, EOT], ["AB"]).
-    (([1, 1, 1, 0], [1, 2, 3, 4], [3, 2, 1, 0], [_A, EOT, EOT], ["X", "AB"]),
-     "terminal node has children"),
-    (([1, 1, 1, 0], [1, 2, 3, 4], [3, 2, 1, 0], [_A, _B, _C], []), "leaf is not terminal"),
-    (([1, 1, 1, 0], [1, 2, 3, 4], [3, 2, 1, 0], [_A, _B, EOT], ["AB", "X"], 1),
-     "trailing bytes"),
+    # The root alone: no titles, which a build refuses, or one it lacks.
+    (([0], [], []), "a trie of zero titles"),
+    (([0], [], ["A"]), "0 terminal nodes, but 1 titles"),
+    # "a b" alone is ([1, 1, 1, 0], [a, b, EOT], ["AB"]).
+    (([1, 1, 1, 0], [_A, EOT, EOT], ["X", "AB"]), "terminal node has children"),
+    (([1, 1, 1, 0], [_A, _B, _C], []), "leaf is not terminal"),
+    (([1, 1, 1, 0], [_A, _B, EOT], ["AB", "X"], 1), "trailing bytes"),
 ], ids=lambda case: case if isinstance(case, str) else None)
 def test_v2_layout_errors_name_the_file(tmp_path, vocab, blocks, message):
     """Each file has a valid CRC-32, so the layout checks are what reject it."""
     path = tmp_path / "bad.trie"
-    path.write_bytes(_v2_bytes(vocab, *blocks))
+    path.write_bytes(trie_v3_bytes(vocab, *blocks))
     with pytest.raises(DataError, match=f"{path.name}: .*{message}"):
         TitleTrie.load(path, vocab)
 
 
 def test_v2_lengths_that_miss_the_text_are_rejected(tmp_path, vocab):
-    data = _v2_bytes(vocab, [1, 2, 0, 1, 0], [1, 2, 4, 4, 5], _H, [_A, EOT, _B, EOT],
-                     ["A", "AB"])
-    at = 24 + 4 * (4 * 5 - 1)  # after the header, the counts and four u32 blocks
+    data = trie_v3_bytes(vocab, [1, 2, 0, 1, 0], [_A, EOT, _B, EOT], ["A", "AB"])
+    at = 24 + 4 * (2 * 5 - 1)  # after the header, the counts and two u32 blocks
     assert data[at:at + 8] == struct.pack("<2I", 1, 2)
     body = data[:at] + struct.pack("<2I", 1, 1) + data[at + 8:-4]
     path = tmp_path / "bad.trie"
@@ -378,8 +375,7 @@ def test_v2_empty_or_repeated_doc_ids_are_rejected(tmp_path, vocab, doc_ids, mes
     twice, and an empty one names no page. The file has a valid CRC-32 and
     layout, so the doc_id checks are what reject it."""
     path = tmp_path / "bad.trie"
-    path.write_bytes(_v2_bytes(vocab, [1, 2, 0, 1, 0], [1, 2, 4, 4, 5], _H,
-                               [_A, EOT, _B, EOT], doc_ids))
+    path.write_bytes(trie_v3_bytes(vocab, [1, 2, 0, 1, 0], [_A, EOT, _B, EOT], doc_ids))
     with pytest.raises(DataError, match=f"{path.name}: {message}"):
         TitleTrie.load(path, vocab)
 
