@@ -13,7 +13,7 @@ import struct
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -226,20 +226,20 @@ class Reader:
             raise DataError(f"{self.name}: invalid UTF-8 before offset "
                             f"{self.fh.tell()}") from None
 
-    def header(self, magic: bytes, versions: Collection[int], kind: str,
-               checksum: Optional[int] = None) -> tuple[int, int]:
-        """Check a `write_header` header: its version one of `versions`, its
-        checksum `checksum` when given. Returns the file's version and checksum."""
+    def header(self, magic: bytes, version: int, kind: str,
+               checksum: Optional[int] = None) -> int:
+        """Check a `write_header` header: its version `version`, its checksum
+        `checksum` when given. Returns the file's checksum."""
         if self.take(len(magic)) != magic:
             raise DataError(f"{self.name}: not a {kind} file (bad magic)")
-        version = self.u32()
-        if version not in versions:
-            raise DataError(f"{self.name}: unsupported {kind} version {version}")
+        file_version = self.u32()
+        if file_version != version:
+            raise DataError(f"{self.name}: unsupported {kind} version {file_version}")
         file_checksum = self.u32()
         if checksum is not None and file_checksum != checksum:
             raise DataError(f"{self.name}: vocab checksum mismatch "
                             f"(file {file_checksum:#010x}, vocab {checksum:#010x})")
-        return version, file_checksum
+        return file_checksum
 
     def finish(self, crc32: bool = False) -> None:
         """Raise unless every byte has been read. With `crc32`, the input

@@ -8,8 +8,8 @@ past the rank are 0), every parameter as float32 in name order, then a flag,
 and when it is set Adam's `t` and each tensor's m and v in turn. A load checks
 the names with one string comparison and the table with one array comparison
 against what the config implies, and reads each float32 section with one
-`readinto`. Version 1 files, whose tensors each carry their own name and shape
-record before their data, still load; a save always writes version 2.
+`readinto`. Version 2 is the only format a load accepts: any other version
+fails at the header as a `DataError` naming the file.
 
 Both ways are streamed: a save writes each tensor from its own data, and a
 load reads each section from the file straight into its array, so neither
@@ -96,62 +96,6 @@ def save_checkpoint(path, model: Seq2SeqModel, optimizer: Optional[nn.Adam] = No
     binio.write_atomic(path, _chunks(model, optimizer, step))
 
 
-def _order_error(path, got: str, name: str) -> DataError:
-    return DataError(f"{path}: tensor order mismatch ({got!r} vs {name!r})")
-
-
-def _shape_error(path, name: str, got, want: tuple[int, ...]) -> DataError:
-    return DataError(f"{path}: tensor {name!r} shape {got} does not match "
-                     f"config-derived shape {want}")
-
-
-def _read_params(r: binio.Reader, path, order, total: int) -> np.ndarray:
-    """Version 2's names, shape table and parameters. `order` is each
-    tensor's (name, shape) from the config, by name, and `total` their
-    size. Only on a mismatch are the names or rows compared one by one, to
-    name the first tensor that differs."""
-    got = r.str_()
-    if got != "\n".join(name for name, _ in order):
-        got_name, name = next(pair for pair in itertools.zip_longest(
-            got.split("\n"), (name for name, _ in order), fillvalue="") if pair[0] != pair[1])
-        raise _order_error(path, got_name, name)
-    table = np.frombuffer(r.take(4 * (1 + _RANK) * len(order)), "<u4").reshape(-1, 1 + _RANK)
-    want = _table([shape for _, shape in order])
-    if want is None or not np.array_equal(table, want):
-        for row, (name, shape) in zip(table.tolist(), order):  # one of them differs
-            if row != _row(shape):
-                rank, dims = row[0], row[1:]
-                valid = rank <= _RANK and not any(dims[rank:])
-                raise _shape_error(path, name, tuple(dims[:rank]) if valid
-                                   else f"record {tuple(row)}", shape)
-    r.need(4 * total)  # so no buffer is larger than the file can fill
-    flat = np.empty(total, "<f4")
-    r.readinto(flat)
-    return flat
-
-
-def _read_params_v1(r: binio.Reader, path, order, total: int) -> np.ndarray:
-    """Version 1's tensor records, with `_read_params`'s arguments and
-    result: each tensor's name and shape, checked against `order`, then its
-    data, read into its place in one buffer. The buffer is cut to what the file can
-    hold, so a config that implies huge tensors allocates no more than the
-    file's size and fails on a shape or size check."""
-    flat = np.empty(min(total, r.remaining() // 4), "<f4")
-    start = 0
-    for name, shape in order:
-        got = r.str_()
-        if got != name:
-            raise _order_error(path, got, name)
-        got_shape = tuple(r.u32() for _ in range(r.u8()))
-        if got_shape != shape:
-            raise _shape_error(path, name, got_shape, shape)
-        size = math.prod(shape)
-        r.need(4 * size)  # so the slice below lies inside `flat`
-        r.readinto(flat[start : start + size])
-        start += size
-    return flat
-
-
 def load_checkpoint(path, expected_vocab_checksum: Optional[int] = None
                     ) -> tuple[Seq2SeqModel, Optional[dict], int]:
     """Returns (model, adam_state_or_None, step). Forward passes of the loaded
@@ -160,8 +104,7 @@ def load_checkpoint(path, expected_vocab_checksum: Optional[int] = None
     against the file, before their bytes are read straight into their
     arrays, so the load holds no copy of the file."""
     with binio.open_reader(path) as r:
-        version, vocab_checksum = r.header(_MAGIC, (1, _VERSION), "checkpoint",
-                                           expected_vocab_checksum)
+        vocab_checksum = r.header(_MAGIC, _VERSION, "checkpoint", expected_vocab_checksum)
         step = r.u64()
         config_text = r.str_()
         try:
@@ -169,7 +112,7 @@ def load_checkpoint(path, expected_vocab_checksum: Optional[int] = None
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
         n_tensors = r.u32()
-        if n_tensors > r.remaining() // 2:  # a tensor takes at least 2 bytes of records
+        if n_tensors > r.remaining() // 2:  # a tensor takes at least 2 bytes of names and table
             raise DataError(f"{path}: truncated (file claims {n_tensors} tensors)")
         # The shapes come from the config alone; nothing is allocated until
         # the file's names and shapes match them.
@@ -179,9 +122,28 @@ def load_checkpoint(path, expected_vocab_checksum: Optional[int] = None
             implied = "more" if len(layout) > n_tensors else len(layout)
             raise DataError(f"{path}: expected {implied} tensors, file has {n_tensors}")
         order = sorted(layout)  # the file's order; names are unique
+        # Only on a mismatch are the names or rows compared one by one, to
+        # name the first tensor that differs.
+        got = r.str_()
+        if got != "\n".join(name for name, _ in order):
+            got_name, name = next(pair for pair in itertools.zip_longest(
+                got.split("\n"), (name for name, _ in order), fillvalue="") if pair[0] != pair[1])
+            raise DataError(f"{path}: tensor order mismatch ({got_name!r} vs {name!r})")
+        table = np.frombuffer(r.take(4 * (1 + _RANK) * len(order)), "<u4").reshape(-1, 1 + _RANK)
+        want = _table([shape for _, shape in order])
+        if want is None or not np.array_equal(table, want):
+            for row, (name, shape) in zip(table.tolist(), order):  # one of them differs
+                if row != _row(shape):
+                    rank, dims = row[0], row[1:]
+                    valid = rank <= _RANK and not any(dims[rank:])
+                    got_shape = tuple(dims[:rank]) if valid else f"record {tuple(row)}"
+                    raise DataError(f"{path}: tensor {name!r} shape {got_shape} does not "
+                                    f"match config-derived shape {shape}")
         sizes = [math.prod(shape) for _, shape in order]
         total = sum(sizes)
-        flat = (_read_params_v1 if version == 1 else _read_params)(r, path, order, total)
+        r.need(4 * total)  # so no buffer is larger than the file can fill
+        flat = np.empty(total, "<f4")
+        r.readinto(flat)
 
         # Each section's tensors are views of one float32 buffer, in file order.
         views = {}

@@ -150,10 +150,6 @@ def cmd_train(args) -> int:
     train_claims = verifiable(claims)
     if not train_claims:
         raise DataError("no verifiable claims to train on")
-    out_dir = Path(cfg.output_dir)
-    with _writing(out_dir):
-        _write_resolved_config(cfg, out_dir)
-
     config = replace(cfg.model, vocab_size=len(vocab))
     if args.resume:
         model, opt_state, step = load_checkpoint(_require(args.resume, "resume checkpoint"),
@@ -175,11 +171,15 @@ def cmd_train(args) -> int:
     log.info("training on %d claims (%d params, %d total updates)",
              len(examples), model.num_params, cfg.train.total_updates)
 
+    out_dir = Path(cfg.output_dir)
     log_path = out_dir / "train_log.jsonl"
     stats = None
     # The log is rewritten so reruns are byte-identical; a resume keeps the
     # records of the updates before its checkpoint and drops any later ones.
     kept = _resumed_log(log_path, step) if args.resume and log_path.exists() else []
+    # Every input is checked by now, so a bad one leaves no output behind.
+    with _writing(out_dir):
+        _write_resolved_config(cfg, out_dir)
     with _writing(log_path), open(log_path, "w", encoding="utf-8") as log_fh:
         log_fh.writelines(kept)
         for batch in trainer.batches(examples):

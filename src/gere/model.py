@@ -91,12 +91,9 @@ class ModelConfig:
 
     @classmethod
     def from_kv(cls, text: str) -> "ModelConfig":
-        """Inverse of `to_kv`; bad text or values raise `DataError`. The
-        `dropout_rate=0.0` line of checkpoints written while the model had a
-        dropout setting is skipped; any other `dropout_rate` is unknown."""
-        lines = [line for line in kv_lines(text, "model config")
-                 if line[1] != "dropout_rate=0.0"]
-        values = parse_kv(lines, {f.name: f for f in fields(cls)}, DataError)
+        """Inverse of `to_kv`; bad text or values raise `DataError`."""
+        values = parse_kv(kv_lines(text, "model config"), {f.name: f for f in fields(cls)},
+                          DataError)
         if "vocab_size" not in values:
             raise DataError("model config missing required key 'vocab_size'")
         try:

@@ -210,7 +210,7 @@ class TitleTrie:
     @classmethod
     def from_bytes(cls, data: bytes, vocab: Vocab, name: str = "<bytes>") -> "TitleTrie":
         r = binio.Reader(data, name)
-        r.header(_MAGIC, (_VERSION,), "trie", vocab.checksum())
+        r.header(_MAGIC, _VERSION, "trie", vocab.checksum())
         node_count = r.u32()
         title_count = r.u32()
         if not 0 < 8 * node_count <= r.remaining():  # two u32 blocks and the CRC

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from gere import binio, nn
+from gere import nn
 from gere.corpus import Label
 from gere.errors import DataError, DecodingError
 from gere.model import DecoderState, Seq2SeqModel
@@ -544,55 +544,3 @@ def score_dataset_bruteforce(pred_records, gold_claims, max_evidence=5):
         "la": la_hits / n if n else 0.0,
         "fever": fever_hits / n if n else 0.0,
     }
-
-
-# -- checkpoint format version 1 -----------------------------------------------
-
-# The writer of checkpoint format version 1, as gere streamed it before
-# version 2: each tensor's name, rank and dims just before its data. Version 1
-# files still load, and the tests build them with this writer.
-
-_V1_MAGIC = b"GERECKPT"
-_V1_VERSION = 1
-
-
-def _f4(array: np.ndarray) -> memoryview:
-    """The bytes of `array` as little-endian float32, without a copy when it
-    already is a contiguous one."""
-    return memoryview(np.ascontiguousarray(array, dtype="<f4")).cast("B")
-
-
-def checkpoint_v1_chunks(model: Seq2SeqModel, optimizer, step: int):
-    """The version 1 checkpoint file, in order: each run of small fields as
-    one bytes object and each tensor as a view of its data. `optimizer` is
-    None or has `t` and the moment dicts `m` and `v` by name."""
-    if model.dtype != np.float32:
-        raise ValueError("only float32 models are checkpointable; the file format "
-                         "stores 32-bit floats and round-trips must be exact")
-    buf = bytearray()
-    binio.write_header(buf, _V1_MAGIC, _V1_VERSION, model.vocab_checksum)
-    binio.write_u64(buf, step)
-    binio.write_str(buf, model.config.to_kv())
-    names = sorted(model.params)
-    binio.write_u32(buf, len(names))
-    for name in names:
-        data = model.params[name].data
-        binio.write_str(buf, name)
-        binio.write_u8(buf, data.ndim)
-        for dim in data.shape:
-            binio.write_u32(buf, dim)
-        yield bytes(buf)
-        buf.clear()
-        yield _f4(data)
-    binio.write_u8(buf, 1 if optimizer is not None else 0)
-    if optimizer is not None:
-        binio.write_u64(buf, optimizer.t)
-    yield bytes(buf)
-    if optimizer is not None:
-        for name in names:
-            yield _f4(optimizer.m[name])
-            yield _f4(optimizer.v[name])
-
-
-def checkpoint_v1_bytes(model: Seq2SeqModel, optimizer=None, step: int = 0) -> bytes:
-    return b"".join(checkpoint_v1_chunks(model, optimizer, step))

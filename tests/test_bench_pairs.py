@@ -91,3 +91,20 @@ def test_pairs_with_a_missing_run_are_left_out_of_the_statistics():
     summary = bench_pairs.summarize(pairs, END_TO_END)
     assert (summary["pairs_complete"], summary["pairs_run"]) == (1, 2)
     assert summary["metrics"]["ops_per_s"]["base"]["median"] == 100.0
+
+
+def test_every_set_is_kept_beside_the_root_file(tmp_path):
+    """Two sets of one workload with different first seeds: the root file
+    holds the second, and each set keeps a file of its own."""
+    sha = "ab" * 20
+    for first_seed, ops_per_s in ((101, 100.0), (201, 90.0)):
+        pairs = [pair(first_seed, run(ops_per_s, 1.0), run(ops_per_s, 1.0))]
+        document = {"workload": "retrieve-random", "revisions": {"base": sha},
+                    "seeds": [first_seed], "pairs": pairs}
+        out, kept = bench_pairs.write_document(tmp_path, document)
+        assert out == tmp_path / "BENCH_retrieve-random.json"
+        assert json.loads(kept.read_text(encoding="utf-8")) == document
+    sets = sorted((tmp_path / ".bench_build" / "pairs" / "sets").iterdir())
+    assert [path.name for path in sets] == [f"BENCH_retrieve-random-{sha}-101.json",
+                                            f"BENCH_retrieve-random-{sha}-201.json"]
+    assert json.loads(out.read_text(encoding="utf-8"))["seeds"] == [201]

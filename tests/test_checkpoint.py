@@ -115,36 +115,10 @@ def test_bad_config_block_is_data_error(tmp_path, tiny_vocab):
             load_checkpoint(path)
 
 
-def test_config_block_with_the_old_zero_dropout_line_loads(tmp_path, tiny_corpus, tiny_vocab,
-                                                           tiny_claims, monkeypatch):
-    """Checkpoints written while the model had a dropout setting carry a
-    `dropout_rate=0.0` line after `max_positions`; they load as if it were
-    not there."""
-    model, trainer = trained_model(tiny_corpus, tiny_vocab, tiny_claims, steps=2)
-    new, old = tmp_path / "new.gereckpt", tmp_path / "old.gereckpt"
-    save_checkpoint(new, model, trainer.optimizer, trainer.step_count)
-    to_kv = ModelConfig.to_kv
-    max_positions = f"max_positions={model.config.max_positions}\n"
-    monkeypatch.setattr(ModelConfig, "to_kv", lambda self: to_kv(self).replace(
-        max_positions, max_positions + "dropout_rate=0.0\n"))
-    save_checkpoint(old, model, trainer.optimizer, trainer.step_count)
-    assert len(old.read_bytes()) == len(new.read_bytes()) + len("dropout_rate=0.0\n")
-
-    (want, want_opt, want_step), (got, got_opt, got_step) = (
-        load_checkpoint(path, tiny_vocab.checksum()) for path in (new, old))
-    assert got_step == want_step == trainer.step_count
-    assert got.config == want.config == model.config
-    for name, p in want.params.items():
-        assert np.array_equal(got.params[name].data, p.data), name
-    assert got_opt["t"] == want_opt["t"]
-    for moments in ("m", "v"):
-        assert got_opt[moments].keys() == want_opt[moments].keys()
-        for name, array in want_opt[moments].items():
-            assert np.array_equal(got_opt[moments][name], array), (moments, name)
-
-
-@pytest.mark.parametrize("line", ["dropout_rate=0.1", "dropout_rate=0"])
+@pytest.mark.parametrize("line", ["dropout_rate=0.1", "dropout_rate=0", "dropout_rate=0.0"])
 def test_config_block_with_another_dropout_line_is_data_error(tmp_path, tiny_vocab, line):
+    """The model has no dropout setting, so a `dropout_rate` line of any
+    value, 0.0 too, is an unknown key."""
     data = checkpoint_bytes(Seq2SeqModel(small_config(len(tiny_vocab))))
     path = tmp_path / "m.gereckpt"
     path.write_bytes(_edit_config(data, "seed=", f"{line}\nseed="))

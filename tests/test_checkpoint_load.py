@@ -15,23 +15,21 @@ from gere.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from gere.errors import DataError
 from gere.model import ModelConfig, Seq2SeqModel
 
-from oracles import checkpoint_v1_bytes
 
-
-def tiny_checkpoint(n_layers=0, vocab_size=8, adam=True, write=checkpoint_bytes) -> bytes:
+def tiny_checkpoint(n_layers=0, vocab_size=8, adam=True) -> bytes:
     """A checkpoint, with Adam state by default, small enough to cut at every
-    byte; `write=checkpoint_v1_bytes` gives it in format version 1."""
+    byte."""
     cfg = ModelConfig(vocab_size=vocab_size, d_model=2, n_heads=1, n_layers_enc=n_layers,
                       n_layers_dec=n_layers, d_ff=2, max_positions=2, seed=5)
     model = Seq2SeqModel(cfg)
     if not adam:
-        return write(model, None, 3)
+        return checkpoint_bytes(model, None, 3)
     optimizer = nn.Adam(model.params)
     rng = np.random.default_rng(5)
     for p in model.params.values():  # one update, so that no moment is zero
         p.grad = rng.normal(size=p.data.shape).astype(np.float32)
     optimizer.step(0.1)
-    return write(model, optimizer, 3)
+    return checkpoint_bytes(model, optimizer, 3)
 
 
 @pytest.fixture
@@ -83,9 +81,7 @@ def test_load_peaks_at_the_loaded_arrays(tmp_path):
     # No moments after the parameters, and token tables far longer than a
     # tensor's name and shape: a cut inside them leaves less file than they need.
     (binio.Reader._CHUNK, tiny_checkpoint(vocab_size=200, adam=False)),
-    (binio.Reader._CHUNK, tiny_checkpoint(write=checkpoint_v1_bytes)),
-    (7, tiny_checkpoint(write=checkpoint_v1_bytes)),
-], ids=["adam", "adam-chunk7", "large-tables", "v1-adam", "v1-adam-chunk7"])
+], ids=["adam", "adam-chunk7", "large-tables"])
 def test_truncation_at_every_offset_is_a_data_error(tmp_path, opened, monkeypatch, chunk, data):
     monkeypatch.setattr(binio.Reader, "_CHUNK", chunk)
     path = tmp_path / "m.gereckpt"
@@ -124,9 +120,8 @@ def _corruptions(data: bytes) -> dict:
     }
 
 
-@pytest.mark.parametrize("write", [checkpoint_bytes, checkpoint_v1_bytes], ids=["v2", "v1"])
-def test_no_file_handle_is_left_open_on_any_path(tmp_path, opened, write):
-    data = tiny_checkpoint(write=write)
+def test_no_file_handle_is_left_open_on_any_path(tmp_path, opened):
+    data = tiny_checkpoint()
     path = tmp_path / "m.gereckpt"
     path.write_bytes(data)
     load_checkpoint(path)
@@ -182,15 +177,14 @@ def test_a_flipped_byte_in_the_names_or_the_shape_table_names_the_tensor(tmp_pat
             assert "does not match config-derived shape" in message
 
 
-@pytest.mark.parametrize("write", [checkpoint_bytes, checkpoint_v1_bytes], ids=["v2", "v1"])
 @pytest.mark.parametrize("key, value", [("vocab_size", 2**32), ("d_ff", 2**32 + 3),
                                         ("max_positions", 2**40), ("d_model", 10**20)])
 def test_a_config_dim_past_u32_is_the_shape_error_and_allocates_nothing(
-        tmp_path, write, key, value):
+        tmp_path, key, value):
     """No file can hold a dim of 2**32 or more, so a config block that implies
     one fails on the first tensor with it, as a shape mismatch: never as an
     error of packing or converting the dim, and before any array exists."""
-    data = tiny_checkpoint(n_layers=1, write=write)
+    data = tiny_checkpoint(n_layers=1)
     r = binio.Reader(data)
     r.take(24)  # magic, version, vocab checksum, step
     lines = r.str_().splitlines(keepends=True)

@@ -9,8 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gere import nn
-from gere.checkpoint import load_checkpoint, save_checkpoint
+from gere.checkpoint import load_checkpoint
 from gere.cli import (
     EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, RunConfig, load_run_config, main,
 )
@@ -20,7 +19,7 @@ from gere.model import ModelConfig
 from gere.synthetic import make_claims, make_corpus, write_dataset
 from gere.training import Trainer, TrainParams
 
-from oracles import build_vocab_reference, checkpoint_v1_bytes, trie_v3_bytes
+from oracles import build_vocab_reference, trie_v3_bytes
 
 
 @pytest.fixture(scope="module")
@@ -295,29 +294,6 @@ def test_resume_from_a_finished_run_runs_no_update(dataset, tmp_path, capsys):
     assert "no update ran" in capsys.readouterr().out
     assert (out_a / "train_log.jsonl").read_bytes() == log_bytes
     assert (out_a / "checkpoint_final.gereckpt").read_bytes() == ckpt_bytes
-
-
-def test_resume_from_a_v1_checkpoint_logs_as_from_its_v2_resave(dataset, tmp_path):
-    """A checkpoint in format version 1 resumes training exactly: its
-    `train_log.jsonl` lines equal those of a resume from the version 2 file
-    a save of it writes, and those of the uninterrupted run."""
-    out_a, _ = run_training(dataset, tmp_path, "run_a", total_updates=12)
-    mid = out_a / "checkpoint_step6.gereckpt"
-    model, opt_state, step = load_checkpoint(mid)
-    optimizer = nn.Adam(model.params)
-    optimizer.load_state_dict(opt_state)
-    v1, v2 = tmp_path / "step6_v1.gereckpt", tmp_path / "step6_v2.gereckpt"
-    v1.write_bytes(checkpoint_v1_bytes(model, optimizer, step))
-    model, opt_state, step = load_checkpoint(v1)
-    optimizer = nn.Adam(model.params)
-    optimizer.load_state_dict(opt_state)
-    save_checkpoint(v2, model, optimizer, step)
-    assert v2.read_bytes() == mid.read_bytes()
-
-    logs = [(run_training(dataset, tmp_path / name, "run", total_updates=12, resume=path)[0]
-             / "train_log.jsonl").read_bytes() for name, path in (("v1", v1), ("v2", v2))]
-    assert logs[0] == logs[1]
-    assert logs[0].splitlines() == (out_a / "train_log.jsonl").read_bytes().splitlines()[6:]
 
 
 def test_resume_rejects_a_log_with_a_gap(dataset, tmp_path, capsys, caplog):
@@ -690,18 +666,21 @@ def test_a_trie_doc_id_missing_from_the_wiki_is_data_error(trained_run, dataset,
     assert not out.exists()  # no log, checkpoint or predictions
 
 
-def _rejected_naming_the_file(run, path, message, capsys, caplog):
-    """`TitleTrie.load`, `gere retrieve` and `gere inspect-trie` of the trie
-    at `path` fail with a data error `message` that names it, and leave no
-    output directory."""
+def _rejected_naming_the_file(run, name, path, message, capsys, caplog):
+    """Loading the `name` input ("trie" or "checkpoint") at `path`, and each
+    command that reads it, fail with a data error `message` that names it,
+    and leave no output directory."""
     from gere.tokenizer import load_vocab
     from gere.trie import TitleTrie
     with pytest.raises(DataError, match=re.escape(message)):
-        TitleTrie.load(path, load_vocab(run["vocab"]))
+        if name == "trie":
+            TitleTrie.load(path, load_vocab(run["vocab"]))
+        else:
+            load_checkpoint(path)
     out = path.parent / "out"
-    for command in ("retrieve", "inspect-trie"):
+    for command in ("retrieve", "inspect-trie" if name == "trie" else "train"):
         capsys.readouterr()
-        assert main(_argv(command, dict(run, trie=path), out)) == EXIT_DATA
+        assert main(_argv(command, dict(run, **{name: path}), out)) == EXIT_DATA
         err = capsys.readouterr().err
         assert f"gere: data error: {message}" in err
         assert "internal error" not in err + caplog.text and "Traceback" not in err + caplog.text
@@ -716,8 +695,8 @@ def test_a_version_1_trie_is_rejected_naming_the_file(trained_run, tmp_path, cap
     for version in (1, 2):
         path = tmp_path / f"v{version}.trie"
         path.write_bytes(data[:8] + version.to_bytes(4, "little") + data[12:])
-        _rejected_naming_the_file(trained_run, path, f"{path}: unsupported trie version {version}",
-                                  capsys, caplog)
+        _rejected_naming_the_file(trained_run, "trie", path,
+                                  f"{path}: unsupported trie version {version}", capsys, caplog)
 
 
 def test_a_root_only_trie_is_rejected_naming_the_file(trained_run, tmp_path, capsys, caplog):
@@ -725,7 +704,21 @@ def test_a_root_only_trie_is_rejected_naming_the_file(trained_run, tmp_path, cap
     from gere.tokenizer import load_vocab
     path = tmp_path / "root.trie"
     path.write_bytes(trie_v3_bytes(load_vocab(trained_run["vocab"]), [0], [], []))
-    _rejected_naming_the_file(trained_run, path, f"{path}: a trie of zero titles", capsys, caplog)
+    _rejected_naming_the_file(trained_run, "trie", path, f"{path}: a trie of zero titles",
+                              capsys, caplog)
+
+
+def test_a_version_1_checkpoint_is_rejected_naming_the_file(trained_run, tmp_path, capsys,
+                                                            caplog):
+    """A checkpoint whose header says format version 1 fails with a data
+    error naming it, in `gere retrieve` and in `gere train --resume` before
+    the run's output directory is made; `gere train` writes version 2."""
+    data = trained_run["checkpoint"].read_bytes()
+    assert data[8:12] == (2).to_bytes(4, "little")  # the version, after the magic
+    path = tmp_path / "v1.gereckpt"
+    path.write_bytes(data[:8] + (1).to_bytes(4, "little") + data[12:])
+    _rejected_naming_the_file(trained_run, "checkpoint", path,
+                              f"{path}: unsupported checkpoint version 1", capsys, caplog)
 
 
 def test_usage_errors_exit_one():

@@ -18,10 +18,13 @@ the seeds and run order, every run's end-to-end metrics, `correct` and
 `failed`, the digests and whether they match, and per metric the medians
 and quartiles of both sides, the median per-pair ratio (change / base) with
 a bootstrap 95 % interval, the wins in the direction `BENCHMARK.json` gives
-and the change's median against the metric's bound. The printed summary
-shows the gain rule (wins in 9 of 10 pairs, and a median gap above the
-base's interquartile range) beside the ratio interval, and decides nothing:
-the exit status is 1 only when a run produced no result.
+and the change's median against the metric's bound. The workload's next set
+replaces it, so each set's document is also kept as
+`.bench_build/pairs/sets/BENCH_<workload>-<base sha>-<first seed>.json`.
+The printed summary shows the gain rule (wins in 9 of 10 pairs, and a
+median gap above the base's interquartile range) beside the ratio interval,
+and decides nothing: the exit status is 1 only when a run produced no
+result.
 """
 
 from __future__ import annotations
@@ -155,6 +158,22 @@ def report(summary: dict) -> list[str]:
     return lines
 
 
+def write_document(root: Path, document: dict) -> tuple[Path, Path]:
+    """Write a set's document to `BENCH_<workload>.json` at `root`, which the
+    workload's next set replaces, and to a file of its own under
+    `.bench_build/pairs/sets/`, named by the base revision and first seed,
+    which no set of other seeds or base replaces. Returns both paths."""
+    text = json.dumps(document, indent=1) + "\n"
+    workload = document["workload"]
+    kept = (root / ".bench_build" / "pairs" / "sets" /
+            f"BENCH_{workload}-{document['revisions']['base']}-{document['seeds'][0]}.json")
+    kept.parent.mkdir(parents=True, exist_ok=True)
+    out = root / f"BENCH_{workload}.json"
+    for path in (kept, out):
+        path.write_text(text, encoding="utf-8")
+    return out, kept
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="the revision to compare against")
@@ -188,10 +207,9 @@ def main(argv=None) -> int:
     summary = summarize(pairs, spec["end_to_end"])
     document = {"workload": args.workload, "seconds": args.seconds, "revisions": revisions,
                 "seeds": [p["seed"] for p in pairs], "summary": summary, "pairs": pairs}
-    out = root / f"BENCH_{args.workload}.json"
-    out.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
+    out, kept = write_document(root, document)
     print("\n".join(report(summary)))
-    print(f"written: {out.name}")
+    print(f"written: {out.name}, and kept as {kept.relative_to(root)}")
     return 0 if all(p["base"] and p["change"] for p in pairs) else 1
 
 
