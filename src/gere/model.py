@@ -3,7 +3,9 @@
 Four parameter stacks with no sharing: a claim encoder producing the hidden
 sequence every decoder cross-attends to, a title decoder over the token
 vocabulary, a sentence encoder whose mean-pooled states form the dynamic
-evidence vocabulary, and an evidence decoder that scores decoder states
+evidence vocabulary (pooled by `nn.masked_mean_forward`, the one definition
+the training graph's `nn.masked_mean` runs, so retrieval scores the vectors
+training optimised), and an evidence decoder that scores decoder states
 against candidate sentence embeddings plus one learned end-of-evidence (EOE)
 embedding. Pre-norm residual blocks with a final layer norm per stack.
 
@@ -27,7 +29,9 @@ norm, and its `PrefixTable`; a `DecoderState` looks the memo up and makes
 one cross-attention product with its claim.
 `Seq2SeqModel.encode_sentences` keeps a per-model memo of sentence vectors,
 keyed by the encoder input row, so a sentence that many claims' candidate
-sets share is embedded once per parameter state. A decoder's layer 0 sees
+sets share is embedded once per parameter state; it stores at most
+`SENTENCE_MEMO_ROWS` vectors (about 17 MiB with keys at d_model 64 in
+float32). A decoder's layer 0 sees
 the claim only in its cross-attention, so the half before it depends on
 the decoded inputs alone, and `DecoderState` gathers it from the memo's
 `PrefixTable` for a step whose rows all decode input sequences seen before,
@@ -218,6 +222,7 @@ def encode(model: "Seq2SeqModel", name: str, ids: Sequence[Sequence[int]]) -> np
 
 
 PREFIX_TABLE_ROWS = 1 << 14  # the most nodes one decoder's prefix table stores
+SENTENCE_MEMO_ROWS = 1 << 15  # the most vectors one model's sentence memo stores
 ROOT, MISS = -1, -2  # a row's node before its first step; a row with no node
 
 
@@ -679,7 +684,8 @@ class Seq2SeqModel:
 
     def encode_sentence(self, token_ids: Sequence[int],
                         source: Optional[tuple[str, int]] = None) -> SentenceEmbedding:
-        """Mean-pooled sentence-encoder states of `sentence_ids(token_ids)`."""
+        """Sentence-encoder states of `sentence_ids(token_ids)`, pooled as the
+        training graph pools them (`nn.masked_mean_forward`, all-ones mask)."""
         return self.encode_sentences([token_ids], [source])[0]
 
     def encode_sentences(self, token_lists: Sequence[Sequence[int]],
@@ -687,23 +693,30 @@ class Seq2SeqModel:
         """`encode_sentence` of each (token_ids, source) pair, in input order.
 
         Vectors come from the model's memo, keyed by the encoder input row
-        (`sentence_ids`) and stored read-only. The rows it lacks are encoded
-        once each, one stacked pass per `length_groups` group, and each has
-        the bits of its own one-sentence pass (see `encode`), so a memo hit
-        is the vector a fresh model computes. The memo holds one state of the
-        `sent_enc.*` parameters (`_memo`): a new, empty one replaces it when
-        any of their `.data` arrays is rebound or its `Tensor.version`
-        changes."""
+        (`sentence_ids`). The rows it lacks are encoded once each, one stacked
+        pass per `length_groups` group pooled by one `nn.masked_mean_forward`
+        call, and each vector, a read-only row of that pooled block, has the
+        bits of its own one-sentence graph pass pooled by `nn.masked_mean`
+        (see `encode`), so a memo hit is the vector a fresh model computes.
+        The memo stores at most `SENTENCE_MEMO_ROWS` vectors, in first-seen
+        order; past that, vectors are computed but not stored. It holds one
+        state of the `sent_enc.*` parameters (`_memo`): a new, empty one
+        replaces it when any of their `.data` arrays is rebound or its
+        `Tensor.version` changes."""
         rows = [tuple(sentence_ids(ids, self.config.max_positions)) for ids in token_lists]
         memo = self.sentence_memo()
         missing = list(dict.fromkeys(row for row in rows if row not in memo))
+        fresh = {}
         for members in length_groups(missing):
-            states = encode(self, "sent_enc", [missing[i] for i in members])
-            for row, i in enumerate(members):
-                vector = states[row].mean(axis=0)
-                vector.flags.writeable = False
-                memo[missing[i]] = vector
-        return [SentenceEmbedding(vector=memo[row], source=sources[i])
+            group = [missing[i] for i in members]
+            states = encode(self, "sent_enc", group)
+            pooled = nn.masked_mean_forward(states, np.ones(states.shape[:2], self.dtype))[0]
+            pooled.flags.writeable = False
+            fresh.update(zip(group, pooled))
+        for row in missing[:max(0, SENTENCE_MEMO_ROWS - len(memo))]:
+            memo[row] = fresh[row]
+        return [SentenceEmbedding(vector=memo[row] if row in memo else fresh[row],
+                                  source=sources[i])
                 for i, row in enumerate(rows)]
 
     def sentence_memo(self) -> dict[tuple[int, ...], np.ndarray]:

@@ -17,8 +17,9 @@ that node's backward has run, so saved forward arrays are freed as the sweep
 goes, and a second `backward` through a spent graph raises `ValueError`.
 Leaves keep their grads. The graph is for training only: inference runs the
 model's plain-numpy engine, which shares the forward math of GELU, layer
-norm, softmax and attention with the graph ops through the plain-array
-functions (`*_forward`).
+norm, softmax, attention and masked-mean pooling with the graph ops through
+the plain-array functions (`gelu_forward`, `layer_norm_forward`,
+`softmax_forward`, `attention_forward` and `masked_mean_forward`).
 """
 
 from __future__ import annotations
@@ -393,11 +394,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale,
     return _make(out, (q, k, v), back)
 
 
-def masked_mean(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Mean over axis 1 of (M, T, d) restricted to mask (M, T); rows need >=1 hit."""
+def masked_mean_forward(x: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over axis 1 of an (M, T, d) array restricted to mask (M, T); rows
+    need >=1 hit. Each state is scaled by its weight mask / count, then the
+    states are summed: the one pooling definition the graph's `masked_mean`
+    and the engine's sentence vectors share. Returns (out, weights)."""
     counts = mask.sum(axis=1)
-    w = (mask / counts[:, None]).astype(x.data.dtype)
-    out = (x.data * w[:, :, None]).sum(axis=1)
+    w = (mask / counts[:, None]).astype(x.dtype)
+    return (x * w[:, :, None]).sum(axis=1), w
+
+
+def masked_mean(x: Tensor, mask: np.ndarray) -> Tensor:
+    out, w = masked_mean_forward(x.data, mask)
 
     def back(g):
         _accum(x, g[:, None, :] * w[:, :, None], fresh=True)

@@ -267,6 +267,14 @@ def test_greedy_evidence_scores_equal_single_step_replays(tiny_vocab, monkeypatc
         assert log_probs[i] == nn.log_softmax64(scores)[pick]
 
 
+def _graph_pooled(model, ids):
+    """The training graph's vector for sentence-encoder input row `ids`: its
+    one-row pass pooled by `nn.masked_mean` with an all-ones mask."""
+    ids = np.array([ids])
+    states = model.encoder_forward("sent_enc", ids, np.ones(ids.shape, dtype=bool))
+    return nn.masked_mean(states, np.ones(ids.shape, model.dtype)).data[0]
+
+
 @pytest.mark.parametrize("n_layers_enc", [0, 1, 2])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_engine_encodings_equal_graph_forward(tiny_vocab, dtype, n_layers_enc):
@@ -285,7 +293,7 @@ def test_engine_encodings_equal_graph_forward(tiny_vocab, dtype, n_layers_enc):
         expected = graph("claim_enc", ids)
         assert enc.dtype == expected.dtype and np.array_equal(enc, expected)
         vector = model.encode_sentence(ids, source=("Doc", length)).vector
-        expected = graph("sent_enc", ids).mean(axis=0)
+        expected = _graph_pooled(model, ids)
         assert vector.dtype == expected.dtype and np.array_equal(vector, expected)
 
     ids = [int(t) for t in rng.integers(6, len(tiny_vocab), size=30)]
@@ -371,6 +379,26 @@ def test_encode_sentences_equal_single_encodes(tiny_vocab, dtype, width):
     assert model.encode_sentences([], []) == []
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sentence_vectors_are_the_graphs_pooled_rows(tiny_vocab, dtype):
+    """Retrieval scores the vectors training optimises: in one call holding
+    groups of 2, 3 and 1 rows, the last cut to max_positions, every vector
+    is its one-row graph pass's `nn.masked_mean` row, bit for bit. Lengths
+    that are not powers of two tell its scale-then-sum from a sum-then-divide
+    mean, which give the same bits when 1 / T is exact."""
+    model = Seq2SeqModel(small_config(len(tiny_vocab), d_model=64, n_heads=4, n_layers_enc=2,
+                                      d_ff=256, max_positions=6), dtype=dtype)
+    rng = np.random.default_rng(5)
+    sents = [[int(t) for t in rng.integers(6, len(tiny_vocab), size=n)]
+             for n in (1, 3, 3, 3, 9, 1)]
+    rows = [gmodel.sentence_ids(ids, 6) for ids in sents]
+    assert gmodel.length_groups(rows) == [[0, 5], [1, 2, 3], [4]]
+    assert len(set(map(tuple, rows))) == len(rows)
+    for row, emb in zip(rows, model.encode_sentences(sents, [None] * len(sents))):
+        expected = _graph_pooled(model, row)
+        assert emb.vector.dtype == expected.dtype and np.array_equal(emb.vector, expected)
+
+
 def test_encode_sentence_empty_falls_back_to_eos(tiny_model):
     empty = tiny_model.encode_sentence([])
     eos = twin(tiny_model).encode_sentence([EOS])
@@ -413,6 +441,25 @@ def test_sentence_memo_vectors_are_read_only(tiny_vocab):
             vector[0] = 0.0
     assert all(np.array_equal(v, w) for v, w in zip(_vectors(model, sents),
                                                      _vectors(twin(model), sents)))
+
+
+def test_a_full_sentence_memo_stores_no_more_and_stays_exact(tiny_vocab, monkeypatch):
+    """With the cap at 3 rows the memo keeps the first three distinct rows it
+    meets and stores nothing after; the rest are encoded again on each call,
+    and every vector equals an uncapped model's on both calls."""
+    model = Seq2SeqModel(small_config(len(tiny_vocab)))
+    rng = np.random.default_rng(6)
+    sents = [[int(t) for t in rng.integers(6, len(tiny_vocab), size=n)]
+             for n in (3, 1, 3, 5, 1, 2)]
+    expected = _vectors(twin(model), sents)
+    monkeypatch.setattr(gmodel, "SENTENCE_MEMO_ROWS", 3)
+    rows = spy_sentence_rows(monkeypatch)
+    for call in range(2):
+        vectors = _vectors(model, sents)
+        assert list(model.sentence_memo()) == [tuple(ids) for ids in sents[:3]]
+        assert sorted(rows) == sorted(tuple(ids) for ids in sents[3 if call else 0:])
+        assert all(np.array_equal(v, w) for v, w in zip(vectors, expected, strict=True))
+        del rows[:]
 
 
 def test_sentence_memo_is_dropped_after_an_adam_step(tiny_vocab, monkeypatch):
